@@ -21,7 +21,7 @@ from . import model as mdl
 from . import spectral as spec
 from . import stability as stab
 from . import dynamics as dyn
-from .grid import Field, l1_norm
+from .grid import Field, GridError, l1_norm
 
 SCHEMA_VERSION = 1
 DEFAULT_SWEEP = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
@@ -41,9 +41,8 @@ def load_model_config(path: str) -> mdl.ModelParams:
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    hosts = []
-    for h in raw["hosts"]:
-        hosts.append(
+    try:
+        hosts = [
             mdl.HostParams(
                 xi=float(h["xi"]),
                 beta=mdl.compile_trait_expression(h["beta"]),
@@ -51,15 +50,18 @@ def load_model_config(path: str) -> mdl.ModelParams:
                 d=mdl.compile_trait_expression(str(h.get("d", "0"))),
                 r=mdl.compile_trait_expression(str(h.get("r", "1"))),
             )
+            for h in raw["hosts"]
+        ]
+        if len(hosts) != 2:
+            raise mdl.ModelError("config must define exactly two hosts")
+        return mdl.ModelParams(
+            lambda_=float(raw["lambda"]),
+            theta=float(raw["theta"]),
+            delta=float(raw["delta"]),
+            hosts=(hosts[0], hosts[1]),
         )
-    if len(hosts) != 2:
-        raise mdl.ModelError("config must define exactly two hosts")
-    return mdl.ModelParams(
-        lambda_=float(raw["lambda"]),
-        theta=float(raw["theta"]),
-        delta=float(raw["delta"]),
-        hosts=(hosts[0], hosts[1]),
-    )
+    except (TypeError, ValueError) as exc:
+        raise mdl.ModelError(f"invalid model config {path}: {exc}") from exc
 
 
 def resolve_model(args) -> tuple[mdl.ModelParams, dict]:
@@ -128,9 +130,16 @@ def _eps_list(args) -> list[float]:
     eps = args.epsilon
     if not eps:
         raise SystemExit2("at least one --epsilon value is required")
-    if any(e <= 0 for e in eps):
-        raise SystemExit2("epsilon values must be positive")
+    if not all(np.isfinite(e) and e > 0 for e in eps):
+        raise SystemExit2("epsilon values must be finite and positive")
     return eps
+
+
+def _host_diagnostics(problem, state, tol):
+    """Host spectra, and the coupled state's distance from the single-host sum."""
+    sp = tuple(spec.solve_host_spectrum(problem, k, tol=tol) for k in (1, 2))
+    unc = tuple(eq.solve_uncoupled(problem, k, spectral=s) for k, s in zip((1, 2), sp))
+    return sp, eq.superposition_error(problem, state.A, unc)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +170,9 @@ def cmd_spectrum(args) -> int:
         rows,
     )
     summary = {"rows": len(rows)}
-    gaps = [(r[0], r[3]) for r in rows if r[3] == r[3] and r[3] > 0]
-    if len(gaps) >= 2:
-        le = np.log([g[0] for g in gaps])
-        lg = np.log([g[1] for g in gaps])
-        summary["gap_exponent"] = float(np.polyfit(le, lg, 1)[0])
+    exponent = spec.gap_exponent([r[0] for r in rows], [r[3] for r in rows])
+    if exponent is not None:
+        summary["gap_exponent"] = exponent
     write_manifest(outdir, "spectrum", source, _knobs(args, epsilon=eps_list))
     write_json(outdir / "spectrum_summary.json", summary)
     failed = [r for r in rows if not r[6]]
@@ -182,6 +189,8 @@ def cmd_equilibrium(args) -> int:
     eps = _eps_list(args)[0]
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
+    if args.stability:
+        stab.check_dense_size(problem)
     tol = args.tol
 
     states = []
@@ -207,15 +216,7 @@ def cmd_equilibrium(args) -> int:
         print("error: coupled solve did not converge", file=sys.stderr)
         return 1
 
-    sp = (
-        spec.solve_host_spectrum(problem, 1, tol=tol),
-        spec.solve_host_spectrum(problem, 2, tol=tol),
-    )
-    unc = (
-        eq.solve_uncoupled(problem, 1, spectral=sp[0]),
-        eq.solve_uncoupled(problem, 2, spectral=sp[1]),
-    )
-    sup = eq.superposition_error(problem, state.A, unc)
+    sp, sup = _host_diagnostics(problem, state, tol)
     pin = eq.mu_pinning_check(problem, state, sp)
     low = eq.lower_bound_check(problem, state, sp)
     row = eq.concentration_row(problem, state)
@@ -278,15 +279,7 @@ def _sweep_entry(payload):
     mp, eps, n, tol = payload
     problem = mdl.build_problem(mp, eps, n=n)
     state = eq.solve_coupled(problem, tol=tol)
-    sp = (
-        spec.solve_host_spectrum(problem, 1, tol=tol),
-        spec.solve_host_spectrum(problem, 2, tol=tol),
-    )
-    unc = (
-        eq.solve_uncoupled(problem, 1, spectral=sp[0]),
-        eq.solve_uncoupled(problem, 2, spectral=sp[1]),
-    )
-    sup = eq.superposition_error(problem, state.A, unc)
+    _, sup = _host_diagnostics(problem, state, tol)
     row = eq.concentration_row(problem, state)
     targets = eq.concentration_targets(problem)
     return row, sup, state.converged, targets
@@ -294,9 +287,7 @@ def _sweep_entry(payload):
 
 def cmd_sweep(args) -> int:
     mp, source = resolve_model(args)
-    eps_list = args.epsilon or DEFAULT_SWEEP
-    if any(e <= 0 for e in eps_list):
-        raise SystemExit2("epsilon values must be positive")
+    eps_list = _eps_list(args) if args.epsilon else DEFAULT_SWEEP
     outdir = _outdir(args)
     payloads = [(mp, e, args.n, args.tol) for e in sorted(eps_list, reverse=True)]
     results = _run_parallel(_sweep_entry, payloads, args.jobs)
@@ -393,6 +384,7 @@ def cmd_stability(args) -> int:
     eps = _eps_list(args)[0]
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
+    stab.check_dense_size(problem)
     state = eq.solve_coupled(problem, tol=args.tol)
     if not state.converged and not args.allow_partial:
         print("error: coupled solve did not converge", file=sys.stderr)
@@ -504,7 +496,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit2:
         raise
-    except (mdl.ModelError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (
+        mdl.ModelError, GridError, stab.StabilityError,
+        FileNotFoundError, KeyError, json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

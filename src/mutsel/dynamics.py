@@ -13,7 +13,8 @@ import numpy as np
 
 from .grid import Field, l1_norm
 from .model import Problem
-from .operators import ConvolutionEngine
+from .equilibrium import default_start
+from .operators import update_map
 
 NEGATIVE_SLACK = 1e-12
 BLOWUP_NORM = 1e12
@@ -61,8 +62,7 @@ def disease_free_state(problem: Problem, *, bump: float = 0.0) -> SystemState:
     mp = problem.mp
     grid = problem.grid
     zero = np.zeros(grid.n)
-    vals = problem.host(1).psi.values + problem.host(2).psi.values
-    vals = bump * vals / float(np.sum(grid.quad_weights * vals))
+    vals = bump * default_start(problem).values
     return SystemState(
         t=0.0,
         S1=mp.hosts[0].xi * mp.lambda_ / mp.theta,
@@ -74,12 +74,17 @@ def disease_free_state(problem: Problem, *, bump: float = 0.0) -> SystemState:
 
 
 class _System:
-    """Packed-vector right-hand side with a cached convolution engine."""
+    """Packed-vector right-hand side built on the coupled map's quadrature rows."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.grid = problem.grid
-        self.engine = ConvolutionEngine(problem.kernel, self.grid, problem.mode)
+        self.tmap = update_map(problem)
+        mp = problem.mp
+        self.influx = np.array([h.xi * mp.lambda_ for h in mp.hosts])
+        self.hosts = [
+            (hd.beta.values, mp.theta + hd.d.values, hd.r.values) for hd in problem.derived
+        ]
         n = self.grid.n
         self.n = n
         self.slices = (slice(2, 2 + n), slice(2 + n, 2 + 2 * n), slice(2 + 2 * n, 2 + 3 * n))
@@ -102,19 +107,17 @@ class _System:
         )
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
+        # dS_k/dt = xi_k Lambda - theta S_k (1 + theta^-1 int beta_k a)
         mp = self.problem.mp
-        w = self.grid.quad_weights
-        i1, i2, a = (y[s] for s in self.slices)
+        a = y[self.slices[2]]
         out = np.empty_like(y)
+        out[:2] = self.influx - mp.theta * y[:2] * self.tmap.denominators(a)
         production = np.zeros(self.n)
-        for k, ik in ((1, i1), (2, i2)):
-            hd = self.problem.host(k)
-            sk = y[k - 1]
-            beta_a = float(np.sum(w * hd.beta.values * a))
-            out[k - 1] = mp.hosts[k - 1].xi * mp.lambda_ - mp.theta * sk - sk * beta_a
-            out[self.slices[k - 1]] = hd.beta.values * sk * a - (mp.theta + hd.d.values) * ik
-            production += hd.r.values * ik
-        out[self.slices[2]] = -mp.delta * a + self.engine.convolve_values(production)
+        for sk, sl, (beta, loss, r) in zip(y[:2], self.slices, self.hosts):
+            ik = y[sl]
+            out[sl] = beta * sk * a - loss * ik
+            production += r * ik
+        out[self.slices[2]] = -mp.delta * a + self.tmap.engine.convolve_values(production)
         return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import Field, inner, integrate, l1_norm, restrict
 from .model import ModelParams, Problem, build_problem
-from .operators import UpdateMap, update_map
+from .operators import UpdateMap, host_update, update_map
 from .spectral import SpectralResult, solve_host_spectrum
 
 DEFAULT_TOL = 1e-10
@@ -64,16 +64,8 @@ def solve_uncoupled(
         raise SolverError(f"principal eigenfunction carries no beta_{k} mass")
     nu = problem.mp.theta * (lam - 1.0) / beta_phi
     a_star = Field(grid, nu * spectral.phi1.values, is_density=True)
-    tmap = update_map(problem)
-    k_update = _host_apply(tmap, problem, k, a_star.values)
-    residual = float(np.sum(grid.quad_weights * np.abs(k_update - a_star.values)))
+    residual = l1_norm(host_update(problem, k, a_star) - a_star)
     return UncoupledSolution(k, float(nu), a_star, spectral, False, residual)
-
-
-def _host_apply(tmap: UpdateMap, problem: Problem, k: int, values: np.ndarray) -> np.ndarray:
-    from .operators import host_update_values
-
-    return host_update_values(problem, k, tmap.ops[k - 1], values)
 
 
 # ---------------------------------------------------------------------------
@@ -163,40 +155,32 @@ def reconstruct(problem: Problem, A: Field, *, tol: float = DEFAULT_TOL) -> Equi
     """Rebuild the full steady state from a spore density.
 
     Healthy tissue S_k = xi_k Lambda / mu_k with mu_k = theta + int(beta_k A);
-    infected density I_k = beta_k S_k A / (theta + d_k); the residual measures
-    how well delta A matches the kernel-smoothed spore production.
+    infected density I_k = beta_k S_k A / (theta + d_k).  The residual
+    ||delta A - m_eps * (sum_k r_k I_k)||_1 measures how well the spore
+    production balances decay; since sum_k r_k I_k = delta g(A) A, it equals
+    delta ||A - T(A)||_1.
     """
     mp = problem.mp
-    grid = problem.grid
-    mus = []
+    tmap = update_map(problem)
+    mus = mp.theta * tmap.denominators(A.values)
     ss = []
     infected = []
-    for k in (1, 2):
+    for k, mu in zip((1, 2), mus):
         hd = problem.host(k)
-        mu = mp.theta + inner(hd.beta, A)
         s = mp.hosts[k - 1].xi * mp.lambda_ / mu
         ik = hd.beta.values * s * A.values / (mp.theta + hd.d.values)
-        mus.append(mu)
         ss.append(s)
-        infected.append(Field(grid, ik, is_density=True))
-    from .operators import ConvolutionEngine
-
-    engine = ConvolutionEngine(problem.kernel, grid, problem.mode)
-    production = (
-        problem.host(1).r.values * infected[0].values
-        + problem.host(2).r.values * infected[1].values
-    )
-    smoothed = engine.convolve_values(production)
-    residual = float(np.sum(grid.quad_weights * np.abs(mp.delta * A.values - smoothed)))
+        infected.append(Field(problem.grid, ik, is_density=True))
+    residual = mp.delta * l1_norm(A - Field(problem.grid, tmap.apply_values(A.values)))
     classification = "endemic" if l1_norm(A) > 10.0 * tol else "disease_free"
     return EquilibriumState(
         A=A,
-        S1=ss[0],
-        S2=ss[1],
+        S1=float(ss[0]),
+        S2=float(ss[1]),
         I1=infected[0],
         I2=infected[1],
-        mu1=mus[0],
-        mu2=mus[1],
+        mu1=float(mus[0]),
+        mu2=float(mus[1]),
         residual=residual,
         classification=classification,
     )

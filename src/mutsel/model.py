@@ -86,7 +86,10 @@ class TraitExpression:
         self._compile()
 
     def _compile(self):
-        code = compile(self.expr, "<trait-expression>", "eval")
+        try:
+            code = compile(self.expr, "<trait-expression>", "eval")
+        except SyntaxError as exc:
+            raise ModelError(f"invalid trait expression {self.expr!r}: {exc.msg}") from exc
         for name in code.co_names:
             if name not in _EXPR_NAMES and name != "x":
                 raise ModelError(f"unknown name {name!r} in trait expression")

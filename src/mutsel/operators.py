@@ -1,9 +1,10 @@
 """Discrete weighted-convolution operators and the nonlinear update maps.
 
 Provides the per-host linear operators (kernel convolution against a fitness
-weight), their symmetrized counterparts, the nonlinear single-host and coupled
-update maps whose fixed points are the steady states, and the analytic
-linearization of the coupled map.
+weight), their symmetrized counterparts, and the nonlinear update map whose
+fixed points are the steady states, with its analytic derivative.  The map and
+its derivative are each a single weighted convolution (the derivative minus a
+low-rank correction), whatever the number of hosts summed over.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grid import Field, GridError, TraitGrid, inner
-from .model import HostDerived, MutationKernel, Problem
+from .grid import Field, GridError, TraitGrid
+from .model import MutationKernel, Problem
 
 MODES = ("direct", "fft")
 
@@ -58,6 +59,20 @@ class ConvolutionEngine:
             raise GridError("field lives on a different grid than the engine")
         return Field(self.grid, self.convolve_values(f.values))
 
+    def toeplitz(self) -> np.ndarray:
+        """Read-only n x n view K[i, j] = m_eps(x_i - x_j) = samples[(n-1)+i-j]."""
+        n = self.grid.n
+        return np.lib.stride_tricks.sliding_window_view(self.kernel.samples, n)[:, ::-1]
+
+    def dense_matrix(self, weight: np.ndarray) -> np.ndarray:
+        """Matrix of f -> convolve_values(weight * f): K[i, j] w_j weight_j."""
+        return self.toeplitz() * (self.grid.quad_weights * weight)[None, :]
+
+
+def convolution_engine(problem: Problem) -> ConvolutionEngine:
+    """The problem's convolution engine, in the problem's backend mode."""
+    return ConvolutionEngine(problem.kernel, problem.grid, problem.mode)
+
 
 @dataclass
 class WeightedConvolutionOperator:
@@ -77,11 +92,7 @@ class WeightedConvolutionOperator:
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit n x n matrix: M[i, j] = pref * m_eps(x_i - x_j) w_j weight_j."""
-        grid = self.engine.grid
-        n = grid.n
-        idx = np.arange(n)
-        kern = self.engine.kernel.samples[idx[:, None] - idx[None, :] + n - 1]
-        return self.prefactor * kern * (grid.quad_weights * self.weight.values)[None, :]
+        return self.engine.dense_matrix(self.prefactor * self.weight.values)
 
     def dense_symmetric(self) -> np.ndarray:
         """Similar symmetric matrix with the same spectrum.
@@ -90,12 +101,10 @@ class WeightedConvolutionOperator:
         B[i, j] = pref * sqrt(w_i weight_i) m_eps(x_i - x_j) sqrt(w_j weight_j),
         the quadrature form of the square-root-symmetrized operator.
         """
-        grid = self.engine.grid
-        n = grid.n
-        idx = np.arange(n)
-        kern = self.engine.kernel.samples[idx[:, None] - idx[None, :] + n - 1]
-        s = np.sqrt(grid.quad_weights * self.weight.values)
-        return self.prefactor * s[:, None] * kern * s[None, :]
+        s = np.sqrt(self.engine.grid.quad_weights * self.weight.values)
+        b = (self.prefactor * s)[:, None] * self.engine.toeplitz()
+        b *= s[None, :]
+        return b
 
     def symmetrized_apply_values(self, values: np.ndarray) -> np.ndarray:
         """Apply sqrtW . m_eps * (sqrtW . f) with sqrtW = sqrt(weight)."""
@@ -103,26 +112,25 @@ class WeightedConvolutionOperator:
         return self.prefactor * s * self.engine.convolve_values(s * values)
 
 
-def host_operator(problem: Problem, k: int, *, mode: str | None = None) -> WeightedConvolutionOperator:
-    """Linear operator of host k: (xi_k Lambda / theta) m_eps * (Psi_k f)."""
+def _influx_rate(problem: Problem, k: int) -> float:
+    """c_k = xi_k Lambda / theta, the prefactor of host k's operator."""
     mp = problem.mp
-    engine = ConvolutionEngine(problem.kernel, problem.grid, mode or problem.mode)
-    pref = mp.hosts[k - 1].xi * mp.lambda_ / mp.theta
-    return WeightedConvolutionOperator(problem.host(k).psi, pref, engine)
+    return mp.hosts[k - 1].xi * mp.lambda_ / mp.theta
 
 
-def combined_operator(problem: Problem, *, mode: str | None = None) -> WeightedConvolutionOperator:
+def host_operator(problem: Problem, k: int) -> WeightedConvolutionOperator:
+    """Linear operator of host k: (xi_k Lambda / theta) m_eps * (Psi_k f)."""
+    return WeightedConvolutionOperator(
+        problem.host(k).psi, _influx_rate(problem, k), convolution_engine(problem)
+    )
+
+
+def combined_operator(problem: Problem) -> WeightedConvolutionOperator:
     """Sum of the two host operators, as a single weighted convolution."""
     mp = problem.mp
-    engine = ConvolutionEngine(problem.kernel, problem.grid, mode or problem.mode)
-    weight = Field(
-        problem.grid,
-        (
-            mp.hosts[0].xi * problem.host(1).psi.values
-            + mp.hosts[1].xi * problem.host(2).psi.values
-        ),
+    return WeightedConvolutionOperator(
+        problem.combined_fitness, mp.lambda_ / mp.theta, convolution_engine(problem)
     )
-    return WeightedConvolutionOperator(weight, mp.lambda_ / mp.theta, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -133,66 +141,78 @@ def _check_nonnegative(f: Field) -> None:
         raise OperatorError("update maps require a nonnegative input density")
 
 
-def beta_mass(problem: Problem, k: int, f: Field) -> float:
-    """Quadrature integral of beta_k * f."""
-    return inner(problem.host(k).beta, f)
-
-
-def host_update_values(
-    problem: Problem, k: int, op: WeightedConvolutionOperator, values: np.ndarray
-) -> np.ndarray:
-    hd = problem.host(k)
-    mass = float(np.sum(problem.grid.quad_weights * hd.beta.values * values))
-    return op.apply_values(values) / (1.0 + mass / problem.mp.theta)
-
-def host_update(problem: Problem, k: int, f: Field, *, op: WeightedConvolutionOperator | None = None) -> Field:
-    """Single-host map: L_k f / (1 + theta^-1 int beta_k f)."""
-    _check_nonnegative(f)
-    if op is None:
-        op = host_operator(problem, k)
-    return Field(problem.grid, host_update_values(problem, k, op, f.values))
-
-
 @dataclass
 class UpdateMap:
-    """The coupled fixed-point map T = T_1 + T_2 with cached host operators."""
+    """The fixed-point map T(a) = m_eps * (g(a) a), summed over some hosts.
 
-    problem: Problem
-    ops: tuple[WeightedConvolutionOperator, WeightedConvolutionOperator]
+    g(a) = sum_k c_k psi_k / den_k(a), with c_k = xi_k Lambda / theta and the
+    saturation denominator den_k(a) = 1 + theta^-1 int beta_k a.  Row k of
+    ``fitness`` holds c_k psi_k and row k of ``beta_rows`` the quadrature row
+    w beta_k / theta, so den = 1 + beta_rows @ a.
+    """
+
+    engine: ConvolutionEngine
+    fitness: np.ndarray
+    beta_rows: np.ndarray
+
+    def denominators(self, a: np.ndarray) -> np.ndarray:
+        """Saturation denominators 1 + theta^-1 int beta_k a, one per host."""
+        return 1.0 + self.beta_rows @ a
+
+    def _gain(self, den: np.ndarray) -> np.ndarray:
+        """g = sum_k c_k psi_k / den_k for the given denominators."""
+        return (1.0 / den) @ self.fitness
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        out = host_update_values(self.problem, 1, self.ops[0], values)
-        out += host_update_values(self.problem, 2, self.ops[1], values)
-        return out
+        return self.engine.convolve_values(self._gain(self.denominators(values)) * values)
 
     def apply(self, f: Field) -> Field:
         _check_nonnegative(f)
-        return Field(self.problem.grid, self.apply_values(f.values))
+        return Field(self.engine.grid, self.apply_values(f.values))
+
+    def _correction(self, a: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Rows L_k a / den_k^2: with beta_rows, the rank-one term of each host."""
+        return np.array(
+            [self.engine.convolve_values(row * a) / d**2 for row, d in zip(self.fitness, den)]
+        )
 
     def linearized_values(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Derivative of the map at density a, applied to direction h."""
-        grid = self.problem.grid
-        theta = self.problem.mp.theta
-        out = np.zeros_like(h)
-        for k in (1, 2):
-            hd = self.problem.host(k)
-            op = self.ops[k - 1]
-            den = 1.0 + float(np.sum(grid.quad_weights * hd.beta.values * a)) / theta
-            beta_h = float(np.sum(grid.quad_weights * hd.beta.values * h))
-            out += op.apply_values(h) / den
-            out -= op.apply_values(a) / den**2 * (beta_h / theta)
+        den = self.denominators(a)
+        out = self.engine.convolve_values(self._gain(den) * h)
+        out -= (self.beta_rows @ h) @ self._correction(a, den)
         return out
 
-    def linearized(self, a: Field, h: Field) -> Field:
-        _check_nonnegative(a)
-        return Field(self.problem.grid, self.linearized_values(a.values, h.values))
+    def dense_derivative(self, a: np.ndarray) -> np.ndarray:
+        """Dense derivative at a: K w diag(g(a)) minus the per-host rank-one terms."""
+        den = self.denominators(a)
+        d = self.engine.dense_matrix(self._gain(den))
+        d -= self._correction(a, den).T @ self.beta_rows
+        return d
 
 
-def update_map(problem: Problem, *, mode: str | None = None) -> UpdateMap:
+def _map_over(problem: Problem, hosts: tuple[int, ...]) -> UpdateMap:
+    w_theta = problem.grid.quad_weights / problem.mp.theta
     return UpdateMap(
-        problem,
-        (host_operator(problem, 1, mode=mode), host_operator(problem, 2, mode=mode)),
+        convolution_engine(problem),
+        np.array([_influx_rate(problem, k) * problem.host(k).psi.values for k in hosts]),
+        np.array([w_theta * problem.host(k).beta.values for k in hosts]),
     )
+
+
+def update_map(problem: Problem) -> UpdateMap:
+    """The coupled map T = T_1 + T_2."""
+    return _map_over(problem, (1, 2))
+
+
+def host_map(problem: Problem, k: int) -> UpdateMap:
+    """Single-host map T_k(a) = L_k a / (1 + theta^-1 int beta_k a)."""
+    return _map_over(problem, (k,))
+
+
+def host_update(problem: Problem, k: int, f: Field) -> Field:
+    """Single-host map applied once."""
+    return host_map(problem, k).apply(f)
 
 
 def full_update(problem: Problem, f: Field) -> Field:

@@ -223,20 +223,24 @@ def spectral_gap_table(
         )
         if res.degenerate:
             table.degenerate = True
-    positive = [(r.eps, r.gap) for r in table.rows if r.gap > 0]
-    if len(positive) >= 2:
-        le = np.log([p[0] for p in positive])
-        lg = np.log([p[1] for p in positive])
-        table.fitted_exponent = float(np.polyfit(le, lg, 1)[0])
+    table.fitted_exponent = gap_exponent([r.eps for r in table.rows], list(table.gaps))
     return table
+
+
+def gap_exponent(eps: list[float], gaps: list[float]) -> float | None:
+    """Fitted slope of log(gap) against log(eps) over the positive gaps.
+
+    None when fewer than two gaps are positive (NaN gaps count as missing).
+    """
+    positive = [(e, g) for e, g in zip(eps, gaps) if g > 0]
+    if len(positive) < 2:
+        return None
+    le, lg = np.log(positive).T
+    return float(np.polyfit(le, lg, 1)[0])
 
 
 def r0_limits(problem: Problem) -> tuple[float, float, float]:
     """(R0, R0_host1, R0_host2): the small-mutation limits of the spectral radii."""
     mp = problem.mp
-    combined = (
-        mp.hosts[0].xi * problem.host(1).psi.values
-        + mp.hosts[1].xi * problem.host(2).psi.values
-    )
-    r0 = mp.lambda_ / mp.theta * float(combined.max())
+    r0 = mp.lambda_ / mp.theta * float(problem.combined_fitness.values.max())
     return r0, problem.host(1).r0, problem.host(2).r0

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grid import Field
 from .model import Problem
-from .operators import UpdateMap, host_operator, update_map
+from .operators import UpdateMap, host_map, host_operator, update_map
 from .spectral import symmetric_spectrum
 from .equilibrium import UncoupledSolution
 
@@ -35,27 +35,25 @@ class StabilityReport:
     uncoupled_prediction: np.ndarray | None = None
 
 
+def check_dense_size(problem: Problem) -> None:
+    """Raise StabilityError if the grid is too fine for the dense eigensolve."""
+    if problem.grid.n > DENSE_LIMIT:
+        raise StabilityError(
+            f"dense stability eigensolve limited to n <= {DENSE_LIMIT}; "
+            f"got n = {problem.grid.n}"
+        )
+
+
 def derivative_matrix(problem: Problem, a: np.ndarray, *, tmap: UpdateMap | None = None) -> np.ndarray:
     """Dense matrix of the derivative of the coupled map at density a.
 
-    Each host contributes its weighted-convolution matrix divided by the
-    saturation denominator, minus a rank-one correction from differentiating
-    that denominator.
+    The weighted kernel matrix scaled by the map's gain g(a), minus one
+    rank-one correction per host from differentiating its saturation
+    denominator.
     """
     if tmap is None:
         tmap = update_map(problem)
-    grid = problem.grid
-    theta = problem.mp.theta
-    n = grid.n
-    d = np.zeros((n, n))
-    for k in (1, 2):
-        hd = problem.host(k)
-        op = tmap.ops[k - 1]
-        den = 1.0 + float(np.sum(grid.quad_weights * hd.beta.values * a)) / theta
-        d += op.dense_matrix() / den
-        la = op.apply_values(a)
-        d -= np.outer(la / den**2, grid.quad_weights * hd.beta.values / theta)
-    return d
+    return tmap.dense_derivative(a)
 
 
 def stability_report(
@@ -71,13 +69,9 @@ def stability_report(
     report as evaluated away from a steady state (the spectrum is still
     returned).
     """
+    check_dense_size(problem)
     if tmap is None:
         tmap = update_map(problem)
-    if problem.grid.n > DENSE_LIMIT:
-        raise StabilityError(
-            f"dense stability eigensolve limited to n <= {DENSE_LIMIT}; "
-            f"got n = {problem.grid.n}"
-        )
     a = A.values
     ta = tmap.apply_values(np.clip(a, 0.0, None))
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
@@ -159,15 +153,7 @@ def uncoupled_derivative_spectrum(
         vals = [1.0 / lam1] + [l / lam1 for l in lam_spec[1:]] + [0.0]
         formula = np.sort(vals)[::-1][:count]
 
-    grid = problem.grid
-    theta = problem.mp.theta
-    hd = problem.host(k)
-    a = solution.a_star.values
-    den = 1.0 + float(np.sum(grid.quad_weights * hd.beta.values * a)) / theta
-    m = op.dense_matrix() / den
-    if not solution.is_trivial:
-        la = op.apply_values(a)
-        m -= np.outer(la / den**2, grid.quad_weights * hd.beta.values / theta)
+    m = host_map(problem, k).dense_derivative(solution.a_star.values)
     eig = np.linalg.eigvals(m)
     eig = eig[np.argsort(-np.abs(eig))]
     top = np.sort(eig.real[: count])[::-1]

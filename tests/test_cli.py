@@ -192,3 +192,52 @@ class TestConfigFile:
                 "--epsilon", "1e-2", "--output-dir", str(outdir),
             ])
         assert exc.value.code == 2
+
+
+def _status(argv):
+    """Exit status of a CLI run, whether it returns or raises SystemExit."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _config(tmp_path, **host1):
+    hosts = [
+        {"xi": 0.5, "beta": "200*pos((x-0.2)*(0.6-x))", "beta_support": [0.2, 0.6]},
+        {"xi": 0.5, "beta": "400*pos((x-0.7)*(0.9-x))", "beta_support": [0.7, 0.9]},
+    ]
+    hosts[0].update(host1)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"lambda": 1.0, "theta": 1.0, "delta": 1.0, "hosts": hosts}))
+    return ["--config", str(path)]
+
+
+MALFORMED = {
+    "too few nodes": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
+                                  "--n", "8"],
+    "nan epsilon": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "nan"],
+    "nan epsilon in sweep": lambda tmp: ["sweep", "--preset", "fig1", "--epsilon", "nan"],
+    "non-numeric xi": lambda tmp: ["spectrum", *_config(tmp, xi="abc"), "--epsilon", "5e-2"],
+    "one-point beta support": lambda tmp: ["spectrum", *_config(tmp, beta_support=[0.2]),
+                                           "--epsilon", "5e-2"],
+    "trait syntax error": lambda tmp: ["spectrum", *_config(tmp, beta="200*(x-"),
+                                       "--epsilon", "5e-2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_usage_error(case, tmp_path, capsys):
+    argv = MALFORMED[case](tmp_path) + ["--output-dir", str(tmp_path / "out")]
+    assert _status(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["stability"], ["equilibrium", "--stability"]])
+def test_dense_stability_limit_is_usage_error(command, outdir, capsys):
+    argv = [*command, "--preset", "fig1", "--epsilon", "5e-2", "--n", "4097",
+            "--output-dir", str(outdir)]
+    assert _status(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4096" in err

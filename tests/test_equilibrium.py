@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mutsel.grid import Field, inner, l1_norm
-from mutsel.model import build_problem
-from mutsel.operators import mass_bound, update_map
+from mutsel.model import HostParams, ModelParams, build_problem, compile_trait_expression
+from mutsel.operators import ConvolutionEngine, mass_bound, update_map
 from mutsel.equilibrium import (
     concentration_row,
     concentration_targets,
+    default_start,
     lower_bound_check,
     mu_pinning_check,
     reconstruct,
@@ -160,3 +161,35 @@ class TestDiagnostics:
         row = concentration_row(fig1_problem, fig1_state)
         assert row.a_mass == pytest.approx(l1_norm(fig1_state.A), rel=1e-12)
         assert 0.3 < row.a_argmax < 0.9
+
+
+def _with_death_and_production(mp):
+    """The model with nonzero extra death d, non-constant production r, delta = 2."""
+    hosts = tuple(
+        HostParams(h.xi, h.beta, h.beta_support, d=compile_trait_expression(d),
+                   r=compile_trait_expression(r))
+        for h, d, r in zip(mp.hosts, ("0.3 + x", "0.5"), ("1 + 2*x", "2 - x"))
+    )
+    return ModelParams(mp.lambda_, mp.theta, 2.0, hosts)
+
+
+class TestReconstructResidual:
+    @pytest.mark.parametrize("variant", ["fig1", "fig1_d_r_delta"])
+    def test_matches_convolved_spore_production(self, fig1, variant):
+        # the residual delta ||A - T(A)||_1 must equal the balance it stands
+        # for, ||delta A - m_eps * (sum_k r_k I_k)||_1, at any density A
+        mp = fig1 if variant == "fig1" else _with_death_and_production(fig1)
+        problem = build_problem(mp, 0.01)
+        engine = ConvolutionEngine(problem.kernel, problem.grid)
+        rng = np.random.default_rng(5)
+        densities = [default_start(problem), Field(problem.grid, rng.random(problem.grid.n))]
+        for A in densities:
+            state = reconstruct(problem, A)
+            production = (
+                problem.host(1).r.values * state.I1.values
+                + problem.host(2).r.values * state.I2.values
+            )
+            old = l1_norm(
+                Field(problem.grid, mp.delta * A.values - engine.convolve_values(production))
+            )
+            assert state.residual == pytest.approx(old, rel=1e-14)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutsel.grid import Field, l1_norm, restrict
+from mutsel.grid import Field, inner, l1_norm, restrict
 from mutsel.model import build_problem, preset
 from mutsel.operators import (
     ConvolutionEngine,
     OperatorError,
     combined_operator,
     full_update,
+    host_map,
     host_operator,
     host_update,
     mass_bound,
@@ -231,3 +232,50 @@ class TestDerivative:
         da = tmap.linearized_values(a, a)
         pos = a > 1e-8
         assert np.all(da[pos] < a[pos])
+
+
+class TestOneConvolutionCore:
+    def test_one_convolution_per_map_application(self, fig1_problem, monkeypatch):
+        calls = []
+        convolve = ConvolutionEngine.convolve_values
+
+        def counted(self, values):
+            calls.append(len(values))
+            return convolve(self, values)
+
+        monkeypatch.setattr(ConvolutionEngine, "convolve_values", counted)
+        a = _random_density(fig1_problem.grid, 4)
+        for tmap in (update_map(fig1_problem), host_map(fig1_problem, 1)):
+            for expected in (1, 2, 3):
+                tmap.apply_values(a.values)
+                assert len(calls) == expected
+            calls.clear()
+
+    def test_toeplitz_view_is_the_index_gather(self, coarse_problem):
+        n = coarse_problem.grid.n
+        idx = np.arange(n)
+        gathered = coarse_problem.kernel.samples[idx[:, None] - idx[None, :] + n - 1]
+        view = ConvolutionEngine(coarse_problem.kernel, coarse_problem.grid).toeplitz()
+        assert np.array_equal(view, gathered)
+
+    def test_denominators_are_the_saturation_terms(self, fig1_problem):
+        a = _random_density(fig1_problem.grid, 9)
+        den = update_map(fig1_problem).denominators(a.values)
+        theta = fig1_problem.mp.theta
+        for k in (1, 2):
+            expected = 1.0 + inner(fig1_problem.host(k).beta, a) / theta
+            assert den[k - 1] == pytest.approx(expected, rel=1e-14)
+
+    def test_coupled_map_is_sum_of_host_maps(self, fig1_problem):
+        a = _random_density(fig1_problem.grid, 10)
+        total = full_update(fig1_problem, a).values
+        parts = host_update(fig1_problem, 1, a).values + host_update(fig1_problem, 2, a).values
+        assert np.max(np.abs(total - parts)) < 1e-14 * np.max(np.abs(total))
+
+    def test_host_map_dense_derivative_matches_apply(self, coarse_problem):
+        tmap = host_map(coarse_problem, 2)
+        rng = np.random.default_rng(12)
+        a = rng.random(coarse_problem.grid.n)
+        h = rng.standard_normal(coarse_problem.grid.n)
+        dh = tmap.dense_derivative(a) @ h
+        assert np.max(np.abs(dh - tmap.linearized_values(a, h))) < 1e-10

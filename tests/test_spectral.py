@@ -13,6 +13,7 @@ from mutsel.model import (
 )
 from mutsel.operators import host_operator
 from mutsel.spectral import (
+    gap_exponent,
     principal_eigenpair,
     r0_limits,
     second_eigenvalue,
@@ -150,3 +151,12 @@ class TestGapsAndLimits:
             gaps.append(vals[0] - vals[1])
         # relative gap shrinks much faster than any small fixed power of eps
         assert gaps[-1] / gaps[0] < (0.01 / 0.05) ** 2
+
+
+def test_gap_exponent_fit():
+    eps = [0.1, 0.05, 0.02, 0.01]
+    assert gap_exponent(eps, [3.0 * e**1.5 for e in eps]) == pytest.approx(1.5, rel=1e-12)
+    # NaN and nonpositive gaps are left out of the fit
+    gaps = [3.0 * 0.1**2, float("nan"), 0.0, 3.0 * 0.01**2]
+    assert gap_exponent(eps, gaps) == pytest.approx(2.0, rel=1e-12)
+    assert gap_exponent(eps, [1.0, float("nan"), -1.0, 0.0]) is None
