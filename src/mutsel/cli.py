@@ -332,6 +332,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    dyn.check_schedule(args.t_end, args.dt, args.sample_every)
     mp, source = resolve_model(args)
     eps = _eps_list(args)[0]
     outdir = _outdir(args)
@@ -492,12 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise SystemExit2(f"--tol must be finite and positive, got {args.tol}")
     try:
         return args.func(args)
     except SystemExit2:
         raise
     except (
-        mdl.ModelError, GridError, stab.StabilityError,
+        mdl.ModelError, GridError, stab.StabilityError, dyn.DynamicsError,
         FileNotFoundError, KeyError, json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

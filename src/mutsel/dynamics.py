@@ -157,6 +157,15 @@ def max_stable_dt(problem: Problem) -> float:
     return 1.0 / fastest
 
 
+def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
+    """Raise DynamicsError unless t_end and dt are finite and positive and sample_every >= 1."""
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise DynamicsError(f"{name} must be finite and positive, got {value}")
+    if sample_every < 1:
+        raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
+
+
 def integrate(
     problem: Problem,
     init: SystemState,
@@ -173,8 +182,7 @@ def integrate(
     """
     if method not in ("euler", "rk4"):
         raise DynamicsError(f"unknown method {method!r}")
-    if dt <= 0:
-        raise DynamicsError("dt must be positive")
+    check_schedule(t_end, dt, sample_every)
     if method == "euler" and dt >= max_stable_dt(problem):
         raise DynamicsError(
             f"dt={dt} exceeds the explicit-Euler stability bound "

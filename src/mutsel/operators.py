@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
+from scipy.sparse.linalg import LinearOperator
 
 from .grid import Field, GridError, TraitGrid
 from .model import MutationKernel, Problem
@@ -170,24 +171,45 @@ class UpdateMap:
         _check_nonnegative(f)
         return Field(self.engine.grid, self.apply_values(f.values))
 
-    def _correction(self, a: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """Rows L_k a / den_k^2: with beta_rows, the rank-one term of each host."""
-        return np.array(
-            [self.engine.convolve_values(row * a) / d**2 for row, d in zip(self.fitness, den)]
-        )
+    def linearization(self, a: np.ndarray) -> "Linearization":
+        """Derivative of the map at density a, as an operator on directions h."""
+        return Linearization(self, a)
 
     def linearized_values(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Derivative of the map at density a, applied to direction h."""
-        den = self.denominators(a)
-        out = self.engine.convolve_values(self._gain(den) * h)
-        out -= (self.beta_rows @ h) @ self._correction(a, den)
-        return out
+        return self.linearization(a).matvec(h)
 
     def dense_derivative(self, a: np.ndarray) -> np.ndarray:
         """Dense derivative at a: K w diag(g(a)) minus the per-host rank-one terms."""
-        den = self.denominators(a)
-        d = self.engine.dense_matrix(self._gain(den))
-        d -= self._correction(a, den).T @ self.beta_rows
+        return self.linearization(a).dense()
+
+
+class Linearization(LinearOperator):
+    """Derivative of an UpdateMap at a fixed density a.
+
+    h -> m_eps * (g(a) h) - sum_k (L_k a / den_k^2)(theta^-1 int beta_k h).  The
+    gain g(a) and the correction rows L_k a / den_k^2 are formed once, so each
+    application costs one convolution.
+    """
+
+    def __init__(self, tmap: UpdateMap, a: np.ndarray):
+        den = tmap.denominators(a)
+        self.engine = tmap.engine
+        self.beta_rows = tmap.beta_rows
+        self.gain = tmap._gain(den)
+        self.correction = np.array(
+            [tmap.engine.convolve_values(row * a) / d**2 for row, d in zip(tmap.fitness, den)]
+        )
+        super().__init__(float, (len(a), len(a)))
+
+    def _matvec(self, h: np.ndarray) -> np.ndarray:
+        h = h.ravel()
+        return self.engine.convolve_values(self.gain * h) - (self.beta_rows @ h) @ self.correction
+
+    def dense(self) -> np.ndarray:
+        """Explicit n x n matrix of the derivative."""
+        d = self.engine.dense_matrix(self.gain)
+        d -= self.correction.T @ self.beta_rows
         return d
 
 

@@ -2,26 +2,26 @@
 
 The per-host linear operator is similar to a symmetric kernel operator via
 conjugation with the square root of its fitness weight, so its spectrum is
-real and nonnegative.  The dominant eigenpair is computed by power iteration
-with a Rayleigh-quotient estimate in the symmetrized frame; dense symmetric
+real and nonnegative.  The top eigenvalues come from one implicitly restarted
+Lanczos run (ARPACK, through ``scipy.sparse.linalg.eigsh``) on the
+Euclidean-symmetric form of the operator, and the principal pair is certified
+by the L1 residual of the reconstructed eigenfunction; dense symmetric
 eigensolves provide the rest of the spectrum and the independent cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import Field, l1_norm
 from .model import ModelParams, Problem, build_problem
 from .operators import WeightedConvolutionOperator, combined_operator, host_operator
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200_000
-DENSE_LIMIT = 2048
 
 
 class SpectralError(RuntimeError):
@@ -33,16 +33,12 @@ class SpectralResult:
     lambda1: float
     phi1: Field
     residual: float
-    iterations: int
+    iterations: int  # operator applications
     converged: bool
     lambda2: float | None = None
     gap: float | None = None
     r0_limit: float | None = None
     degenerate: bool = False
-
-
-def _weighted_dot(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(w * a * b))
 
 
 def _symmetric_vector_to_eigenfunction(
@@ -71,37 +67,54 @@ def principal_eigenpair(
     op: WeightedConvolutionOperator,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    check_every: int = 50,
+    with_second: bool = False,
 ) -> SpectralResult:
     """Dominant eigenvalue and positive unit-mass eigenfunction of the operator.
 
-    Runs power iteration on the symmetrized form, with convergence declared on
-    the relative quadrature-L1 residual of the reconstructed eigenpair.
+    Runs ARPACK's Lanczos iteration to machine precision on
+    sqrt(w) sqrt(weight) K sqrt(weight) sqrt(w), for the top eigenvalue or,
+    with ``with_second``, the top two.  Convergence is declared on the relative
+    quadrature-L1 residual of the reconstructed eigenpair; a Lanczos run that
+    does not converge yields ``converged=False``.
     """
     grid = op.engine.grid
-    w = grid.quad_weights
-    v = (op.weight.values > 0).astype(float)
-    if not v.any():
+    if not (op.weight.values > 0).any():
         raise SpectralError("operator weight is identically zero")
-    v /= math.sqrt(_weighted_dot(w, v, v))
+    sw = np.sqrt(grid.quad_weights)
+    applications = 0
 
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        sv = op.symmetrized_apply_values(v)
-        lam = _weighted_dot(w, v, sv)
-        if lam <= 0:
-            raise SpectralError("power iteration collapsed to a nonpositive estimate")
-        norm = math.sqrt(_weighted_dot(w, sv, sv))
-        v = sv / norm
-        if it % check_every == 0 or it == max_iter:
-            phi = _symmetric_vector_to_eigenfunction(op, v, lam)
-            res = _l1_residual(op, lam, phi)
-            if res < tol:
-                return SpectralResult(float(lam), phi, res, it, True)
-    phi = _symmetric_vector_to_eigenfunction(op, v, lam)
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        return sw * op.symmetrized_apply_values(x.ravel() / sw)
+
+    b = LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
+    # seeded, because ARPACK's own start vector does not repeat within a
+    # process; not reflection-even, because an even start has no component
+    # along the odd eigenvectors of a reflection-symmetric operator
+    v0 = sw * (1.0 + np.random.default_rng(0).random(grid.n))
+    try:
+        vals, vecs = eigsh(b, k=2 if with_second else 1, which="LA", v0=v0, tol=0)
+        lanczos_converged = True
+    except ArpackNoConvergence as exc:
+        vals, vecs, lanczos_converged = exc.eigenvalues, exc.eigenvectors, False
+    if len(vals) == 0:
+        # nothing converged: fall back to the start vector's Rayleigh quotient
+        vals, vecs = np.array([v0 @ b.matvec(v0) / (v0 @ v0)]), v0[:, None]
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+
+    lam = float(vals[0])
+    # eigsh fixes no sign; the principal eigenvector is the positive one
+    u = vecs[:, 0] / sw * np.sign(np.sum(vecs[:, 0]))
+    phi = _symmetric_vector_to_eigenfunction(op, u, lam)
     res = _l1_residual(op, lam, phi)
-    return SpectralResult(float(lam), phi, res, max_iter, False)
+    result = SpectralResult(lam, phi, res, applications, lanczos_converged and res < tol)
+    if with_second:
+        result.lambda2 = float(vals[1]) if len(vals) > 1 else float("nan")
+        result.gap = lam - result.lambda2
+        result.degenerate = result.gap < 1e-12
+    return result
 
 
 def symmetric_spectrum(op: WeightedConvolutionOperator, count: int) -> np.ndarray:
@@ -114,68 +127,21 @@ def symmetric_spectrum(op: WeightedConvolutionOperator, count: int) -> np.ndarra
     return vals[::-1]
 
 
-def second_eigenvalue(
-    op: WeightedConvolutionOperator,
-    principal: SpectralResult,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """Second eigenvalue, dense when the grid is small, deflated otherwise."""
-    grid = op.engine.grid
-    if grid.n <= DENSE_LIMIT:
-        return float(symmetric_spectrum(op, 2)[1])
-    w = grid.quad_weights
-    # deflated power iteration in the symmetrized frame: project out the
-    # dominant eigenvector (recomputed here to full accuracy in that frame)
-    u = np.sqrt(op.weight.values) * principal.phi1.values
-    u /= math.sqrt(_weighted_dot(w, u, u))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(grid.n)
-    v -= u * _weighted_dot(w, u, v)
-    v /= math.sqrt(_weighted_dot(w, v, v))
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        sv = op.symmetrized_apply_values(v)
-        sv -= u * _weighted_dot(w, u, sv)
-        new_lam = _weighted_dot(w, v, sv)
-        norm = math.sqrt(_weighted_dot(w, sv, sv))
-        if norm == 0:
-            return 0.0
-        v = sv / norm
-        if it % 50 == 0 and abs(new_lam - lam) < tol * max(abs(new_lam), 1.0):
-            return float(new_lam)
-        lam = new_lam
-    return float(lam)
-
-
 def solve_host_spectrum(
     problem: Problem,
     k: int,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     with_second: bool = False,
 ) -> SpectralResult:
     """Principal (and optionally second) eigenvalue of host k's operator."""
-    op = host_operator(problem, k)
-    res = principal_eigenpair(op, tol=tol, max_iter=max_iter)
+    res = principal_eigenpair(host_operator(problem, k), tol=tol, with_second=with_second)
     res.r0_limit = problem.host(k).r0
-    if with_second:
-        res.lambda2 = second_eigenvalue(op, res, tol=tol, max_iter=max_iter)
-        res.gap = res.lambda1 - res.lambda2
-        res.degenerate = res.gap < 1e-12
     return res
 
 
-def solve_combined_spectrum(
-    problem: Problem,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectralResult:
-    op = combined_operator(problem)
-    res = principal_eigenpair(op, tol=tol, max_iter=max_iter)
+def solve_combined_spectrum(problem: Problem, *, tol: float = DEFAULT_TOL) -> SpectralResult:
+    res = principal_eigenpair(combined_operator(problem), tol=tol)
     res.r0_limit = r0_limits(problem)[0]
     return res
 

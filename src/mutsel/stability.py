@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .grid import Field
 from .model import Problem
@@ -93,30 +94,24 @@ def top_modulus_estimate(
     problem: Problem,
     A: Field,
     *,
-    iters: int = 5000,
-    seed: int = 0,
     tmap: UpdateMap | None = None,
 ) -> float:
-    """Iterative estimate of the linearization's spectral radius.
+    """Matrix-free spectral radius of the linearization at A.
 
-    Matrix-free power iteration on the derivative; used when the grid is too
-    large for the dense eigensolve.
+    One implicitly restarted Arnoldi run (ARPACK, through
+    ``scipy.sparse.linalg.eigs``) for the eigenvalue of largest modulus; used
+    when the grid is too large for the dense eigensolve.
     """
     if tmap is None:
         tmap = update_map(problem)
-    rng = np.random.default_rng(seed)
-    a = np.clip(A.values, 0.0, None)
-    v = rng.standard_normal(problem.grid.n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        dv = tmap.linearized_values(a, v)
-        norm = np.linalg.norm(dv)
-        if norm == 0:
-            return 0.0
-        est = norm
-        v = dv / norm
-    return float(est)
+    lin = tmap.linearization(np.clip(A.values, 0.0, None))
+    # seeded, because ARPACK's own start vector does not repeat within a process
+    v0 = 1.0 + np.random.default_rng(0).random(problem.grid.n)
+    try:
+        top = eigs(lin, k=1, which="LM", v0=v0, tol=0, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise StabilityError("Arnoldi iteration for the spectral radius did not converge") from exc
+    return float(np.abs(top[0]))
 
 
 # ---------------------------------------------------------------------------

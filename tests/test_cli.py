@@ -223,6 +223,18 @@ MALFORMED = {
                                            "--epsilon", "5e-2"],
     "trait syntax error": lambda tmp: ["spectrum", *_config(tmp, beta="200*(x-"),
                                        "--epsilon", "5e-2"],
+    "nan dt": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+                           "--dt", "nan"],
+    "infinite t-end": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+                                   "--t-end", "inf"],
+    "negative t-end": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+                                   "--t-end", "-5"],
+    "zero sample-every": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+                                      "--sample-every", "0"],
+    "negative tol": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
+                                 "--tol", "-1"],
+    "nan tol": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
+                            "--tol", "nan"],
 }
 
 

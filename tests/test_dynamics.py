@@ -108,6 +108,16 @@ class TestIntegrate:
         with pytest.raises(DynamicsError):
             integrate(fig1_problem, init, 1.0, 0.01, method="heun")
 
+    @pytest.mark.parametrize(
+        "t_end, dt, sample_every",
+        [(1.0, float("nan"), 100), (float("inf"), 0.01, 100), (-5.0, 0.01, 100),
+         (1.0, 0.0, 100), (1.0, 0.01, 0)],
+    )
+    def test_bad_schedule_rejected(self, fig1_problem, t_end, dt, sample_every):
+        init = disease_free_state(fig1_problem)
+        with pytest.raises(DynamicsError):
+            integrate(fig1_problem, init, t_end, dt, sample_every=sample_every)
+
     def test_samples_monotone_time(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
         traj = integrate(fig1_problem, init, 5.0, 0.01, sample_every=100)

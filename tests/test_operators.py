@@ -251,6 +251,24 @@ class TestOneConvolutionCore:
                 assert len(calls) == expected
             calls.clear()
 
+    def test_one_convolution_per_linearization_application(self, fig1_problem, monkeypatch):
+        calls = []
+        convolve = ConvolutionEngine.convolve_values
+
+        def counted(self, values):
+            calls.append(len(values))
+            return convolve(self, values)
+
+        monkeypatch.setattr(ConvolutionEngine, "convolve_values", counted)
+        a = _random_density(fig1_problem.grid, 5).values
+        h = np.random.default_rng(6).standard_normal(fig1_problem.grid.n)
+        for tmap in (update_map(fig1_problem), host_map(fig1_problem, 1)):
+            lin = tmap.linearization(a)
+            calls.clear()
+            for expected in (1, 2, 3):
+                lin.matvec(h)
+                assert len(calls) == expected
+
     def test_toeplitz_view_is_the_index_gather(self, coarse_problem):
         n = coarse_problem.grid.n
         idx = np.arange(n)

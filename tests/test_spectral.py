@@ -1,7 +1,12 @@
 """Principal eigenpairs, dense spectra, gaps and threshold limits."""
 
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from mutsel.grid import Field, l1_norm
 from mutsel.model import (
@@ -16,11 +21,19 @@ from mutsel.spectral import (
     gap_exponent,
     principal_eigenpair,
     r0_limits,
-    second_eigenvalue,
     solve_host_spectrum,
     spectral_gap_table,
     symmetric_spectrum,
 )
+
+
+def _flat_beta_problem():
+    """Host 1 with beta = 3 over the whole window: a reflection-symmetric operator."""
+    hosts = (
+        HostParams(xi=0.5, beta=constant(3.0), beta_support=(-0.5, 1.5)),
+        HostParams(xi=0.5, beta=quadratic_bump(400, 0.7, 0.9), beta_support=(0.7, 0.9)),
+    )
+    return build_problem(ModelParams(1.0, 1.0, 1.0, hosts), 0.05, n=512)
 
 
 class TestPrincipalEigenpair:
@@ -45,13 +58,7 @@ class TestPrincipalEigenpair:
 
     def test_constant_fitness_gives_prefactor_times_level(self, fig1):
         # flat fitness over the whole window: the constant is an eigenfunction
-        hosts = (
-            HostParams(xi=0.5, beta=constant(3.0), beta_support=(-0.5, 1.5)),
-            HostParams(xi=0.5, beta=quadratic_bump(400, 0.7, 0.9), beta_support=(0.7, 0.9)),
-        )
-        mp = ModelParams(1.0, 1.0, 1.0, hosts)
-        problem = build_problem(mp, 0.05, n=512)
-        res = principal_eigenpair(host_operator(problem, 1), tol=1e-8)
+        res = principal_eigenpair(host_operator(_flat_beta_problem(), 1), tol=1e-8)
         # window truncation costs a few percent at this kernel width
         assert res.lambda1 == pytest.approx(0.5 * 3.0, rel=0.05)
         assert res.lambda1 <= 0.5 * 3.0
@@ -84,19 +91,30 @@ class TestDenseSpectrum:
         tripled = symmetric_spectrum(host_operator(scaled, 1), 5)
         assert np.allclose(tripled, 3.0 * base, rtol=1e-10)
 
-    def test_deflated_second_matches_dense(self, coarse_problem):
-        op = host_operator(coarse_problem, 1)
-        res = principal_eigenpair(op, tol=1e-12)
-        dense = symmetric_spectrum(op, 2)[1]
+    def test_second_matches_dense(self, coarse_problem):
+        # the flat-beta operator's second eigenvector is odd, so a start vector
+        # even under reflection would never reach it
+        for problem in (coarse_problem, _flat_beta_problem()):
+            res = solve_host_spectrum(problem, 1, tol=1e-12, with_second=True)
+            dense = symmetric_spectrum(host_operator(problem, 1), 2)
+            assert res.converged
+            assert res.lambda1 == pytest.approx(dense[0], rel=1e-12)
+            assert res.lambda2 == pytest.approx(dense[1], abs=1e-10)
+
+    def test_repeatable(self, fig1_problem):
+        first, second = (
+            solve_host_spectrum(fig1_problem, 1, with_second=True) for _ in range(2)
+        )
+        assert (first.lambda1, first.lambda2, first.iterations) == (
+            second.lambda1, second.lambda2, second.iterations
+        )
+
+    def test_lanczos_failure_is_not_converged(self, fig1_problem, monkeypatch):
         import mutsel.spectral as spec
 
-        old = spec.DENSE_LIMIT
-        spec.DENSE_LIMIT = 0  # force the deflated iterative path
-        try:
-            iterative = second_eigenvalue(op, res, tol=1e-12)
-        finally:
-            spec.DENSE_LIMIT = old
-        assert iterative == pytest.approx(dense, abs=1e-7)
+        monkeypatch.setattr(spec, "eigsh", functools.partial(eigsh, maxiter=1, ncv=4))
+        res = solve_host_spectrum(fig1_problem, 1, with_second=True)
+        assert not res.converged and res.residual > 1e-10
 
 
 class TestGapsAndLimits:
@@ -160,3 +178,15 @@ def test_gap_exponent_fit():
     gaps = [3.0 * 0.1**2, float("nan"), 0.0, 3.0 * 0.01**2]
     assert gap_exponent(eps, gaps) == pytest.approx(2.0, rel=1e-12)
     assert gap_exponent(eps, [1.0, float("nan"), -1.0, 0.0]) is None
+
+
+def test_spectral_limit_script(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "spectral_limit.py"
+    spec = importlib.util.spec_from_file_location("spectral_limit", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(["fig1", "1"]) == 0
+    header, *rows, fitted = capsys.readouterr().out.splitlines()[:7]
+    assert len(rows) == 5 and all(len(r.split()) == 5 for r in rows)
+    assert fitted.startswith("fitted gap exponent:")
+    assert np.isfinite(float(fitted.split(":")[1]))
