@@ -132,7 +132,16 @@ def _eps_list(args) -> list[float]:
         raise SystemExit2("at least one --epsilon value is required")
     if not all(np.isfinite(e) and e > 0 for e in eps):
         raise SystemExit2("epsilon values must be finite and positive")
+    if len(set(eps)) != len(eps):
+        raise SystemExit2(f"repeated --epsilon value in {eps}")
     return eps
+
+
+def _one_eps(args) -> float:
+    eps = _eps_list(args)
+    if len(eps) != 1:
+        raise SystemExit2(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
+    return eps[0]
 
 
 def _host_diagnostics(problem, state, tol):
@@ -154,7 +163,8 @@ def _spectrum_entry(payload):
     else:
         res = spec.solve_host_spectrum(problem, host, tol=tol, with_second=True)
         lam2, gap = res.lambda2, res.gap
-    return [eps, res.lambda1, lam2, gap, res.residual, res.iterations, res.converged]
+    row = [eps, res.lambda1, lam2, gap, res.residual, res.iterations, res.converged]
+    return row, res.degenerate
 
 
 def cmd_spectrum(args) -> int:
@@ -162,7 +172,8 @@ def cmd_spectrum(args) -> int:
     eps_list = _eps_list(args)
     outdir = _outdir(args)
     payloads = [(mp, e, args.host, args.n, args.tol) for e in eps_list]
-    rows = _run_parallel(_spectrum_entry, payloads, args.jobs)
+    results = _run_parallel(_spectrum_entry, payloads, args.jobs)
+    rows = [row for row, _ in results]
     write_csv(
         outdir / "spectrum.csv",
         "spectrum",
@@ -170,6 +181,8 @@ def cmd_spectrum(args) -> int:
         rows,
     )
     summary = {"rows": len(rows)}
+    if args.host:  # the combined operator's second eigenvalue is not computed
+        summary["degenerate"] = any(d for _, d in results)
     exponent = spec.gap_exponent([r[0] for r in rows], [r[3] for r in rows])
     if exponent is not None:
         summary["gap_exponent"] = exponent
@@ -185,8 +198,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    if args.seed < 0:
+        raise SystemExit2(f"--seed must be nonnegative, got {args.seed}")
     mp, source = resolve_model(args)
-    eps = _eps_list(args)[0]
+    eps = _one_eps(args)
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
     if args.stability:
@@ -302,27 +317,30 @@ def cmd_sweep(args) -> int:
         )
         sup_rows.append([row.eps, sup.e_total, sup.e_sigma1, sup.e_sigma2, sup.e_complement])
         failures += 0 if converged else 1
-    write_csv(
-        outdir / "concentration.csv",
-        "concentration",
-        ["epsilon", "S1", "S2", "I1_mass", "I2_mass", "A_mass", "A_first_moment",
-         "A_argmax", "converged"],
-        conv_rows,
-    )
+    header = ["epsilon", "S1", "S2", "I1_mass", "I2_mass", "A_mass", "A_first_moment",
+              "A_argmax", "converged"]
+    write_csv(outdir / "concentration.csv", "concentration", header, conv_rows)
     write_csv(
         outdir / "superposition.csv",
         "superposition",
         ["epsilon", "e_total", "e_sigma1", "e_sigma2", "e_complement"],
         sup_rows,
     )
-    write_json(
-        outdir / "targets.json",
-        {
-            "S1": targets.s[0], "S2": targets.s[1],
-            "I1_mass": targets.infected_mass[0], "I2_mass": targets.infected_mass[1],
-            "A_mass": targets.a_mass, "A_first_moment": targets.a_first_moment,
-        },
-    )
+    limits = {
+        "S1": targets.s[0], "S2": targets.s[1],
+        "I1_mass": targets.infected_mass[0], "I2_mass": targets.infected_mass[1],
+        "A_mass": targets.a_mass, "A_first_moment": targets.a_first_moment,
+    }
+    if len(conv_rows) >= 2:
+        # Richardson extrapolant (f b - a)/(f - 1), f = eps_1/eps_0, from the
+        # two smallest widths eps_1 > eps_0 (rows a and b)
+        a, b = conv_rows[-2], conv_rows[-1]
+        f = a[0] / b[0]
+        limits["extrapolated"] = {
+            name: (f * y - x) / (f - 1.0) for name, x, y in zip(header[1:7], a[1:7], b[1:7])
+        }
+        limits["extrapolated"]["A_argmax"] = b[7]
+    write_json(outdir / "targets.json", limits)
     write_manifest(outdir, "sweep", source, _knobs(args, epsilon=eps_list))
     if failures and not args.allow_partial:
         print(f"error: {failures} sweep entr(ies) did not converge", file=sys.stderr)
@@ -334,7 +352,7 @@ def cmd_sweep(args) -> int:
 def cmd_dynamics(args) -> int:
     dyn.check_schedule(args.t_end, args.dt, args.sample_every)
     mp, source = resolve_model(args)
-    eps = _eps_list(args)[0]
+    eps = _one_eps(args)
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
     if args.method == "euler" and args.dt >= dyn.max_stable_dt(problem):
@@ -382,7 +400,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_stability(args) -> int:
     mp, source = resolve_model(args)
-    eps = _eps_list(args)[0]
+    eps = _one_eps(args)
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
     stab.check_dense_size(problem)
@@ -439,8 +457,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--scale-beta", type=float, default=1.0,
                    help="multiply both infection efficiencies")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("MUTSEL_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes for sweep and spectrum (default: $MUTSEL_JOBS or 1)")
     p.add_argument("--allow-partial", action="store_true",
                    help="exit 0 even when some entries fail to converge")
     p.add_argument("--output-dir", default="mutsel-out")
@@ -495,6 +513,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise SystemExit2(f"--tol must be finite and positive, got {args.tol}")
+    if args.jobs is None:
+        jobs = os.environ.get("MUTSEL_JOBS", "1")
+        try:
+            args.jobs = int(jobs)
+        except ValueError:
+            raise SystemExit2(f"MUTSEL_JOBS must be an integer, got {jobs!r}") from None
     try:
         return args.func(args)
     except SystemExit2:

@@ -18,6 +18,7 @@ from .operators import update_map
 
 NEGATIVE_SLACK = 1e-12
 BLOWUP_NORM = 1e12
+MAX_STEPS = 10**7
 
 
 class DynamicsError(RuntimeError):
@@ -158,10 +159,15 @@ def max_stable_dt(problem: Problem) -> float:
 
 
 def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
-    """Raise DynamicsError unless t_end and dt are finite and positive and sample_every >= 1."""
+    """Raise DynamicsError unless t_end and dt are finite and positive, t_end/dt
+    is at most MAX_STEPS, and sample_every >= 1."""
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise DynamicsError(f"{name} must be finite and positive, got {value}")
+    if not t_end / dt <= MAX_STEPS:
+        raise DynamicsError(
+            f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {MAX_STEPS}"
+        )
     if sample_every < 1:
         raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Field, inner, integrate, l1_norm, restrict
-from .model import ModelParams, Problem, build_problem
-from .operators import UpdateMap, host_update, update_map
+from .model import Problem
+from .operators import host_update, update_map
 from .spectral import SpectralResult, solve_host_spectrum
 
 DEFAULT_TOL = 1e-10
@@ -89,12 +89,6 @@ class EquilibriumState:
     def mu(self, k: int) -> float:
         return self.mu1 if k == 1 else self.mu2
 
-    def s(self, k: int) -> float:
-        return self.S1 if k == 1 else self.S2
-
-    def infected(self, k: int) -> Field:
-        return self.I1 if k == 1 else self.I2
-
 
 def default_start(problem: Problem) -> Field:
     """Unit-mass positive start supported on both fitness supports."""
@@ -108,16 +102,13 @@ def solve_coupled(
     *,
     start: Field | None = None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tmap: UpdateMap | None = None,
 ) -> EquilibriumState:
     """Damped fixed-point iteration for the coupled spore-density equation.
 
     Plain iteration (damping 1) is used until the quadrature-L1 update residual
     increases, at which point the damping factor is halved.
     """
-    if tmap is None:
-        tmap = update_map(problem)
+    tmap = update_map(problem)
     if start is None:
         start = default_start(problem)
     if np.any(start.values < 0):
@@ -128,8 +119,8 @@ def solve_coupled(
     prev_res = np.inf
     history: list[float] = []
     converged = False
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
+    iterations = DEFAULT_MAX_ITER
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         ta = tmap.apply_values(a)
         res = float(np.sum(w * np.abs(ta - a)))
         history.append(res)
@@ -279,13 +270,6 @@ class ConcentrationRow:
     a_argmax: float
 
 
-@dataclass
-class ConcentrationTable:
-    rows: list[ConcentrationRow]
-    targets: ConcentrationTargets
-    extrapolated: ConcentrationRow | None = None
-
-
 def concentration_row(problem: Problem, state: EquilibriumState) -> ConcentrationRow:
     x = Field(problem.grid, problem.grid.nodes)
     return ConcentrationRow(
@@ -298,46 +282,6 @@ def concentration_row(problem: Problem, state: EquilibriumState) -> Concentratio
         a_first_moment=inner(x, state.A),
         a_argmax=float(problem.grid.nodes[int(np.argmax(state.A.values))]),
     )
-
-
-def concentration_table(
-    mp: ModelParams,
-    eps_list: list[float],
-    *,
-    tol: float = 1e-9,
-    n: int | None = None,
-) -> ConcentrationTable:
-    """Equilibrium scalars along a mutation-width sweep, with extrapolation.
-
-    Richardson extrapolation on the two smallest widths gives the reported
-    zero-width estimate; the closed-form targets ride along for comparison.
-    """
-    rows = []
-    last_problem = None
-    for eps in sorted(eps_list, reverse=True):
-        problem = build_problem(mp, eps, n=n)
-        state = solve_coupled(problem, tol=tol)
-        rows.append(concentration_row(problem, state))
-        last_problem = problem
-    table = ConcentrationTable(rows, concentration_targets(last_problem))
-    if len(rows) >= 2:
-        r1, r0 = rows[-2], rows[-1]  # r0 has the smallest width
-        f = r1.eps / r0.eps
-
-        def rich(a, b):
-            return (f * b - a) / (f - 1.0)
-
-        table.extrapolated = ConcentrationRow(
-            eps=0.0,
-            s1=rich(r1.s1, r0.s1),
-            s2=rich(r1.s2, r0.s2),
-            i1_mass=rich(r1.i1_mass, r0.i1_mass),
-            i2_mass=rich(r1.i2_mass, r0.i2_mass),
-            a_mass=rich(r1.a_mass, r0.a_mass),
-            a_first_moment=rich(r1.a_first_moment, r0.a_first_moment),
-            a_argmax=r0.a_argmax,
-        )
-    return table
 
 
 @dataclass

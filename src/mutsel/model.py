@@ -172,8 +172,8 @@ class MutationKernel:
 
     ``samples[j]`` holds the kernel value at offset ``(j - (n-1)) * h`` so that
     ``samples[(n-1) + i - j]`` is the kernel evaluated at ``x_i - x_j``.
-    ``mass`` is the discrete trapezoid mass after renormalization (exactly 1);
-    ``raw_mass`` is the mass the truncated, unnormalized samples carried.
+    The samples are renormalized to unit trapezoid mass; ``raw_mass`` is the
+    mass the truncated, unnormalized samples carried.
     """
 
     base_density: TraitFunction
@@ -181,7 +181,6 @@ class MutationKernel:
     grid: TraitGrid
     samples: np.ndarray
     raw_mass: float
-    mass: float = 1.0
 
     @property
     def center_value(self) -> float:
@@ -349,9 +348,6 @@ def validate_assumptions(
 
 # ---------------------------------------------------------------------------
 # presets (the three standard two-bump scenarios)
-
-PRESET_EPSILON = 1e-3
-
 
 def preset(name: str) -> ModelParams:
     """Named parameter sets: fig1, fig2 and fig3 scenarios.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator
 
@@ -207,9 +208,14 @@ class Linearization(LinearOperator):
         return self.engine.convolve_values(self.gain * h) - (self.beta_rows @ h) @ self.correction
 
     def dense(self) -> np.ndarray:
-        """Explicit n x n matrix of the derivative."""
+        """Explicit n x n matrix of the derivative, the only n x n array formed.
+
+        Each host's rank-one term is subtracted in place by BLAS ``dger`` on
+        the Fortran-ordered transpose, so no n x n temporary is allocated.
+        """
         d = self.engine.dense_matrix(self.gain)
-        d -= self.correction.T @ self.beta_rows
+        for beta_row, correction in zip(self.beta_rows, self.correction):
+            dger(-1.0, beta_row, correction, a=d.T, overwrite_a=1)
         return d
 
 

@@ -11,14 +11,14 @@ eigensolves provide the rest of the spectrum and the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import Field, l1_norm
-from .model import ModelParams, Problem, build_problem
+from .model import Problem
 from .operators import WeightedConvolutionOperator, combined_operator, host_operator
 
 DEFAULT_TOL = 1e-10
@@ -147,51 +147,7 @@ def solve_combined_spectrum(problem: Problem, *, tol: float = DEFAULT_TOL) -> Sp
 
 
 # ---------------------------------------------------------------------------
-# gap sweep and limits
-
-@dataclass
-class GapRow:
-    eps: float
-    lambda1: float
-    lambda2: float
-    gap: float
-    residual: float
-    iterations: int
-
-
-@dataclass
-class GapTable:
-    host: int
-    rows: list[GapRow] = field(default_factory=list)
-    fitted_exponent: float | None = None
-    degenerate: bool = False
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.array([r.gap for r in self.rows])
-
-
-def spectral_gap_table(
-    mp: ModelParams,
-    k: int,
-    eps_list: list[float],
-    *,
-    n: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> GapTable:
-    """Per-epsilon (lambda1, lambda2, gap) with a fitted polynomial decay rate."""
-    table = GapTable(host=k)
-    for eps in eps_list:
-        problem = build_problem(mp, eps, n=n)
-        res = solve_host_spectrum(problem, k, tol=tol, with_second=True)
-        table.rows.append(
-            GapRow(eps, res.lambda1, res.lambda2, res.gap, res.residual, res.iterations)
-        )
-        if res.degenerate:
-            table.degenerate = True
-    table.fitted_exponent = gap_exponent([r.eps for r in table.rows], list(table.gaps))
-    return table
-
+# gap decay and limits
 
 def gap_exponent(eps: list[float], gaps: list[float]) -> float | None:
     """Fitted slope of log(gap) against log(eps) over the positive gaps.

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvals
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .grid import Field
 from .model import Problem
-from .operators import UpdateMap, host_map, host_operator, update_map
+from .operators import host_map, host_operator, update_map
 from .spectral import symmetric_spectrum
 from .equilibrium import UncoupledSolution
 
@@ -45,25 +46,17 @@ def check_dense_size(problem: Problem) -> None:
         )
 
 
-def derivative_matrix(problem: Problem, a: np.ndarray, *, tmap: UpdateMap | None = None) -> np.ndarray:
+def derivative_matrix(problem: Problem, a: np.ndarray) -> np.ndarray:
     """Dense matrix of the derivative of the coupled map at density a.
 
     The weighted kernel matrix scaled by the map's gain g(a), minus one
     rank-one correction per host from differentiating its saturation
     denominator.
     """
-    if tmap is None:
-        tmap = update_map(problem)
-    return tmap.dense_derivative(a)
+    return update_map(problem).dense_derivative(a)
 
 
-def stability_report(
-    problem: Problem,
-    A: Field,
-    *,
-    tol: float = 1e-8,
-    tmap: UpdateMap | None = None,
-) -> StabilityReport:
+def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> StabilityReport:
     """Spectrum of the linearization at A, with a fixed-point recheck.
 
     The density is re-run through the coupled map; a large residual flags the
@@ -71,13 +64,12 @@ def stability_report(
     returned).
     """
     check_dense_size(problem)
-    if tmap is None:
-        tmap = update_map(problem)
     a = A.values
-    ta = tmap.apply_values(np.clip(a, 0.0, None))
+    ta = update_map(problem).apply_values(np.clip(a, 0.0, None))
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
-    d = derivative_matrix(problem, a, tmap=tmap)
-    eig = np.linalg.eigvals(d)
+    # the transpose has the same spectrum and is Fortran-ordered, so LAPACK
+    # overwrites it instead of working on a copy
+    eig = eigvals(derivative_matrix(problem, a).T, overwrite_a=True)
     order = np.argsort(-np.abs(eig))
     eig = eig[order]
     radius = float(np.abs(eig[0]))
@@ -90,21 +82,14 @@ def stability_report(
     )
 
 
-def top_modulus_estimate(
-    problem: Problem,
-    A: Field,
-    *,
-    tmap: UpdateMap | None = None,
-) -> float:
+def top_modulus_estimate(problem: Problem, A: Field) -> float:
     """Matrix-free spectral radius of the linearization at A.
 
     One implicitly restarted Arnoldi run (ARPACK, through
     ``scipy.sparse.linalg.eigs``) for the eigenvalue of largest modulus; used
     when the grid is too large for the dense eigensolve.
     """
-    if tmap is None:
-        tmap = update_map(problem)
-    lin = tmap.linearization(np.clip(A.values, 0.0, None))
+    lin = update_map(problem).linearization(np.clip(A.values, 0.0, None))
     # seeded, because ARPACK's own start vector does not repeat within a process
     v0 = 1.0 + np.random.default_rng(0).random(problem.grid.n)
     try:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,18 @@ class TestSpectrumCommand:
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--preset", "fig1", "--output-dir", str(outdir)])
         assert exc.value.code == 2
+
+    def test_gap_sweep(self, outdir):
+        assert run([
+            "spectrum", "--preset", "fig1", "--host", "1", "--n", "512",
+            "--epsilon", "0.1", "--epsilon", "0.05", "--epsilon", "0.02",
+            "--output-dir", str(outdir),
+        ]) == 0
+        rows = (outdir / "spectrum.csv").read_text().splitlines()[2:]
+        assert len(rows) == 3 and all(float(r.split(",")[3]) > 0 for r in rows)
+        summary = json.loads((outdir / "spectrum_summary.json").read_text())
+        assert math.isfinite(summary["gap_exponent"])
+        assert summary["degenerate"] is False
 
     def test_manifest_written(self, outdir):
         run([
@@ -127,6 +140,28 @@ class TestSweepCommand:
             ])
             texts.append((out / "concentration.csv").read_text())
         assert texts[0] == texts[1]
+
+    def test_extrapolated_targets(self, tmp_path):
+        out = tmp_path / "three"
+        assert run([
+            "sweep", "--preset", "fig1", "--epsilon", "2e-2", "--epsilon", "1e-1",
+            "--epsilon", "5e-2", "--output-dir", str(out),
+        ]) == 0
+        lines = (out / "concentration.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        coarse, fine = (dict(zip(header, line.split(","))) for line in lines[-2:])
+        assert (float(coarse["epsilon"]), float(fine["epsilon"])) == (0.05, 0.02)
+        f = 0.05 / 0.02
+        extrapolated = json.loads((out / "targets.json").read_text())["extrapolated"]
+        for name in ("S1", "S2", "I1_mass", "I2_mass", "A_mass", "A_first_moment"):
+            expected = (f * float(fine[name]) - float(coarse[name])) / (f - 1.0)
+            assert extrapolated[name] == pytest.approx(expected, rel=1e-12)
+        assert extrapolated["A_argmax"] == float(fine["A_argmax"])
+        # one width: nothing to extrapolate from
+        out = tmp_path / "one"
+        assert run(["sweep", "--preset", "fig1", "--epsilon", "5e-2",
+                    "--output-dir", str(out)]) == 0
+        assert "extrapolated" not in json.loads((out / "targets.json").read_text())
 
     def test_negative_epsilon_usage_error(self, outdir):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +270,22 @@ MALFORMED = {
                                  "--tol", "-1"],
     "nan tol": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
                             "--tol", "nan"],
+    "subnormal dt": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+                                 "--dt", "5e-324"],
+    "too many steps": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+                                   "--dt", "1e-300"],
+    "negative seed": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
+                                  "--seed", "-1"],
+    "two widths for equilibrium": lambda tmp: ["equilibrium", "--preset", "fig1",
+                                               "--epsilon", "5e-2", "--epsilon", "2e-2"],
+    "two widths for dynamics": lambda tmp: ["dynamics", "--preset", "fig1",
+                                            "--epsilon", "5e-2", "--epsilon", "2e-2"],
+    "two widths for stability": lambda tmp: ["stability", "--preset", "fig1",
+                                             "--epsilon", "5e-2", "--epsilon", "2e-2"],
+    "repeated epsilon in sweep": lambda tmp: ["sweep", "--preset", "fig1",
+                                              "--epsilon", "5e-2", "--epsilon", "5e-2"],
+    "repeated epsilon in spectrum": lambda tmp: ["spectrum", "--preset", "fig1",
+                                                 "--epsilon", "5e-2", "--epsilon", "5e-2"],
 }
 
 
@@ -244,6 +295,15 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     assert _status(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_integer_jobs_env_is_usage_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("MUTSEL_JOBS", "abc")
+    argv = ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
+            "--output-dir", str(tmp_path / "out")]
+    assert _status(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MUTSEL_JOBS" in err
 
 
 @pytest.mark.parametrize("command", [["stability"], ["equilibrium", "--stability"]])

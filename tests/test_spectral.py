@@ -1,8 +1,6 @@
 """Principal eigenpairs, dense spectra, gaps and threshold limits."""
 
 import functools
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from mutsel.spectral import (
     principal_eigenpair,
     r0_limits,
     solve_host_spectrum,
-    spectral_gap_table,
     symmetric_spectrum,
 )
 
@@ -143,13 +140,6 @@ class TestGapsAndLimits:
             lams.append(res.lambda1)
         assert lams == sorted(lams)
 
-    def test_gap_table(self, fig1):
-        table = spectral_gap_table(fig1, 1, [0.1, 0.05, 0.02], n=512)
-        assert all(r.gap > 0 for r in table.rows)
-        assert table.fitted_exponent is not None
-        assert np.isfinite(table.fitted_exponent)
-        assert not table.degenerate
-
     def test_degenerate_twin_peaks_flagged(self):
         # two identical bumps: the limit eigenvalue is double, the gap collapses
         def twin(x):
@@ -179,14 +169,3 @@ def test_gap_exponent_fit():
     assert gap_exponent(eps, gaps) == pytest.approx(2.0, rel=1e-12)
     assert gap_exponent(eps, [1.0, float("nan"), -1.0, 0.0]) is None
 
-
-def test_spectral_limit_script(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "spectral_limit.py"
-    spec = importlib.util.spec_from_file_location("spectral_limit", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.run(["fig1", "1"]) == 0
-    header, *rows, fitted = capsys.readouterr().out.splitlines()[:7]
-    assert len(rows) == 5 and all(len(r.split()) == 5 for r in rows)
-    assert fitted.startswith("fitted gap exponent:")
-    assert np.isfinite(float(fitted.split(":")[1]))

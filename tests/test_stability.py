@@ -1,5 +1,7 @@
 """Linearized stability spectra at steady states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,8 +55,22 @@ class TestStabilityReport:
         rng = np.random.default_rng(0)
         a = rng.random(coarse_problem.grid.n)
         h = rng.standard_normal(coarse_problem.grid.n)
-        d = derivative_matrix(coarse_problem, a, tmap=tmap)
+        d = derivative_matrix(coarse_problem, a)
         assert np.max(np.abs(d @ h - tmap.linearized_values(a, h))) < 1e-10
+
+    def test_dense_step_holds_one_matrix(self, fig1_problem, fig1_state):
+        # the rank-one terms are subtracted in place, so the traced peak stays
+        # near one n x n matrix; an n x n temporary would read 2x (LAPACK's
+        # copy inside numpy.linalg.eigvals is not traced, so this check does
+        # not see it)
+        n = fig1_problem.grid.n
+        tracemalloc.start()
+        try:
+            stability_report(fig1_problem, fig1_state.A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
     def test_top_modulus_estimate_agrees(self, fig1_problem, fig1_state):
         dense = stability_report(fig1_problem, fig1_state.A).spectral_radius
