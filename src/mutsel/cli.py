@@ -151,6 +151,37 @@ def _host_diagnostics(problem, state, tol):
     return sp, eq.superposition_error(problem, state.A, unc)
 
 
+def _unconverged(args, outdir: Path, states) -> bool:
+    """Report coupled solves that did not converge; True means exit with status 1.
+
+    The residual histories of the failed solves go to ``residual_history.csv``;
+    with ``--allow-partial`` the failure is let through.
+    """
+    failed = [(i, s) for i, s in enumerate(states) if not s.converged]
+    if not failed or args.allow_partial:
+        return False
+    write_csv(
+        outdir / "residual_history.csv",
+        "residuals",
+        ["start", "iteration", "residual"],
+        [
+            [i, s.iterations - len(s.residual_history) + 1 + j, r]
+            for i, s in failed
+            for j, r in enumerate(s.residual_history)
+        ],
+    )
+    print(f"error: {len(failed)} coupled solve(s) did not converge", file=sys.stderr)
+    return True
+
+
+def _stability_fields(rep) -> dict:
+    return {
+        "spectral_radius": rep.spectral_radius,
+        "stable": rep.stable,
+        "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in rep.eigenvalues],
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -200,18 +231,17 @@ def cmd_spectrum(args) -> int:
 def cmd_equilibrium(args) -> int:
     if args.seed < 0:
         raise SystemExit2(f"--seed must be nonnegative, got {args.seed}")
+    if args.starts < 1:
+        raise SystemExit2(f"--starts must be at least 1, got {args.starts}")
     mp, source = resolve_model(args)
     eps = _one_eps(args)
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
-    if args.stability:
-        stab.check_dense_size(problem)
     tol = args.tol
 
     states = []
     rng = np.random.default_rng(args.seed)
-    starts = max(1, args.starts)
-    for i in range(starts):
+    for i in range(args.starts):
         if i == 0:
             start = None
         else:
@@ -219,16 +249,8 @@ def cmd_equilibrium(args) -> int:
             start = Field(problem.grid, vals / float(np.sum(problem.grid.quad_weights * vals)))
         states.append(eq.solve_coupled(problem, start=start, tol=tol))
     state = states[0]
-    spread = max(l1_norm(s.A - state.A) for s in states) if starts > 1 else 0.0
-
-    if not state.converged and not args.allow_partial:
-        write_csv(
-            outdir / "residual_history.csv",
-            "residuals",
-            ["iteration", "residual"],
-            [[i, r] for i, r in enumerate(state.residual_history)],
-        )
-        print("error: coupled solve did not converge", file=sys.stderr)
+    spread = max(l1_norm(s.A - state.A) for s in states)
+    if _unconverged(args, outdir, states):
         return 1
 
     sp, sup = _host_diagnostics(problem, state, tol)
@@ -271,17 +293,11 @@ def cmd_equilibrium(args) -> int:
     }
     if args.stability:
         rep = stab.stability_report(problem, state.A, tol=max(10 * tol, 1e-8))
-        diagnostics["stability"] = {
-            "spectral_radius": rep.spectral_radius,
-            "stable": rep.stable,
-            "eigenvalues": [
-                {"re": float(z.real), "im": float(z.imag)} for z in rep.eigenvalues[:20]
-            ],
-        }
+        diagnostics["stability"] = _stability_fields(rep)
     write_json(outdir / "equilibrium.json", diagnostics)
     write_manifest(
         outdir, "equilibrium", source,
-        _knobs(args, epsilon=[eps], starts=starts, seed=args.seed, stability=args.stability),
+        _knobs(args, epsilon=[eps], starts=args.starts, seed=args.seed, stability=args.stability),
     )
     print(
         f"classification={state.classification} A_mass={row.a_mass:.6g} "
@@ -360,6 +376,9 @@ def cmd_dynamics(args) -> int:
             f"dt={args.dt} violates the explicit-Euler stability bound "
             f"{dyn.max_stable_dt(problem):.3g}"
         )
+    state = eq.solve_coupled(problem, tol=args.tol)
+    if _unconverged(args, outdir, [state]):
+        return 1
     init = dyn.disease_free_state(problem, bump=args.bump)
     try:
         traj = dyn.integrate(
@@ -376,7 +395,6 @@ def cmd_dynamics(args) -> int:
         [[s.t, s.s1, s.s2, s.i1_mass, s.i2_mass, s.a_mass, s.a_argmax]
          for s in traj.samples],
     )
-    state = eq.solve_coupled(problem, tol=args.tol)
     dist = dyn.distance_to_equilibrium(traj.terminal, state.A)
     write_json(
         outdir / "dynamics_summary.json",
@@ -403,22 +421,16 @@ def cmd_stability(args) -> int:
     eps = _one_eps(args)
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
-    stab.check_dense_size(problem)
     state = eq.solve_coupled(problem, tol=args.tol)
-    if not state.converged and not args.allow_partial:
-        print("error: coupled solve did not converge", file=sys.stderr)
+    if _unconverged(args, outdir, [state]):
         return 1
     rep = stab.stability_report(problem, state.A, tol=max(10 * args.tol, 1e-8))
     write_json(
         outdir / "stability.json",
         {
             "classification": state.classification,
-            "spectral_radius": rep.spectral_radius,
-            "stable": rep.stable,
             "is_fixed_point": rep.is_fixed_point,
-            "eigenvalues": [
-                {"re": float(z.real), "im": float(z.imag)} for z in rep.eigenvalues
-            ],
+            **_stability_fields(rep),
         },
     )
     write_manifest(outdir, "stability", source, _knobs(args, epsilon=[eps]))
@@ -430,7 +442,7 @@ def cmd_stability(args) -> int:
 # plumbing
 
 def _run_parallel(fn, payloads, jobs):
-    if jobs <= 1 or len(payloads) <= 1:
+    if jobs == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads))
@@ -519,16 +531,21 @@ def main(argv: list[str] | None = None) -> int:
             args.jobs = int(jobs)
         except ValueError:
             raise SystemExit2(f"MUTSEL_JOBS must be an integer, got {jobs!r}") from None
+    if args.jobs < 1:
+        raise SystemExit2(f"--jobs (or MUTSEL_JOBS) must be at least 1, got {args.jobs}")
     try:
         return args.func(args)
     except SystemExit2:
         raise
     except (
-        mdl.ModelError, GridError, stab.StabilityError, dyn.DynamicsError,
+        mdl.ModelError, GridError, dyn.DynamicsError,
         FileNotFoundError, KeyError, json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except stab.StabilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

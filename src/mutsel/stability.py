@@ -1,8 +1,10 @@
 """Linearized stability of steady states.
 
-Assembles the dense matrix of the analytic derivative of the fixed-point map
-at a given density, computes its (generally nonsymmetric) spectrum, and checks
-it against the closed-form description available for single-host states.
+The spectrum of the analytic derivative of the fixed-point map at a given
+density comes from one matrix-free Arnoldi run (ARPACK) for the
+``EIGENVALUE_COUNT`` eigenvalues of largest modulus, at any grid size.  For
+single-host states the spectrum is also checked against its closed form,
+using the dense derivative as the reference.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .grid import Field
@@ -19,7 +20,7 @@ from .operators import host_map, host_operator, update_map
 from .spectral import symmetric_spectrum
 from .equilibrium import UncoupledSolution
 
-DENSE_LIMIT = 4096
+EIGENVALUE_COUNT = 20
 STABILITY_MARGIN = 1e-9
 
 
@@ -29,49 +30,36 @@ class StabilityError(RuntimeError):
 
 @dataclass
 class StabilityReport:
-    eigenvalues: np.ndarray  # complex, sorted by descending modulus
+    eigenvalues: np.ndarray  # complex, the largest by modulus, descending
     spectral_radius: float
     stable: bool
     fixed_point_residual: float
     is_fixed_point: bool
-    uncoupled_prediction: np.ndarray | None = None
-
-
-def check_dense_size(problem: Problem) -> None:
-    """Raise StabilityError if the grid is too fine for the dense eigensolve."""
-    if problem.grid.n > DENSE_LIMIT:
-        raise StabilityError(
-            f"dense stability eigensolve limited to n <= {DENSE_LIMIT}; "
-            f"got n = {problem.grid.n}"
-        )
-
-
-def derivative_matrix(problem: Problem, a: np.ndarray) -> np.ndarray:
-    """Dense matrix of the derivative of the coupled map at density a.
-
-    The weighted kernel matrix scaled by the map's gain g(a), minus one
-    rank-one correction per host from differentiating its saturation
-    denominator.
-    """
-    return update_map(problem).dense_derivative(a)
 
 
 def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> StabilityReport:
-    """Spectrum of the linearization at A, with a fixed-point recheck.
+    """Largest-modulus spectrum of the linearization at A, with a fixed-point recheck.
 
     The density is re-run through the coupled map; a large residual flags the
     report as evaluated away from a steady state (the spectrum is still
-    returned).
+    returned).  ARPACK needs k < n - 1, so a grid of n nodes yields at most
+    n - 2 eigenvalues.
     """
-    check_dense_size(problem)
     a = A.values
-    ta = update_map(problem).apply_values(np.clip(a, 0.0, None))
+    tmap = update_map(problem)
+    ta = tmap.apply_values(np.clip(a, 0.0, None))
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
-    # the transpose has the same spectrum and is Fortran-ordered, so LAPACK
-    # overwrites it instead of working on a copy
-    eig = eigvals(derivative_matrix(problem, a).T, overwrite_a=True)
-    order = np.argsort(-np.abs(eig))
-    eig = eig[order]
+    n = problem.grid.n
+    # seeded, because ARPACK's own start vector does not repeat within a process
+    v0 = 1.0 + np.random.default_rng(0).random(n)
+    try:
+        eig = eigs(
+            tmap.linearization(a), k=min(EIGENVALUE_COUNT, n - 2), which="LM",
+            v0=v0, tol=0, return_eigenvectors=False,
+        )
+    except ArpackNoConvergence as exc:
+        raise StabilityError("Arnoldi iteration for the stability spectrum did not converge") from exc
+    eig = eig[np.argsort(-np.abs(eig))]
     radius = float(np.abs(eig[0]))
     return StabilityReport(
         eigenvalues=eig,
@@ -80,23 +68,6 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
         fixed_point_residual=residual,
         is_fixed_point=residual < tol,
     )
-
-
-def top_modulus_estimate(problem: Problem, A: Field) -> float:
-    """Matrix-free spectral radius of the linearization at A.
-
-    One implicitly restarted Arnoldi run (ARPACK, through
-    ``scipy.sparse.linalg.eigs``) for the eigenvalue of largest modulus; used
-    when the grid is too large for the dense eigensolve.
-    """
-    lin = update_map(problem).linearization(np.clip(A.values, 0.0, None))
-    # seeded, because ARPACK's own start vector does not repeat within a process
-    v0 = 1.0 + np.random.default_rng(0).random(problem.grid.n)
-    try:
-        top = eigs(lin, k=1, which="LM", v0=v0, tol=0, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise StabilityError("Arnoldi iteration for the spectral radius did not converge") from exc
-    return float(np.abs(top[0]))
 
 
 # ---------------------------------------------------------------------------

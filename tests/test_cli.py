@@ -4,9 +4,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from mutsel import equilibrium as eq
+from mutsel import stability as stab
 from mutsel.cli import main
+from mutsel.model import build_problem, preset
+from mutsel.spectral import solve_host_spectrum
 
 
 def run(argv):
@@ -116,6 +122,7 @@ class TestEquilibriumCommand:
         ]) == 0
         diag = json.loads((outdir / "equilibrium.json").read_text())
         assert diag["stability"]["stable"] is True
+        assert len(diag["stability"]["eigenvalues"]) == 20
 
 
 class TestSweepCommand:
@@ -286,6 +293,10 @@ MALFORMED = {
                                               "--epsilon", "5e-2", "--epsilon", "5e-2"],
     "repeated epsilon in spectrum": lambda tmp: ["spectrum", "--preset", "fig1",
                                                  "--epsilon", "5e-2", "--epsilon", "5e-2"],
+    "negative starts": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
+                                    "--starts", "-3"],
+    "negative jobs": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
+                                  "--jobs", "-4"],
 }
 
 
@@ -306,10 +317,57 @@ def test_non_integer_jobs_env_is_usage_error(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: ") and "MUTSEL_JOBS" in err
 
 
-@pytest.mark.parametrize("command", [["stability"], ["equilibrium", "--stability"]])
-def test_dense_stability_limit_is_usage_error(command, outdir, capsys):
-    argv = [*command, "--preset", "fig1", "--epsilon", "5e-2", "--n", "4097",
+def test_stability_on_fine_grid(outdir):
+    # n = 8193: the matrix-free eigensolve has no grid-size limit
+    assert run(["stability", "--preset", "fig1", "--epsilon", "1e-3",
+                "--output-dir", str(outdir)]) == 0
+    rep = json.loads((outdir / "stability.json").read_text())
+    assert len(rep["eigenvalues"]) == 20
+    host1 = solve_host_spectrum(build_problem(preset("fig1"), 1e-3), 1, tol=1e-12,
+                                with_second=True)
+    assert rep["spectral_radius"] == pytest.approx(host1.lambda2 / host1.lambda1, abs=1e-9)
+
+
+UNCONVERGED = {
+    "equilibrium": ["equilibrium"],
+    "stability": ["stability"],
+    "dynamics": ["dynamics", "--t-end", "1", "--dt", "0.02"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNCONVERGED))
+def test_unconverged_solve_exits_1(command, monkeypatch, outdir, capsys):
+    monkeypatch.setattr(eq, "DEFAULT_MAX_ITER", 3)
+    argv = [*UNCONVERGED[command], "--preset", "fig1", "--epsilon", "5e-2",
             "--output-dir", str(outdir)]
-    assert _status(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "4096" in err
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    lines = (outdir / "residual_history.csv").read_text().splitlines()
+    assert lines[1] == "start,iteration,residual"
+    assert [line.split(",")[:2] for line in lines[2:]] == [["0", "1"], ["0", "2"], ["0", "3"]]
+    assert run([*argv, "--allow-partial"]) == 0
+
+
+def test_unconverged_later_start_exits_1(monkeypatch, outdir):
+    solve = eq.solve_coupled
+
+    def random_starts_fail(problem, *, start=None, tol):
+        if start is not None:
+            monkeypatch.setattr(eq, "DEFAULT_MAX_ITER", 3)
+        return solve(problem, start=start, tol=tol)
+
+    monkeypatch.setattr(eq, "solve_coupled", random_starts_fail)
+    assert run(["equilibrium", "--preset", "fig1", "--epsilon", "5e-2", "--starts", "2",
+                "--output-dir", str(outdir)]) == 1
+    lines = (outdir / "residual_history.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[2:]} == {"1"}
+
+
+def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(stab, "eigs", no_convergence)
+    assert run(["stability", "--preset", "fig1", "--epsilon", "5e-2",
+                "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error: Arnoldi")

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from mutsel.grid import Field
-from mutsel.model import build_problem
+from mutsel.model import build_problem, preset
 from mutsel.operators import host_operator, update_map
-from mutsel.spectral import solve_combined_spectrum
-from mutsel.equilibrium import solve_uncoupled
+from mutsel.spectral import solve_combined_spectrum, solve_host_spectrum
+from mutsel.equilibrium import default_start, solve_coupled, solve_uncoupled
 from mutsel.stability import (
-    derivative_matrix,
+    EIGENVALUE_COUNT,
     stability_report,
-    top_modulus_estimate,
     uncoupled_derivative_spectrum,
 )
 
@@ -55,7 +54,7 @@ class TestStabilityReport:
         rng = np.random.default_rng(0)
         a = rng.random(coarse_problem.grid.n)
         h = rng.standard_normal(coarse_problem.grid.n)
-        d = derivative_matrix(coarse_problem, a)
+        d = tmap.dense_derivative(a)
         assert np.max(np.abs(d @ h - tmap.linearized_values(a, h))) < 1e-10
 
     def test_dense_step_holds_one_matrix(self, fig1_problem, fig1_state):
@@ -72,10 +71,42 @@ class TestStabilityReport:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n * n
 
-    def test_top_modulus_estimate_agrees(self, fig1_problem, fig1_state):
-        dense = stability_report(fig1_problem, fig1_state.A).spectral_radius
-        iterative = top_modulus_estimate(fig1_problem, fig1_state.A)
-        assert iterative == pytest.approx(dense, abs=1e-6)
+    def test_top_eigenvalues_match_dense(self, fig1_problem, fig1_state):
+        rep = stability_report(fig1_problem, fig1_state.A)
+        dense = np.linalg.eigvals(update_map(fig1_problem).dense_derivative(fig1_state.A.values))
+        dense = dense[np.argsort(-np.abs(dense))][:EIGENVALUE_COUNT]
+        assert len(rep.eigenvalues) == EIGENVALUE_COUNT
+        assert np.max(np.abs(rep.eigenvalues - dense)) < 1e-10
+        assert rep.spectral_radius == pytest.approx(np.abs(dense[0]), abs=1e-10)
+
+    def test_grid_smaller_than_eigenvalue_count(self):
+        # ARPACK needs k < n - 1, so 16 nodes give 14 eigenvalues; the radius
+        # is the dense eigensolve's (only the radius is compared: values of
+        # equal modulus need not come out in the same order)
+        problem = build_problem(preset("fig1"), 0.2, n=16, padding=0.1)
+        rep = stability_report(problem, default_start(problem))
+        assert len(rep.eigenvalues) == 14
+        assert rep.spectral_radius == pytest.approx(0.2041052007786639, abs=1e-12)
+
+
+class TestStabilityMechanism:
+    def test_derivative_top_is_host_gap_ratios(self, fig1):
+        # with separated supports the coupled derivative's two largest
+        # eigenvalues are the single-host ratios lambda2^k / lambda1^k, and the
+        # stability margin closes at first order: (1 - radius) lambda1^1 / eps
+        # = (lambda1^1 - lambda2^1) / eps -> 40
+        margins = []
+        for eps in (0.01, 0.005, 0.0025):
+            problem = build_problem(fig1, eps)
+            spectra = [
+                solve_host_spectrum(problem, k, tol=1e-12, with_second=True) for k in (1, 2)
+            ]
+            ratios = sorted((s.lambda2 / s.lambda1 for s in spectra), reverse=True)
+            rep = stability_report(problem, solve_coupled(problem, tol=1e-12).A)
+            assert np.max(np.abs(rep.eigenvalues[:2] - ratios)) < 1e-9
+            margins.append((1.0 - rep.spectral_radius) * spectra[0].lambda1 / eps)
+        assert margins == sorted(margins)
+        assert margins[-1] == pytest.approx(40.0, rel=0.05)
 
 
 class TestUncoupledFormula:
