@@ -11,11 +11,14 @@ import argparse
 import concurrent.futures
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import equilibrium as eq
 from . import model as mdl
 from . import spectral as spec
@@ -77,8 +80,8 @@ def resolve_model(args) -> tuple[mdl.ModelParams, dict]:
         raise SystemExit2("one of --preset or --config is required")
     scale = getattr(args, "scale_beta", 1.0)
     if scale != 1.0:
-        if scale <= 0:
-            raise SystemExit2("--scale-beta must be positive")
+        if not (np.isfinite(scale) and scale > 0):
+            raise SystemExit2(f"--scale-beta must be finite and positive, got {scale}")
         mp = mp.scaled_beta(scale)
         source["scale_beta"] = scale
     return mp, source
@@ -123,7 +126,10 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_manifest(outdir: Path, command: str, source: dict, knobs: dict) -> None:
-    write_json(outdir / "manifest.json", {"command": command, "model": source, "options": knobs})
+    versions = {"mutsel": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                "python": platform.python_version()}
+    write_json(outdir / "manifest.json",
+               {"command": command, "model": source, "options": knobs, "versions": versions})
 
 
 def _eps_list(args) -> list[float]:

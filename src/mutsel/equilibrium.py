@@ -16,7 +16,7 @@ import numpy as np
 from .grid import Field, inner, integrate, l1_norm, restrict
 from .model import Problem
 from .operators import host_update, update_map
-from .spectral import SpectralResult, solve_host_spectrum
+from .spectral import SpectralResult, solve_combined_spectrum, solve_host_spectrum
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -133,7 +133,7 @@ def solve_coupled(
             omega *= 0.5
         a = (1.0 - omega) * a + omega * ta
         prev_res = res
-    state = reconstruct(problem, Field(problem.grid, np.clip(a, 0.0, None), is_density=True), tol=tol)
+    state = reconstruct(problem, Field(problem.grid, np.clip(a, 0.0, None), is_density=True))
     state.iterations = iterations
     state.converged = converged
     state.residual_history = history[-50:]
@@ -142,14 +142,22 @@ def solve_coupled(
     return state
 
 
-def reconstruct(problem: Problem, A: Field, *, tol: float = DEFAULT_TOL) -> EquilibriumState:
+def classify(problem: Problem, A: Field) -> str:
+    """Endemic for a nonzero density when the combined operator (the map's
+    linearization at zero) has spectral radius above 1, else disease-free."""
+    if not np.any(A.values) or solve_combined_spectrum(problem).lambda1 <= 1.0:
+        return "disease_free"
+    return "endemic"
+
+
+def reconstruct(problem: Problem, A: Field) -> EquilibriumState:
     """Rebuild the full steady state from a spore density.
 
     Healthy tissue S_k = xi_k Lambda / mu_k with mu_k = theta + int(beta_k A);
     infected density I_k = beta_k S_k A / (theta + d_k).  The residual
     ||delta A - m_eps * (sum_k r_k I_k)||_1 measures how well the spore
     production balances decay; since sum_k r_k I_k = delta g(A) A, it equals
-    delta ||A - T(A)||_1.
+    delta ||A - T(A)||_1.  The class is ``classify``'s.
     """
     mp = problem.mp
     tmap = update_map(problem)
@@ -163,7 +171,6 @@ def reconstruct(problem: Problem, A: Field, *, tol: float = DEFAULT_TOL) -> Equi
         ss.append(s)
         infected.append(Field(problem.grid, ik, is_density=True))
     residual = mp.delta * l1_norm(A - Field(problem.grid, tmap.apply_values(A.values)))
-    classification = "endemic" if l1_norm(A) > 10.0 * tol else "disease_free"
     return EquilibriumState(
         A=A,
         S1=float(ss[0]),
@@ -173,7 +180,7 @@ def reconstruct(problem: Problem, A: Field, *, tol: float = DEFAULT_TOL) -> Equi
         mu1=float(mus[0]),
         mu2=float(mus[1]),
         residual=residual,
-        classification=classification,
+        classification=classify(problem, A),
     )
 
 

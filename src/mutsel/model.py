@@ -399,7 +399,6 @@ class Problem:
     grid: TraitGrid
     kernel: MutationKernel
     derived: tuple[HostDerived, HostDerived]
-    mode: str = "fft"
 
     def host(self, k: int) -> HostDerived:
         return self.derived[k - 1]
@@ -419,7 +418,6 @@ def build_problem(
     *,
     n: int | None = None,
     padding: float | None = None,
-    mode: str = "fft",
 ) -> Problem:
     window = default_window(mp, eps, padding)
     if n is None:
@@ -427,4 +425,4 @@ def build_problem(
     grid = make_grid(window[0], window[1], n)
     kernel = scale_kernel(laplace_density, eps, grid)
     derived = (build_fitness(mp, 1, grid), build_fitness(mp, 2, grid))
-    return Problem(mp=mp, eps=eps, grid=grid, kernel=kernel, derived=derived, mode=mode)
+    return Problem(mp=mp, eps=eps, grid=grid, kernel=kernel, derived=derived)

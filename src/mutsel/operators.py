@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.blas import dger
-from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator
 
 from .grid import Field, GridError, TraitGrid
 from .model import MutationKernel, Problem
-
-MODES = ("direct", "fft")
 
 
 class OperatorError(ValueError):
@@ -30,28 +28,26 @@ class OperatorError(ValueError):
 class ConvolutionEngine:
     """Quadrature convolution with the scaled mutation kernel.
 
-    ``direct`` mode evaluates the full O(n^2) sum and serves as the reference;
-    ``fft`` mode computes the identical sum with an FFT-based linear
-    convolution.  Both return g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j).
+    Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j) as a linear convolution
+    of the weighted values with the 2n-1 kernel samples, zero-padded to a fast
+    FFT length of at least 3n-2.  The kernel's transform is taken once, so
+    each call costs one forward and one inverse real FFT.  ``dense_matrix``
+    gives the same sum as an O(n^2) Toeplitz product, the reference in tests.
     """
 
     kernel: MutationKernel
     grid: TraitGrid
-    mode: str = "fft"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise OperatorError(f"unknown convolution mode {self.mode!r}")
         if self.kernel.grid != self.grid:
             raise OperatorError("kernel was sampled on a different grid")
+        self._length = next_fast_len(3 * self.grid.n - 2, real=True)
+        self._kernel_hat = rfft(self.kernel.samples, self._length)
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
         n = self.grid.n
-        wf = self.grid.quad_weights * values
-        if self.mode == "direct":
-            full = np.convolve(wf, self.kernel.samples)
-        else:
-            full = fftconvolve(wf, self.kernel.samples)
+        wf_hat = rfft(self.grid.quad_weights * values, self._length)
+        full = irfft(wf_hat * self._kernel_hat, self._length)
         # samples[j] sits at offset (j-(n-1))h, so node i of the output is
         # entry (n-1)+i of the full linear convolution
         return full[n - 1 : 2 * n - 1]
@@ -69,11 +65,6 @@ class ConvolutionEngine:
     def dense_matrix(self, weight: np.ndarray) -> np.ndarray:
         """Matrix of f -> convolve_values(weight * f): K[i, j] w_j weight_j."""
         return self.toeplitz() * (self.grid.quad_weights * weight)[None, :]
-
-
-def convolution_engine(problem: Problem) -> ConvolutionEngine:
-    """The problem's convolution engine, in the problem's backend mode."""
-    return ConvolutionEngine(problem.kernel, problem.grid, problem.mode)
 
 
 @dataclass
@@ -122,26 +113,19 @@ def _influx_rate(problem: Problem, k: int) -> float:
 
 def host_operator(problem: Problem, k: int) -> WeightedConvolutionOperator:
     """Linear operator of host k: (xi_k Lambda / theta) m_eps * (Psi_k f)."""
-    return WeightedConvolutionOperator(
-        problem.host(k).psi, _influx_rate(problem, k), convolution_engine(problem)
-    )
+    engine = ConvolutionEngine(problem.kernel, problem.grid)
+    return WeightedConvolutionOperator(problem.host(k).psi, _influx_rate(problem, k), engine)
 
 
 def combined_operator(problem: Problem) -> WeightedConvolutionOperator:
     """Sum of the two host operators, as a single weighted convolution."""
     mp = problem.mp
-    return WeightedConvolutionOperator(
-        problem.combined_fitness, mp.lambda_ / mp.theta, convolution_engine(problem)
-    )
+    engine = ConvolutionEngine(problem.kernel, problem.grid)
+    return WeightedConvolutionOperator(problem.combined_fitness, mp.lambda_ / mp.theta, engine)
 
 
 # ---------------------------------------------------------------------------
 # nonlinear update maps
-
-def _check_nonnegative(f: Field) -> None:
-    if np.any(f.values < 0):
-        raise OperatorError("update maps require a nonnegative input density")
-
 
 @dataclass
 class UpdateMap:
@@ -169,7 +153,8 @@ class UpdateMap:
         return self.engine.convolve_values(self._gain(self.denominators(values)) * values)
 
     def apply(self, f: Field) -> Field:
-        _check_nonnegative(f)
+        if np.any(f.values < 0):
+            raise OperatorError("update maps require a nonnegative input density")
         return Field(self.engine.grid, self.apply_values(f.values))
 
     def linearization(self, a: np.ndarray) -> "Linearization":
@@ -222,7 +207,7 @@ class Linearization(LinearOperator):
 def _map_over(problem: Problem, hosts: tuple[int, ...]) -> UpdateMap:
     w_theta = problem.grid.quad_weights / problem.mp.theta
     return UpdateMap(
-        convolution_engine(problem),
+        ConvolutionEngine(problem.kernel, problem.grid),
         np.array([_influx_rate(problem, k) * problem.host(k).psi.values for k in hosts]),
         np.array([w_theta * problem.host(k).beta.values for k in hosts]),
     )

@@ -262,13 +262,13 @@ def test_criterion_11_property_suites(fig1):
     grid = problem.grid
     rng = np.random.default_rng(11)
 
-    direct = ConvolutionEngine(problem.kernel, grid, "direct")
-    fast = ConvolutionEngine(problem.kernel, grid, "fft")
+    engine = ConvolutionEngine(problem.kernel, grid)
+    toeplitz = engine.dense_matrix(np.ones(grid.n))
     worst = 0.0
     for _ in range(10):
         f = Field(grid, rng.random(grid.n), is_density=True)
-        a = direct.convolve(f)
-        b = fast.convolve(f)
+        a = Field(grid, toeplitz @ f.values)
+        b = engine.convolve(f)
         worst = max(worst, l1_norm(a - b) / l1_norm(a))
     checks.append(("backend cross-agreement 1e-10", worst < 1e-10))
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import mutsel
 from mutsel import equilibrium as eq
 from mutsel import stability as stab
 from mutsel.cli import main
@@ -75,6 +79,7 @@ class TestSpectrumCommand:
         assert manifest["model"] == {"preset": "fig1"}
         assert manifest["options"]["n"] == 512
         assert manifest["options"]["epsilon"] == [0.05]
+        assert set(manifest["versions"]) == {"mutsel", "numpy", "scipy", "python"}
 
 
 class TestEquilibriumCommand:
@@ -293,6 +298,10 @@ MALFORMED = {
                                               "--epsilon", "5e-2", "--epsilon", "5e-2"],
     "repeated epsilon in spectrum": lambda tmp: ["spectrum", "--preset", "fig1",
                                                  "--epsilon", "5e-2", "--epsilon", "5e-2"],
+    "infinite scale-beta": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
+                                        "--scale-beta", "inf"],
+    "nan scale-beta": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
+                                   "--scale-beta", "nan"],
     "negative starts": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
                                     "--starts", "-3"],
     "negative jobs": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
@@ -306,6 +315,14 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     assert _status(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_non_finite_scale_beta_names_the_option(scale, tmp_path, capsys):
+    argv = ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2", "--scale-beta", scale,
+            "--output-dir", str(tmp_path / "out")]
+    assert _status(argv) == 2
+    assert "--scale-beta" in capsys.readouterr().err
 
 
 def test_non_integer_jobs_env_is_usage_error(monkeypatch, tmp_path, capsys):
@@ -371,3 +388,13 @@ def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
     assert run(["stability", "--preset", "fig1", "--epsilon", "5e-2",
                 "--output-dir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error: Arnoldi")
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone was most of the CLI's import time; nothing needs it
+    src = str(Path(mutsel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, mutsel.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from mutsel.grid import Field, inner, l1_norm
 from mutsel.model import HostParams, ModelParams, build_problem, compile_trait_expression
 from mutsel.operators import ConvolutionEngine, mass_bound, update_map
+from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
     concentration_row,
     concentration_targets,
@@ -54,13 +55,13 @@ class TestCoupled:
         assert l1_norm(state.A) < 1e-8
 
     def test_fixed_point_residual_both_backends(self, fig1, fig1_state):
-        for mode in ("direct", "fft"):
-            problem = build_problem(fig1, 0.01, mode=mode)
-            tmap = update_map(problem)
-            ta = tmap.apply_values(fig1_state.A.values)
-            res = float(
-                np.sum(problem.grid.quad_weights * np.abs(ta - fig1_state.A.values))
-            )
+        # the FFT map and the same map as an O(n^2) Toeplitz product
+        problem = build_problem(fig1, 0.01)
+        tmap = update_map(problem)
+        a = fig1_state.A.values
+        toeplitz = tmap.engine.dense_matrix(np.ones(problem.grid.n))
+        for ta in (tmap.apply_values(a), toeplitz @ (tmap.linearization(a).gain * a)):
+            res = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
             assert res < 1e-9
 
     def test_multistart_agreement(self, fig1_problem, fig1_state):
@@ -78,17 +79,17 @@ class TestCoupled:
         assert l1_norm(fig1_state.A) <= mass_bound(fig1_problem) + 1e-12
 
     def test_threshold_crossing_matches_spectral_radius(self, fig1):
-        # scaling beta moves the endemic branch exactly with the radius
-        from mutsel.spectral import solve_combined_spectrum
-
-        for scale in (0.2, 0.3):
+        # scaling beta moves the endemic branch exactly with the radius, and
+        # the radius is linear in beta, so a target radius rho fixes the scale
+        lam_unscaled = solve_combined_spectrum(build_problem(fig1, 0.02)).lambda1
+        rhos = (0.5, 0.9, 0.98, 0.995, 1.005, 1.02, 1.1)
+        for scale in (0.2, 0.3, *(rho / lam_unscaled for rho in rhos)):
             problem = build_problem(fig1.scaled_beta(scale), 0.02)
             lam = solve_combined_spectrum(problem).lambda1
+            assert lam == pytest.approx(scale * lam_unscaled, rel=1e-10)
             state = solve_coupled(problem, tol=1e-10)
-            if lam > 1.0:
-                assert state.classification == "endemic"
-            else:
-                assert state.classification == "disease_free"
+            assert state.converged
+            assert state.classification == ("endemic" if lam > 1.0 else "disease_free")
 
 
 class TestReconstruct:
