@@ -184,6 +184,7 @@ def _stability_fields(rep) -> dict:
     return {
         "spectral_radius": rep.spectral_radius,
         "stable": rep.stable,
+        "error_bound": rep.error_bound,
         "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in rep.eigenvalues],
     }
 
@@ -279,6 +280,7 @@ def cmd_equilibrium(args) -> int:
         "classification": state.classification,
         "residual": state.residual,
         "iterations": state.iterations,
+        "restarts": state.restarts,
         "S1": state.S1,
         "S2": state.S2,
         "mu1": state.mu1,

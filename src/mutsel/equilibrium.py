@@ -1,14 +1,15 @@
 """Steady-state solvers and their diagnostics.
 
 Solves the single-host fixed-point problems in closed form from the principal
-eigenpair, solves the coupled problem by damped fixed-point iteration, rebuilds
-the full equilibrium (healthy tissue, infected densities) from the spore
-density, and evaluates the superposition, concentration, pinning and
-lower-bound diagnostics.
+eigenpair, solves the coupled problem by safeguarded Anderson-accelerated
+fixed-point iteration, rebuilds the full equilibrium (healthy tissue, infected
+densities) from the spore density, and evaluates the superposition,
+concentration, pinning and lower-bound diagnostics.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +17,14 @@ import numpy as np
 from .grid import Field, inner, integrate, l1_norm, restrict
 from .model import Problem
 from .operators import host_update, update_map
-from .spectral import SpectralResult, solve_combined_spectrum, solve_host_spectrum
+from .spectral import SpectralResult, solve_host_spectrum
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
+ANDERSON_DEPTH = 5
+# the coupled solve falls back to plain steps after more than this many
+# iterations without a new lowest residual
+STALL_STEPS = 2 * ANDERSON_DEPTH
 
 
 class SolverError(RuntimeError):
@@ -83,6 +88,7 @@ class EquilibriumState:
     residual: float
     classification: str  # "disease_free" | "endemic"
     iterations: int = 0
+    restarts: int = 0
     converged: bool = True
     residual_history: list[float] = field(default_factory=list)
 
@@ -103,38 +109,78 @@ def solve_coupled(
     start: Field | None = None,
     tol: float = DEFAULT_TOL,
 ) -> EquilibriumState:
-    """Damped fixed-point iteration for the coupled spore-density equation.
+    """Safeguarded Anderson-accelerated iteration for the coupled spore-density equation.
 
-    Plain iteration (damping 1) is used until the quadrature-L1 update residual
-    increases, at which point the damping factor is halved.
+    Each iteration maps the iterate once, g = T(a), with the plain-map
+    residual f = g - a.  The next iterate is g - sum_j gamma_j dg_j projected
+    onto a >= 0, where dg_j and df_j are the differences of the last
+    ``ANDERSON_DEPTH + 1`` map values and residuals, and gamma minimizes
+    ||f - sum_j gamma_j df_j|| in the sqrt(w)-weighted 2-norm (type-II
+    Anderson acceleration, Walker and Ni, SIAM J. Numer. Anal. 49, 2011).
+    The plain step g is taken instead, and the history restarted, when
+
+    - the residual rose;
+    - the combination lost more than half of the excess max_k den_k - 1
+      >= rho - 1 that every positive fixed point has, with rho the combined
+      radius: it is heading for the zero state, a fixed point that repels
+      plain iteration when rho > 1;
+    - no new lowest residual came in over ``STALL_STEPS`` iterations: plain
+      steps then run until one does, so that a mode growing away from a
+      near-fixed point is followed instead of cancelled.
+
+    Converged only when the quadrature-L1 residual of the plain map is below
+    ``tol``; the returned density is then T(a).
     """
     tmap = update_map(problem)
     if start is None:
         start = default_start(problem)
     if np.any(start.values < 0):
         raise SolverError("start density must be nonnegative")
-    a = start.values.copy()
     w = problem.grid.quad_weights
-    omega = 1.0
-    prev_res = np.inf
+    sw = np.sqrt(w)
+    excess_floor = 0.5 * (problem.combined_radius - 1.0)
+    a = start.values.copy()
+    steps: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=ANDERSON_DEPTH)
+    f_prev = g_prev = None
+    prev_res = best = np.inf
+    since_best = restarts = 0
+    plain = False
     history: list[float] = []
     converged = False
     iterations = DEFAULT_MAX_ITER
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        ta = tmap.apply_values(a)
-        res = float(np.sum(w * np.abs(ta - a)))
+        g = tmap.apply_values(a)
+        f = g - a
+        res = float(np.sum(w * np.abs(f)))
         history.append(res)
         if res < tol:
-            a = ta
             converged = True
             iterations = it
             break
-        if res > prev_res and omega > 2.0**-8:
-            omega *= 0.5
-        a = (1.0 - omega) * a + omega * ta
-        prev_res = res
-    state = reconstruct(problem, Field(problem.grid, np.clip(a, 0.0, None), is_density=True))
+        if res < best:
+            best, since_best, plain = res, 0, False
+        else:
+            since_best += 1
+            plain = plain or since_best > STALL_STEPS
+        if res > prev_res or plain:
+            restarts += bool(steps)
+            steps.clear()
+        elif f_prev is not None:
+            steps.append((sw * (f - f_prev), g - g_prev))
+        f_prev, g_prev, prev_res = f, g, res
+        a = np.clip(g, 0.0, None)
+        if steps:
+            d_res, d_map = (np.array(d) for d in zip(*steps))
+            gamma = np.linalg.lstsq(d_res.T, sw * f, rcond=None)[0]
+            accelerated = np.clip(g - gamma @ d_map, 0.0, None)
+            if tmap.denominators(accelerated).max() - 1.0 < excess_floor:
+                restarts += 1
+                steps.clear()
+            else:
+                a = accelerated
+    state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None), is_density=True))
     state.iterations = iterations
+    state.restarts = restarts
     state.converged = converged
     state.residual_history = history[-50:]
     if not converged:
@@ -145,7 +191,7 @@ def solve_coupled(
 def classify(problem: Problem, A: Field) -> str:
     """Endemic for a nonzero density when the combined operator (the map's
     linearization at zero) has spectral radius above 1, else disease-free."""
-    if not np.any(A.values) or solve_combined_spectrum(problem).lambda1 <= 1.0:
+    if not np.any(A.values) or problem.combined_radius <= 1.0:
         return "disease_free"
     return "endemic"
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -410,6 +411,14 @@ class Problem:
             self.grid,
             h1.xi * self.derived[0].psi.values + h2.xi * self.derived[1].psi.values,
         )
+
+    @cached_property
+    def combined_radius(self) -> float:
+        """Spectral radius of the combined operator, the coupled map's
+        linearization at zero: computed once per problem, on first use."""
+        from .spectral import solve_combined_spectrum  # spectral builds on this module
+
+        return solve_combined_spectrum(self).lambda1
 
 
 def build_problem(

@@ -28,11 +28,14 @@ class OperatorError(ValueError):
 class ConvolutionEngine:
     """Quadrature convolution with the scaled mutation kernel.
 
-    Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j) as a linear convolution
-    of the weighted values with the 2n-1 kernel samples, zero-padded to a fast
-    FFT length of at least 3n-2.  The kernel's transform is taken once, so
-    each call costs one forward and one inverse real FFT.  ``dense_matrix``
-    gives the same sum as an O(n^2) Toeplitz product, the reference in tests.
+    Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j), entries n-1 to 2n-2
+    of the linear convolution of the weighted values with the 2n-1 kernel
+    samples.  Both are zero-padded to a fast FFT length L of at least 2n-1:
+    the full convolution has 3n-2 entries, and the circular one folds those
+    past L onto entries below n-1, which are discarded.  The kernel's
+    transform is taken once, so each call costs one forward and one inverse
+    real FFT.  ``dense_matrix`` gives the same sum as an O(n^2) Toeplitz
+    product, the reference in tests.
     """
 
     kernel: MutationKernel
@@ -41,7 +44,7 @@ class ConvolutionEngine:
     def __post_init__(self):
         if self.kernel.grid != self.grid:
             raise OperatorError("kernel was sampled on a different grid")
-        self._length = next_fast_len(3 * self.grid.n - 2, real=True)
+        self._length = next_fast_len(2 * self.grid.n - 1, real=True)
         self._kernel_hat = rfft(self.kernel.samples, self._length)
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
@@ -49,7 +52,7 @@ class ConvolutionEngine:
         wf_hat = rfft(self.grid.quad_weights * values, self._length)
         full = irfft(wf_hat * self._kernel_hat, self._length)
         # samples[j] sits at offset (j-(n-1))h, so node i of the output is
-        # entry (n-1)+i of the full linear convolution
+        # entry (n-1)+i of the linear convolution, which no wrap-around reaches
         return full[n - 1 : 2 * n - 1]
 
     def convolve(self, f: Field) -> Field:

@@ -35,6 +35,7 @@ class StabilityReport:
     stable: bool
     fixed_point_residual: float
     is_fixed_point: bool
+    error_bound: float | None  # residual / (1 - radius); None unless radius < 1
 
 
 def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> StabilityReport:
@@ -42,7 +43,10 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
 
     The density is re-run through the coupled map; a large residual flags the
     report as evaluated away from a steady state (the spectrum is still
-    returned).  ARPACK needs k < n - 1, so a grid of n nodes yields at most
+    returned).  Where the radius q is below 1, iteration near A contracts
+    asymptotically at rate q, so ``error_bound`` = residual / (1 - q) bounds
+    A's L1 distance to the fixed point to first order (q is a spectral radius,
+    not a norm).  ARPACK needs k < n - 1, so a grid of n nodes yields at most
     n - 2 eigenvalues.
     """
     a = A.values
@@ -67,6 +71,7 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
         stable=radius < 1.0 - STABILITY_MARGIN,
         fixed_point_residual=residual,
         is_fixed_point=residual < tol,
+        error_bound=residual / (1.0 - radius) if radius < 1.0 else None,
     )
 
 

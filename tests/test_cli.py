@@ -128,6 +128,8 @@ class TestEquilibriumCommand:
         diag = json.loads((outdir / "equilibrium.json").read_text())
         assert diag["stability"]["stable"] is True
         assert len(diag["stability"]["eigenvalues"]) == 20
+        assert 0.0 < diag["stability"]["error_bound"] < 1e-8
+        assert isinstance(diag["restarts"], int) and diag["restarts"] >= 0
 
 
 class TestSweepCommand:
@@ -209,6 +211,7 @@ class TestStabilityCommand:
         rep = json.loads((outdir / "stability.json").read_text())
         assert rep["stable"] is True
         assert rep["spectral_radius"] < 1.0
+        assert 0.0 < rep["error_bound"] < 1e-8
 
 
 class TestConfigFile:

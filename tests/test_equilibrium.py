@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from mutsel import spectral
 from mutsel.grid import Field, inner, l1_norm
 from mutsel.model import HostParams, ModelParams, build_problem, compile_trait_expression
 from mutsel.operators import ConvolutionEngine, mass_bound, update_map
 from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
+    SolverError,
     concentration_row,
     concentration_targets,
     default_start,
@@ -18,6 +20,12 @@ from mutsel.equilibrium import (
     solve_uncoupled,
     superposition_error,
 )
+
+
+def _random_start(problem, rng):
+    """A unit-mass random start, as ``mutsel equilibrium --starts`` draws it."""
+    vals = rng.random(problem.grid.n) + 1e-3
+    return Field(problem.grid, vals / float(np.sum(problem.grid.quad_weights * vals)))
 
 
 class TestUncoupled:
@@ -83,13 +91,65 @@ class TestCoupled:
         # the radius is linear in beta, so a target radius rho fixes the scale
         lam_unscaled = solve_combined_spectrum(build_problem(fig1, 0.02)).lambda1
         rhos = (0.5, 0.9, 0.98, 0.995, 1.005, 1.02, 1.1)
-        for scale in (0.2, 0.3, *(rho / lam_unscaled for rho in rhos)):
+        # map applications damped fixed-point iteration took just above threshold
+        damped_iterations = {1.005: 2351, 1.02: 731}
+        cases = [(0.2, None), (0.3, None), *((rho / lam_unscaled, rho) for rho in rhos)]
+        for scale, rho in cases:
             problem = build_problem(fig1.scaled_beta(scale), 0.02)
             lam = solve_combined_spectrum(problem).lambda1
             assert lam == pytest.approx(scale * lam_unscaled, rel=1e-10)
             state = solve_coupled(problem, tol=1e-10)
             assert state.converged
             assert state.classification == ("endemic" if lam > 1.0 else "disease_free")
+            if lam > 1.0:
+                # every positive fixed point has max_k mu_k / theta >= lam; the
+                # zero state, a fixed point too, has 1
+                assert max(state.mu1, state.mu2) / problem.mp.theta > lam - 1e-6
+            if rho in damped_iterations:
+                assert state.iterations < damped_iterations[rho]
+
+    def test_small_eps_converges_in_few_iterations(self, fig1):
+        # at eps = 1e-3 (n = 8193) plain iteration contracts at about 0.99 per
+        # step and took 905 and 1,431 map applications from these two starts
+        problem = build_problem(fig1, 1e-3)
+        for start in (None, _random_start(problem, np.random.default_rng(1))):
+            state = solve_coupled(problem, start=start)
+            assert state.converged
+            assert state.iterations <= 200
+            assert state.A.values.min() >= 0.0
+
+    def test_escapes_single_host_state(self, fig1_problem, fig1_state):
+        # host 1's single-host state is a near-fixed point of the coupled map
+        # (residual 2e-11) that host 2's mode grows away from; extrapolating
+        # through that growth would cancel it and stall there.  Plain
+        # iteration escapes and converges in 131 map applications.
+        start = solve_uncoupled(fig1_problem, 1).a_star
+        state = solve_coupled(fig1_problem, start=start, tol=1e-12)
+        assert state.converged
+        assert state.iterations <= 200
+        assert state.A.values.min() >= 0.0
+        assert l1_norm(state.A - fig1_state.A) < 1e-8
+
+    def test_negative_start_rejected(self, fig1_problem):
+        vals = default_start(fig1_problem).values.copy()
+        vals[len(vals) // 2] = -1e-12
+        with pytest.raises(SolverError, match="nonnegative"):
+            solve_coupled(fig1_problem, start=Field(fig1_problem.grid, vals))
+
+    def test_combined_spectrum_computed_once_per_problem(self, fig1, monkeypatch):
+        calls = []
+        solve = spectral.solve_combined_spectrum
+
+        def counted(problem, **kwargs):
+            calls.append(problem)
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(spectral, "solve_combined_spectrum", counted)
+        problem = build_problem(fig1, 0.02)
+        for _ in range(2):
+            state = solve_coupled(problem)
+            reconstruct(problem, state.A)
+        assert calls == [problem]
 
 
 class TestReconstruct:

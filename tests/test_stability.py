@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mutsel.grid import Field
+from mutsel.grid import Field, l1_norm
 from mutsel.model import build_problem, preset
 from mutsel.operators import host_operator, update_map
 from mutsel.spectral import solve_combined_spectrum, solve_host_spectrum
@@ -37,6 +37,15 @@ class TestStabilityReport:
         lam = solve_combined_spectrum(fig1_problem, tol=1e-12).lambda1
         assert not rep.stable
         assert rep.spectral_radius == pytest.approx(lam, abs=1e-6)
+        assert rep.error_bound is None
+
+    def test_error_bound_covers_distance_to_fixed_point(self, fig1_problem, fig1_state):
+        rough = solve_coupled(fig1_problem, tol=1e-7)
+        rep = stability_report(fig1_problem, rough.A)
+        assert rep.error_bound == pytest.approx(
+            rep.fixed_point_residual / (1.0 - rep.spectral_radius), rel=1e-12
+        )
+        assert l1_norm(rough.A - fig1_state.A) <= rep.error_bound
 
     def test_eigenvalues_sorted_by_modulus(self, fig1_problem, fig1_state):
         rep = stability_report(fig1_problem, fig1_state.A)
