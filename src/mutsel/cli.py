@@ -412,7 +412,10 @@ def cmd_dynamics(args) -> int:
             "distance_to_equilibrium": dist,
             "equilibrium_classification": state.classification,
             "clip_events": traj.clip_events,
+            "method": traj.method,
             "steps": traj.steps,
+            "rejected_steps": traj.rejected_steps,
+            "rhs_evals": traj.rhs_evals,
         },
     )
     write_manifest(
@@ -514,8 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="time integration toward equilibrium")
     _add_common(p)
     p.add_argument("--t-end", type=float, default=200.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--method", choices=["euler", "rk4"], default="rk4")
+    p.add_argument("--dt", type=float, default=0.01,
+                   help="step of euler and rk4; first step of dopri5; "
+                        "samples are --sample-every * dt apart")
+    p.add_argument("--method", choices=list(dyn.STEPPERS), default="dopri5")
     p.add_argument("--bump", type=float, default=1e-3,
                    help="initial spore-mass perturbation")
     p.add_argument("--sample-every", type=int, default=100)

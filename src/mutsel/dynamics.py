@@ -1,8 +1,9 @@
 """Time integration of the two-host infection/mutation system.
 
 Evolves healthy-tissue scalars, infected-tissue densities and the spore
-density with fixed-step explicit integrators, to cross-validate the
-steady-state solvers and exhibit convergence toward equilibria.
+density with explicit Runge-Kutta steppers (adaptive Dormand-Prince 5(4) by
+default; fixed-step euler and rk4), to cross-validate the steady-state solvers
+and exhibit convergence toward equilibria.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from .operators import update_map
 NEGATIVE_SLACK = 1e-12
 BLOWUP_NORM = 1e12
 MAX_STEPS = 10**7
+# rhs evaluations a run may spend, or rk4's cost of its schedule if that is larger
+MAX_RHS_EVALS = 10**6
+# dopri5's error control, per accepted step
+RTOL = 1e-11
+ATOL = 1e-13
 
 
 class DynamicsError(RuntimeError):
@@ -51,7 +57,10 @@ class Trajectory:
     samples: list[TrajectorySample]
     terminal: SystemState
     clip_events: int
-    steps: int
+    steps: int  # accepted steps
+    method: str
+    rhs_evals: int
+    rejected_steps: int
 
 
 def disease_free_state(problem: Problem, *, bump: float = 0.0) -> SystemState:
@@ -88,6 +97,7 @@ class _System:
         ]
         n = self.grid.n
         self.n = n
+        self.evals = 0
         self.slices = (slice(2, 2 + n), slice(2 + n, 2 + 2 * n), slice(2 + 2 * n, 2 + 3 * n))
 
     def pack(self, state: SystemState) -> np.ndarray:
@@ -109,6 +119,7 @@ class _System:
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         # dS_k/dt = xi_k Lambda - theta S_k (1 + theta^-1 int beta_k a)
+        self.evals += 1
         mp = self.problem.mp
         a = y[self.slices[2]]
         out = np.empty_like(y)
@@ -172,21 +183,70 @@ def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
         raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
 
 
+def _euler(rhs, y, f, h):
+    return y + h * f, None, None
+
+
+def _rk4(rhs, y, f, h):
+    k2 = rhs(y + 0.5 * h * f)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + h / 6.0 * (f + 2.0 * k2 + 2.0 * k3 + k4), None, None
+
+
+# Dormand-Prince 5(4) (Dormand and Prince 1980), the tableau of scipy's RK45;
+# the system is autonomous, so the nodes c are not needed.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+
+
+def _dopri5(rhs, y, f, h):
+    """One step and its error in the RMS norm scaled by ATOL + RTOL*|y| (accept if <= 1);
+    the last stage is the derivative at the new state (FSAL)."""
+    k = np.empty((7, y.size))
+    k[0] = f
+    for s in range(1, 6):
+        k[s] = rhs(y + h * (_DP_A[s, :s] @ k[:s]))
+    y_new = y + h * (_DP_B @ k[:6])
+    k[6] = rhs(y_new)
+    scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+    err = float(np.sqrt(np.mean((h * (_DP_E @ k) / scale) ** 2)))
+    return y_new, k[6], err
+
+
+# name -> step(rhs, y, rhs(y), h) -> (y_new, rhs(y_new) or None, error or None);
+# a stepper that reports no error always accepts its step
+STEPPERS = {"euler": _euler, "rk4": _rk4, "dopri5": _dopri5}
+
+
 def integrate(
     problem: Problem,
     init: SystemState,
     t_end: float,
     dt: float,
     *,
-    method: str = "rk4",
+    method: str = "dopri5",
     sample_every: int = 100,
 ) -> Trajectory:
-    """Fixed-step integration from ``init`` to ``t_end``.
+    """Integrate from ``init`` to ``init.t + round(t_end/dt)*dt``.
 
-    Negative undershoots within a tiny slack are clipped to zero and counted;
-    larger ones, and any blow-up past 1e12, abort the run.
+    euler and rk4 take fixed steps of ``dt``. dopri5 starts with ``dt`` and
+    adapts the step to RTOL and ATOL. Every method lands exactly on the sample
+    times ``init.t + k*sample_every*dt`` and on the end time. Negative
+    undershoots within a tiny slack are clipped to zero and counted; larger
+    ones, a blow-up past 1e12, a dopri5 step below 1e-14*max(1, |t|) and more
+    than max(MAX_RHS_EVALS, 4*round(t_end/dt)) right-hand-side evaluations
+    (rk4's cost of the schedule, so only dopri5 can exceed it) abort the run.
     """
-    if method not in ("euler", "rk4"):
+    if method not in STEPPERS:
         raise DynamicsError(f"unknown method {method!r}")
     check_schedule(t_end, dt, sample_every)
     if method == "euler" and dt >= max_stable_dt(problem):
@@ -194,40 +254,69 @@ def integrate(
             f"dt={dt} exceeds the explicit-Euler stability bound "
             f"{max_stable_dt(problem):.3g}"
         )
+    step = STEPPERS[method]
     sys = _System(problem)
     y = sys.pack(init)
-    steps = int(round(t_end / dt))
-    clip_events = 0
-    samples = [ _sample(problem, init.t, y, sys) ]
+    f = None  # rhs(y) once computed
+    n_steps = int(round(t_end / dt))
+    budget = max(MAX_RHS_EVALS, 4 * n_steps)
+    marks = [*range(sample_every, n_steps, sample_every), n_steps] if n_steps else []
     t = init.t
-    for step in range(1, steps + 1):
-        if method == "euler":
-            y = y + dt * sys.rhs(y)
-        else:
-            k1 = sys.rhs(y)
-            k2 = sys.rhs(y + 0.5 * dt * k1)
-            k3 = sys.rhs(y + 0.5 * dt * k2)
-            k4 = sys.rhs(y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        negative = y < 0
-        if negative.any():
-            worst = float(y[negative].min())
-            if worst < -NEGATIVE_SLACK:
+    h = dt
+    accepted = rejected = clip_events = 0
+    may_grow = True
+    samples = [_sample(problem, t, y, sys)]
+    for mark in marks:
+        target = init.t + mark * dt
+        while t < target:
+            if sys.evals > budget:
                 raise DynamicsError(
-                    f"state went negative ({worst:.3g}) at t={t + dt:.6g}"
+                    f"{sys.evals} right-hand-side evaluations exceed the budget of "
+                    f"{budget} at t={t:.6g}"
                 )
-            clip_events += int(np.count_nonzero(negative))
-            y[negative] = 0.0
-        if not np.all(np.isfinite(y)) or np.abs(y).max() > BLOWUP_NORM:
-            raise DynamicsError(f"solution blew up at t={t + dt:.6g}")
-        t = init.t + step * dt
-        if step % sample_every == 0 or step == steps:
-            samples.append(_sample(problem, t, y, sys))
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise DynamicsError(f"step size underflow (h={h:.3g}) at t={t:.6g}")
+            # stretch by up to 0.1% rather than leave a sliver before the mark
+            # (rounding in t would otherwise add a tiny step to euler and rk4)
+            landing = t + 1.001 * h >= target
+            h_try = target - t if landing else h
+            if f is None:
+                f = sys.rhs(y)
+            y_new, f_new, err = step(sys.rhs, y, f, h_try)
+            if err is not None:
+                if not err <= 1.0:  # NaN rejects too
+                    rejected += 1
+                    h = h_try * (max(0.2, 0.9 * err ** -0.2) if np.isfinite(err) else 0.2)
+                    may_grow = False
+                    continue
+                factor = min(10.0, 0.9 * err ** -0.2) if err > 0 else 10.0
+                if not may_grow:
+                    factor = min(1.0, factor)
+                # a step cut short to land on a mark never shrinks the next one
+                h = max(h, factor * h_try) if landing else factor * h_try
+                may_grow = True
+            t = target if landing else t + h_try
+            y, f = y_new, f_new
+            accepted += 1
+            negative = y < 0
+            if negative.any():
+                worst = float(y[negative].min())
+                if worst < -NEGATIVE_SLACK:
+                    raise DynamicsError(f"state went negative ({worst:.3g}) at t={t:.6g}")
+                clip_events += int(np.count_nonzero(negative))
+                y[negative] = 0.0
+                f = None
+            if not np.all(np.isfinite(y)) or np.abs(y).max() > BLOWUP_NORM:
+                raise DynamicsError(f"solution blew up at t={t:.6g}")
+        samples.append(_sample(problem, t, y, sys))
     return Trajectory(
         samples=samples,
         terminal=sys.unpack(t, y),
         clip_events=clip_events,
-        steps=steps,
+        steps=accepted,
+        method=method,
+        rhs_evals=sys.evals,
+        rejected_steps=rejected,
     )
 
 

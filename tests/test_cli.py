@@ -12,6 +12,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import mutsel
+from mutsel import dynamics as dyn
 from mutsel import equilibrium as eq
 from mutsel import stability as stab
 from mutsel.cli import main
@@ -192,6 +193,19 @@ class TestDynamicsCommand:
         summary = json.loads((outdir / "dynamics_summary.json").read_text())
         assert summary["clip_events"] == 0
         assert (outdir / "trajectory.csv").exists()
+        # dopri5 by default: one start derivative, then 6 stages per attempted step
+        assert summary["method"] == "dopri5"
+        attempts = summary["steps"] + summary["rejected_steps"]
+        assert summary["rhs_evals"] == 1 + 6 * attempts
+
+    def test_rhs_budget_exceeded_exits_1(self, outdir, monkeypatch, capsys):
+        monkeypatch.setattr(dyn, "MAX_RHS_EVALS", 50)
+        assert run([
+            "dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+            "--t-end", "5", "--dt", "0.5", "--output-dir", str(outdir),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
 
     def test_euler_dt_precheck(self, outdir):
         with pytest.raises(SystemExit) as exc:
@@ -393,11 +407,25 @@ def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
     assert capsys.readouterr().err.startswith("error: Arnoldi")
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal alone was most of the CLI's import time; nothing needs it
+def _probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this mutsel."""
     src = str(Path(mutsel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, mutsel.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone was most of the CLI's import time; nothing needs it
+    assert _probe("import sys, mutsel.cli; print('scipy.signal' in sys.modules)") == "False"
+
+
+def test_dynamics_run_leaves_out_scipy_integrate(tmp_path):
+    # scipy.integrate pulls in scipy.optimize: +27% peak RSS on a dynamics run
+    argv = ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--t-end", "1",
+            "--output-dir", str(tmp_path / "out")]
+    code = ("import sys, mutsel.cli; "
+            f"assert mutsel.cli.main({argv!r}) == 0; "
+            "print('scipy.integrate' in sys.modules)")
+    assert _probe(code).splitlines()[-1] == "False"

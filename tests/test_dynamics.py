@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mutsel.dynamics as dyn
 from mutsel.grid import Field, l1_norm
 from mutsel.model import build_problem
 from mutsel.dynamics import (
@@ -16,6 +17,20 @@ from mutsel.dynamics import (
     rhs_l1_norm,
 )
 from mutsel.equilibrium import reconstruct
+
+
+@pytest.fixture(scope="module")
+def endemic_rk4(fig1_problem):
+    """rk4 from a small spore bump toward fig1's endemic state, t = 120, dt = 0.02."""
+    init = disease_free_state(fig1_problem, bump=1e-3)
+    return integrate(fig1_problem, init, 120.0, 0.02, method="rk4", sample_every=1000)
+
+
+def state_l1(a: SystemState, b: SystemState) -> float:
+    """|dS1| + |dS2| plus the quadrature L1 norms of the three density differences."""
+    return abs(a.S1 - b.S1) + abs(a.S2 - b.S2) + sum(
+        l1_norm(x - y) for x, y in ((a.I1, b.I1), (a.I2, b.I2), (a.A, b.A))
+    )
 
 
 class TestRhs:
@@ -56,24 +71,27 @@ class TestIntegrate:
         assert traj.terminal.S1 == pytest.approx(state.S1, abs=1e-12)
         assert l1_norm(traj.terminal.A) == 0.0
 
-    def test_extinction_below_threshold(self, fig1):
+    @staticmethod
+    def check_extinction(fig1, method):
         problem = build_problem(fig1.scaled_beta(0.1), 0.02)
         init = disease_free_state(problem, bump=0.1)
-        traj = integrate(problem, init, 60.0, 0.01, method="rk4", sample_every=500)
+        traj = integrate(problem, init, 60.0, 0.01, method=method, sample_every=500)
         masses = [s.a_mass for s in traj.samples]
         assert masses[-1] < 1e-8
         assert all(b <= a + 1e-14 for a, b in zip(masses[1:], masses[2:]))
 
-    def test_convergence_to_endemic_state(self, fig1_problem, fig1_state):
-        init = disease_free_state(fig1_problem, bump=1e-3)
-        traj = integrate(fig1_problem, init, 120.0, 0.02, method="rk4", sample_every=1000)
-        assert distance_to_equilibrium(traj.terminal, fig1_state.A) < 1e-3
-        assert traj.clip_events == 0
+    def test_extinction_below_threshold(self, fig1):
+        self.check_extinction(fig1, "rk4")
 
-    def test_terminal_state_reconstruction_consistent(self, fig1_problem):
-        init = disease_free_state(fig1_problem, bump=1e-3)
-        traj = integrate(fig1_problem, init, 120.0, 0.02, method="rk4", sample_every=1000)
-        redone = reconstruct(fig1_problem, traj.terminal.A)
+    def test_extinction_below_threshold_dopri5(self, fig1):
+        self.check_extinction(fig1, "dopri5")
+
+    def test_convergence_to_endemic_state(self, endemic_rk4, fig1_state):
+        assert distance_to_equilibrium(endemic_rk4.terminal, fig1_state.A) < 1e-3
+        assert endemic_rk4.clip_events == 0
+
+    def test_terminal_state_reconstruction_consistent(self, fig1_problem, endemic_rk4):
+        redone = reconstruct(fig1_problem, endemic_rk4.terminal.A)
         assert redone.residual < 1e-3
 
     def test_step_halving_euler_first_order(self, fig1_problem):
@@ -117,6 +135,39 @@ class TestIntegrate:
         init = disease_free_state(fig1_problem)
         with pytest.raises(DynamicsError):
             integrate(fig1_problem, init, t_end, dt, sample_every=sample_every)
+
+    def test_dopri5_matches_rk4(self, fig1_problem):
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        fixed = integrate(fig1_problem, init, 20.0, 0.01, method="rk4")
+        adaptive = integrate(fig1_problem, init, 20.0, 0.01, method="dopri5")
+        assert state_l1(adaptive.terminal, fixed.terminal) < 1e-10
+        assert (fixed.method, fixed.steps, fixed.rhs_evals, fixed.rejected_steps) == (
+            "rk4", 2000, 8000, 0)
+        assert adaptive.method == "dopri5"
+        assert adaptive.rhs_evals < fixed.rhs_evals / 2
+
+    def test_dopri5_reaches_equilibrium(self, fig1_problem, fig1_state):
+        # criterion 9's two assertions, under the adaptive stepper
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        traj = integrate(fig1_problem, init, 200.0, 0.01, method="dopri5", sample_every=2000)
+        assert distance_to_equilibrium(traj.terminal, fig1_state.A) < 1e-4
+        assert traj.clip_events == 0
+
+    @pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
+    def test_sample_times_exact(self, fig1_problem, method):
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        traj = integrate(fig1_problem, init, 1.03, 0.005, method=method, sample_every=40)
+        # round(1.03 / 0.005) = 206 steps: marks every 40 steps, then the end
+        marks = [0, 40, 80, 120, 160, 200, 206]
+        assert [s.t for s in traj.samples] == [k * 0.005 for k in marks]
+        assert traj.terminal.t == 206 * 0.005
+
+    def test_dopri5_step_underflow_raises(self, fig1_problem, monkeypatch):
+        monkeypatch.setattr(dyn, "RTOL", 0.0)
+        monkeypatch.setattr(dyn, "ATOL", 1e-100)
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        with pytest.raises(DynamicsError, match="underflow"):
+            integrate(fig1_problem, init, 1.0, 0.01, method="dopri5")
 
     def test_samples_monotone_time(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
