@@ -180,6 +180,11 @@ def _unconverged(args, outdir: Path, states) -> bool:
     return True
 
 
+def _merged(warning_lists) -> list[str]:
+    """The distinct model-assumption warnings of several problems, in first-seen order."""
+    return list(dict.fromkeys(w for ws in warning_lists for w in ws))
+
+
 def _stability_fields(rep) -> dict:
     return {
         "spectral_radius": rep.spectral_radius,
@@ -202,7 +207,7 @@ def _spectrum_entry(payload):
         res = spec.solve_host_spectrum(problem, host, tol=tol, with_second=True)
         lam2, gap = res.lambda2, res.gap
     row = [eps, res.lambda1, lam2, gap, res.residual, res.iterations, res.converged]
-    return row, res.degenerate
+    return row, res.degenerate, problem.assumptions.warnings
 
 
 def cmd_spectrum(args) -> int:
@@ -211,16 +216,16 @@ def cmd_spectrum(args) -> int:
     outdir = _outdir(args)
     payloads = [(mp, e, args.host, args.n, args.tol) for e in eps_list]
     results = _run_parallel(_spectrum_entry, payloads, args.jobs)
-    rows = [row for row, _ in results]
+    rows = [row for row, _, _ in results]
     write_csv(
         outdir / "spectrum.csv",
         "spectrum",
         ["epsilon", "lambda1", "lambda2", "gap", "residual", "iterations", "converged"],
         rows,
     )
-    summary = {"rows": len(rows)}
+    summary = {"rows": len(rows), "assumption_warnings": _merged([w for *_, w in results])}
     if args.host:  # the combined operator's second eigenvalue is not computed
-        summary["degenerate"] = any(d for _, d in results)
+        summary["degenerate"] = any(d for _, d, _ in results)
     exponent = spec.gap_exponent([r[0] for r in rows], [r[3] for r in rows])
     if exponent is not None:
         summary["gap_exponent"] = exponent
@@ -298,6 +303,7 @@ def cmd_equilibrium(args) -> int:
         "lower_bounds": [
             {"host": k, "beta_mass": m, "bound": b, "ok": ok} for k, m, b, ok in low
         ],
+        "assumption_warnings": problem.assumptions.warnings,
     }
     if args.stability:
         rep = stab.stability_report(problem, state.A, tol=max(10 * tol, 1e-8))
@@ -321,7 +327,7 @@ def _sweep_entry(payload):
     _, sup = _host_diagnostics(problem, state, tol)
     row = eq.concentration_row(problem, state)
     targets = eq.concentration_targets(problem)
-    return row, sup, state.converged, targets
+    return row, sup, state.converged, targets, problem.assumptions.warnings
 
 
 def cmd_sweep(args) -> int:
@@ -334,7 +340,7 @@ def cmd_sweep(args) -> int:
     sup_rows = []
     failures = 0
     targets = results[-1][3]
-    for row, sup, converged, _ in results:
+    for row, sup, converged, *_ in results:
         conv_rows.append(
             [row.eps, row.s1, row.s2, row.i1_mass, row.i2_mass, row.a_mass,
              row.a_first_moment, row.a_argmax, converged]
@@ -364,6 +370,7 @@ def cmd_sweep(args) -> int:
             name: (f * y - x) / (f - 1.0) for name, x, y in zip(header[1:7], a[1:7], b[1:7])
         }
         limits["extrapolated"]["A_argmax"] = b[7]
+    limits["assumption_warnings"] = _merged([w for *_, w in results])
     write_json(outdir / "targets.json", limits)
     write_manifest(outdir, "sweep", source, _knobs(args, epsilon=eps_list))
     if failures and not args.allow_partial:
@@ -416,6 +423,7 @@ def cmd_dynamics(args) -> int:
             "steps": traj.steps,
             "rejected_steps": traj.rejected_steps,
             "rhs_evals": traj.rhs_evals,
+            "assumption_warnings": problem.assumptions.warnings,
         },
     )
     write_manifest(
@@ -442,6 +450,7 @@ def cmd_stability(args) -> int:
             "classification": state.classification,
             "is_fixed_point": rep.is_fixed_point,
             **_stability_fields(rep),
+            "assumption_warnings": problem.assumptions.warnings,
         },
     )
     write_manifest(outdir, "stability", source, _knobs(args, epsilon=[eps]))
@@ -518,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=0.01,
-                   help="step of euler and rk4; first step of dopri5; "
+                   help="step of euler and rk4; first step of dop853; "
                         "samples are --sample-every * dt apart")
-    p.add_argument("--method", choices=list(dyn.STEPPERS), default="dopri5")
+    p.add_argument("--method", choices=list(dyn.STEPPERS), default="dop853")
     p.add_argument("--bump", type=float, default=1e-3,
                    help="initial spore-mass perturbation")
     p.add_argument("--sample-every", type=int, default=100)

@@ -1,9 +1,9 @@
 """Time integration of the two-host infection/mutation system.
 
 Evolves healthy-tissue scalars, infected-tissue densities and the spore
-density with explicit Runge-Kutta steppers (adaptive Dormand-Prince 5(4) by
-default; fixed-step euler and rk4), to cross-validate the steady-state solvers
-and exhibit convergence toward equilibria.
+density with explicit Runge-Kutta steppers (the adaptive Dormand-Prince
+8(5,3) pair by default; fixed-step euler and rk4), to cross-validate the
+steady-state solvers and exhibit convergence toward equilibria.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ BLOWUP_NORM = 1e12
 MAX_STEPS = 10**7
 # rhs evaluations a run may spend, or rk4's cost of its schedule if that is larger
 MAX_RHS_EVALS = 10**6
-# dopri5's error control, per accepted step
+# dop853's error control, per accepted step
 RTOL = 1e-11
 ATOL = 1e-13
 
@@ -194,37 +194,73 @@ def _rk4(rhs, y, f, h):
     return y + h / 6.0 * (f + 2.0 * k2 + 2.0 * k3 + k4), None, None
 
 
-# Dormand-Prince 5(4) (Dormand and Prince 1980), the tableau of scipy's RK45;
-# the system is autonomous, so the nodes c are not needed.
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+def _lower_triangular(rows: list[list[float]]) -> np.ndarray:
+    a = np.zeros((len(rows), len(rows)))
+    for s, row in enumerate(rows):
+        a[s, :s] = row
+    return a
+
+
+# Dormand-Prince 8(5,3) (Hairer, Norsett and Wanner, Solving ODEs I, II.10), the
+# tableau of scipy's DOP853; the system is autonomous, so the nodes c are not needed.
+_A = _lower_triangular([
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636],
 ])
-_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+])
+# the 3rd- and 5th-order error estimators; the 13th stage is the derivative at
+# the new state
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0,
+])
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0,
+])
 
 
-def _dopri5(rhs, y, f, h):
-    """One step and its error in the RMS norm scaled by ATOL + RTOL*|y| (accept if <= 1);
-    the last stage is the derivative at the new state (FSAL)."""
-    k = np.empty((7, y.size))
+def _dop853(rhs, y, f, h):
+    """One step and its error in Hairer's DOP853 norm scaled by ATOL + RTOL*|y|
+    (accept if <= 1); the last stage is the derivative at the new state (FSAL)."""
+    k = np.empty((13, y.size))
     k[0] = f
-    for s in range(1, 6):
-        k[s] = rhs(y + h * (_DP_A[s, :s] @ k[:s]))
-    y_new = y + h * (_DP_B @ k[:6])
-    k[6] = rhs(y_new)
+    for s in range(1, 12):
+        k[s] = rhs(y + h * (_A[s, :s] @ k[:s]))
+    y_new = y + h * (_B @ k[:12])
+    k[12] = rhs(y_new)
     scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
-    err = float(np.sqrt(np.mean((h * (_DP_E @ k) / scale) ** 2)))
-    return y_new, k[6], err
+    e3, e5 = (float(np.sum((e @ k / scale) ** 2)) for e in (_E3, _E5))
+    err = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 else 0.0
+    return y_new, k[12], err
 
 
 # name -> step(rhs, y, rhs(y), h) -> (y_new, rhs(y_new) or None, error or None);
 # a stepper that reports no error always accepts its step
-STEPPERS = {"euler": _euler, "rk4": _rk4, "dopri5": _dopri5}
+STEPPERS = {"euler": _euler, "rk4": _rk4, "dop853": _dop853}
 
 
 def integrate(
@@ -233,18 +269,19 @@ def integrate(
     t_end: float,
     dt: float,
     *,
-    method: str = "dopri5",
+    method: str = "dop853",
     sample_every: int = 100,
 ) -> Trajectory:
     """Integrate from ``init`` to ``init.t + round(t_end/dt)*dt``.
 
-    euler and rk4 take fixed steps of ``dt``. dopri5 starts with ``dt`` and
-    adapts the step to RTOL and ATOL. Every method lands exactly on the sample
-    times ``init.t + k*sample_every*dt`` and on the end time. Negative
+    euler and rk4 take fixed steps of ``dt``. dop853 starts with ``dt`` and
+    adapts the step to RTOL and ATOL, by the factor 0.9*err^(-1/8) clamped to
+    [0.2, 10]. Every method lands exactly on the sample times
+    ``init.t + k*sample_every*dt`` and on the end time. Negative
     undershoots within a tiny slack are clipped to zero and counted; larger
-    ones, a blow-up past 1e12, a dopri5 step below 1e-14*max(1, |t|) and more
+    ones, a blow-up past 1e12, a dop853 step below 1e-14*max(1, |t|) and more
     than max(MAX_RHS_EVALS, 4*round(t_end/dt)) right-hand-side evaluations
-    (rk4's cost of the schedule, so only dopri5 can exceed it) abort the run.
+    (rk4's cost of the schedule, so only dop853 can exceed it) abort the run.
     """
     if method not in STEPPERS:
         raise DynamicsError(f"unknown method {method!r}")
@@ -286,10 +323,10 @@ def integrate(
             if err is not None:
                 if not err <= 1.0:  # NaN rejects too
                     rejected += 1
-                    h = h_try * (max(0.2, 0.9 * err ** -0.2) if np.isfinite(err) else 0.2)
+                    h = h_try * (max(0.2, 0.9 * err ** -0.125) if np.isfinite(err) else 0.2)
                     may_grow = False
                     continue
-                factor = min(10.0, 0.9 * err ** -0.2) if err > 0 else 10.0
+                factor = min(10.0, 0.9 * err ** -0.125) if err > 0 else 10.0
                 if not may_grow:
                     factor = min(1.0, factor)
                 # a step cut short to land on a mark never shrinks the next one

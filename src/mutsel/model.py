@@ -420,6 +420,11 @@ class Problem:
 
         return solve_combined_spectrum(self).lambda1
 
+    @cached_property
+    def assumptions(self) -> AssumptionReport:
+        """The model-assumption checks of this instance (O(n)), on first use."""
+        return validate_assumptions(self.mp, self.kernel, self.derived)
+
 
 def build_problem(
     mp: ModelParams,

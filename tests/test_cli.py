@@ -69,6 +69,7 @@ class TestSpectrumCommand:
         summary = json.loads((outdir / "spectrum_summary.json").read_text())
         assert math.isfinite(summary["gap_exponent"])
         assert summary["degenerate"] is False
+        assert summary["assumption_warnings"] == []
 
     def test_manifest_written(self, outdir):
         run([
@@ -93,6 +94,7 @@ class TestEquilibriumCommand:
         assert diag["classification"] == "endemic"
         assert abs(diag["masses"]["A"] - 0.625) / 0.625 < 0.1
         assert (outdir / "equilibrium_fields.csv").exists()
+        assert diag["assumption_warnings"] == []
 
     def test_scale_beta_extinction(self, outdir):
         assert run([
@@ -144,6 +146,7 @@ class TestSweepCommand:
         assert len(conc) == 4 and len(sup) == 4
         targets = json.loads((outdir / "targets.json").read_text())
         assert targets["S1"] == pytest.approx(0.125, rel=1e-3)
+        assert targets["assumption_warnings"] == []
 
     def test_parallel_jobs_same_result(self, tmp_path):
         texts = []
@@ -193,10 +196,11 @@ class TestDynamicsCommand:
         summary = json.loads((outdir / "dynamics_summary.json").read_text())
         assert summary["clip_events"] == 0
         assert (outdir / "trajectory.csv").exists()
-        # dopri5 by default: one start derivative, then 6 stages per attempted step
-        assert summary["method"] == "dopri5"
+        assert summary["assumption_warnings"] == []
+        # dop853 by default: one start derivative, then 12 stages per attempted step
+        assert summary["method"] == "dop853"
         attempts = summary["steps"] + summary["rejected_steps"]
-        assert summary["rhs_evals"] == 1 + 6 * attempts
+        assert summary["rhs_evals"] == 1 + 12 * attempts
 
     def test_rhs_budget_exceeded_exits_1(self, outdir, monkeypatch, capsys):
         monkeypatch.setattr(dyn, "MAX_RHS_EVALS", 50)
@@ -206,6 +210,14 @@ class TestDynamicsCommand:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "budget" in err
+
+    def test_dopri5_is_no_method(self, outdir):
+        with pytest.raises(SystemExit) as exc:
+            run([
+                "dynamics", "--preset", "fig1", "--epsilon", "2e-2",
+                "--method", "dopri5", "--output-dir", str(outdir),
+            ])
+        assert exc.value.code == 2
 
     def test_euler_dt_precheck(self, outdir):
         with pytest.raises(SystemExit) as exc:
@@ -226,6 +238,15 @@ class TestStabilityCommand:
         assert rep["stable"] is True
         assert rep["spectral_radius"] < 1.0
         assert 0.0 < rep["error_bound"] < 1e-8
+        assert rep["assumption_warnings"] == []
+
+    def test_fig3_lists_overlapping_supports(self, outdir):
+        assert run([
+            "stability", "--preset", "fig3", "--epsilon", "2.5e-3",
+            "--output-dir", str(outdir),
+        ]) == 0
+        rep = json.loads((outdir / "stability.json").read_text())
+        assert any("overlapping supports" in w for w in rep["assumption_warnings"])
 
 
 class TestConfigFile:

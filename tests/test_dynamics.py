@@ -83,8 +83,8 @@ class TestIntegrate:
     def test_extinction_below_threshold(self, fig1):
         self.check_extinction(fig1, "rk4")
 
-    def test_extinction_below_threshold_dopri5(self, fig1):
-        self.check_extinction(fig1, "dopri5")
+    def test_extinction_below_threshold_dop853(self, fig1):
+        self.check_extinction(fig1, "dop853")
 
     def test_convergence_to_endemic_state(self, endemic_rk4, fig1_state):
         assert distance_to_equilibrium(endemic_rk4.terminal, fig1_state.A) < 1e-3
@@ -136,24 +136,24 @@ class TestIntegrate:
         with pytest.raises(DynamicsError):
             integrate(fig1_problem, init, t_end, dt, sample_every=sample_every)
 
-    def test_dopri5_matches_rk4(self, fig1_problem):
+    def test_dop853_matches_rk4(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
         fixed = integrate(fig1_problem, init, 20.0, 0.01, method="rk4")
-        adaptive = integrate(fig1_problem, init, 20.0, 0.01, method="dopri5")
+        adaptive = integrate(fig1_problem, init, 20.0, 0.01, method="dop853")
         assert state_l1(adaptive.terminal, fixed.terminal) < 1e-10
         assert (fixed.method, fixed.steps, fixed.rhs_evals, fixed.rejected_steps) == (
             "rk4", 2000, 8000, 0)
-        assert adaptive.method == "dopri5"
+        assert adaptive.method == "dop853"
         assert adaptive.rhs_evals < fixed.rhs_evals / 2
 
-    def test_dopri5_reaches_equilibrium(self, fig1_problem, fig1_state):
+    def test_dop853_reaches_equilibrium(self, fig1_problem, fig1_state):
         # criterion 9's two assertions, under the adaptive stepper
         init = disease_free_state(fig1_problem, bump=1e-3)
-        traj = integrate(fig1_problem, init, 200.0, 0.01, method="dopri5", sample_every=2000)
+        traj = integrate(fig1_problem, init, 200.0, 0.01, method="dop853", sample_every=2000)
         assert distance_to_equilibrium(traj.terminal, fig1_state.A) < 1e-4
         assert traj.clip_events == 0
 
-    @pytest.mark.parametrize("method", ["euler", "rk4", "dopri5"])
+    @pytest.mark.parametrize("method", ["euler", "rk4", "dop853"])
     def test_sample_times_exact(self, fig1_problem, method):
         init = disease_free_state(fig1_problem, bump=1e-3)
         traj = integrate(fig1_problem, init, 1.03, 0.005, method=method, sample_every=40)
@@ -162,12 +162,12 @@ class TestIntegrate:
         assert [s.t for s in traj.samples] == [k * 0.005 for k in marks]
         assert traj.terminal.t == 206 * 0.005
 
-    def test_dopri5_step_underflow_raises(self, fig1_problem, monkeypatch):
+    def test_dop853_step_underflow_raises(self, fig1_problem, monkeypatch):
         monkeypatch.setattr(dyn, "RTOL", 0.0)
         monkeypatch.setattr(dyn, "ATOL", 1e-100)
         init = disease_free_state(fig1_problem, bump=1e-3)
         with pytest.raises(DynamicsError, match="underflow"):
-            integrate(fig1_problem, init, 1.0, 0.01, method="dopri5")
+            integrate(fig1_problem, init, 1.0, 0.01, method="dop853")
 
     def test_samples_monotone_time(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
@@ -175,3 +175,26 @@ class TestIntegrate:
         times = [s.t for s in traj.samples]
         assert times == sorted(times)
         assert times[-1] == pytest.approx(5.0, abs=1e-9)
+
+    def test_dop853_accuracy_and_cost_at_benchmark(self, fig1_problem, monkeypatch):
+        # the dynamics workload's run: fig1, eps = 1e-2, t = 100 from a 1e-3 bump
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        traj = integrate(fig1_problem, init, 100.0, 0.01)
+        monkeypatch.setattr(dyn, "RTOL", 1e-13)
+        monkeypatch.setattr(dyn, "ATOL", 1e-15)
+        tight = integrate(fig1_problem, init, 100.0, 0.01)
+        assert state_l1(traj.terminal, tight.terminal) < 1e-12
+        assert traj.rhs_evals < 3000
+        assert traj.clip_events == 0
+
+
+def test_dop853_tableau_order_conditions():
+    A, B = dyn._A, dyn._B
+    C = A.sum(axis=1)
+    for q in range(1, 9):
+        assert B @ C ** (q - 1) == pytest.approx(1.0 / q, abs=1e-14)
+    for q in range(1, 8):
+        assert B @ (A @ C ** (q - 1)) == pytest.approx(1.0 / (q * (q + 1)), abs=1e-14)
+    assert abs(dyn._E3.sum()) < 1e-14
+    assert abs(dyn._E5.sum()) < 1e-14
+    assert A.shape == (12, 12) and not np.triu(A).any()
