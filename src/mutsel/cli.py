@@ -42,9 +42,9 @@ def load_model_config(path: str) -> mdl.ModelParams:
          "hosts": [{"xi": 0.5, "beta": "200*pos((x-0.2)*(0.6-x))",
                     "beta_support": [0.2, 0.6], "d": "0", "r": "1"}, ...]}
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
         hosts = [
             mdl.HostParams(
                 xi=float(h["xi"]),
@@ -63,7 +63,9 @@ def load_model_config(path: str) -> mdl.ModelParams:
             delta=float(raw["delta"]),
             hosts=(hosts[0], hosts[1]),
         )
-    except (TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise mdl.ModelError(f"invalid model config {path}: missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
         raise mdl.ModelError(f"invalid model config {path}: {exc}") from exc
 
 
@@ -100,7 +102,10 @@ class SystemExit2(SystemExit):
 
 def _outdir(args) -> Path:
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit2(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
@@ -207,7 +212,7 @@ def _spectrum_entry(payload):
         res = spec.solve_host_spectrum(problem, host, tol=tol, with_second=True)
         lam2, gap = res.lambda2, res.gap
     row = [eps, res.lambda1, lam2, gap, res.residual, res.iterations, res.converged]
-    return row, res.degenerate, problem.assumptions.warnings
+    return row, res.degenerate, problem.assumption_warnings
 
 
 def cmd_spectrum(args) -> int:
@@ -303,7 +308,7 @@ def cmd_equilibrium(args) -> int:
         "lower_bounds": [
             {"host": k, "beta_mass": m, "bound": b, "ok": ok} for k, m, b, ok in low
         ],
-        "assumption_warnings": problem.assumptions.warnings,
+        "assumption_warnings": problem.assumption_warnings,
     }
     if args.stability:
         rep = stab.stability_report(problem, state.A, tol=max(10 * tol, 1e-8))
@@ -327,7 +332,7 @@ def _sweep_entry(payload):
     _, sup = _host_diagnostics(problem, state, tol)
     row = eq.concentration_row(problem, state)
     targets = eq.concentration_targets(problem)
-    return row, sup, state.converged, targets, problem.assumptions.warnings
+    return row, sup, state.converged, targets, problem.assumption_warnings
 
 
 def cmd_sweep(args) -> int:
@@ -386,11 +391,6 @@ def cmd_dynamics(args) -> int:
     eps = _one_eps(args)
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps, n=args.n)
-    if args.method == "euler" and args.dt >= dyn.max_stable_dt(problem):
-        raise SystemExit2(
-            f"dt={args.dt} violates the explicit-Euler stability bound "
-            f"{dyn.max_stable_dt(problem):.3g}"
-        )
     state = eq.solve_coupled(problem, tol=args.tol)
     if _unconverged(args, outdir, [state]):
         return 1
@@ -410,7 +410,7 @@ def cmd_dynamics(args) -> int:
         [[s.t, s.s1, s.s2, s.i1_mass, s.i2_mass, s.a_mass, s.a_argmax]
          for s in traj.samples],
     )
-    dist = dyn.distance_to_equilibrium(traj.terminal, state.A)
+    dist = l1_norm(traj.terminal.A - state.A)
     write_json(
         outdir / "dynamics_summary.json",
         {
@@ -423,7 +423,7 @@ def cmd_dynamics(args) -> int:
             "steps": traj.steps,
             "rejected_steps": traj.rejected_steps,
             "rhs_evals": traj.rhs_evals,
-            "assumption_warnings": problem.assumptions.warnings,
+            "assumption_warnings": problem.assumption_warnings,
         },
     )
     write_manifest(
@@ -450,7 +450,7 @@ def cmd_stability(args) -> int:
             "classification": state.classification,
             "is_fixed_point": rep.is_fixed_point,
             **_stability_fields(rep),
-            "assumption_warnings": problem.assumptions.warnings,
+            "assumption_warnings": problem.assumption_warnings,
         },
     )
     write_manifest(outdir, "stability", source, _knobs(args, epsilon=[eps]))
@@ -464,7 +464,9 @@ def cmd_stability(args) -> int:
 def _run_parallel(fn, payloads, jobs):
     if jobs == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at the first submit, so fork no idle ones
+    workers = min(jobs, len(payloads))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=0.01,
-                   help="step of euler and rk4; first step of dop853; "
+                   help="step of rk4; first step of dop853; "
                         "samples are --sample-every * dt apart")
     p.add_argument("--method", choices=list(dyn.STEPPERS), default="dop853")
     p.add_argument("--bump", type=float, default=1e-3,
@@ -559,10 +561,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit2:
         raise
-    except (
-        mdl.ModelError, GridError, dyn.DynamicsError,
-        FileNotFoundError, KeyError, json.JSONDecodeError,
-    ) as exc:
+    except (mdl.ModelError, GridError, dyn.DynamicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except stab.StabilityError as exc:

@@ -2,8 +2,9 @@
 
 Evolves healthy-tissue scalars, infected-tissue densities and the spore
 density with explicit Runge-Kutta steppers (the adaptive Dormand-Prince
-8(5,3) pair by default; fixed-step euler and rk4), to cross-validate the
-steady-state solvers and exhibit convergence toward equilibria.
+8(5,3) pair by default, and fixed-step rk4 as its reference), to
+cross-validate the steady-state solvers and exhibit convergence toward
+equilibria.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, l1_norm
+from .grid import Field
 from .model import Problem
 from .equilibrium import default_start
 from .operators import update_map
@@ -133,42 +134,6 @@ class _System:
         return out
 
 
-def rhs(problem: Problem, state: SystemState) -> SystemState:
-    """Time derivative of a state, returned with the same layout."""
-    sys = _System(problem)
-    dy = sys.rhs(sys.pack(state))
-    g = problem.grid
-    return SystemState(
-        t=state.t,
-        S1=float(dy[0]),
-        S2=float(dy[1]),
-        I1=Field(g, dy[sys.slices[0]].copy()),
-        I2=Field(g, dy[sys.slices[1]].copy()),
-        A=Field(g, dy[sys.slices[2]].copy()),
-    )
-
-
-def rhs_l1_norm(problem: Problem, state: SystemState) -> float:
-    """Scalar size of the time derivative: |dS_k| plus the densities' L1 norms."""
-    sys = _System(problem)
-    dy = sys.rhs(sys.pack(state))
-    w = problem.grid.quad_weights
-    total = abs(float(dy[0])) + abs(float(dy[1]))
-    for s in sys.slices:
-        total += float(np.sum(w * np.abs(dy[s])))
-    return total
-
-
-def max_stable_dt(problem: Problem) -> float:
-    """Conservative explicit-Euler step bound 1 / (theta + delta + max rates)."""
-    mp = problem.mp
-    fastest = mp.theta + mp.delta
-    for k in (1, 2):
-        hd = problem.host(k)
-        fastest += float(hd.d.values.max()) + float(hd.beta.values.max())
-    return 1.0 / fastest
-
-
 def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
     """Raise DynamicsError unless t_end and dt are finite and positive, t_end/dt
     is at most MAX_STEPS, and sample_every >= 1."""
@@ -181,10 +146,6 @@ def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
         )
     if sample_every < 1:
         raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
-
-
-def _euler(rhs, y, f, h):
-    return y + h * f, None, None
 
 
 def _rk4(rhs, y, f, h):
@@ -260,7 +221,7 @@ def _dop853(rhs, y, f, h):
 
 # name -> step(rhs, y, rhs(y), h) -> (y_new, rhs(y_new) or None, error or None);
 # a stepper that reports no error always accepts its step
-STEPPERS = {"euler": _euler, "rk4": _rk4, "dop853": _dop853}
+STEPPERS = {"rk4": _rk4, "dop853": _dop853}
 
 
 def integrate(
@@ -274,9 +235,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate from ``init`` to ``init.t + round(t_end/dt)*dt``.
 
-    euler and rk4 take fixed steps of ``dt``. dop853 starts with ``dt`` and
-    adapts the step to RTOL and ATOL, by the factor 0.9*err^(-1/8) clamped to
-    [0.2, 10]. Every method lands exactly on the sample times
+    rk4 takes fixed steps of ``dt``. dop853 starts with ``dt`` and adapts
+    the step to RTOL and ATOL, by the factor 0.9*err^(-1/8) clamped to
+    [0.2, 10]. Both methods land exactly on the sample times
     ``init.t + k*sample_every*dt`` and on the end time. Negative
     undershoots within a tiny slack are clipped to zero and counted; larger
     ones, a blow-up past 1e12, a dop853 step below 1e-14*max(1, |t|) and more
@@ -286,11 +247,6 @@ def integrate(
     if method not in STEPPERS:
         raise DynamicsError(f"unknown method {method!r}")
     check_schedule(t_end, dt, sample_every)
-    if method == "euler" and dt >= max_stable_dt(problem):
-        raise DynamicsError(
-            f"dt={dt} exceeds the explicit-Euler stability bound "
-            f"{max_stable_dt(problem):.3g}"
-        )
     step = STEPPERS[method]
     sys = _System(problem)
     y = sys.pack(init)
@@ -314,7 +270,7 @@ def integrate(
             if h < 1e-14 * max(1.0, abs(t)):
                 raise DynamicsError(f"step size underflow (h={h:.3g}) at t={t:.6g}")
             # stretch by up to 0.1% rather than leave a sliver before the mark
-            # (rounding in t would otherwise add a tiny step to euler and rk4)
+            # (rounding in t would otherwise add a tiny step to rk4)
             landing = t + 1.001 * h >= target
             h_try = target - t if landing else h
             if f is None:
@@ -369,8 +325,3 @@ def _sample(problem: Problem, t: float, y: np.ndarray, sys: _System) -> Trajecto
         a_mass=float(np.sum(w * np.abs(a))),
         a_argmax=float(problem.grid.nodes[int(np.argmax(a))]),
     )
-
-
-def distance_to_equilibrium(state: SystemState, a_eq: Field) -> float:
-    """Quadrature-L1 distance between the state's spore density and a target."""
-    return l1_norm(state.A - a_eq)

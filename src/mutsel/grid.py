@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,6 @@ class TraitGrid:
 
     def __hash__(self):
         return hash((self.x_min, self.x_max, self.n))
-
-    def indicator(self, lo: float, hi: float) -> "Field":
-        """Indicator field of the closed interval [lo, hi]."""
-        vals = ((self.nodes >= lo - 1e-12) & (self.nodes <= hi + 1e-12)).astype(float)
-        return Field(self, vals)
 
 
 def make_grid(x_min: float, x_max: float, n: int, *, min_nodes: int = MIN_NODES) -> TraitGrid:
@@ -111,12 +106,3 @@ def inner(f: Field, g: Field) -> float:
     """Quadrature inner product sum w_i f_i g_i."""
     _check_same_grid(f, g)
     return float(np.sum(f.grid.quad_weights * f.values * g.values))
-
-
-def restrict(f: Field, set_indicator: Field) -> Field:
-    """Pointwise product with a {0,1} indicator field."""
-    _check_same_grid(f, set_indicator)
-    ind = set_indicator.values
-    if not np.all((ind == 0.0) | (ind == 1.0)):
-        raise GridError("indicator field must take values in {0, 1}")
-    return Field(f.grid, f.values * ind)

@@ -283,17 +283,6 @@ def build_fitness(mp: ModelParams, k: int, grid: TraitGrid) -> HostDerived:
 # ---------------------------------------------------------------------------
 # assumption checks
 
-@dataclass
-class AssumptionReport:
-    checks: dict[str, bool]
-    warnings: list[str]
-    support_distance: float
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-
 def support_distance(mp: ModelParams) -> float:
     (a1, b1) = mp.hosts[0].beta_support
     (a2, b2) = mp.hosts[1].beta_support
@@ -306,31 +295,18 @@ def support_distance(mp: ModelParams) -> float:
 
 def validate_assumptions(
     mp: ModelParams, kernel: MutationKernel, derived: Sequence[HostDerived]
-) -> AssumptionReport:
-    checks: dict[str, bool] = {}
+) -> list[str]:
+    """Warnings for the model assumptions this instance violates.
+
+    The scalar, influx and kernel conditions are not checked here: building
+    the parameters and the kernel already enforces them.
+    """
     warnings: list[str] = []
-    grid = kernel.grid
-
-    checks["xi_sum"] = abs(mp.hosts[0].xi + mp.hosts[1].xi - 1.0) <= 1e-12
-    checks["positive_scalars"] = all(v > 0 for v in (mp.lambda_, mp.theta, mp.delta))
-    checks["kernel_unit_mass"] = abs(
-        grid.h * (kernel.samples.sum() - 0.5 * kernel.samples[0] - 0.5 * kernel.samples[-1])
-        - 1.0
-    ) <= 1e-6
-    checks["kernel_symmetric"] = bool(
-        np.array_equal(kernel.samples, kernel.samples[::-1])
-    )
-
-    edge_decay = True
     for hd in derived:
         edge = max(abs(hd.psi.values[0]), abs(hd.psi.values[-1]))
         if edge > 1e-12 * max(hd.psi_max, 1.0):
-            edge_decay = False
             warnings.append(f"psi_{hd.k} does not vanish at the window edges")
-    checks["psi_vanishes_at_edges"] = edge_decay
-
-    dist = support_distance(mp)
-    if dist <= 0:
+    if support_distance(mp) <= 0:
         warnings.append(
             "overlapping supports - superposition/concentration hypotheses violated"
         )
@@ -344,7 +320,7 @@ def validate_assumptions(
                 f"psi_{hd.k} attains its maximum at {hd.argmax_multiplicity} nodes; "
                 "concentration point may be ambiguous"
             )
-    return AssumptionReport(checks, warnings, dist)
+    return warnings
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +397,8 @@ class Problem:
         return solve_combined_spectrum(self).lambda1
 
     @cached_property
-    def assumptions(self) -> AssumptionReport:
-        """The model-assumption checks of this instance (O(n)), on first use."""
+    def assumption_warnings(self) -> list[str]:
+        """The model-assumption warnings of this instance (O(n)), on first use."""
         return validate_assumptions(self.mp, self.kernel, self.derived)
 
 

@@ -164,10 +164,6 @@ class UpdateMap:
         """Derivative of the map at density a, as an operator on directions h."""
         return Linearization(self, a)
 
-    def linearized_values(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Derivative of the map at density a, applied to direction h."""
-        return self.linearization(a).matvec(h)
-
     def dense_derivative(self, a: np.ndarray) -> np.ndarray:
         """Dense derivative at a: K w diag(g(a)) minus the per-host rank-one terms."""
         return self.linearization(a).dense()
@@ -224,16 +220,6 @@ def update_map(problem: Problem) -> UpdateMap:
 def host_map(problem: Problem, k: int) -> UpdateMap:
     """Single-host map T_k(a) = L_k a / (1 + theta^-1 int beta_k a)."""
     return _map_over(problem, (k,))
-
-
-def host_update(problem: Problem, k: int, f: Field) -> Field:
-    """Single-host map applied once."""
-    return host_map(problem, k).apply(f)
-
-
-def full_update(problem: Problem, f: Field) -> Field:
-    """Coupled map applied once (convenience wrapper around UpdateMap)."""
-    return update_map(problem).apply(f)
 
 
 def mass_bound(problem: Problem) -> float:

@@ -37,7 +37,6 @@ class SpectralResult:
     converged: bool
     lambda2: float | None = None
     gap: float | None = None
-    r0_limit: float | None = None
     degenerate: bool = False
 
 
@@ -135,15 +134,11 @@ def solve_host_spectrum(
     with_second: bool = False,
 ) -> SpectralResult:
     """Principal (and optionally second) eigenvalue of host k's operator."""
-    res = principal_eigenpair(host_operator(problem, k), tol=tol, with_second=with_second)
-    res.r0_limit = problem.host(k).r0
-    return res
+    return principal_eigenpair(host_operator(problem, k), tol=tol, with_second=with_second)
 
 
 def solve_combined_spectrum(problem: Problem, *, tol: float = DEFAULT_TOL) -> SpectralResult:
-    res = principal_eigenpair(combined_operator(problem), tol=tol)
-    res.r0_limit = r0_limits(problem)[0]
-    return res
+    return principal_eigenpair(combined_operator(problem), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import mutsel
+from mutsel import cli
 from mutsel import dynamics as dyn
 from mutsel import equilibrium as eq
 from mutsel import stability as stab
@@ -148,6 +149,31 @@ class TestSweepCommand:
         assert targets["S1"] == pytest.approx(0.125, rel=1e-3)
         assert targets["assumption_warnings"] == []
 
+    def test_jobs_fork_no_more_workers_than_entries(self, outdir, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert run([
+            "sweep", "--preset", "fig1", "--epsilon", "5e-2", "--epsilon", "2e-2",
+            "--jobs", "64", "--output-dir", str(outdir),
+        ]) == 0
+        assert sizes == [2]
+
     def test_parallel_jobs_same_result(self, tmp_path):
         texts = []
         for jobs, name in (("1", "serial"), ("2", "parallel")):
@@ -211,19 +237,12 @@ class TestDynamicsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "budget" in err
 
-    def test_dopri5_is_no_method(self, outdir):
+    @pytest.mark.parametrize("method", ["dopri5", "euler"])
+    def test_dopri5_is_no_method(self, outdir, method):
         with pytest.raises(SystemExit) as exc:
             run([
                 "dynamics", "--preset", "fig1", "--epsilon", "2e-2",
-                "--method", "dopri5", "--output-dir", str(outdir),
-            ])
-        assert exc.value.code == 2
-
-    def test_euler_dt_precheck(self, outdir):
-        with pytest.raises(SystemExit) as exc:
-            run([
-                "dynamics", "--preset", "fig1", "--epsilon", "2e-2",
-                "--method", "euler", "--dt", "1.0", "--output-dir", str(outdir),
+                "--method", method, "--output-dir", str(outdir),
             ])
         assert exc.value.code == 2
 
@@ -298,6 +317,17 @@ def _config(tmp_path, **host1):
     return ["--config", str(path)]
 
 
+def _config_file(tmp_path, data: bytes):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    return ["--config", str(path)]
+
+
+def _file_parent(tmp_path):
+    (tmp_path / "file").write_text("")
+    return ["--output-dir", str(tmp_path / "file" / "out")]
+
+
 MALFORMED = {
     "too few nodes": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                                   "--n", "8"],
@@ -344,15 +374,33 @@ MALFORMED = {
                                     "--starts", "-3"],
     "negative jobs": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                                   "--jobs", "-4"],
+    "config is a directory": lambda tmp: ["spectrum", "--config", str(tmp),
+                                          "--epsilon", "5e-2"],
+    "non-UTF-8 config": lambda tmp: ["spectrum", *_config_file(tmp, b"{\xff\xfe}"),
+                                     "--epsilon", "5e-2"],
+    "config without hosts": lambda tmp: ["spectrum", *_config_file(tmp, b'{"lambda": 1}'),
+                                         "--epsilon", "5e-2"],
+    "output dir under a file": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
+                                            *_file_parent(tmp)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_usage_error(case, tmp_path, capsys):
-    argv = MALFORMED[case](tmp_path) + ["--output-dir", str(tmp_path / "out")]
+    argv = MALFORMED[case](tmp_path)
+    if "--output-dir" not in argv:
+        argv += ["--output-dir", str(tmp_path / "out")]
     assert _status(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_config_error_names_path_and_key(tmp_path, capsys):
+    argv = ["spectrum", *_config_file(tmp_path, b'{"lambda": 1}'), "--epsilon", "5e-2",
+            "--output-dir", str(tmp_path / "out")]
+    assert _status(argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "model.json") in err and "'hosts'" in err
 
 
 @pytest.mark.parametrize("scale", ["inf", "nan"])

@@ -10,11 +10,7 @@ from mutsel.dynamics import (
     DynamicsError,
     SystemState,
     disease_free_state,
-    distance_to_equilibrium,
     integrate,
-    max_stable_dt,
-    rhs,
-    rhs_l1_norm,
 )
 from mutsel.equilibrium import reconstruct
 
@@ -33,10 +29,23 @@ def state_l1(a: SystemState, b: SystemState) -> float:
     )
 
 
+def derivative(problem, state: SystemState):
+    """The packed time derivative of a state, and the slices of I1, I2 and A in it."""
+    system = dyn._System(problem)
+    return system.rhs(system.pack(state)), system.slices
+
+
+def derivative_l1(problem, state: SystemState) -> float:
+    """|dS1/dt| + |dS2/dt| plus the quadrature L1 norms of the density derivatives."""
+    dy, slices = derivative(problem, state)
+    w = problem.grid.quad_weights
+    return abs(dy[0]) + abs(dy[1]) + sum(float(np.sum(w * np.abs(dy[s]))) for s in slices)
+
+
 class TestRhs:
     def test_disease_free_is_equilibrium(self, fig1_problem):
         state = disease_free_state(fig1_problem)
-        assert rhs_l1_norm(fig1_problem, state) == 0.0
+        assert derivative_l1(fig1_problem, state) == 0.0
 
     def test_solver_equilibrium_nearly_stationary(self, fig1_problem, fig1_state):
         state = SystemState(
@@ -47,7 +56,7 @@ class TestRhs:
             I2=fig1_state.I2,
             A=fig1_state.A,
         )
-        assert rhs_l1_norm(fig1_problem, state) < 1e-9
+        assert derivative_l1(fig1_problem, state) < 1e-9
 
     def test_pure_decay_without_infection(self, fig1_problem):
         g = fig1_problem.grid
@@ -59,9 +68,9 @@ class TestRhs:
             I2=Field(g, np.zeros(g.n), is_density=True),
             A=Field(g, np.full(g.n, 0.7), is_density=True),
         )
-        d = rhs(fig1_problem, state)
+        dy, slices = derivative(fig1_problem, state)
         delta = fig1_problem.mp.delta
-        assert np.max(np.abs(d.A.values + delta * 0.7)) < 1e-12
+        assert np.max(np.abs(dy[slices[2]] + delta * 0.7)) < 1e-12
 
 
 class TestIntegrate:
@@ -87,24 +96,12 @@ class TestIntegrate:
         self.check_extinction(fig1, "dop853")
 
     def test_convergence_to_endemic_state(self, endemic_rk4, fig1_state):
-        assert distance_to_equilibrium(endemic_rk4.terminal, fig1_state.A) < 1e-3
+        assert l1_norm(endemic_rk4.terminal.A - fig1_state.A) < 1e-3
         assert endemic_rk4.clip_events == 0
 
     def test_terminal_state_reconstruction_consistent(self, fig1_problem, endemic_rk4):
         redone = reconstruct(fig1_problem, endemic_rk4.terminal.A)
         assert redone.residual < 1e-3
-
-    def test_step_halving_euler_first_order(self, fig1_problem):
-        init = disease_free_state(fig1_problem, bump=0.05)
-        t1 = integrate(fig1_problem, init, 2.0, 0.02, method="euler", sample_every=1000)
-        t2 = integrate(fig1_problem, init, 2.0, 0.01, method="euler", sample_every=1000)
-        t3 = integrate(fig1_problem, init, 2.0, 0.005, method="euler", sample_every=1000)
-        ref = integrate(fig1_problem, init, 2.0, 0.0005, method="rk4", sample_every=10000)
-        e1 = l1_norm(t1.terminal.A - ref.terminal.A)
-        e2 = l1_norm(t2.terminal.A - ref.terminal.A)
-        e3 = l1_norm(t3.terminal.A - ref.terminal.A)
-        assert e1 / e2 == pytest.approx(2.0, rel=0.25)
-        assert e2 / e3 == pytest.approx(2.0, rel=0.25)
 
     def test_step_halving_rk4_higher_order(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=0.05)
@@ -114,12 +111,6 @@ class TestIntegrate:
         e1 = l1_norm(t1.terminal.A - ref.terminal.A)
         e2 = l1_norm(t2.terminal.A - ref.terminal.A)
         assert e1 / e2 > 10.0  # order 4 would give 16; allow slack
-
-    def test_euler_stability_bound_enforced(self, fig1_problem):
-        init = disease_free_state(fig1_problem, bump=1e-3)
-        dt = 2.0 * max_stable_dt(fig1_problem)
-        with pytest.raises(DynamicsError):
-            integrate(fig1_problem, init, 1.0, dt, method="euler")
 
     def test_unknown_method_rejected(self, fig1_problem):
         init = disease_free_state(fig1_problem)
@@ -150,10 +141,10 @@ class TestIntegrate:
         # criterion 9's two assertions, under the adaptive stepper
         init = disease_free_state(fig1_problem, bump=1e-3)
         traj = integrate(fig1_problem, init, 200.0, 0.01, method="dop853", sample_every=2000)
-        assert distance_to_equilibrium(traj.terminal, fig1_state.A) < 1e-4
+        assert l1_norm(traj.terminal.A - fig1_state.A) < 1e-4
         assert traj.clip_events == 0
 
-    @pytest.mark.parametrize("method", ["euler", "rk4", "dop853"])
+    @pytest.mark.parametrize("method", ["rk4", "dop853"])
     def test_sample_times_exact(self, fig1_problem, method):
         init = disease_free_state(fig1_problem, bump=1e-3)
         traj = integrate(fig1_problem, init, 1.03, 0.005, method=method, sample_every=40)

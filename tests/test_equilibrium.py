@@ -184,6 +184,29 @@ class TestDiagnostics:
         sup = superposition_error(fig1_problem, s, fig1_uncoupled)
         assert sup.e_total < 1e-12
 
+    def test_superposition_sums_partition_the_window(
+        self, fig1_problem, fig1_state, fig1_uncoupled, fig3
+    ):
+        # fig1: the supports are disjoint, so the three sums split e_total
+        sup = superposition_error(fig1_problem, fig1_state.A, fig1_uncoupled)
+        parts = sup.e_sigma1 + sup.e_sigma2 + sup.e_complement
+        assert parts == pytest.approx(sup.e_total, rel=1e-14)
+        # fig3: the supports overlap on [0.6, 0.7], which counts in both sigma sums
+        problem = build_problem(fig3, 0.02)
+        unc = (solve_uncoupled(problem, 1), solve_uncoupled(problem, 2))
+        a = solve_coupled(problem).A
+        (lo1, hi1), (lo2, hi2) = (problem.host(k).sigma_support for k in (1, 2))
+        nodes = problem.grid.nodes
+        assert lo1 < lo2 <= hi1 < hi2
+        assert nodes[lo2] == pytest.approx(0.6) and nodes[hi1] == pytest.approx(0.7)
+        err = problem.grid.quad_weights * np.abs(a.values - unc[0].a_star.values
+                                                 - unc[1].a_star.values)
+        overlap = float(np.sum(err[lo2 : hi1 + 1]))
+        sup = superposition_error(problem, a, unc)
+        assert overlap > 1e-3 * sup.e_total
+        excess = sup.e_sigma1 + sup.e_sigma2 + sup.e_complement - sup.e_total
+        assert excess == pytest.approx(overlap, rel=1e-12)
+
     def test_pinning(self, fig1_problem, fig1_state, fig1_spectra):
         reports = mu_pinning_check(fig1_problem, fig1_state, fig1_spectra)
         assert len(reports) == 2

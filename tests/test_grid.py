@@ -12,7 +12,6 @@ from mutsel.grid import (
     inner,
     l1_norm,
     make_grid,
-    restrict,
 )
 
 # closed form: int_0.2^0.6 200 (x-0.2)(0.6-x) dx = 200 * 0.4^3 / 6
@@ -89,29 +88,14 @@ class TestL1Norm:
 
 
 class TestRestrict:
-    def test_indicator_window(self):
-        g = make_grid(0.0, 1.0, 101)
-        f = Field(g, np.ones(101))
-        out = restrict(f, g.indicator(0.2, 0.6))
-        inside = (g.nodes >= 0.2) & (g.nodes <= 0.6)
-        assert np.array_equal(out.values[inside], np.ones(inside.sum()))
-        assert np.all(out.values[~inside] == 0.0)
-
-    def test_zero_indicator(self):
-        g = make_grid(0.0, 1.0, 64)
-        out = restrict(Field(g, np.ones(64)), Field(g, np.zeros(64)))
-        assert np.all(out.values == 0.0)
-
-    def test_rejects_non_binary_indicator(self):
-        g = make_grid(0.0, 1.0, 64)
-        with pytest.raises(GridError):
-            restrict(Field(g, np.ones(64)), Field(g, np.full(64, 0.5)))
+    """Binary field operations are restricted to fields on one grid."""
 
     def test_grid_mismatch(self):
-        g1 = make_grid(0.0, 1.0, 64)
-        g2 = make_grid(0.0, 1.0, 65)
-        with pytest.raises(GridError):
-            restrict(Field(g1, np.ones(64)), Field(g2, np.ones(65)))
+        f = Field(make_grid(0.0, 1.0, 64), np.ones(64))
+        g = Field(make_grid(0.0, 1.0, 65), np.ones(65))
+        for combine in (Field.__add__, Field.__sub__, inner):
+            with pytest.raises(GridError, match="different grids"):
+                combine(f, g)
 
 
 class TestField:

@@ -135,15 +135,14 @@ class TestPresets:
 class TestValidation:
     def test_fig1_report_clean(self, fig1):
         problem = build_problem(fig1, 0.01)
-        report = validate_assumptions(fig1, problem.kernel, problem.derived)
-        assert report.ok
-        assert report.support_distance == pytest.approx(0.1, abs=1e-12)
-        assert not any("overlap" in w for w in report.warnings)
+        assert validate_assumptions(fig1, problem.kernel, problem.derived) == []
+        assert problem.assumption_warnings == []
+        assert support_distance(fig1) == pytest.approx(0.1, abs=1e-12)
 
     def test_fig3_overlap_warning(self, fig3):
         problem = build_problem(fig3, 0.01)
-        report = validate_assumptions(fig3, problem.kernel, problem.derived)
-        assert any("overlap" in w for w in report.warnings)
+        warnings = validate_assumptions(fig3, problem.kernel, problem.derived)
+        assert any("overlap" in w for w in warnings)
 
     def test_xi_sum_enforced(self):
         hosts = (
