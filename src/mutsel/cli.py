@@ -156,8 +156,15 @@ def _one_eps(args) -> float:
 
 
 def _host_diagnostics(problem, state, tol):
-    """Host spectra, and the coupled state's distance from the single-host sum."""
+    """Host spectra, and the coupled state's distance from the single-host sum.
+
+    Raises ``SpectralError`` when a host spectrum does not converge."""
     sp = tuple(spec.solve_host_spectrum(problem, k, tol=tol) for k in (1, 2))
+    for k, s in zip((1, 2), sp):
+        if not s.converged:
+            raise spec.SpectralError(
+                f"host {k} spectrum did not converge (residual {s.residual:.3g})"
+            )
     unc = tuple(eq.solve_uncoupled(problem, k, spectral=s) for k, s in zip((1, 2), sp))
     return sp, eq.superposition_error(problem, state.A, unc)
 
@@ -564,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     except (mdl.ModelError, GridError, dyn.DynamicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except stab.StabilityError as exc:
+    except (spec.SpectralError, stab.StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

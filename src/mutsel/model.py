@@ -9,6 +9,7 @@ mutation width epsilon.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -91,6 +92,10 @@ class TraitExpression:
             code = compile(self.expr, "<trait-expression>", "eval")
         except SyntaxError as exc:
             raise ModelError(f"invalid trait expression {self.expr!r}: {exc.msg}") from exc
+        # a lambda, comprehension or generator carries its own code object,
+        # whose names the check below would not see
+        if any(isinstance(c, types.CodeType) for c in code.co_consts):
+            raise ModelError(f"trait expression {self.expr!r} may not define functions")
         for name in code.co_names:
             if name not in _EXPR_NAMES and name != "x":
                 raise ModelError(f"unknown name {name!r} in trait expression")
@@ -98,8 +103,12 @@ class TraitExpression:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = eval(self._compile(), {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        code = self._compile()
+        try:
+            out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
+            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise ModelError(f"trait expression {self.expr!r} failed: {exc}") from exc
 
 
 def compile_trait_expression(expr: str) -> TraitFunction:
@@ -253,8 +262,8 @@ def build_fitness(mp: ModelParams, k: int, grid: TraitGrid) -> HostDerived:
     beta = np.asarray(host.beta(x), dtype=float)
     d = np.asarray(host.d(x), dtype=float)
     r = np.asarray(host.r(x), dtype=float)
-    if np.any(beta < 0) or np.any(d < 0) or np.any(r < 0):
-        raise ModelError(f"host {k} trait functions must be nonnegative")
+    if not all(np.all(np.isfinite(v) & (v >= 0)) for v in (beta, d, r)):
+        raise ModelError(f"host {k} trait functions must be finite and nonnegative")
     psi = beta * r / (mp.delta * (mp.theta + d))
     if not np.any(psi > 0):
         raise ModelError(f"host {k} fitness is identically zero on the window")
@@ -380,21 +389,20 @@ class Problem:
     def host(self, k: int) -> HostDerived:
         return self.derived[k - 1]
 
-    @property
-    def combined_fitness(self) -> Field:
-        h1, h2 = self.mp.hosts
-        return Field(
-            self.grid,
-            h1.xi * self.derived[0].psi.values + h2.xi * self.derived[1].psi.values,
-        )
-
     @cached_property
     def combined_radius(self) -> float:
         """Spectral radius of the combined operator, the coupled map's
-        linearization at zero: computed once per problem, on first use."""
-        from .spectral import solve_combined_spectrum  # spectral builds on this module
+        linearization at zero: computed once per problem, on first use.
+        Raises ``SpectralError`` when the eigensolve does not converge."""
+        # spectral builds on this module
+        from .spectral import SpectralError, solve_combined_spectrum
 
-        return solve_combined_spectrum(self).lambda1
+        res = solve_combined_spectrum(self)
+        if not res.converged:
+            raise SpectralError(
+                f"combined spectral radius did not converge (residual {res.residual:.3g})"
+            )
+        return res.lambda1
 
     @cached_property
     def assumption_warnings(self) -> list[str]:

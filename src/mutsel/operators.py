@@ -1,10 +1,10 @@
-"""Discrete weighted-convolution operators and the nonlinear update maps.
+"""The nonlinear update maps, their derivatives and the convolution beneath them.
 
-Provides the per-host linear operators (kernel convolution against a fitness
-weight), their symmetrized counterparts, and the nonlinear update map whose
-fixed points are the steady states, with its analytic derivative.  The map and
-its derivative are each a single weighted convolution (the derivative minus a
-low-rank correction), whatever the number of hosts summed over.
+The fixed points of the update maps are the steady states.  Each map and its
+derivative are a single weighted convolution (the derivative minus a low-rank
+correction), whatever the number of hosts summed over.  The per-host and
+combined linear operators L f = m_eps * (gain . f) are the maps' derivatives at
+the zero density, so they share that code.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.blas import dger
 from scipy.sparse.linalg import LinearOperator
 
-from .grid import Field, GridError, TraitGrid
+from .grid import Field
 from .model import MutationKernel, Problem
 
 
@@ -24,9 +24,8 @@ class OperatorError(ValueError):
     pass
 
 
-@dataclass
 class ConvolutionEngine:
-    """Quadrature convolution with the scaled mutation kernel.
+    """Quadrature convolution with the scaled mutation kernel, on the kernel's grid.
 
     Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j), entries n-1 to 2n-2
     of the linear convolution of the weighted values with the 2n-1 kernel
@@ -38,14 +37,11 @@ class ConvolutionEngine:
     product, the reference in tests.
     """
 
-    kernel: MutationKernel
-    grid: TraitGrid
-
-    def __post_init__(self):
-        if self.kernel.grid != self.grid:
-            raise OperatorError("kernel was sampled on a different grid")
+    def __init__(self, kernel: MutationKernel):
+        self.kernel = kernel
+        self.grid = kernel.grid
         self._length = next_fast_len(2 * self.grid.n - 1, real=True)
-        self._kernel_hat = rfft(self.kernel.samples, self._length)
+        self._kernel_hat = rfft(kernel.samples, self._length)
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
         n = self.grid.n
@@ -55,11 +51,6 @@ class ConvolutionEngine:
         # entry (n-1)+i of the linear convolution, which no wrap-around reaches
         return full[n - 1 : 2 * n - 1]
 
-    def convolve(self, f: Field) -> Field:
-        if f.grid != self.grid:
-            raise GridError("field lives on a different grid than the engine")
-        return Field(self.grid, self.convolve_values(f.values))
-
     def toeplitz(self) -> np.ndarray:
         """Read-only n x n view K[i, j] = m_eps(x_i - x_j) = samples[(n-1)+i-j]."""
         n = self.grid.n
@@ -68,63 +59,6 @@ class ConvolutionEngine:
     def dense_matrix(self, weight: np.ndarray) -> np.ndarray:
         """Matrix of f -> convolve_values(weight * f): K[i, j] w_j weight_j."""
         return self.toeplitz() * (self.grid.quad_weights * weight)[None, :]
-
-
-@dataclass
-class WeightedConvolutionOperator:
-    """f -> prefactor * m_eps * (weight . f): the per-host linear operator."""
-
-    weight: Field
-    prefactor: float
-    engine: ConvolutionEngine
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return self.prefactor * self.engine.convolve_values(self.weight.values * values)
-
-    def apply(self, f: Field) -> Field:
-        if f.grid != self.engine.grid:
-            raise GridError("field lives on a different grid than the operator")
-        return Field(self.engine.grid, self.apply_values(f.values))
-
-    def dense_matrix(self) -> np.ndarray:
-        """Explicit n x n matrix: M[i, j] = pref * m_eps(x_i - x_j) w_j weight_j."""
-        return self.engine.dense_matrix(self.prefactor * self.weight.values)
-
-    def dense_symmetric(self) -> np.ndarray:
-        """Similar symmetric matrix with the same spectrum.
-
-        Conjugating M by diag(sqrt(w) * sqrt(weight)) yields
-        B[i, j] = pref * sqrt(w_i weight_i) m_eps(x_i - x_j) sqrt(w_j weight_j),
-        the quadrature form of the square-root-symmetrized operator.
-        """
-        s = np.sqrt(self.engine.grid.quad_weights * self.weight.values)
-        b = (self.prefactor * s)[:, None] * self.engine.toeplitz()
-        b *= s[None, :]
-        return b
-
-    def symmetrized_apply_values(self, values: np.ndarray) -> np.ndarray:
-        """Apply sqrtW . m_eps * (sqrtW . f) with sqrtW = sqrt(weight)."""
-        s = np.sqrt(self.weight.values)
-        return self.prefactor * s * self.engine.convolve_values(s * values)
-
-
-def _influx_rate(problem: Problem, k: int) -> float:
-    """c_k = xi_k Lambda / theta, the prefactor of host k's operator."""
-    mp = problem.mp
-    return mp.hosts[k - 1].xi * mp.lambda_ / mp.theta
-
-
-def host_operator(problem: Problem, k: int) -> WeightedConvolutionOperator:
-    """Linear operator of host k: (xi_k Lambda / theta) m_eps * (Psi_k f)."""
-    engine = ConvolutionEngine(problem.kernel, problem.grid)
-    return WeightedConvolutionOperator(problem.host(k).psi, _influx_rate(problem, k), engine)
-
-
-def combined_operator(problem: Problem) -> WeightedConvolutionOperator:
-    """Sum of the two host operators, as a single weighted convolution."""
-    mp = problem.mp
-    engine = ConvolutionEngine(problem.kernel, problem.grid)
-    return WeightedConvolutionOperator(problem.combined_fitness, mp.lambda_ / mp.theta, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +98,6 @@ class UpdateMap:
         """Derivative of the map at density a, as an operator on directions h."""
         return Linearization(self, a)
 
-    def dense_derivative(self, a: np.ndarray) -> np.ndarray:
-        """Dense derivative at a: K w diag(g(a)) minus the per-host rank-one terms."""
-        return self.linearization(a).dense()
-
 
 class Linearization(LinearOperator):
     """Derivative of an UpdateMap at a fixed density a.
@@ -204,10 +134,13 @@ class Linearization(LinearOperator):
 
 
 def _map_over(problem: Problem, hosts: tuple[int, ...]) -> UpdateMap:
-    w_theta = problem.grid.quad_weights / problem.mp.theta
+    mp = problem.mp
+    w_theta = problem.grid.quad_weights / mp.theta
     return UpdateMap(
-        ConvolutionEngine(problem.kernel, problem.grid),
-        np.array([_influx_rate(problem, k) * problem.host(k).psi.values for k in hosts]),
+        ConvolutionEngine(problem.kernel),
+        # c_k psi_k with c_k = xi_k Lambda / theta
+        np.array([mp.hosts[k - 1].xi * mp.lambda_ / mp.theta * problem.host(k).psi.values
+                  for k in hosts]),
         np.array([w_theta * problem.host(k).beta.values for k in hosts]),
     )
 
@@ -220,6 +153,17 @@ def update_map(problem: Problem) -> UpdateMap:
 def host_map(problem: Problem, k: int) -> UpdateMap:
     """Single-host map T_k(a) = L_k a / (1 + theta^-1 int beta_k a)."""
     return _map_over(problem, (k,))
+
+
+def host_operator(problem: Problem, k: int) -> Linearization:
+    """Linear operator of host k, L_k f = (xi_k Lambda / theta) m_eps * (psi_k f):
+    the derivative of T_k at zero."""
+    return host_map(problem, k).linearization(np.zeros(problem.grid.n))
+
+
+def combined_operator(problem: Problem) -> Linearization:
+    """L_1 + L_2, the derivative of the coupled map T at zero."""
+    return update_map(problem).linearization(np.zeros(problem.grid.n))
 
 
 def mass_bound(problem: Problem) -> float:

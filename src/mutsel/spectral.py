@@ -1,12 +1,13 @@
 """Spectral radii, principal eigenpairs, spectral gaps and threshold limits.
 
-The per-host linear operator is similar to a symmetric kernel operator via
-conjugation with the square root of its fitness weight, so its spectrum is
-real and nonnegative.  The top eigenvalues come from one implicitly restarted
-Lanczos run (ARPACK, through ``scipy.sparse.linalg.eigsh``) on the
-Euclidean-symmetric form of the operator, and the principal pair is certified
-by the L1 residual of the reconstructed eigenfunction; dense symmetric
-eigensolves provide the rest of the spectrum and the independent cross-check.
+A linear operator f -> m_eps * (gain . f), the derivative of an update map at
+zero, is similar to a symmetric kernel operator via conjugation with the
+square root of its gain, so its spectrum is real and nonnegative.  The top
+eigenvalues come from one implicitly restarted Lanczos run (ARPACK, through
+``scipy.sparse.linalg.eigsh``) on the Euclidean-symmetric form of the
+operator, and the principal pair is certified by the L1 residual of the
+reconstructed eigenfunction; dense symmetric eigensolves provide the rest of
+the spectrum and the independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .grid import Field, l1_norm
 from .model import Problem
-from .operators import WeightedConvolutionOperator, combined_operator, host_operator
+from .operators import Linearization, combined_operator, host_operator
 
 DEFAULT_TOL = 1e-10
 
@@ -40,52 +41,32 @@ class SpectralResult:
     degenerate: bool = False
 
 
-def _symmetric_vector_to_eigenfunction(
-    op: WeightedConvolutionOperator, v: np.ndarray, lam: float
-) -> Field:
-    # if u is an eigenvector of the symmetrized operator at lam, then
-    # phi = (pref / lam) m_eps * (sqrt(weight) u) solves L phi = lam phi
-    s = np.sqrt(op.weight.values)
-    phi = op.prefactor / lam * op.engine.convolve_values(s * v)
-    phi = np.clip(phi, 0.0, None)
-    f = Field(op.engine.grid, phi)
-    norm = l1_norm(f)
-    if norm <= 0:
-        raise SpectralError("eigenfunction reconstruction produced the zero field")
-    return Field(op.engine.grid, phi / norm, is_density=True)
-
-
-def _l1_residual(op: WeightedConvolutionOperator, lam: float, phi: Field) -> float:
-    lphi = op.apply_values(phi.values)
-    return float(
-        np.sum(op.engine.grid.quad_weights * np.abs(lphi - lam * phi.values)) / lam
-    )
-
-
 def principal_eigenpair(
-    op: WeightedConvolutionOperator,
+    op: Linearization,
     *,
     tol: float = DEFAULT_TOL,
     with_second: bool = False,
 ) -> SpectralResult:
-    """Dominant eigenvalue and positive unit-mass eigenfunction of the operator.
+    """Dominant eigenvalue and positive unit-mass eigenfunction of a linear
+    operator, the derivative of an update map at zero.
 
     Runs ARPACK's Lanczos iteration to machine precision on
-    sqrt(w) sqrt(weight) K sqrt(weight) sqrt(w), for the top eigenvalue or,
+    sqrt(w) sqrt(gain) K sqrt(gain) sqrt(w), for the top eigenvalue or,
     with ``with_second``, the top two.  Convergence is declared on the relative
     quadrature-L1 residual of the reconstructed eigenpair; a Lanczos run that
     does not converge yields ``converged=False``.
     """
     grid = op.engine.grid
-    if not (op.weight.values > 0).any():
-        raise SpectralError("operator weight is identically zero")
+    if not (op.gain > 0).any():
+        raise SpectralError("operator gain is identically zero")
     sw = np.sqrt(grid.quad_weights)
+    s = np.sqrt(op.gain)
     applications = 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
-        return sw * op.symmetrized_apply_values(x.ravel() / sw)
+        return sw * s * op.engine.convolve_values(s * x.ravel() / sw)
 
     b = LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
     # seeded, because ARPACK's own start vector does not repeat within a
@@ -106,8 +87,15 @@ def principal_eigenpair(
     lam = float(vals[0])
     # eigsh fixes no sign; the principal eigenvector is the positive one
     u = vecs[:, 0] / sw * np.sign(np.sum(vecs[:, 0]))
-    phi = _symmetric_vector_to_eigenfunction(op, u, lam)
-    res = _l1_residual(op, lam, phi)
+    # u is an eigenvector of the symmetrized operator at lam, so
+    # phi = m_eps * (sqrt(gain) u) / lam solves L phi = lam phi
+    phi = np.clip(op.engine.convolve_values(s * u) / lam, 0.0, None)
+    mass = l1_norm(Field(grid, phi))
+    if mass <= 0:
+        raise SpectralError("eigenfunction reconstruction produced the zero field")
+    phi = Field(grid, phi / mass, is_density=True)
+    lphi = op.matvec(phi.values)
+    res = float(np.sum(grid.quad_weights * np.abs(lphi - lam * phi.values)) / lam)
     result = SpectralResult(lam, phi, res, applications, lanczos_converged and res < tol)
     if with_second:
         result.lambda2 = float(vals[1]) if len(vals) > 1 else float("nan")
@@ -116,12 +104,18 @@ def principal_eigenpair(
     return result
 
 
-def symmetric_spectrum(op: WeightedConvolutionOperator, count: int) -> np.ndarray:
-    """Top ``count`` eigenvalues (descending) via a dense symmetric eigensolve."""
+def symmetric_spectrum(op: Linearization, count: int) -> np.ndarray:
+    """Top ``count`` eigenvalues (descending) via a dense symmetric eigensolve.
+
+    The operator's matrix K w diag(gain) is similar, by diag(s) with
+    s = sqrt(w gain), to the symmetric s K s.
+    """
     n = op.engine.grid.n
     if count > n:
         raise SpectralError(f"requested {count} eigenvalues from an {n}-point grid")
-    b = op.dense_symmetric()
+    s = np.sqrt(op.engine.grid.quad_weights * op.gain)
+    b = s[:, None] * op.engine.toeplitz()
+    b *= s[None, :]
     vals = eigh(b, eigvals_only=True, subset_by_index=(n - count, n - 1))
     return vals[::-1]
 
@@ -158,6 +152,5 @@ def gap_exponent(eps: list[float], gaps: list[float]) -> float | None:
 
 def r0_limits(problem: Problem) -> tuple[float, float, float]:
     """(R0, R0_host1, R0_host2): the small-mutation limits of the spectral radii."""
-    mp = problem.mp
-    r0 = mp.lambda_ / mp.theta * float(problem.combined_fitness.values.max())
+    r0 = float(combined_operator(problem).gain.max())
     return r0, problem.host(1).r0, problem.host(2).r0

@@ -109,7 +109,7 @@ def uncoupled_derivative_spectrum(
         vals = [1.0 / lam1] + [l / lam1 for l in lam_spec[1:]] + [0.0]
         formula = np.sort(vals)[::-1][:count]
 
-    m = host_map(problem, k).dense_derivative(solution.a_star.values)
+    m = host_map(problem, k).linearization(solution.a_star.values).dense()
     eig = np.linalg.eigvals(m)
     eig = eig[np.argsort(-np.abs(eig))]
     top = np.sort(eig.real[: count])[::-1]

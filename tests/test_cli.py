@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import mutsel
 from mutsel import cli
 from mutsel import dynamics as dyn
 from mutsel import equilibrium as eq
+from mutsel import spectral as spec
 from mutsel import stability as stab
 from mutsel.cli import main
 from mutsel.model import build_problem, preset
@@ -338,6 +340,17 @@ MALFORMED = {
                                            "--epsilon", "5e-2"],
     "trait syntax error": lambda tmp: ["spectrum", *_config(tmp, beta="200*(x-"),
                                        "--epsilon", "5e-2"],
+    # names inside a lambda are not among the expression's own names
+    "trait lambda": lambda tmp: [
+        "spectrum", "--epsilon", "5e-2", *_config(
+            tmp, beta="(lambda: ().__class__.__base__.__subclasses__())() "
+                      "and 200*pos((x-0.2)*(0.6-x))")],
+    "trait division by zero": lambda tmp: ["spectrum", *_config(tmp, beta="1/0"),
+                                           "--epsilon", "5e-2"],
+    "trait type error": lambda tmp: ["spectrum", *_config(tmp, beta="x + 'a'"),
+                                     "--epsilon", "5e-2"],
+    "infinite trait": lambda tmp: ["spectrum", *_config(tmp, beta="1e308*10 + x"),
+                                   "--epsilon", "5e-2"],
     "nan dt": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
                            "--dt", "nan"],
     "infinite t-end": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
@@ -474,6 +487,68 @@ def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
     assert run(["stability", "--preset", "fig1", "--epsilon", "5e-2",
                 "--output-dir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error: Arnoldi")
+
+
+SPECTRAL_FAILURE = {"equilibrium": "equilibrium.json", "sweep": "targets.json"}
+
+
+@pytest.mark.parametrize("command", sorted(SPECTRAL_FAILURE))
+def test_lanczos_failure_exits_1(command, monkeypatch, outdir, capsys):
+    # with nothing converged the Rayleigh-quotient fallback reads about 0.7
+    # at fig1, which would classify the endemic state as disease-free
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spec, "eigsh", no_convergence)
+    assert run([command, "--preset", "fig1", "--epsilon", "5e-2",
+                "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error: combined spectral radius")
+    assert not (outdir / SPECTRAL_FAILURE[command]).exists()
+
+
+def test_unconverged_host_spectrum_exits_1(monkeypatch, outdir, capsys):
+    solve = spec.solve_host_spectrum
+
+    def unconverged(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.converged = False
+        return res
+
+    monkeypatch.setattr(spec, "solve_host_spectrum", unconverged)
+    assert run(["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
+                "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error: host 1 spectrum")
+    assert not (outdir / "equilibrium.json").exists()
+
+
+# dotted names under mutsel that the benchmark's span tracer looks up: after a
+# rename its layer metrics would silently read zero
+TRACED_NAMES = (
+    "operators.ConvolutionEngine.convolve_values",
+    "operators.UpdateMap.apply_values",
+    "equilibrium.solve_coupled",
+    "equilibrium.solve_uncoupled",
+    "equilibrium.reconstruct",
+    "spectral.principal_eigenpair",
+    "spectral.symmetric_spectrum",
+    "stability.stability_report",
+    "dynamics.integrate",
+    "dynamics._System.rhs",
+    "model.build_problem",
+    "cli.write_csv",
+    "cli.write_json",
+)
+
+
+def test_traced_names_resolve():
+    for dotted in TRACED_NAMES:
+        module, *attrs = dotted.split(".")
+        obj = importlib.import_module(f"mutsel.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), dotted
+    # the tracer patches every binding of a traced function, this one included
+    assert spec.host_operator is importlib.import_module("mutsel.operators").host_operator
 
 
 def _probe(code: str) -> str:

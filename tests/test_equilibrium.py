@@ -264,7 +264,7 @@ class TestReconstructResidual:
         # for, ||delta A - m_eps * (sum_k r_k I_k)||_1, at any density A
         mp = fig1 if variant == "fig1" else _with_death_and_production(fig1)
         problem = build_problem(mp, 0.01)
-        engine = ConvolutionEngine(problem.kernel, problem.grid)
+        engine = ConvolutionEngine(problem.kernel)
         rng = np.random.default_rng(5)
         densities = [default_start(problem), Field(problem.grid, rng.random(problem.grid.n))]
         for A in densities:

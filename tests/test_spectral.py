@@ -64,8 +64,9 @@ class TestPrincipalEigenpair:
         op = host_operator(coarse_problem, 1)
         res = principal_eigenpair(op, tol=1e-12)
         w = coarse_problem.grid.quad_weights
-        u = np.sqrt(op.weight.values) * res.phi1.values
-        num = float(np.sum(w * u * op.symmetrized_apply_values(u)))
+        s = np.sqrt(op.gain)
+        u = s * res.phi1.values
+        num = float(np.sum(w * u * s * op.engine.convolve_values(s * u)))
         den = float(np.sum(w * u * u))
         assert num / den == pytest.approx(res.lambda1, abs=1e-8)
 

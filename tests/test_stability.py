@@ -63,7 +63,7 @@ class TestStabilityReport:
         rng = np.random.default_rng(0)
         a = rng.random(coarse_problem.grid.n)
         h = rng.standard_normal(coarse_problem.grid.n)
-        d = tmap.dense_derivative(a)
+        d = tmap.linearization(a).dense()
         assert np.max(np.abs(d @ h - tmap.linearization(a).matvec(h))) < 1e-10
 
     def test_dense_step_holds_one_matrix(self, fig1_problem, fig1_state):
@@ -82,7 +82,8 @@ class TestStabilityReport:
 
     def test_top_eigenvalues_match_dense(self, fig1_problem, fig1_state):
         rep = stability_report(fig1_problem, fig1_state.A)
-        dense = np.linalg.eigvals(update_map(fig1_problem).dense_derivative(fig1_state.A.values))
+        lin = update_map(fig1_problem).linearization(fig1_state.A.values)
+        dense = np.linalg.eigvals(lin.dense())
         dense = dense[np.argsort(-np.abs(dense))][:EIGENVALUE_COUNT]
         assert len(rep.eigenvalues) == EIGENVALUE_COUNT
         assert np.max(np.abs(rep.eigenvalues - dense)) < 1e-10
@@ -152,7 +153,7 @@ class TestUncoupledFormula:
         phi = sol.spectral.phi1.values
         den = 1.0 + float(np.sum(g.quad_weights * hd.beta.values * a)) / theta
         beta_phi = float(np.sum(g.quad_weights * hd.beta.values * phi))
-        out = op.apply_values(phi) / den - op.apply_values(a) / den**2 * (
+        out = op.matvec(phi) / den - op.matvec(a) / den**2 * (
             beta_phi / theta
         )
         expected = phi / sol.spectral.lambda1
