@@ -31,6 +31,12 @@ def _toeplitz_product(engine, f):
     return Field(f.grid, engine.dense_matrix(np.ones(f.grid.n)) @ f.values)
 
 
+def _symmetrized_matrix(op):
+    """s K s with s = sqrt(w gain), the form whose spectrum symmetric_spectrum takes."""
+    s = np.sqrt(op.engine.grid.quad_weights * op.gain)
+    return s[:, None] * op.engine.toeplitz() * s[None, :]
+
+
 class TestConvolution:
     def test_backends_agree(self, fig1_problem):
         eng = ConvolutionEngine(fig1_problem.kernel)
@@ -135,6 +141,20 @@ class TestLinearOperators:
         direct = op.matvec(f.values)
         via_matrix = op.dense() @ f.values
         assert np.max(np.abs(direct - via_matrix)) < 1e-10
+
+    def test_symmetrized_matrix_symmetric(self, coarse_problem):
+        b = _symmetrized_matrix(host_operator(coarse_problem, 1))
+        assert np.max(np.abs(b - b.T)) < 1e-10
+
+    def test_conjugacy_with_symmetrized_form(self, coarse_problem):
+        # the symmetric s K s applied to s f reproduces s times the plain
+        # operator, s = sqrt(w gain): the similarity symmetric_spectrum uses
+        op = host_operator(coarse_problem, 1)
+        f = _random_density(coarse_problem.grid, 5)
+        s = np.sqrt(op.engine.grid.quad_weights * op.gain)
+        lhs = _symmetrized_matrix(op) @ (s * f.values)
+        rhs = s * op.matvec(f.values)
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_symmetric_spectrum_matches_dense_eigvals(self, coarse_problem):
         # the symmetric s K s is similar to the operator's own matrix, so its
