@@ -28,6 +28,9 @@ from .grid import Field, GridError, l1_norm
 
 SCHEMA_VERSION = 1
 DEFAULT_SWEEP = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
+# parsed options the manifest leaves out: the subcommand's own, and the model
+# source, which goes under "model"
+NOT_OPTIONS = {"command", "func", "preset", "config", "scale_beta"}
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +133,17 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_manifest(outdir: Path, command: str, source: dict, knobs: dict) -> None:
+def write_manifest(outdir: Path, args, source: dict) -> None:
+    """Every parsed option but the model source, with the output directory and
+    the widths resolved (sweep's default list when none is given)."""
+    options = {k: v for k, v in vars(args).items() if k not in NOT_OPTIONS}
+    options["output_dir"] = str(Path(args.output_dir).resolve())
+    options["epsilon"] = args.epsilon or DEFAULT_SWEEP
     versions = {"mutsel": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
                 "python": platform.python_version()}
     write_json(outdir / "manifest.json",
-               {"command": command, "model": source, "options": knobs, "versions": versions})
+               {"command": args.command, "model": source, "options": options,
+                "versions": versions})
 
 
 def _eps_list(args) -> list[float]:
@@ -146,27 +155,6 @@ def _eps_list(args) -> list[float]:
     if len(set(eps)) != len(eps):
         raise SystemExit2(f"repeated --epsilon value in {eps}")
     return eps
-
-
-def _one_eps(args) -> float:
-    eps = _eps_list(args)
-    if len(eps) != 1:
-        raise SystemExit2(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
-    return eps[0]
-
-
-def _host_diagnostics(problem, state, tol):
-    """Host spectra, and the coupled state's distance from the single-host sum.
-
-    Raises ``SpectralError`` when a host spectrum does not converge."""
-    sp = tuple(spec.solve_host_spectrum(problem, k, tol=tol) for k in (1, 2))
-    for k, s in zip((1, 2), sp):
-        if not s.converged:
-            raise spec.SpectralError(
-                f"host {k} spectrum did not converge (residual {s.residual:.3g})"
-            )
-    unc = tuple(eq.solve_uncoupled(problem, k, spectral=s) for k, s in zip((1, 2), sp))
-    return sp, eq.superposition_error(problem, state.A, unc)
 
 
 def _unconverged(args, outdir: Path, states) -> bool:
@@ -190,6 +178,27 @@ def _unconverged(args, outdir: Path, states) -> bool:
     )
     print(f"error: {len(failed)} coupled solve(s) did not converge", file=sys.stderr)
     return True
+
+
+def _steady_states(args, starts: int = 1, seed: int = 0):
+    """The set-up of the one-width commands: ``(source, outdir, problem, states)``,
+    the coupled solves from the default start and ``starts - 1`` seeded random
+    starts, with ``states`` None when one did not converge (exit status 1)."""
+    mp, source = resolve_model(args)
+    eps = _eps_list(args)
+    if len(eps) != 1:
+        raise SystemExit2(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
+    outdir = _outdir(args)
+    problem = mdl.build_problem(mp, eps[0], n=args.n)
+    rng = np.random.default_rng(seed)
+    states = []
+    for i in range(starts):
+        start = None
+        if i:
+            vals = rng.random(problem.grid.n) + 1e-3
+            start = Field(problem.grid, vals / float(np.sum(problem.grid.quad_weights * vals)))
+        states.append(eq.solve_coupled(problem, start=start, tol=args.tol))
+    return source, outdir, problem, None if _unconverged(args, outdir, states) else states
 
 
 def _merged(warning_lists) -> list[str]:
@@ -241,7 +250,7 @@ def cmd_spectrum(args) -> int:
     exponent = spec.gap_exponent([r[0] for r in rows], [r[3] for r in rows])
     if exponent is not None:
         summary["gap_exponent"] = exponent
-    write_manifest(outdir, "spectrum", source, _knobs(args, epsilon=eps_list))
+    write_manifest(outdir, args, source)
     write_json(outdir / "spectrum_summary.json", summary)
     failed = [r for r in rows if not r[6]]
     if failed and not args.allow_partial:
@@ -257,29 +266,15 @@ def cmd_equilibrium(args) -> int:
         raise SystemExit2(f"--seed must be nonnegative, got {args.seed}")
     if args.starts < 1:
         raise SystemExit2(f"--starts must be at least 1, got {args.starts}")
-    mp, source = resolve_model(args)
-    eps = _one_eps(args)
-    outdir = _outdir(args)
-    problem = mdl.build_problem(mp, eps, n=args.n)
-    tol = args.tol
-
-    states = []
-    rng = np.random.default_rng(args.seed)
-    for i in range(args.starts):
-        if i == 0:
-            start = None
-        else:
-            vals = rng.random(problem.grid.n) + 1e-3
-            start = Field(problem.grid, vals / float(np.sum(problem.grid.quad_weights * vals)))
-        states.append(eq.solve_coupled(problem, start=start, tol=tol))
+    source, outdir, problem, states = _steady_states(args, args.starts, args.seed)
+    if states is None:
+        return 1
     state = states[0]
     spread = max(l1_norm(s.A - state.A) for s in states)
-    if _unconverged(args, outdir, states):
-        return 1
-
-    sp, sup = _host_diagnostics(problem, state, tol)
-    pin = eq.mu_pinning_check(problem, state, sp)
-    low = eq.lower_bound_check(problem, state, sp)
+    unc = (eq.solve_uncoupled(problem, 1), eq.solve_uncoupled(problem, 2))
+    sup = eq.superposition_error(problem, state.A, unc)
+    pin = eq.mu_pinning_check(problem, state)
+    low = eq.lower_bound_check(problem, state)
     row = eq.concentration_row(problem, state)
 
     write_csv(
@@ -318,13 +313,10 @@ def cmd_equilibrium(args) -> int:
         "assumption_warnings": problem.assumption_warnings,
     }
     if args.stability:
-        rep = stab.stability_report(problem, state.A, tol=max(10 * tol, 1e-8))
+        rep = stab.stability_report(problem, state.A, tol=max(10 * args.tol, 1e-8))
         diagnostics["stability"] = _stability_fields(rep)
     write_json(outdir / "equilibrium.json", diagnostics)
-    write_manifest(
-        outdir, "equilibrium", source,
-        _knobs(args, epsilon=[eps], starts=args.starts, seed=args.seed, stability=args.stability),
-    )
+    write_manifest(outdir, args, source)
     print(
         f"classification={state.classification} A_mass={row.a_mass:.6g} "
         f"argmax={row.a_argmax:.4g}"
@@ -336,7 +328,8 @@ def _sweep_entry(payload):
     mp, eps, n, tol = payload
     problem = mdl.build_problem(mp, eps, n=n)
     state = eq.solve_coupled(problem, tol=tol)
-    _, sup = _host_diagnostics(problem, state, tol)
+    unc = (eq.solve_uncoupled(problem, 1), eq.solve_uncoupled(problem, 2))
+    sup = eq.superposition_error(problem, state.A, unc)
     row = eq.concentration_row(problem, state)
     targets = eq.concentration_targets(problem)
     return row, sup, state.converged, targets, problem.assumption_warnings
@@ -384,7 +377,7 @@ def cmd_sweep(args) -> int:
         limits["extrapolated"]["A_argmax"] = b[7]
     limits["assumption_warnings"] = _merged([w for *_, w in results])
     write_json(outdir / "targets.json", limits)
-    write_manifest(outdir, "sweep", source, _knobs(args, epsilon=eps_list))
+    write_manifest(outdir, args, source)
     if failures and not args.allow_partial:
         print(f"error: {failures} sweep entr(ies) did not converge", file=sys.stderr)
         return 1
@@ -394,13 +387,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_dynamics(args) -> int:
     dyn.check_schedule(args.t_end, args.dt, args.sample_every)
-    mp, source = resolve_model(args)
-    eps = _one_eps(args)
-    outdir = _outdir(args)
-    problem = mdl.build_problem(mp, eps, n=args.n)
-    state = eq.solve_coupled(problem, tol=args.tol)
-    if _unconverged(args, outdir, [state]):
+    source, outdir, problem, states = _steady_states(args)
+    if states is None:
         return 1
+    state = states[0]
     init = dyn.disease_free_state(problem, bump=args.bump)
     try:
         traj = dyn.integrate(
@@ -433,23 +423,16 @@ def cmd_dynamics(args) -> int:
             "assumption_warnings": problem.assumption_warnings,
         },
     )
-    write_manifest(
-        outdir, "dynamics", source,
-        _knobs(args, epsilon=[eps], t_end=args.t_end, dt=args.dt, method=args.method,
-               bump=args.bump),
-    )
+    write_manifest(outdir, args, source)
     print(f"terminal distance to equilibrium: {dist:.6g}")
     return 0
 
 
 def cmd_stability(args) -> int:
-    mp, source = resolve_model(args)
-    eps = _one_eps(args)
-    outdir = _outdir(args)
-    problem = mdl.build_problem(mp, eps, n=args.n)
-    state = eq.solve_coupled(problem, tol=args.tol)
-    if _unconverged(args, outdir, [state]):
+    source, outdir, problem, states = _steady_states(args)
+    if states is None:
         return 1
+    state = states[0]
     rep = stab.stability_report(problem, state.A, tol=max(10 * args.tol, 1e-8))
     write_json(
         outdir / "stability.json",
@@ -460,7 +443,7 @@ def cmd_stability(args) -> int:
             "assumption_warnings": problem.assumption_warnings,
         },
     )
-    write_manifest(outdir, "stability", source, _knobs(args, epsilon=[eps]))
+    write_manifest(outdir, args, source)
     print(f"spectral radius {rep.spectral_radius:.6g} -> {'stable' if rep.stable else 'unstable'}")
     return 0
 
@@ -475,18 +458,6 @@ def _run_parallel(fn, payloads, jobs):
     workers = min(jobs, len(payloads))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
-
-
-def _knobs(args, **extra) -> dict:
-    knobs = {
-        "n": args.n,
-        "tol": args.tol,
-        "jobs": args.jobs,
-        "allow_partial": args.allow_partial,
-        "output_dir": str(Path(args.output_dir).resolve()),
-    }
-    knobs.update(extra)
-    return knobs
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

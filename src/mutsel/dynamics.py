@@ -136,7 +136,7 @@ class _System:
 
 def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
     """Raise DynamicsError unless t_end and dt are finite and positive, t_end/dt
-    is at most MAX_STEPS, and sample_every >= 1."""
+    is at most MAX_STEPS and rounds to at least one step, and sample_every >= 1."""
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise DynamicsError(f"{name} must be finite and positive, got {value}")
@@ -144,6 +144,8 @@ def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
         raise DynamicsError(
             f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {MAX_STEPS}"
         )
+    if round(t_end / dt) < 1:
+        raise DynamicsError(f"t_end/dt = {t_end / dt:.3g} rounds to zero steps")
     if sample_every < 1:
         raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
 
@@ -253,7 +255,7 @@ def integrate(
     f = None  # rhs(y) once computed
     n_steps = int(round(t_end / dt))
     budget = max(MAX_RHS_EVALS, 4 * n_steps)
-    marks = [*range(sample_every, n_steps, sample_every), n_steps] if n_steps else []
+    marks = [*range(sample_every, n_steps, sample_every), n_steps]
     t = init.t
     h = dt
     accepted = rejected = clip_events = 0

@@ -17,7 +17,7 @@ import numpy as np
 from .grid import Field, inner, integrate, l1_norm
 from .model import Problem
 from .operators import host_map, update_map
-from .spectral import SpectralResult, solve_host_spectrum
+from .spectral import SpectralResult
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -25,6 +25,11 @@ ANDERSON_DEPTH = 5
 # the coupled solve falls back to plain steps after more than this many
 # iterations without a new lowest residual
 STALL_STEPS = 2 * ANDERSON_DEPTH
+# slack of the paper's inequalities mu_k/theta >= lambda1^k and
+# int(beta_k A) >= (theta/2)(lambda1^k - 1); mu_k/theta is pinned to lambda1^k
+# when the two agree to PIN_TOL
+INEQUALITY_TOL = 1e-9
+PIN_TOL = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -44,21 +49,14 @@ class UncoupledSolution:
     residual: float
 
 
-def solve_uncoupled(
-    problem: Problem,
-    k: int,
-    *,
-    tol: float = DEFAULT_TOL,
-    spectral: SpectralResult | None = None,
-) -> UncoupledSolution:
+def solve_uncoupled(problem: Problem, k: int) -> UncoupledSolution:
     """Single-host steady state: a multiple of the principal eigenfunction.
 
     If the spectral radius exceeds 1 the unique positive fixed point is
     nu * phi1 with nu = theta (lambda1 - 1) / int(beta_k phi1); otherwise only
-    the zero state exists.
+    the zero state exists.  The eigenpair is ``problem.host_spectra[k - 1]``.
     """
-    if spectral is None:
-        spectral = solve_host_spectrum(problem, k, tol=tol)
+    spectral = problem.host_spectra[k - 1]
     lam = spectral.lambda1
     grid = problem.grid
     if lam <= 1.0:
@@ -348,14 +346,7 @@ class PinningReport:
     pinned: bool
 
 
-def mu_pinning_check(
-    problem: Problem,
-    state: EquilibriumState,
-    spectral: tuple[SpectralResult, SpectralResult],
-    *,
-    ineq_tol: float = 1e-9,
-    pin_tol: float = 1e-4,
-) -> list[PinningReport]:
+def mu_pinning_check(problem: Problem, state: EquilibriumState) -> list[PinningReport]:
     """Check mu_k / theta against the per-host spectral radius.
 
     The ratio always dominates the spectral radius at an endemic state, and
@@ -366,7 +357,7 @@ def mu_pinning_check(
     reports = []
     for k in (1, 2):
         ratio = state.mu(k) / problem.mp.theta
-        lam = spectral[k - 1].lambda1
+        lam = problem.host_spectra[k - 1].lambda1
         gap = ratio - lam
         reports.append(
             PinningReport(
@@ -374,28 +365,24 @@ def mu_pinning_check(
                 mu_over_theta=ratio,
                 lambda1=lam,
                 signed_gap=gap,
-                inequality_ok=gap >= -ineq_tol,
-                pinned=abs(gap) < pin_tol,
+                inequality_ok=gap >= -INEQUALITY_TOL,
+                pinned=abs(gap) < PIN_TOL,
             )
         )
     return reports
 
 
 def lower_bound_check(
-    problem: Problem,
-    state: EquilibriumState,
-    spectral: tuple[SpectralResult, SpectralResult],
-    *,
-    tol: float = 1e-9,
+    problem: Problem, state: EquilibriumState
 ) -> list[tuple[int, float, float, bool]]:
     """Per host: (k, int beta_k A, bound, ok) where the bound is
     (theta/2)(spectral radius - 1), active only above threshold."""
     out = []
     for k in (1, 2):
-        lam = spectral[k - 1].lambda1
+        lam = problem.host_spectra[k - 1].lambda1
         if lam <= 1.0:
             continue
         mass = inner(problem.host(k).beta, state.A)
         bound = 0.5 * problem.mp.theta * (lam - 1.0)
-        out.append((k, mass, bound, mass >= bound - tol))
+        out.append((k, mass, bound, mass >= bound - INEQUALITY_TOL))
     return out

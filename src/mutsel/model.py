@@ -240,7 +240,7 @@ class HostDerived:
     beta: Field
     d: Field
     r: Field
-    sigma_support: tuple[int, int]   # index range (inclusive) of closure{beta > 0}
+    sigma_support: tuple[int, int]   # index range (inclusive) of the declared beta support
     omega_support: tuple[int, int]   # index range (inclusive) of {psi > 0}
     x_star: float
     psi_max: float
@@ -315,6 +315,9 @@ def validate_assumptions(
         edge = max(abs(hd.psi.values[0]), abs(hd.psi.values[-1]))
         if edge > 1e-12 * max(hd.psi_max, 1.0):
             warnings.append(f"psi_{hd.k} does not vanish at the window edges")
+        lo, hi = hd.sigma_support
+        if hd.beta.values[:lo].any() or hd.beta.values[hi + 1:].any():
+            warnings.append(f"beta_{hd.k} is positive outside its declared support")
     if support_distance(mp) <= 0:
         warnings.append(
             "overlapping supports - superposition/concentration hypotheses violated"
@@ -395,14 +398,18 @@ class Problem:
         linearization at zero: computed once per problem, on first use.
         Raises ``SpectralError`` when the eigensolve does not converge."""
         # spectral builds on this module
-        from .spectral import SpectralError, solve_combined_spectrum
+        from .spectral import certified, solve_combined_spectrum
 
-        res = solve_combined_spectrum(self)
-        if not res.converged:
-            raise SpectralError(
-                f"combined spectral radius did not converge (residual {res.residual:.3g})"
-            )
-        return res.lambda1
+        return certified(solve_combined_spectrum(self), "combined spectral radius").lambda1
+
+    @cached_property
+    def host_spectra(self) -> tuple:
+        """The principal eigenpairs of the two host operators, computed once
+        per problem, on first use, and certified as ``combined_radius`` is."""
+        from .spectral import certified, solve_host_spectrum
+
+        return tuple(certified(solve_host_spectrum(self, k), f"host {k} spectrum")
+                     for k in (1, 2))
 
     @cached_property
     def assumption_warnings(self) -> list[str]:

@@ -1,4 +1,4 @@
-"""Spectral radii, principal eigenpairs, spectral gaps and threshold limits.
+"""Spectral radii, principal eigenpairs and spectral gaps.
 
 A linear operator f -> m_eps * (gain . f), the derivative of an update map at
 zero, is similar to a symmetric kernel operator via conjugation with the
@@ -39,6 +39,13 @@ class SpectralResult:
     lambda2: float | None = None
     gap: float | None = None
     degenerate: bool = False
+
+
+def certified(result: SpectralResult, what: str) -> SpectralResult:
+    """``result``, or ``SpectralError`` naming ``what`` when it did not converge."""
+    if not result.converged:
+        raise SpectralError(f"{what} did not converge (residual {result.residual:.3g})")
+    return result
 
 
 def principal_eigenpair(
@@ -136,7 +143,7 @@ def solve_combined_spectrum(problem: Problem, *, tol: float = DEFAULT_TOL) -> Sp
 
 
 # ---------------------------------------------------------------------------
-# gap decay and limits
+# gap decay
 
 def gap_exponent(eps: list[float], gaps: list[float]) -> float | None:
     """Fitted slope of log(gap) against log(eps) over the positive gaps.
@@ -149,8 +156,3 @@ def gap_exponent(eps: list[float], gaps: list[float]) -> float | None:
     le, lg = np.log(positive).T
     return float(np.polyfit(le, lg, 1)[0])
 
-
-def r0_limits(problem: Problem) -> tuple[float, float, float]:
-    """(R0, R0_host1, R0_host2): the small-mutation limits of the spectral radii."""
-    r0 = float(combined_operator(problem).gain.max())
-    return r0, problem.host(1).r0, problem.host(2).r0

@@ -5,7 +5,6 @@ import pytest
 
 from mutsel.equilibrium import solve_coupled, solve_uncoupled
 from mutsel.model import build_problem, preset
-from mutsel.spectral import solve_host_spectrum
 
 
 @pytest.fixture(scope="session")
@@ -35,19 +34,8 @@ def fig1_state(fig1_problem):
 
 
 @pytest.fixture(scope="session")
-def fig1_spectra(fig1_problem):
-    return (
-        solve_host_spectrum(fig1_problem, 1, tol=1e-12),
-        solve_host_spectrum(fig1_problem, 2, tol=1e-12),
-    )
-
-
-@pytest.fixture(scope="session")
-def fig1_uncoupled(fig1_problem, fig1_spectra):
-    return (
-        solve_uncoupled(fig1_problem, 1, spectral=fig1_spectra[0]),
-        solve_uncoupled(fig1_problem, 2, spectral=fig1_spectra[1]),
-    )
+def fig1_uncoupled(fig1_problem):
+    return solve_uncoupled(fig1_problem, 1), solve_uncoupled(fig1_problem, 2)
 
 
 @pytest.fixture(scope="session")

@@ -145,10 +145,7 @@ def test_criterion_4_superposition(fig1):
     for eps in (0.05, 0.02, 0.01, 0.005):
         problem = build_problem(fig1, eps)
         state = solve_coupled(problem, tol=1e-12)
-        unc = (
-            solve_uncoupled(problem, 1, tol=1e-12),
-            solve_uncoupled(problem, 2, tol=1e-12),
-        )
+        unc = (solve_uncoupled(problem, 1), solve_uncoupled(problem, 2))
         sup = superposition_error(problem, state.A, unc)
         rel = sup.e_total / l1_norm(state.A)
         checks.append((f"decreasing@{eps}", rel < prev))
@@ -171,11 +168,7 @@ def test_criterion_5_lower_bound(fig1, fig1_small):
             state = solve_coupled(problem, tol=1e-10)
         else:
             problem, state = bundle
-        spectra = (
-            solve_host_spectrum(problem, 1),
-            solve_host_spectrum(problem, 2),
-        )
-        for k, mass, bound, ok in lower_bound_check(problem, state, spectra):
+        for k, mass, bound, ok in lower_bound_check(problem, state):
             checks.append((f"host{k}@{eps}", ok))
     report(5, "infection-pressure lower bound at endemic states", checks)
 
@@ -183,12 +176,8 @@ def test_criterion_5_lower_bound(fig1, fig1_small):
 def test_criterion_6_mu_pinning(fig1):
     problem = build_problem(fig1, 0.005)
     state = solve_coupled(problem, tol=1e-12)
-    spectra = (
-        solve_host_spectrum(problem, 1, tol=1e-12),
-        solve_host_spectrum(problem, 2, tol=1e-12),
-    )
     checks = []
-    for rep in mu_pinning_check(problem, state, spectra):
+    for rep in mu_pinning_check(problem, state):
         checks.append((f"host{rep.host} inequality", rep.inequality_ok))
         checks.append((f"host{rep.host} |gap|<1e-4", abs(rep.signed_gap) < 1e-4))
     checks.append(("two hosts reported", len(checks) == 4))
@@ -210,7 +199,7 @@ def test_criterion_7_stability(fig1):
     checks.append(("extinction radius matches operator 1e-6",
                    abs(rep0.spectral_radius - lam) < 1e-6))
     coarse = build_problem(fig1, 0.05, n=512)
-    sol = solve_uncoupled(coarse, 1, tol=1e-12)
+    sol = solve_uncoupled(coarse, 1)
     us = uncoupled_derivative_spectrum(coarse, sol, count=10)
     checks.append(("uncoupled formula vs matrix 1e-6 (top 10)", us.max_mismatch < 1e-6))
     report(7, "linearized stability of steady states", checks)

@@ -367,6 +367,9 @@ MALFORMED = {
                                  "--dt", "5e-324"],
     "too many steps": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
                                    "--dt", "1e-300"],
+    # round(t_end/dt) = 0: nothing would be integrated
+    "zero steps": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
+                               "--t-end", "1", "--dt", "3"],
     "negative seed": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2",
                                   "--seed", "-1"],
     "two widths for equilibrium": lambda tmp: ["equilibrium", "--preset", "fig1",
@@ -538,6 +541,51 @@ TRACED_NAMES = (
     "cli.write_csv",
     "cli.write_json",
 )
+
+
+# every subcommand's options: a new one is a visible edit here
+COMMON_OPTIONS = {"preset", "config", "epsilon", "n", "tol", "scale_beta", "jobs",
+                  "allow_partial", "output_dir"}
+CLI_SURFACE = {
+    "spectrum": COMMON_OPTIONS | {"host"},
+    "equilibrium": COMMON_OPTIONS | {"starts", "seed", "stability"},
+    "sweep": COMMON_OPTIONS,
+    "dynamics": COMMON_OPTIONS | {"t_end", "dt", "method", "bump", "sample_every"},
+    "stability": COMMON_OPTIONS,
+}
+
+
+def _option_dests() -> dict[str, set[str]]:
+    """Each subcommand's option dests, read from the parser."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+def test_cli_surface():
+    assert _option_dests() == CLI_SURFACE
+
+
+MANIFEST_RUNS = {
+    "spectrum": ["spectrum", "--host", "2"],
+    "equilibrium": ["equilibrium", "--starts", "2", "--seed", "3"],
+    "sweep": ["sweep", "--tol", "1e-9"],
+    "dynamics": ["dynamics", "--t-end", "1", "--sample-every", "7", "--bump", "2e-3"],
+    "stability": ["stability", "--n", "401"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_echoes_every_option(command, tmp_path):
+    argv = [*MANIFEST_RUNS[command], "--preset", "fig1", "--epsilon", "5e-2", "--jobs", "1",
+            "--output-dir", str(tmp_path / "out")]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert run(argv) == 0
+    options = json.loads((tmp_path / "out" / "manifest.json").read_text())["options"]
+    assert set(options) == _option_dests()[command] - {"preset", "config", "scale_beta"}
+    for name, value in options.items():
+        want = str(Path(parsed[name]).resolve()) if name == "output_dir" else parsed[name]
+        assert value == want, name
 
 
 def test_traced_names_resolve():

@@ -120,7 +120,8 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "t_end, dt, sample_every",
         [(1.0, float("nan"), 100), (float("inf"), 0.01, 100), (-5.0, 0.01, 100),
-         (1.0, 0.0, 100), (1.0, 0.01, 0), (1.0, 5e-324, 100), (1.0, 1e-300, 100)],
+         (1.0, 0.0, 100), (1.0, 0.01, 0), (1.0, 5e-324, 100), (1.0, 1e-300, 100),
+         (1.0, 3.0, 100)],
     )
     def test_bad_schedule_rejected(self, fig1_problem, t_end, dt, sample_every):
         init = disease_free_state(fig1_problem)

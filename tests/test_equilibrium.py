@@ -1,7 +1,10 @@
 """Fixed-point solvers, reconstruction and steady-state diagnostics."""
 
+import functools
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from mutsel import spectral
 from mutsel.grid import Field, inner, l1_norm
@@ -48,6 +51,29 @@ class TestUncoupled:
     def test_a_star_positive_mass(self, fig1_uncoupled):
         for sol in fig1_uncoupled:
             assert l1_norm(sol.a_star) > 0.1
+
+    def test_host_spectra_solved_once_per_problem(self, fig1, monkeypatch):
+        problem = build_problem(fig1, 0.05)
+        state = solve_coupled(problem)
+        calls = []
+        solve = spectral.principal_eigenpair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "principal_eigenpair", counted)
+        solve_uncoupled(problem, 1)
+        solve_uncoupled(problem, 2)
+        mu_pinning_check(problem, state)
+        lower_bound_check(problem, state)
+        assert len(calls) == 2
+
+    def test_unconverged_host_spectrum_raises(self, fig1, monkeypatch):
+        # a Lanczos run cut off after one restart does not converge
+        monkeypatch.setattr(spectral, "eigsh", functools.partial(eigsh, maxiter=1, ncv=4))
+        with pytest.raises(spectral.SpectralError, match="^host 1 spectrum did not converge"):
+            solve_uncoupled(build_problem(fig1, 0.05), 1)
 
 
 class TestCoupled:
@@ -207,20 +233,20 @@ class TestDiagnostics:
         excess = sup.e_sigma1 + sup.e_sigma2 + sup.e_complement - sup.e_total
         assert excess == pytest.approx(overlap, rel=1e-12)
 
-    def test_pinning(self, fig1_problem, fig1_state, fig1_spectra):
-        reports = mu_pinning_check(fig1_problem, fig1_state, fig1_spectra)
+    def test_pinning(self, fig1_problem, fig1_state):
+        reports = mu_pinning_check(fig1_problem, fig1_state)
         assert len(reports) == 2
         for r in reports:
             assert r.inequality_ok
             assert r.pinned
 
-    def test_pinning_skipped_for_disease_free(self, fig1_problem, fig1_spectra):
+    def test_pinning_skipped_for_disease_free(self, fig1_problem):
         g = fig1_problem.grid
         dfree = reconstruct(fig1_problem, Field(g, np.zeros(g.n), is_density=True))
-        assert mu_pinning_check(fig1_problem, dfree, fig1_spectra) == []
+        assert mu_pinning_check(fig1_problem, dfree) == []
 
-    def test_lower_bound(self, fig1_problem, fig1_state, fig1_spectra):
-        checks = lower_bound_check(fig1_problem, fig1_state, fig1_spectra)
+    def test_lower_bound(self, fig1_problem, fig1_state):
+        checks = lower_bound_check(fig1_problem, fig1_state)
         assert len(checks) == 2
         for _, mass, bound, ok in checks:
             assert ok

@@ -139,6 +139,17 @@ class TestValidation:
         assert problem.assumption_warnings == []
         assert support_distance(fig1) == pytest.approx(0.1, abs=1e-12)
 
+    def test_beta_outside_declared_support_warned(self, fig1, fig2, fig3):
+        for mp in (fig1, fig2, fig3):
+            warnings = build_problem(mp, 0.01).assumption_warnings
+            assert not any("outside its declared support" in w for w in warnings)
+        # declared on [0.7, 0.9], but positive on (0.25, 0.9): it overlaps host 1
+        wide = HostParams(xi=0.5, beta=compile_trait_expression("400*pos((x-0.25)*(0.9-x))"),
+                          beta_support=(0.7, 0.9))
+        problem = build_problem(ModelParams(1.0, 1.0, 1.0, (fig1.hosts[0], wide)), 0.05)
+        warnings = [w for w in problem.assumption_warnings if "declared support" in w]
+        assert warnings == ["beta_2 is positive outside its declared support"]
+
     def test_fig3_overlap_warning(self, fig3):
         problem = build_problem(fig3, 0.01)
         warnings = validate_assumptions(fig3, problem.kernel, problem.derived)

@@ -14,11 +14,10 @@ from mutsel.model import (
     constant,
     quadratic_bump,
 )
-from mutsel.operators import host_operator
+from mutsel.operators import combined_operator, host_operator
 from mutsel.spectral import (
     gap_exponent,
     principal_eigenpair,
-    r0_limits,
     solve_host_spectrum,
     symmetric_spectrum,
 )
@@ -116,21 +115,21 @@ class TestDenseSpectrum:
 
 
 class TestGapsAndLimits:
+    # R0 = max of the combined gain (Lambda/theta) sum_k xi_k psi_k, and R0_k =
+    # host k's: the small-mutation limits of the spectral radii
     def test_r0_limits_fig1(self, fig1_problem):
-        r0, r01, r02 = r0_limits(fig1_problem)
-        assert r01 == pytest.approx(4.0, abs=1e-3)
-        assert r02 == pytest.approx(2.0, abs=1e-3)
-        assert r0 == pytest.approx(4.0, abs=1e-3)
+        assert fig1_problem.host(1).r0 == pytest.approx(4.0, abs=1e-3)
+        assert fig1_problem.host(2).r0 == pytest.approx(2.0, abs=1e-3)
+        assert combined_operator(fig1_problem).gain.max() == pytest.approx(4.0, abs=1e-3)
 
     def test_r0_limits_fig2(self, fig2_problem):
-        r0, r01, r02 = r0_limits(fig2_problem)
-        assert r02 == pytest.approx(0.75, abs=1e-3)
-        assert r0 == pytest.approx(4.0, abs=1e-3)
+        assert fig2_problem.host(2).r0 == pytest.approx(0.75, abs=1e-3)
+        assert combined_operator(fig2_problem).gain.max() == pytest.approx(4.0, abs=1e-3)
 
     def test_r0_fig3_dominates_parts(self, fig3):
         problem = build_problem(fig3, 0.01)
-        r0, r01, r02 = r0_limits(problem)
-        assert r0 >= max(r01, r02) - 1e-12
+        r0 = combined_operator(problem).gain.max()
+        assert r0 >= max(problem.host(1).r0, problem.host(2).r0) - 1e-12
 
     def test_spectral_radius_below_limit_and_increasing(self, fig1):
         lams = []

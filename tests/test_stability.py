@@ -121,12 +121,12 @@ class TestStabilityMechanism:
 
 class TestUncoupledFormula:
     def test_fig1_host1_formula_matches_matrix(self, coarse_problem):
-        sol = solve_uncoupled(coarse_problem, 1, tol=1e-12)
+        sol = solve_uncoupled(coarse_problem, 1)
         us = uncoupled_derivative_spectrum(coarse_problem, sol, count=10)
         assert us.max_mismatch < 1e-6
 
     def test_top_value_is_max_of_reciprocal_and_ratio(self, coarse_problem):
-        sol = solve_uncoupled(coarse_problem, 1, tol=1e-12)
+        sol = solve_uncoupled(coarse_problem, 1)
         us = uncoupled_derivative_spectrum(coarse_problem, sol, count=10)
         lam = us.operator_spectrum
         expected_top = max(1.0 / lam[0], lam[1] / lam[0])
@@ -135,7 +135,7 @@ class TestUncoupledFormula:
 
     def test_below_threshold_spectrum_is_operator_spectrum(self, fig2):
         problem = build_problem(fig2, 0.05, n=512)
-        sol = solve_uncoupled(problem, 2, tol=1e-12)
+        sol = solve_uncoupled(problem, 2)
         assert sol.is_trivial
         us = uncoupled_derivative_spectrum(problem, sol, count=5)
         assert np.allclose(us.formula, us.operator_spectrum[:5], atol=1e-10)
@@ -144,7 +144,7 @@ class TestUncoupledFormula:
     def test_eigenfunction_maps_to_reciprocal_eigenvalue(self, coarse_problem):
         # at the single-host state, the principal eigenfunction is an
         # eigenvector of that host's derivative with eigenvalue 1/lambda1
-        sol = solve_uncoupled(coarse_problem, 1, tol=1e-12)
+        sol = solve_uncoupled(coarse_problem, 1)
         g = coarse_problem.grid
         theta = coarse_problem.mp.theta
         hd = coarse_problem.host(1)
@@ -163,6 +163,6 @@ class TestUncoupledFormula:
         assert rel < 1e-8
 
     def test_imaginary_parts_negligible(self, coarse_problem):
-        sol = solve_uncoupled(coarse_problem, 1, tol=1e-12)
+        sol = solve_uncoupled(coarse_problem, 1)
         us = uncoupled_derivative_spectrum(coarse_problem, sol, count=10)
         assert np.max(np.abs(us.matrix.imag)) < 1e-8
