@@ -37,38 +37,11 @@ NOT_OPTIONS = {"command", "func", "preset", "config", "scale_beta"}
 # config resolution
 
 def load_model_config(path: str) -> mdl.ModelParams:
-    """Build model parameters from a JSON file.
-
-    Expected shape::
-
-        {"lambda": 1.0, "theta": 1.0, "delta": 1.0,
-         "hosts": [{"xi": 0.5, "beta": "200*pos((x-0.2)*(0.6-x))",
-                    "beta_support": [0.2, 0.6], "d": "0", "r": "1"}, ...]}
-    """
+    """Model parameters from a JSON model document (see ``mdl.model_from_dict``)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        hosts = [
-            mdl.HostParams(
-                xi=float(h["xi"]),
-                beta=mdl.compile_trait_expression(h["beta"]),
-                beta_support=tuple(h["beta_support"]),
-                d=mdl.compile_trait_expression(str(h.get("d", "0"))),
-                r=mdl.compile_trait_expression(str(h.get("r", "1"))),
-            )
-            for h in raw["hosts"]
-        ]
-        if len(hosts) != 2:
-            raise mdl.ModelError("config must define exactly two hosts")
-        return mdl.ModelParams(
-            lambda_=float(raw["lambda"]),
-            theta=float(raw["theta"]),
-            delta=float(raw["delta"]),
-            hosts=(hosts[0], hosts[1]),
-        )
-    except KeyError as exc:
-        raise mdl.ModelError(f"invalid model config {path}: missing key {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
+            return mdl.model_from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:
         raise mdl.ModelError(f"invalid model config {path}: {exc}") from exc
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,29 +21,18 @@ class TraitGrid:
     x_max: float
     n: int
     h: float
-    nodes: np.ndarray
-    quad_weights: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, TraitGrid):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.x_min == other.x_min
-            and self.x_max == other.x_max
-        )
-
-    def __hash__(self):
-        return hash((self.x_min, self.x_max, self.n))
+    # follow from the fields above, so grids compare and hash without them
+    nodes: np.ndarray = field(compare=False)
+    quad_weights: np.ndarray = field(compare=False)
 
 
-def make_grid(x_min: float, x_max: float, n: int, *, min_nodes: int = MIN_NODES) -> TraitGrid:
+def make_grid(x_min: float, x_max: float, n: int) -> TraitGrid:
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise GridError("grid bounds must be finite")
     if x_min >= x_max:
         raise GridError(f"x_min={x_min} must be < x_max={x_max}")
-    if n < min_nodes:
-        raise GridError(f"need at least {min_nodes} nodes, got {n}")
+    if n < MIN_NODES:
+        raise GridError(f"need at least {MIN_NODES} nodes, got {n}")
     nodes = np.linspace(x_min, x_max, n)
     h = (x_max - x_min) / (n - 1)
     w = np.full(n, h)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -33,41 +33,12 @@ class KernelResolutionError(ModelError):
 # trait function helpers
 
 @dataclass(frozen=True)
-class Constant:
-    c: float
-
-    def __call__(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.c)
-
-
-@dataclass(frozen=True)
-class QuadraticBump:
-    """scale * ((x - lo)(hi - x))^+ : compactly supported on [lo, hi]."""
-
-    scale: float
-    lo: float
-    hi: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.scale * np.clip((x - self.lo) * (self.hi - x), 0.0, None)
-
-
-@dataclass(frozen=True)
 class ScaledFunction:
     factor: float
     base: TraitFunction
 
     def __call__(self, x):
         return self.factor * np.asarray(self.base(x), dtype=float)
-
-
-def constant(c: float) -> TraitFunction:
-    return Constant(c)
-
-
-def quadratic_bump(scale: float, lo: float, hi: float) -> TraitFunction:
-    return QuadraticBump(scale, lo, hi)
 
 
 _EXPR_NAMES = {
@@ -111,10 +82,6 @@ class TraitExpression:
             raise ModelError(f"trait expression {self.expr!r} failed: {exc}") from exc
 
 
-def compile_trait_expression(expr: str) -> TraitFunction:
-    return TraitExpression(expr)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -125,8 +92,8 @@ class HostParams:
     xi: float
     beta: TraitFunction
     beta_support: tuple[float, float]
-    d: TraitFunction = field(default_factory=lambda: constant(0.0))
-    r: TraitFunction = field(default_factory=lambda: constant(1.0))
+    d: TraitFunction = TraitExpression("0")
+    r: TraitFunction = TraitExpression("1")
 
     def __post_init__(self):
         if not 0.0 < self.xi < 1.0:
@@ -136,13 +103,7 @@ class HostParams:
             raise ModelError(f"invalid beta support {self.beta_support}")
 
     def scaled_beta(self, factor: float) -> "HostParams":
-        return HostParams(
-            xi=self.xi,
-            beta=ScaledFunction(factor, self.beta),
-            beta_support=self.beta_support,
-            d=self.d,
-            r=self.r,
-        )
+        return replace(self, beta=ScaledFunction(factor, self.beta))
 
 
 @dataclass
@@ -172,13 +133,12 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # mutation kernel
 
-def laplace_density(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.exp(-np.abs(np.asarray(x, dtype=float)))
+MIN_NODES_PER_WIDTH = 5
 
 
 @dataclass
 class MutationKernel:
-    """Samples of the scaled kernel on the difference grid of a TraitGrid.
+    """Samples of the scaled Laplace kernel on the difference grid of a TraitGrid.
 
     ``samples[j]`` holds the kernel value at offset ``(j - (n-1)) * h`` so that
     ``samples[(n-1) + i - j]`` is the kernel evaluated at ``x_i - x_j``.
@@ -186,8 +146,6 @@ class MutationKernel:
     mass the truncated, unnormalized samples carried.
     """
 
-    base_density: TraitFunction
-    epsilon: float
     grid: TraitGrid
     samples: np.ndarray
     raw_mass: float
@@ -197,35 +155,23 @@ class MutationKernel:
         return float(self.samples[self.grid.n - 1])
 
 
-def scale_kernel(
-    m: TraitFunction,
-    eps: float,
-    grid: TraitGrid,
-    *,
-    min_nodes_per_width: int = 5,
-) -> MutationKernel:
+def scale_kernel(eps: float, grid: TraitGrid) -> MutationKernel:
+    """The Laplace kernel m(z) = exp(-|z|)/2 scaled to m_eps(z) = m(z/eps)/eps."""
     if not (np.isfinite(eps) and eps > 0):
         raise ModelError(f"epsilon must be positive, got {eps}")
     n = grid.n
     offsets = grid.h * np.arange(-(n - 1), n)
     within = np.count_nonzero(np.abs(offsets) <= eps + 1e-15)
-    if within < min_nodes_per_width:
+    if within < MIN_NODES_PER_WIDTH:
         raise KernelResolutionError(
             f"grid under-resolves kernel: {within} nodes within |x| <= eps={eps} "
-            f"(h={grid.h:.3g}); need {min_nodes_per_width}"
+            f"(h={grid.h:.3g}); need {MIN_NODES_PER_WIDTH}"
         )
-    raw = np.asarray(m(offsets / eps), dtype=float) / eps
-    if np.any(raw < 0) or not np.all(np.isfinite(raw)):
-        raise ModelError("kernel density must be finite and nonnegative")
-    sym_err = np.max(np.abs(raw - raw[::-1]))
-    if sym_err > 1e-12 * max(raw.max(), 1.0):
-        raise ModelError("kernel density must be symmetric")
+    raw = 0.5 * np.exp(-np.abs(offsets / eps)) / eps
     # trapezoid mass on the difference grid
     raw_mass = grid.h * (raw.sum() - 0.5 * raw[0] - 0.5 * raw[-1])
-    if raw_mass <= 0:
-        raise ModelError("kernel has no mass on the sampled range")
     samples = raw / raw_mass
-    return MutationKernel(m, float(eps), grid, samples, float(raw_mass))
+    return MutationKernel(grid, samples, float(raw_mass))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +253,8 @@ def validate_assumptions(
 ) -> list[str]:
     """Warnings for the model assumptions this instance violates.
 
-    The scalar, influx and kernel conditions are not checked here: building
-    the parameters and the kernel already enforces them.
+    The scalar and influx conditions are not checked here: building the
+    parameters enforces them, and the Laplace kernel meets the kernel's.
     """
     warnings: list[str] = []
     for hd in derived:
@@ -336,13 +282,49 @@ def validate_assumptions(
 
 
 # ---------------------------------------------------------------------------
-# presets (the three standard two-bump scenarios)
+# model documents and presets
+
+def model_from_dict(raw: dict) -> ModelParams:
+    """Build model parameters from a model document.
+
+    Expected shape::
+
+        {"lambda": 1.0, "theta": 1.0, "delta": 1.0,
+         "hosts": [{"xi": 0.5, "beta": "200*pos((x-0.2)*(0.6-x))",
+                    "beta_support": [0.2, 0.6], "d": "0", "r": "1"}, ...]}
+
+    Traits are ``TraitExpression`` strings in x; ``d`` and ``r`` default to "0" and "1".
+    """
+    try:
+        hosts = [
+            HostParams(
+                xi=float(h["xi"]),
+                beta=TraitExpression(h["beta"]),
+                beta_support=tuple(h["beta_support"]),
+                d=TraitExpression(str(h.get("d", "0"))),
+                r=TraitExpression(str(h.get("r", "1"))),
+            )
+            for h in raw["hosts"]
+        ]
+        if len(hosts) != 2:
+            raise ModelError("config must define exactly two hosts")
+        return ModelParams(
+            lambda_=float(raw["lambda"]),
+            theta=float(raw["theta"]),
+            delta=float(raw["delta"]),
+            hosts=(hosts[0], hosts[1]),
+        )
+    except KeyError as exc:
+        raise ModelError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise ModelError(str(exc)) from exc
+
 
 def preset(name: str) -> ModelParams:
-    """Named parameter sets: fig1, fig2 and fig3 scenarios.
+    """Named model documents: the fig1, fig2 and fig3 scenarios.
 
-    All share xi1 = xi2 = 1/2, lambda = theta = delta = 1, d == 0, r == 1 and a
-    Laplace mutation kernel; they differ in the infection-efficiency bumps.
+    All share xi1 = xi2 = 1/2, lambda = theta = delta = 1, d == 0 and r == 1;
+    they differ in the quadratic infection-efficiency bumps s*((x-lo)(hi-x))^+.
     """
     bumps = {
         "fig1": ((200.0, 0.2, 0.6), (400.0, 0.7, 0.9)),
@@ -351,12 +333,9 @@ def preset(name: str) -> ModelParams:
     }
     if name not in bumps:
         raise ModelError(f"unknown preset {name!r}; expected one of {sorted(bumps)}")
-    (s1, a1, b1), (s2, a2, b2) = bumps[name]
-    hosts = (
-        HostParams(xi=0.5, beta=quadratic_bump(s1, a1, b1), beta_support=(a1, b1)),
-        HostParams(xi=0.5, beta=quadratic_bump(s2, a2, b2), beta_support=(a2, b2)),
-    )
-    return ModelParams(lambda_=1.0, theta=1.0, delta=1.0, hosts=hosts)
+    hosts = [{"xi": 0.5, "beta": f"{s}*pos((x-{lo})*({hi}-x))", "beta_support": [lo, hi]}
+             for s, lo, hi in bumps[name]]
+    return model_from_dict({"lambda": 1.0, "theta": 1.0, "delta": 1.0, "hosts": hosts})
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +347,17 @@ DEFAULT_NODES_PER_EPSILON = 8.0
 
 def default_window(mp: ModelParams, eps: float, padding: float | None = None) -> tuple[float, float]:
     pad = max(DEFAULT_MIN_PADDING, 10.0 * eps) if padding is None else padding
-    los = [h.beta_support[0] for h in mp.hosts]
-    his = [h.beta_support[1] for h in mp.hosts]
-    return min(los) - pad, max(his) + pad
+    lo = min(h.beta_support[0] for h in mp.hosts) - pad
+    hi = max(h.beta_support[1] for h in mp.hosts) + pad
+    if not math.isfinite(hi - lo):
+        raise ModelError(f"trait window [{lo:g}, {hi:g}] has no finite length")
+    return lo, hi
 
 
 def default_node_count(window: tuple[float, float], eps: float) -> int:
-    length = window[1] - window[0]
-    n = int(math.ceil(length * DEFAULT_NODES_PER_EPSILON / eps)) + 1
-    return int(min(max(n, 257), 8193))
+    # capped before rounding: a subnormal eps makes the ratio overflow to inf
+    nodes = min((window[1] - window[0]) * DEFAULT_NODES_PER_EPSILON / eps, 8192.0)
+    return max(math.ceil(nodes) + 1, 257)
 
 
 @dataclass
@@ -428,6 +409,6 @@ def build_problem(
     if n is None:
         n = default_node_count(window, eps)
     grid = make_grid(window[0], window[1], n)
-    kernel = scale_kernel(laplace_density, eps, grid)
+    kernel = scale_kernel(eps, grid)
     derived = (build_fitness(mp, 1, grid), build_fitness(mp, 2, grid))
     return Problem(mp=mp, eps=eps, grid=grid, kernel=kernel, derived=derived)

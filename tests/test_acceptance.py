@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from mutsel.grid import Field, l1_norm
-from mutsel.model import build_problem, preset, scale_kernel, laplace_density
+from mutsel.model import build_problem, preset, scale_kernel
 from mutsel.operators import (
     ConvolutionEngine,
     host_operator,
@@ -260,7 +260,7 @@ def test_criterion_11_property_suites(fig1):
         worst = max(worst, l1_norm(a - b) / l1_norm(a))
     checks.append(("backend cross-agreement 1e-10", worst < 1e-10))
 
-    k = scale_kernel(laplace_density, 0.01, grid)
+    k = scale_kernel(0.01, grid)
     mass = grid.h * (k.samples.sum() - 0.5 * k.samples[0] - 0.5 * k.samples[-1])
     checks.append(("kernel unit mass", abs(mass - 1.0) < 1e-12))
 

@@ -289,6 +289,27 @@ class TestConfigFile:
         row = (outdir / "spectrum.csv").read_text().splitlines()[2].split(",")
         assert 3.5 < float(row[1]) < 4.0
 
+    @pytest.mark.parametrize("name, betas", [
+        ("fig1", [("200*pos((x-0.2)*(0.6-x))", [0.2, 0.6]),
+                  ("400*pos((x-0.7)*(0.9-x))", [0.7, 0.9])]),
+        ("fig2", [("200*pos((x-0.2)*(0.6-x))", [0.2, 0.6]),
+                  ("150*pos((x-0.7)*(0.9-x))", [0.7, 0.9])]),
+        ("fig3", [("200*pos((x-0.3)*(0.7-x))", [0.3, 0.7]),
+                  ("400*pos((x-0.6)*(0.8-x))", [0.6, 0.8])]),
+    ])
+    def test_preset_is_its_document(self, name, betas, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({
+            "lambda": 1.0, "theta": 1.0, "delta": 1.0,
+            "hosts": [{"xi": 0.5, "beta": b, "beta_support": s} for b, s in betas],
+        }))
+        for source, out in ((["--config", str(cfg)], "config"), (["--preset", name], "preset")):
+            assert run(["equilibrium", *source, "--epsilon", "5e-2",
+                        "--output-dir", str(tmp_path / out)]) == 0
+        for artifact in ("equilibrium.json", "equilibrium_fields.csv"):
+            assert ((tmp_path / "config" / artifact).read_bytes()
+                    == (tmp_path / "preset" / artifact).read_bytes()), artifact
+
     def test_preset_and_config_conflict(self, tmp_path, outdir):
         cfg = tmp_path / "model.json"
         cfg.write_text("{}")
@@ -396,6 +417,13 @@ MALFORMED = {
                                      "--epsilon", "5e-2"],
     "config without hosts": lambda tmp: ["spectrum", *_config_file(tmp, b'{"lambda": 1}'),
                                          "--epsilon", "5e-2"],
+    # windows whose length overflows to inf, and a width whose node count does
+    "infinite window": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "1e307"],
+    "infinite window with n": lambda tmp: ["spectrum", "--preset", "fig1",
+                                           "--epsilon", "1e307", "--n", "100"],
+    "infinite beta support": lambda tmp: ["spectrum", *_config(tmp, beta_support=[-1e308, 1e308]),
+                                          "--epsilon", "5e-2"],
+    "subnormal epsilon": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "1e-320"],
     "output dir under a file": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                                             *_file_parent(tmp)],
 }

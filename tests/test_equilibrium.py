@@ -8,7 +8,7 @@ from scipy.sparse.linalg import eigsh
 
 from mutsel import spectral
 from mutsel.grid import Field, inner, l1_norm
-from mutsel.model import HostParams, ModelParams, build_problem, compile_trait_expression
+from mutsel.model import HostParams, ModelParams, TraitExpression, build_problem
 from mutsel.operators import ConvolutionEngine, mass_bound, update_map
 from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
@@ -276,8 +276,8 @@ class TestDiagnostics:
 def _with_death_and_production(mp):
     """The model with nonzero extra death d, non-constant production r, delta = 2."""
     hosts = tuple(
-        HostParams(h.xi, h.beta, h.beta_support, d=compile_trait_expression(d),
-                   r=compile_trait_expression(r))
+        HostParams(h.xi, h.beta, h.beta_support, d=TraitExpression(d),
+                   r=TraitExpression(r))
         for h, d, r in zip(mp.hosts, ("0.3 + x", "0.5"), ("1 + 2*x", "2 - x"))
     )
     return ModelParams(mp.lambda_, mp.theta, 2.0, hosts)

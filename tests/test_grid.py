@@ -40,6 +40,10 @@ class TestMakeGrid:
         assert np.all(diffs > 0)
         assert np.max(np.abs(diffs - g.h)) < 1e-12
 
+    def test_equal_grids_hash_alike(self):
+        a, b = make_grid(0.0, 1.0, 64), make_grid(0.0, 1.0, 64)
+        assert a == b and hash(a) == hash(b)
+
     def test_rejects_small_n(self):
         with pytest.raises(GridError):
             make_grid(0.0, 1.0, 11)

@@ -9,14 +9,11 @@ from mutsel.model import (
     KernelResolutionError,
     ModelError,
     ModelParams,
+    TraitExpression,
     build_fitness,
     build_problem,
-    compile_trait_expression,
-    constant,
     default_window,
-    laplace_density,
     preset,
-    quadratic_bump,
     scale_kernel,
     support_distance,
     validate_assumptions,
@@ -60,8 +57,9 @@ class TestFitness:
 
     def test_zero_fitness_rejected(self):
         hosts = (
-            HostParams(xi=0.5, beta=constant(0.0), beta_support=(0.2, 0.6)),
-            HostParams(xi=0.5, beta=quadratic_bump(1.0, 0.7, 0.9), beta_support=(0.7, 0.9)),
+            HostParams(xi=0.5, beta=TraitExpression("0.0"), beta_support=(0.2, 0.6)),
+            HostParams(xi=0.5, beta=TraitExpression("1.0*pos((x-0.7)*(0.9-x))"),
+                       beta_support=(0.7, 0.9)),
         )
         mp = ModelParams(1.0, 1.0, 1.0, hosts)
         with pytest.raises(ModelError):
@@ -78,35 +76,35 @@ class TestFitness:
 class TestKernel:
     def test_center_value(self):
         g = make_grid(0.0, 1.0, 257)
-        k = scale_kernel(laplace_density, 0.1, g)
+        k = scale_kernel(0.1, g)
         assert k.center_value == pytest.approx(5.0, rel=1e-3)
 
     def test_unit_mass_after_normalization(self):
         g = make_grid(0.0, 1.0, 257)
         for eps in (0.05, 0.1, 0.3):
-            k = scale_kernel(laplace_density, eps, g)
+            k = scale_kernel(eps, g)
             mass = g.h * (k.samples.sum() - 0.5 * k.samples[0] - 0.5 * k.samples[-1])
             assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_exact(self):
         g = make_grid(0.0, 1.0, 257)
-        k = scale_kernel(laplace_density, 0.1, g)
+        k = scale_kernel(0.1, g)
         assert np.array_equal(k.samples, k.samples[::-1])
 
     def test_under_resolution_rejected(self):
         g = make_grid(0.0, 1.2, 1024)
         with pytest.raises(KernelResolutionError):
-            scale_kernel(laplace_density, 1e-3, g)
+            scale_kernel(1e-3, g)
 
     def test_fine_grid_resolves(self):
         g = make_grid(0.0, 1.2, 8193)
-        k = scale_kernel(laplace_density, 1e-3, g)
+        k = scale_kernel(1e-3, g)
         assert k.raw_mass > 0.9
 
     def test_rejects_negative_eps(self):
         g = make_grid(0.0, 1.0, 64)
         with pytest.raises(ModelError):
-            scale_kernel(laplace_density, -0.1, g)
+            scale_kernel(-0.1, g)
 
 
 class TestPresets:
@@ -144,7 +142,7 @@ class TestValidation:
             warnings = build_problem(mp, 0.01).assumption_warnings
             assert not any("outside its declared support" in w for w in warnings)
         # declared on [0.7, 0.9], but positive on (0.25, 0.9): it overlaps host 1
-        wide = HostParams(xi=0.5, beta=compile_trait_expression("400*pos((x-0.25)*(0.9-x))"),
+        wide = HostParams(xi=0.5, beta=TraitExpression("400*pos((x-0.25)*(0.9-x))"),
                           beta_support=(0.7, 0.9))
         problem = build_problem(ModelParams(1.0, 1.0, 1.0, (fig1.hosts[0], wide)), 0.05)
         warnings = [w for w in problem.assumption_warnings if "declared support" in w]
@@ -157,8 +155,10 @@ class TestValidation:
 
     def test_xi_sum_enforced(self):
         hosts = (
-            HostParams(xi=0.6, beta=quadratic_bump(1, 0.2, 0.6), beta_support=(0.2, 0.6)),
-            HostParams(xi=0.6, beta=quadratic_bump(1, 0.7, 0.9), beta_support=(0.7, 0.9)),
+            HostParams(xi=0.6, beta=TraitExpression("1*pos((x-0.2)*(0.6-x))"),
+                       beta_support=(0.2, 0.6)),
+            HostParams(xi=0.6, beta=TraitExpression("1*pos((x-0.7)*(0.9-x))"),
+                       beta_support=(0.7, 0.9)),
         )
         with pytest.raises(ModelError):
             ModelParams(1.0, 1.0, 1.0, hosts)
@@ -183,15 +183,15 @@ class TestProblemAssembly:
 
 class TestTraitExpressions:
     def test_bump_expression(self):
-        f = compile_trait_expression("200*pos((x-0.2)*(0.6-x))")
+        f = TraitExpression("200*pos((x-0.2)*(0.6-x))")
         x = np.array([0.0, 0.4, 1.0])
         assert f(x)[0] == 0.0
         assert f(x)[1] == pytest.approx(8.0)
 
     def test_constant_expression_broadcasts(self):
-        f = compile_trait_expression("1")
+        f = TraitExpression("1")
         assert f(np.zeros(5)).shape == (5,)
 
     def test_rejects_unknown_names(self):
         with pytest.raises(ModelError):
-            compile_trait_expression("__import__('os').system('true')")
+            TraitExpression("__import__('os').system('true')")

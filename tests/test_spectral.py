@@ -10,9 +10,8 @@ from mutsel.grid import Field, l1_norm
 from mutsel.model import (
     HostParams,
     ModelParams,
+    TraitExpression,
     build_problem,
-    constant,
-    quadratic_bump,
 )
 from mutsel.operators import combined_operator, host_operator
 from mutsel.spectral import (
@@ -26,8 +25,9 @@ from mutsel.spectral import (
 def _flat_beta_problem():
     """Host 1 with beta = 3 over the whole window: a reflection-symmetric operator."""
     hosts = (
-        HostParams(xi=0.5, beta=constant(3.0), beta_support=(-0.5, 1.5)),
-        HostParams(xi=0.5, beta=quadratic_bump(400, 0.7, 0.9), beta_support=(0.7, 0.9)),
+        HostParams(xi=0.5, beta=TraitExpression("3.0"), beta_support=(-0.5, 1.5)),
+        HostParams(xi=0.5, beta=TraitExpression("400*pos((x-0.7)*(0.9-x))"),
+                   beta_support=(0.7, 0.9)),
     )
     return build_problem(ModelParams(1.0, 1.0, 1.0, hosts), 0.05, n=512)
 
@@ -149,7 +149,8 @@ class TestGapsAndLimits:
 
         hosts = (
             HostParams(xi=0.5, beta=twin, beta_support=(0.1, 0.9)),
-            HostParams(xi=0.5, beta=quadratic_bump(400, 0.4, 0.6), beta_support=(0.4, 0.6)),
+            HostParams(xi=0.5, beta=TraitExpression("400*pos((x-0.4)*(0.6-x))"),
+                       beta_support=(0.4, 0.6)),
         )
         mp = ModelParams(1.0, 1.0, 1.0, hosts)
         gaps = []
