@@ -76,7 +76,10 @@ class TraitExpression:
         x = np.asarray(x, dtype=float)
         code = self._compile()
         try:
-            out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
+            # an overflow or the log of a nonpositive value gives inf or nan
+            # silently; build_problem rejects those with a message of its own
+            with np.errstate(all="ignore"):
+                out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ModelError(f"trait expression {self.expr!r} failed: {exc}") from exc

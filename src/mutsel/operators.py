@@ -9,7 +9,7 @@ the zero density, so they share that code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -33,8 +33,9 @@ class ConvolutionEngine:
     the full convolution has 3n-2 entries, and the circular one folds those
     past L onto entries below n-1, which are discarded.  The kernel's
     transform is taken once, so each call costs one forward and one inverse
-    real FFT.  ``dense_matrix`` gives the same sum as an O(n^2) Toeplitz
-    product, the reference in tests.
+    real FFT.  ``restricted`` gives the engine of a window of nodes, and
+    ``dense_matrix`` the same sum as an O(n^2) Toeplitz product, the reference
+    in tests.
     """
 
     def __init__(self, kernel: MutationKernel):
@@ -50,6 +51,22 @@ class ConvolutionEngine:
         # samples[j] sits at offset (j-(n-1))h, so node i of the output is
         # entry (n-1)+i of the linear convolution, which no wrap-around reaches
         return full[n - 1 : 2 * n - 1]
+
+    def restricted(self, lo: int, hi: int) -> "ConvolutionEngine":
+        """The engine of the m = hi - lo nodes lo..hi-1 alone.
+
+        It keeps this grid's quadrature weights on the window (the window is not
+        re-trapezoided: an end node inside the grid keeps its whole weight) and
+        the 2m-1 kernel samples at the offsets the window spans, padded to
+        next_fast_len(2m-1).  Its output is therefore this engine's on values
+        that vanish off the window, read on the window; on the whole grid it
+        computes exactly what this engine does.
+        """
+        g, n, m = self.grid, self.grid.n, hi - lo
+        window = replace(g, x_min=float(g.nodes[lo]), x_max=float(g.nodes[hi - 1]), n=m,
+                         nodes=g.nodes[lo:hi], quad_weights=g.quad_weights[lo:hi])
+        samples = self.kernel.samples[(n - 1) - (m - 1) : (n - 1) + m]
+        return ConvolutionEngine(replace(self.kernel, grid=window, samples=samples))
 
     def toeplitz(self) -> np.ndarray:
         """Read-only n x n view K[i, j] = m_eps(x_i - x_j) = samples[(n-1)+i-j]."""

@@ -8,6 +8,13 @@ eigenvalues come from one implicitly restarted Lanczos run (ARPACK, through
 operator, and the principal pair is certified by the L1 residual of the
 reconstructed eigenfunction; dense symmetric eigensolves provide the rest of
 the spectrum and the independent cross-check.
+
+The symmetric form s K s, with s = sqrt(w gain), is zero off the gain's
+support, so its nonzero eigenpairs live on the nodes where the gain is
+positive: Lanczos runs on the window spanning them, with a convolution engine
+restricted to it.  The same argument serves the stability solve: a
+derivative T' that reads its input only on a window, T' = T'P with P the
+restriction to it, has the nonzero spectrum of P T' P.
 """
 
 from __future__ import annotations
@@ -48,6 +55,18 @@ def certified(result: SpectralResult, what: str) -> SpectralResult:
     return result
 
 
+def arpack_window(mask: np.ndarray, k: int) -> tuple[int, int]:
+    """Node window lo..hi-1 (half-open) from the first to the last True entry of
+    ``mask``, widened within the grid to at least k + 2 nodes: ARPACK asks for
+    more nodes than the k eigenvalues it returns."""
+    n = len(mask)
+    hits = np.flatnonzero(mask)
+    lo, hi = int(hits[0]), int(hits[-1]) + 1
+    need = min(n, k + 2)
+    lo = max(0, min(lo, hi - need))
+    return lo, max(hi, lo + need)
+
+
 def principal_eigenpair(
     op: Linearization,
     *,
@@ -59,29 +78,35 @@ def principal_eigenpair(
 
     Runs ARPACK's Lanczos iteration to machine precision on
     sqrt(w) sqrt(gain) K sqrt(gain) sqrt(w), for the top eigenvalue or,
-    with ``with_second``, the top two.  Convergence is declared on the relative
-    quadrature-L1 residual of the reconstructed eigenpair; a Lanczos run that
-    does not converge yields ``converged=False``.
+    with ``with_second``, the top two, on the window of nodes where the gain
+    is positive (see ``arpack_window``).  Convergence is declared on the
+    relative quadrature-L1 residual of the eigenpair reconstructed on the whole
+    grid; a Lanczos run that does not converge yields ``converged=False``.
     """
     grid = op.engine.grid
-    if not (op.gain > 0).any():
+    positive = op.gain > 0
+    if not positive.any():
         raise SpectralError("operator gain is identically zero")
-    sw = np.sqrt(grid.quad_weights)
-    s = np.sqrt(op.gain)
+    k = 2 if with_second else 1
+    lo, hi = arpack_window(positive, k)
+    window = slice(lo, hi)
+    engine = op.engine.restricted(lo, hi)
+    sw = np.sqrt(grid.quad_weights[window])
+    s = np.sqrt(op.gain[window])
     applications = 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
-        return sw * s * op.engine.convolve_values(s * x.ravel() / sw)
+        return sw * s * engine.convolve_values(s * x.ravel() / sw)
 
-    b = LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
+    b = LinearOperator((hi - lo, hi - lo), matvec=matvec, dtype=float)
     # seeded, because ARPACK's own start vector does not repeat within a
     # process; not reflection-even, because an even start has no component
     # along the odd eigenvectors of a reflection-symmetric operator
-    v0 = sw * (1.0 + np.random.default_rng(0).random(grid.n))
+    v0 = sw * (1.0 + np.random.default_rng(0).random(grid.n)[window])
     try:
-        vals, vecs = eigsh(b, k=2 if with_second else 1, which="LA", v0=v0, tol=0)
+        vals, vecs = eigsh(b, k=k, which="LA", v0=v0, tol=0)
         lanczos_converged = True
     except ArpackNoConvergence as exc:
         vals, vecs, lanczos_converged = exc.eigenvalues, exc.eigenvectors, False
@@ -92,11 +117,13 @@ def principal_eigenpair(
     vals, vecs = vals[order], vecs[:, order]
 
     lam = float(vals[0])
-    # eigsh fixes no sign; the principal eigenvector is the positive one
+    # eigsh fixes no sign; the principal eigenvector is the positive one.  It
+    # is u = vecs / sw on the window and 0 off it, where the gain vanishes, so
+    # phi = m_eps * (sqrt(gain) u) / lam solves L phi = lam phi on the whole grid
     u = vecs[:, 0] / sw * np.sign(np.sum(vecs[:, 0]))
-    # u is an eigenvector of the symmetrized operator at lam, so
-    # phi = m_eps * (sqrt(gain) u) / lam solves L phi = lam phi
-    phi = np.clip(op.engine.convolve_values(s * u) / lam, 0.0, None)
+    su = np.zeros(grid.n)
+    su[window] = s * u
+    phi = np.clip(op.engine.convolve_values(su) / lam, 0.0, None)
     mass = l1_norm(Field(grid, phi))
     if mass <= 0:
         raise SpectralError("eigenfunction reconstruction produced the zero field")

@@ -5,6 +5,13 @@ density comes from one matrix-free Arnoldi run (ARPACK) for the
 ``EIGENVALUE_COUNT`` eigenvalues of largest modulus, at any grid size.  For
 single-host states the spectrum is also checked against its closed form,
 using the dense derivative as the reference.
+
+The map T(a) = m_eps * (g(a) a) reads a only where a fitness row (through g
+and a) or a beta row (through the denominators) is nonzero.  With P the
+restriction to the hull of those nodes its derivative satisfies T' = T'P.
+The nonzero eigenvalues of the product T'P are those of PT' (AB and BA share
+them), and PT' = PT'P, the derivative of the map restricted to the hull: the
+Arnoldi run takes the spectrum there, on convolutions of the hull's length.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .grid import Field
 from .model import Problem
-from .operators import host_map, host_operator, update_map
-from .spectral import symmetric_spectrum
+from .operators import UpdateMap, host_map, host_operator, update_map
+from .spectral import arpack_window, symmetric_spectrum
 from .equilibrium import UncoupledSolution
 
 EIGENVALUE_COUNT = 20
@@ -47,19 +54,27 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     asymptotically at rate q, so ``error_bound`` = residual / (1 - q) bounds
     A's L1 distance to the fixed point to first order (q is a spectral radius,
     not a norm).  ARPACK needs k < n - 1, so a grid of n nodes yields at most
-    n - 2 eigenvalues.
+    n - 2 eigenvalues, and the hull the run takes place on is widened to at
+    least k + 2 nodes.
     """
     a = A.values
     tmap = update_map(problem)
     ta = tmap.apply_values(np.clip(a, 0.0, None))
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
     n = problem.grid.n
+    k = min(EIGENVALUE_COUNT, n - 2)
+    # the map reads its input only where a fitness or beta row is nonzero
+    read = (tmap.fitness != 0).any(axis=0) | (tmap.beta_rows != 0).any(axis=0)
+    lo, hi = arpack_window(read, k)
+    window = slice(lo, hi)
+    restricted = UpdateMap(tmap.engine.restricted(lo, hi), tmap.fitness[:, window],
+                           tmap.beta_rows[:, window])
     # seeded, because ARPACK's own start vector does not repeat within a process
     v0 = 1.0 + np.random.default_rng(0).random(n)
     try:
         eig = eigs(
-            tmap.linearization(a), k=min(EIGENVALUE_COUNT, n - 2), which="LM",
-            v0=v0, tol=0, return_eigenvectors=False,
+            restricted.linearization(a[window]), k=k, which="LM",
+            v0=v0[window], tol=0, return_eigenvectors=False,
         )
     except ArpackNoConvergence as exc:
         raise StabilityError("Arnoldi iteration for the stability spectrum did not converge") from exc

@@ -627,13 +627,17 @@ def test_traced_names_resolve():
     assert spec.host_operator is importlib.import_module("mutsel.operators").host_operator
 
 
-def _probe(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter that imports this mutsel."""
+def _fresh(code: str, *, check: bool) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports this mutsel."""
     src = str(Path(mutsel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip()
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=check)
+
+
+def _probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this mutsel."""
+    return _fresh(code, check=True).stdout.strip()
 
 
 def test_cli_import_leaves_out_scipy_signal():
@@ -649,3 +653,36 @@ def test_dynamics_run_leaves_out_scipy_integrate(tmp_path):
             f"assert mutsel.cli.main({argv!r}) == 0; "
             "print('scipy.integrate' in sys.modules)")
     assert _probe(code).splitlines()[-1] == "False"
+
+
+def test_every_convolution_passes_the_engine(monkeypatch, outdir):
+    # the benchmark's tracer counts and prices convolutions at
+    # ConvolutionEngine.convolve_values: a spectrum run makes one per Lanczos
+    # application, on the window, and three on the whole grid (the operator's
+    # zero correction row, the eigenfunction and its residual)
+    engine = importlib.import_module("mutsel.operators").ConvolutionEngine
+    convolve = engine.convolve_values
+    lengths = []
+
+    def counted(self, values):
+        lengths.append(len(values))
+        return convolve(self, values)
+
+    monkeypatch.setattr(engine, "convolve_values", counted)
+    assert run(["spectrum", "--preset", "fig1", "--host", "1", "--epsilon", "5e-3",
+                "--jobs", "1", "--output-dir", str(outdir)]) == 0
+    lines = (outdir / "spectrum.csv").read_text().splitlines()
+    iterations = int(dict(zip(lines[1].split(","), lines[2].split(",")))["iterations"])
+    n = build_problem(preset("fig1"), 5e-3).grid.n
+    assert len(lengths) == iterations + 3
+    assert lengths.count(n) == 3
+
+
+@pytest.mark.parametrize("beta", ["exp(1000*x)", "log(x)"])
+def test_non_finite_trait_prints_only_the_error(beta, tmp_path):
+    # in a fresh interpreter, where warnings are printed rather than raised
+    argv = ["spectrum", *_config(tmp_path, beta=beta), "--epsilon", "5e-2",
+            "--output-dir", str(tmp_path / "out")]
+    out = _fresh(f"import sys, mutsel.cli; sys.exit(mutsel.cli.main({argv!r}))", check=False)
+    assert out.returncode == 2
+    assert out.stderr == "error: host 1 trait functions must be finite and nonnegative\n"

@@ -192,6 +192,15 @@ class TestTraitExpressions:
         f = TraitExpression("1")
         assert f(np.zeros(5)).shape == (5,)
 
+    @pytest.mark.parametrize("beta", ["exp(1000*x)", "log(x)"])
+    def test_non_finite_values_are_a_model_error(self, fig1, beta):
+        # numpy's overflow and log warnings would escape as errors here, where
+        # warnings are errors, instead of the model's own message
+        hosts = (HostParams(xi=0.5, beta=TraitExpression(beta), beta_support=(0.2, 0.6)),
+                 fig1.hosts[1])
+        with pytest.raises(ModelError, match="finite and nonnegative"):
+            build_problem(ModelParams(1.0, 1.0, 1.0, hosts), 0.05)
+
     def test_rejects_unknown_names(self):
         with pytest.raises(ModelError):
             TraitExpression("__import__('os').system('true')")

@@ -84,6 +84,27 @@ class TestConvolution:
         b = Field(f.grid, eng.convolve_values(f.values))
         assert l1_norm(a - b) / max(l1_norm(a), 1e-300) < 1e-10
 
+    @pytest.mark.parametrize("where", ["left edge", "right edge", "interior", "whole grid"])
+    def test_restricted_engine_is_the_toeplitz_window(self, fig1_problem, where):
+        # the window keeps the grid's weights: a window re-trapezoided would
+        # halve its end weights and miss at its end nodes
+        g = fig1_problem.grid
+        n = g.n
+        lo, hi = {"left edge": (0, n // 3), "right edge": (n - n // 5, n),
+                  "interior": (n // 4, n // 2 + 7), "whole grid": (0, n)}[where]
+        eng = ConvolutionEngine(fig1_problem.kernel)
+        sub = eng.restricted(lo, hi)
+        assert sub.grid.n == hi - lo
+        f = np.random.default_rng(3).random(hi - lo)
+        want = eng.toeplitz()[lo:hi, lo:hi] @ (g.quad_weights[lo:hi] * f)
+        assert np.max(np.abs(sub.convolve_values(f) - want)) < 1e-10 * np.max(np.abs(want))
+
+    def test_whole_grid_restriction_is_the_engine(self, fig1_problem):
+        eng = ConvolutionEngine(fig1_problem.kernel)
+        f = _random_density(fig1_problem.grid, 4).values
+        whole = eng.restricted(0, fig1_problem.grid.n)
+        assert np.array_equal(whole.convolve_values(f), eng.convolve_values(f))
+
 
 # session problem for hypothesis (fixtures cannot feed @given directly)
 _CACHE = {}

@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mutsel.grid import Field, l1_norm
 from mutsel.model import (
@@ -20,6 +20,24 @@ from mutsel.spectral import (
     solve_host_spectrum,
     symmetric_spectrum,
 )
+
+
+def _full_grid_lanczos(op, k):
+    """Lanczos on the whole grid from principal_eigenpair's start vector, the
+    reference for its windowed run: (top k eigenvalues, descending; applications)."""
+    grid = op.engine.grid
+    sw = np.sqrt(grid.quad_weights)
+    s = np.sqrt(op.gain)
+    applications = []
+
+    def matvec(x):
+        applications.append(1)
+        return sw * s * op.engine.convolve_values(s * x.ravel() / sw)
+
+    b = LinearOperator((grid.n, grid.n), matvec=matvec, dtype=float)
+    v0 = sw * (1.0 + np.random.default_rng(0).random(grid.n))
+    vals, _ = eigsh(b, k=k, which="LA", v0=v0, tol=0)
+    return np.sort(vals)[::-1], len(applications)
 
 
 def _flat_beta_problem():
@@ -112,6 +130,54 @@ class TestDenseSpectrum:
         monkeypatch.setattr(spec, "eigsh", functools.partial(eigsh, maxiter=1, ncv=4))
         res = solve_host_spectrum(fig1_problem, 1, with_second=True)
         assert not res.converged and res.residual > 1e-10
+
+
+class TestWindowedLanczos:
+    @pytest.fixture(scope="class")
+    def fine(self, fig1):
+        return build_problem(fig1, 1e-3)
+
+    @pytest.mark.parametrize("which, k", [("host 1", 2), ("host 2", 2), ("combined", 1)])
+    def test_matches_full_grid(self, fine, which, k):
+        # the solves the CLI runs: two eigenvalues per host, one for the sum
+        op = combined_operator(fine) if which == "combined" else host_operator(fine, int(which[-1]))
+        assert (op.gain > 0).sum() < fine.grid.n
+        res = principal_eigenpair(op, with_second=k == 2)
+        ref, applications = _full_grid_lanczos(op, k)
+        assert res.converged
+        assert res.lambda1 == pytest.approx(ref[0], rel=1e-12)
+        if k == 2:
+            assert res.lambda2 == pytest.approx(ref[1], rel=1e-12)
+        assert abs(res.iterations - applications) <= 1
+
+    def test_combined_second_eigenvalue(self, fine):
+        # the combined window also holds the zero-gain nodes between the two
+        # supports, and the start vector's share there differs from the whole
+        # grid's: here the restarted run needs fewer applications (180, not 197)
+        op = combined_operator(fine)
+        res = principal_eigenpair(op, with_second=True)
+        ref, applications = _full_grid_lanczos(op, 2)
+        assert res.lambda1 == pytest.approx(ref[0], rel=1e-12)
+        assert res.lambda2 == pytest.approx(ref[1], rel=1e-12)
+        assert res.iterations <= applications
+
+    def test_fitness_at_one_node(self, fig1):
+        # host 1's gain is positive at one node, so the window is widened to the
+        # k + 2 = 4 nodes ARPACK needs for two eigenvalues; the second is 0
+        hosts = (
+            HostParams(xi=0.5, beta=TraitExpression("1e6*pos((x-0.499)*(0.503-x))"),
+                       beta_support=(0.499, 0.503)),
+            fig1.hosts[1],
+        )
+        problem = build_problem(ModelParams(1.0, 1.0, 1.0, hosts), 0.05, n=278)
+        op = host_operator(problem, 1)
+        assert np.count_nonzero(op.gain > 0) == 1
+        res = solve_host_spectrum(problem, 1, with_second=True)
+        dense = symmetric_spectrum(op, 2)
+        assert res.converged
+        assert res.lambda1 == pytest.approx(0.0596, abs=1e-4)
+        assert res.lambda1 == pytest.approx(dense[0], rel=1e-12)
+        assert res.lambda2 == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGapsAndLimits:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigs
 
 from mutsel.grid import Field, l1_norm
 from mutsel.model import build_problem, preset
@@ -95,6 +96,32 @@ class TestStabilityReport:
         rep = stability_report(problem, default_start(problem))
         assert len(rep.eigenvalues) == 14
         assert rep.spectral_radius == pytest.approx(0.2041052007786639, abs=1e-12)
+
+
+def _full_grid_arnoldi(problem, a):
+    """Arnoldi on the whole grid from stability_report's start vector, the
+    reference for its windowed run."""
+    n = problem.grid.n
+    v0 = 1.0 + np.random.default_rng(0).random(n)
+    return eigs(update_map(problem).linearization(a), k=min(EIGENVALUE_COUNT, n - 2),
+                which="LM", v0=v0, tol=0, return_eigenvectors=False)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3"])
+def test_windowed_arnoldi_matches_full_grid(name):
+    # fig3's supports overlap; at both, the map reads its input on fewer nodes
+    # than the grid has, and the derivative's nonzero spectrum is the window's
+    problem = build_problem(preset(name), 2.5e-3)
+    tmap = update_map(problem)
+    assert ((tmap.fitness != 0).any(axis=0) | (tmap.beta_rows != 0).any(axis=0)).sum() \
+        < problem.grid.n
+    state = solve_coupled(problem)
+    rep = stability_report(problem, state.A)
+    ref = _full_grid_arnoldi(problem, state.A.values)
+    assert len(rep.eigenvalues) == len(ref) == EIGENVALUE_COUNT
+    # matched by nearest value: a conjugate pair shares one modulus
+    assert max(np.min(np.abs(ref - z)) for z in rep.eigenvalues) < 1e-10
+    assert max(np.min(np.abs(rep.eigenvalues - z)) for z in ref) < 1e-10
 
 
 class TestStabilityMechanism:
