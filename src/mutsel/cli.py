@@ -86,17 +86,12 @@ def _outdir(args) -> Path:
 
 
 def write_csv(path: Path, name: str, header: list[str], rows: list[list]) -> None:
+    """Rows of Python numbers and booleans, written by ``str``: the shortest
+    repr of a float.  (``repr`` of a numpy scalar reads ``np.float64(...)``.)"""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema=mutsel.{name}.v{SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -254,12 +249,9 @@ def cmd_equilibrium(args) -> int:
         outdir / "equilibrium_fields.csv",
         "fields",
         ["x", "A", "I1", "I2"],
-        [
-            [x, a, i1, i2]
-            for x, a, i1, i2 in zip(
-                problem.grid.nodes, state.A.values, state.I1.values, state.I2.values
-            )
-        ],
+        np.column_stack(
+            (problem.grid.nodes, state.A.values, state.I1.values, state.I2.values)
+        ).tolist(),
     )
     diagnostics = {
         "classification": state.classification,

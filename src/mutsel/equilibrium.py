@@ -127,7 +127,11 @@ def solve_coupled(
       near-fixed point is followed instead of cancelled.
 
     Converged only when the quadrature-L1 residual of the plain map is below
-    ``tol``; the returned density is then T(a).
+    ``tol`` and, for an endemic state, the paper's necessary conditions hold
+    (``necessary_conditions_hold``); the returned density is then T(a).  An
+    endemic iterate under ``tol`` that fails them is a near-fixed point, such
+    as a single host's steady state, which the other host's mode grows away
+    from: plain steps follow that mode until a lower residual comes in.
     """
     tmap = update_map(problem)
     if start is None:
@@ -151,15 +155,21 @@ def solve_coupled(
         f = g - a
         res = float(np.sum(w * np.abs(f)))
         history.append(res)
+        near_fixed = False
         if res < tol:
-            converged = True
-            iterations = it
-            break
+            state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None),
+                                               is_density=True))
+            if necessary_conditions_hold(problem, state):
+                converged = True
+                iterations = it
+                break
+            near_fixed = True
         if res < best:
             best, since_best, plain = res, 0, False
         else:
             since_best += 1
             plain = plain or since_best > STALL_STEPS
+        plain = plain or near_fixed
         if res > prev_res or plain:
             restarts += bool(steps)
             steps.clear()
@@ -176,13 +186,14 @@ def solve_coupled(
                 steps.clear()
             else:
                 a = accelerated
-    state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None), is_density=True))
+    if not converged:
+        state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None),
+                                           is_density=True))
+        state.classification = "non_converged"
     state.iterations = iterations
     state.restarts = restarts
     state.converged = converged
     state.residual_history = history[-50:]
-    if not converged:
-        state.classification = "non_converged"
     return state
 
 
@@ -386,3 +397,13 @@ def lower_bound_check(
         bound = 0.5 * problem.mp.theta * (lam - 1.0)
         out.append((k, mass, bound, mass >= bound - INEQUALITY_TOL))
     return out
+
+
+def necessary_conditions_hold(problem: Problem, state: EquilibriumState) -> bool:
+    """At an endemic state, the pinning inequalities mu_k/theta >= lambda1^k
+    and the lower bounds int(beta_k A) >= (theta/2)(lambda1^k - 1), which every
+    positive steady state meets; true at any other state."""
+    if state.classification != "endemic":
+        return True
+    return (all(p.inequality_ok for p in mu_pinning_check(problem, state))
+            and all(ok for *_, ok in lower_bound_check(problem, state)))

@@ -146,12 +146,14 @@ class MutationKernel:
     ``samples[j]`` holds the kernel value at offset ``(j - (n-1)) * h`` so that
     ``samples[(n-1) + i - j]`` is the kernel evaluated at ``x_i - x_j``.
     The samples are renormalized to unit trapezoid mass; ``raw_mass`` is the
-    mass the truncated, unnormalized samples carried.
+    mass the truncated, unnormalized samples carried, so the kernel is
+    exp(-|z|/eps) / (2 eps raw_mass) at every offset z.
     """
 
     grid: TraitGrid
     samples: np.ndarray
     raw_mass: float
+    eps: float
 
     @property
     def center_value(self) -> float:
@@ -174,7 +176,7 @@ def scale_kernel(eps: float, grid: TraitGrid) -> MutationKernel:
     # trapezoid mass on the difference grid
     raw_mass = grid.h * (raw.sum() - 0.5 * raw[0] - 0.5 * raw[-1])
     samples = raw / raw_mass
-    return MutationKernel(grid, samples, float(raw_mass))
+    return MutationKernel(grid, samples, float(raw_mass), float(eps))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ derivative are a single weighted convolution (the derivative minus a low-rank
 correction), whatever the number of hosts summed over.  The per-host and
 combined linear operators L f = m_eps * (gain . f) are the maps' derivatives at
 the zero density, so they share that code.
+
+The mutation kernel is the Laplace kernel m_eps(z) = exp(-|z|/eps)/(2 eps),
+the Green's function of 1 - eps^2 d^2/dx^2.  Its Gram matrix on any sorted
+set of nodes therefore has a tridiagonal inverse, and that inverse's
+Cholesky-type factor, in closed form (``gram_inverse``, ``gram_factor``): a
+convolution is one O(n) tridiagonal solve, and the symmetric eigenproblems
+built on it are tridiagonal too (see ``spectral``).
 """
 
 from __future__ import annotations
@@ -12,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpttrs
 from scipy.sparse.linalg import LinearOperator
 
 from .grid import Field
@@ -24,43 +31,66 @@ class OperatorError(ValueError):
     pass
 
 
+def gram_factor(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G^-1 = L D L^T in closed form, for G[i, j] = m_eps(x_i - x_j) on sorted
+    nodes whose consecutive distances are ``gaps``: ``(diag(D), subdiagonal of
+    the unit lower bidiagonal L)``.
+
+    G = C exp(-|x_i - x_j|/eps) with C = 1/(2 eps raw_mass) is the covariance
+    of a Markov chain: with rho_i = exp(-gaps_i/eps), L has subdiagonal
+    -rho_i, and D is 1/((1 - rho_i^2) C) at every node but the last, where it
+    is 1/C.  1 - rho^2 is taken as -expm1(-2 gap/eps): the plain difference
+    cancels as gap/eps shrinks.  A gap wide enough that rho underflows to 0
+    splits G^-1 into independent blocks.
+    """
+    c = 0.5 / (kernel.eps * kernel.raw_mass)
+    t = gaps / kernel.eps
+    return np.append(-1.0 / np.expm1(-2.0 * t), 1.0) / c, -np.exp(-t)
+
+
+def gram_inverse(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal G^-1 = L D L^T (see
+    ``gram_factor``): -rho_i/((1 - rho_i^2) C) off the diagonal and
+    (1 + q_{i-1} + q_i)/C on it, with q = rho^2/(1 - rho^2) (0 past either end).
+    """
+    d, sub = gram_factor(kernel, gaps)
+    return d + np.append(0.0, sub**2 * d[:-1]), sub * d[:-1]
+
+
 class ConvolutionEngine:
     """Quadrature convolution with the scaled mutation kernel, on the kernel's grid.
 
-    Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j), entries n-1 to 2n-2
-    of the linear convolution of the weighted values with the 2n-1 kernel
-    samples.  Both are zero-padded to a fast FFT length L of at least 2n-1:
-    the full convolution has 3n-2 entries, and the circular one folds those
-    past L onto entries below n-1, which are discarded.  The kernel's
-    transform is taken once, so each call costs one forward and one inverse
-    real FFT.  ``restricted`` gives the engine of a window of nodes, and
-    ``dense_matrix`` the same sum as an O(n^2) Toeplitz product, the reference
-    in tests.
+    Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j), that is g = K (w f)
+    with the Toeplitz K[i, j] = C r^|i-j|, r = exp(-h/eps).  Its inverse is
+    tridiagonal, K^-1 = tridiag(-r, 1 + r^2, -r)/((1 - r^2) C) with corner
+    entries 1/((1 - r^2) C), and its L D L^T factor is known in closed form
+    (``gram_factor``), so each call is one O(n) LAPACK solve K^-1 g = w f
+    (``dpttrs``).  The closed form keeps the solve accurate as h/eps shrinks,
+    where a factor computed from the rounded tridiagonal entries is not: their
+    row sums, (1 - r)/(1 + r) in the interior, are what K's action on smooth
+    values depends on.  ``restricted`` gives the engine of a window of nodes;
+    ``toeplitz`` and ``dense_matrix`` give the same sum as an O(n^2) Toeplitz
+    product, the reference in tests.
     """
 
     def __init__(self, kernel: MutationKernel):
         self.kernel = kernel
         self.grid = kernel.grid
-        self._length = next_fast_len(2 * self.grid.n - 1, real=True)
-        self._kernel_hat = rfft(kernel.samples, self._length)
+        d, sub = gram_factor(kernel, np.full(self.grid.n - 1, self.grid.h))
+        # f2py bounds the subdiagonal to one entry, not zero, at n = 1
+        self._factor = d, sub if sub.size else np.zeros(1)
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
-        n = self.grid.n
-        wf_hat = rfft(self.grid.quad_weights * values, self._length)
-        full = irfft(wf_hat * self._kernel_hat, self._length)
-        # samples[j] sits at offset (j-(n-1))h, so node i of the output is
-        # entry (n-1)+i of the linear convolution, which no wrap-around reaches
-        return full[n - 1 : 2 * n - 1]
+        return dpttrs(*self._factor, self.grid.quad_weights * values)[0]
 
     def restricted(self, lo: int, hi: int) -> "ConvolutionEngine":
         """The engine of the m = hi - lo nodes lo..hi-1 alone.
 
         It keeps this grid's quadrature weights on the window (the window is not
-        re-trapezoided: an end node inside the grid keeps its whole weight) and
-        the 2m-1 kernel samples at the offsets the window spans, padded to
-        next_fast_len(2m-1).  Its output is therefore this engine's on values
-        that vanish off the window, read on the window; on the whole grid it
-        computes exactly what this engine does.
+        re-trapezoided: an end node inside the grid keeps its whole weight), so
+        its output is this engine's on values that vanish off the window, read
+        on the window; on the whole grid it computes exactly what this engine
+        does.  The kernel samples are cut to the 2m-1 offsets the window spans.
         """
         g, n, m = self.grid, self.grid.n, hi - lo
         window = replace(g, x_min=float(g.nodes[lo]), x_max=float(g.nodes[hi - 1]), n=m,

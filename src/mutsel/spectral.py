@@ -2,19 +2,18 @@
 
 A linear operator f -> m_eps * (gain . f), the derivative of an update map at
 zero, is similar to a symmetric kernel operator via conjugation with the
-square root of its gain, so its spectrum is real and nonnegative.  The top
-eigenvalues come from one implicitly restarted Lanczos run (ARPACK, through
-``scipy.sparse.linalg.eigsh``) on the Euclidean-symmetric form of the
-operator, and the principal pair is certified by the L1 residual of the
-reconstructed eigenfunction; dense symmetric eigensolves provide the rest of
-the spectrum and the independent cross-check.
-
-The symmetric form s K s, with s = sqrt(w gain), is zero off the gain's
-support, so its nonzero eigenpairs live on the nodes where the gain is
-positive: Lanczos runs on the window spanning them, with a convolution engine
-restricted to it.  The same argument serves the stability solve: a
-derivative T' that reads its input only on a window, T' = T'P with P the
-restriction to it, has the nonzero spectrum of P T' P.
+square root of its gain, so its spectrum is real and nonnegative.  The
+symmetric form s K s, with s = sqrt(w gain), is zero off the gain's support,
+so its nonzero eigenpairs are those of S G S on the m nodes where the gain is
+positive, with G the kernel's Gram matrix there and S = diag(s).  For the
+Laplace kernel G^-1 is tridiagonal (``operators.gram_inverse``, whatever the
+gaps between the nodes), and so is (S G S)^-1 = S^-1 G^-1 S^-1: the top
+eigenvalues of the operator are the reciprocals of its smallest ones, which
+LAPACK bisection (``stebz``) finds in O(m) work each; the eigenvector comes
+from inverse iteration on the equivalent pencil G^-1 - mu S^2.  The principal
+pair is certified by the L1 residual of the eigenfunction reconstructed on the
+whole grid; dense symmetric eigensolves provide the rest of the spectrum and
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,14 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .grid import Field, l1_norm
 from .model import Problem
-from .operators import Linearization, combined_operator, host_operator
+from .operators import Linearization, combined_operator, gram_inverse, host_operator
 
 DEFAULT_TOL = 1e-10
+# absolute bisection tolerance: LAPACK's default, eps_mach times the matrix's
+# 1-norm, is far too coarse where a gain near 0 makes that norm huge, so
+# bisection runs to the relative accuracy of the arithmetic instead
+BISECTION_TOL = 1e-300
+# eps_mach^2: the share of the largest w * gain below which principal_eigenpair
+# leaves a node out of the eigensolve
+NEGLIGIBLE_SHARE = np.finfo(float).eps ** 2
 
 
 class SpectralError(RuntimeError):
@@ -41,7 +47,7 @@ class SpectralResult:
     lambda1: float
     phi1: Field
     residual: float
-    iterations: int  # operator applications
+    iterations: int  # full-grid operator applications
     converged: bool
     lambda2: float | None = None
     gap: float | None = None
@@ -55,18 +61,6 @@ def certified(result: SpectralResult, what: str) -> SpectralResult:
     return result
 
 
-def arpack_window(mask: np.ndarray, k: int) -> tuple[int, int]:
-    """Node window lo..hi-1 (half-open) from the first to the last True entry of
-    ``mask``, widened within the grid to at least k + 2 nodes: ARPACK asks for
-    more nodes than the k eigenvalues it returns."""
-    n = len(mask)
-    hits = np.flatnonzero(mask)
-    lo, hi = int(hits[0]), int(hits[-1]) + 1
-    need = min(n, k + 2)
-    lo = max(0, min(lo, hi - need))
-    return lo, max(hi, lo + need)
-
-
 def principal_eigenpair(
     op: Linearization,
     *,
@@ -76,66 +70,88 @@ def principal_eigenpair(
     """Dominant eigenvalue and positive unit-mass eigenfunction of a linear
     operator, the derivative of an update map at zero.
 
-    Runs ARPACK's Lanczos iteration to machine precision on
-    sqrt(w) sqrt(gain) K sqrt(gain) sqrt(w), for the top eigenvalue or,
-    with ``with_second``, the top two, on the window of nodes where the gain
-    is positive (see ``arpack_window``).  Convergence is declared on the
-    relative quadrature-L1 residual of the eigenpair reconstructed on the whole
-    grid; a Lanczos run that does not converge yields ``converged=False``.
+    Takes the smallest eigenvalue or, with ``with_second``, the smallest two of
+    the tridiagonal (S G S)^-1 on the m nodes where the gain is positive and
+    not negligible, by bisection to machine precision.  The operator has rank
+    m on m such nodes, so with m = 1 its second eigenvalue is 0.  The
+    eigenfunction comes from inverse iteration on the pencil G^-1 - mu S^2
+    (``_pencil_eigenvector``).  Convergence is declared on the relative
+    quadrature-L1 residual of the eigenpair on the whole grid, which costs two
+    full-grid operator applications (``iterations``); a LAPACK failure yields
+    ``converged=False``.
     """
     grid = op.engine.grid
-    positive = op.gain > 0
-    if not positive.any():
+    wg = grid.quad_weights * op.gain
+    if not np.any(wg > 0):
         raise SpectralError("operator gain is identically zero")
     k = 2 if with_second else 1
-    lo, hi = arpack_window(positive, k)
-    window = slice(lo, hi)
-    engine = op.engine.restricted(lo, hi)
-    sw = np.sqrt(grid.quad_weights[window])
-    s = np.sqrt(op.gain[window])
-    applications = 0
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        nonlocal applications
-        applications += 1
-        return sw * s * engine.convolve_values(s * x.ravel() / sw)
-
-    b = LinearOperator((hi - lo, hi - lo), matvec=matvec, dtype=float)
-    # seeded, because ARPACK's own start vector does not repeat within a
-    # process; not reflection-even, because an even start has no component
-    # along the odd eigenvectors of a reflection-symmetric operator
-    v0 = sw * (1.0 + np.random.default_rng(0).random(grid.n)[window])
+    # S^2 = w gain as a share of its largest entry, so that the diagonal of
+    # (S G S)^-1, which grows like 1/(w gain), cannot overflow: a node whose
+    # share is below NEGLIGIBLE_SHARE (a subnormal tail of a trait, say) moves
+    # the top eigenvalues by less than m times that share of lambda1, and is
+    # left out
+    share = wg / wg.max()
+    nodes = np.flatnonzero(share > NEGLIGIBLE_SHARE)
+    share = share[nodes]
+    root = np.sqrt(share)
+    diag, off = gram_inverse(op.engine.kernel, grid.h * np.diff(nodes))
     try:
-        vals, vecs = eigsh(b, k=k, which="LA", v0=v0, tol=0)
-        lanczos_converged = True
-    except ArpackNoConvergence as exc:
-        vals, vecs, lanczos_converged = exc.eigenvalues, exc.eigenvectors, False
-    if len(vals) == 0:
-        # nothing converged: fall back to the start vector's Rayleigh quotient
-        vals, vecs = np.array([v0 @ b.matvec(v0) / (v0 @ v0)]), v0[:, None]
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-
-    lam = float(vals[0])
-    # eigsh fixes no sign; the principal eigenvector is the positive one.  It
-    # is u = vecs / sw on the window and 0 off it, where the gain vanishes, so
-    # phi = m_eps * (sqrt(gain) u) / lam solves L phi = lam phi on the whole grid
-    u = vecs[:, 0] / sw * np.sign(np.sum(vecs[:, 0]))
-    su = np.zeros(grid.n)
-    su[window] = s * u
-    phi = np.clip(op.engine.convolve_values(su) / lam, 0.0, None)
+        mu = eigh_tridiagonal(
+            diag / share, off / (root[:-1] * root[1:]), eigvals_only=True, select="i",
+            select_range=(0, min(k, nodes.size) - 1), lapack_driver="stebz",
+            tol=BISECTION_TOL,
+        )
+        u = _pencil_eigenvector(diag, off, share, mu[0])
+    except LinAlgError:
+        # reported as not converged: ``certified`` raises, the CLI exits 1
+        nan = float("nan")
+        result = SpectralResult(nan, Field(grid, np.zeros(grid.n)), float("inf"), 0, False)
+        if with_second:
+            result.lambda2 = result.gap = nan
+        return result
+    lams = wg.max() / mu
+    lam = float(lams[0])
+    # u is the eigenfunction on the nodes, so phi = L u / lam, with u taken as
+    # 0 off them, where the gain is (negligibly) 0, solves L phi = lam phi
+    y = np.zeros(grid.n)
+    y[nodes] = op.gain[nodes] * u
+    phi = np.clip(op.engine.convolve_values(y) / lam, 0.0, None)
     mass = l1_norm(Field(grid, phi))
     if mass <= 0:
         raise SpectralError("eigenfunction reconstruction produced the zero field")
     phi = Field(grid, phi / mass, is_density=True)
     lphi = op.matvec(phi.values)
     res = float(np.sum(grid.quad_weights * np.abs(lphi - lam * phi.values)) / lam)
-    result = SpectralResult(lam, phi, res, applications, lanczos_converged and res < tol)
+    result = SpectralResult(lam, phi, res, 2, res < tol)
     if with_second:
-        result.lambda2 = float(vals[1]) if len(vals) > 1 else float("nan")
+        result.lambda2 = float(lams[1]) if len(lams) > 1 else 0.0
         result.gap = lam - result.lambda2
         result.degenerate = result.gap < 1e-12
     return result
+
+
+def _pencil_eigenvector(diag: np.ndarray, off: np.ndarray, share: np.ndarray,
+                        mu: float) -> np.ndarray:
+    """The positive eigenvector u of G^-1 u = mu S^2 u (G^-1 = tridiag(off,
+    diag, off), S^2 = diag(share)), scaled to max |u| = 1.
+
+    u = S^-1 v for the eigenvector v of (S G S)^-1, whose diagonal is huge
+    where S is tiny (about 3e16 at a support's end nodes): inverse iteration
+    there, as in LAPACK's ``stein``, leaves residuals of eps_mach times that
+    norm, 1e-11 in the certificate.  The pencil's entries stay bounded.  Two
+    steps of inverse iteration from the constant vector, shifted just below mu
+    so that no pivot is exactly zero (as it is for a single node), shrink the
+    other eigenvectors by about 1e-12 over the relative gap to the next mu each.
+    """
+    # f2py's dgtsv asks for one off-diagonal entry, not zero, at m = 1
+    off = off if off.size else np.zeros(1)
+    u = np.ones(diag.size)
+    for _ in range(2):
+        *_, u, info = dgtsv(off, diag - (1.0 - 1e-12) * mu * share, off, share * u)
+        if info:
+            raise LinAlgError("shifted pencil is singular")
+        u /= np.max(np.abs(u))
+    return u * np.sign(np.sum(u))
 
 
 def symmetric_spectrum(op: Linearization, count: int) -> np.ndarray:

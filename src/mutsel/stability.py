@@ -11,7 +11,8 @@ and a) or a beta row (through the denominators) is nonzero.  With P the
 restriction to the hull of those nodes its derivative satisfies T' = T'P.
 The nonzero eigenvalues of the product T'P are those of PT' (AB and BA share
 them), and PT' = PT'P, the derivative of the map restricted to the hull: the
-Arnoldi run takes the spectrum there, on convolutions of the hull's length.
+Arnoldi run takes the spectrum there, each application one convolution on the
+hull's nodes (an O(hull) tridiagonal solve).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs
 from .grid import Field
 from .model import Problem
 from .operators import UpdateMap, host_map, host_operator, update_map
-from .spectral import arpack_window, symmetric_spectrum
+from .spectral import symmetric_spectrum
 from .equilibrium import UncoupledSolution
 
 EIGENVALUE_COUNT = 20
@@ -33,6 +34,18 @@ STABILITY_MARGIN = 1e-9
 
 class StabilityError(RuntimeError):
     pass
+
+
+def arpack_window(mask: np.ndarray, k: int) -> tuple[int, int]:
+    """Node window lo..hi-1 (half-open) from the first to the last True entry of
+    ``mask``, widened within the grid to at least k + 2 nodes: ARPACK asks for
+    more nodes than the k eigenvalues it returns."""
+    n = len(mask)
+    hits = np.flatnonzero(mask)
+    lo, hi = int(hits[0]), int(hits[-1]) + 1
+    need = min(n, k + 2)
+    lo = max(0, min(lo, hi - need))
+    return lo, max(hi, lo + need)
 
 
 @dataclass

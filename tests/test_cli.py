@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
+import csv
 import importlib
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import mutsel
@@ -523,18 +525,26 @@ def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
 SPECTRAL_FAILURE = {"equilibrium": "equilibrium.json", "sweep": "targets.json"}
 
 
+def _bisection_fails(*args, **kwargs):
+    raise LinAlgError("eigenvalue bisection failed")
+
+
 @pytest.mark.parametrize("command", sorted(SPECTRAL_FAILURE))
 def test_lanczos_failure_exits_1(command, monkeypatch, outdir, capsys):
-    # with nothing converged the Rayleigh-quotient fallback reads about 0.7
-    # at fig1, which would classify the endemic state as disease-free
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-    monkeypatch.setattr(spec, "eigsh", no_convergence)
+    # a failed tridiagonal eigensolve must stop the run before anything is
+    # classified by the combined radius it did not deliver
+    monkeypatch.setattr(spec, "eigh_tridiagonal", _bisection_fails)
     assert run([command, "--preset", "fig1", "--epsilon", "5e-2",
                 "--output-dir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error: combined spectral radius")
     assert not (outdir / SPECTRAL_FAILURE[command]).exists()
+
+
+def test_bisection_failure_exits_1_from_spectrum(monkeypatch, outdir, capsys):
+    monkeypatch.setattr(spec, "eigh_tridiagonal", _bisection_fails)
+    assert run(["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
+                "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err.startswith("error: 1 spectral solve(s) did not converge")
 
 
 def test_unconverged_host_spectrum_exits_1(monkeypatch, outdir, capsys):
@@ -645,6 +655,35 @@ def test_cli_import_leaves_out_scipy_signal():
     assert _probe("import sys, mutsel.cli; print('scipy.signal' in sys.modules)") == "False"
 
 
+def test_cli_import_leaves_out_scipy_fft():
+    # the Laplace kernel's convolutions are tridiagonal solves, not FFTs
+    assert _probe("import sys, mutsel.cli; print('scipy.fft' in sys.modules)") == "False"
+
+
+CSV_RUNS = {
+    "equilibrium": ["equilibrium"],
+    "dynamics": ["dynamics", "--t-end", "1"],
+    "sweep": ["sweep"],
+    "spectrum": ["spectrum", "--host", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_RUNS))
+def test_csv_artifacts_parse(command, outdir):
+    # every cell is a number that float() reads, or a boolean flag
+    assert run([*CSV_RUNS[command], "--preset", "fig1", "--epsilon", "5e-2",
+                "--output-dir", str(outdir)]) == 0
+    paths = sorted(outdir.glob("*.csv"))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        for cell in (cell for row in rows for cell in row):
+            if cell not in ("True", "False"):
+                float(cell)
+
+
 def test_dynamics_run_leaves_out_scipy_integrate(tmp_path):
     # scipy.integrate pulls in scipy.optimize: +27% peak RSS on a dynamics run
     argv = ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--t-end", "1",
@@ -657,9 +696,9 @@ def test_dynamics_run_leaves_out_scipy_integrate(tmp_path):
 
 def test_every_convolution_passes_the_engine(monkeypatch, outdir):
     # the benchmark's tracer counts and prices convolutions at
-    # ConvolutionEngine.convolve_values: a spectrum run makes one per Lanczos
-    # application, on the window, and three on the whole grid (the operator's
-    # zero correction row, the eigenfunction and its residual)
+    # ConvolutionEngine.convolve_values: a spectrum run makes three, all on the
+    # whole grid: the operator's zero correction row, and the eigenfunction and
+    # its residual, the full-grid applications reported as ``iterations``
     engine = importlib.import_module("mutsel.operators").ConvolutionEngine
     convolve = engine.convolve_values
     lengths = []
@@ -674,7 +713,7 @@ def test_every_convolution_passes_the_engine(monkeypatch, outdir):
     lines = (outdir / "spectrum.csv").read_text().splitlines()
     iterations = int(dict(zip(lines[1].split(","), lines[2].split(",")))["iterations"])
     n = build_problem(preset("fig1"), 5e-3).grid.n
-    assert len(lengths) == iterations + 3
+    assert len(lengths) == iterations + 1
     assert lengths.count(n) == 3
 
 

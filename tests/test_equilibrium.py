@@ -1,12 +1,10 @@
 """Fixed-point solvers, reconstruction and steady-state diagnostics."""
 
-import functools
-
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import LinAlgError
 
-from mutsel import spectral
+from mutsel import equilibrium, spectral
 from mutsel.grid import Field, inner, l1_norm
 from mutsel.model import HostParams, ModelParams, TraitExpression, build_problem
 from mutsel.operators import ConvolutionEngine, mass_bound, update_map
@@ -53,8 +51,9 @@ class TestUncoupled:
             assert l1_norm(sol.a_star) > 0.1
 
     def test_host_spectra_solved_once_per_problem(self, fig1, monkeypatch):
+        # the coupled solve's certificate reads the host spectra too
         problem = build_problem(fig1, 0.05)
-        state = solve_coupled(problem)
+        problem.combined_radius
         calls = []
         solve = spectral.principal_eigenpair
 
@@ -63,6 +62,7 @@ class TestUncoupled:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "principal_eigenpair", counted)
+        state = solve_coupled(problem)
         solve_uncoupled(problem, 1)
         solve_uncoupled(problem, 2)
         mu_pinning_check(problem, state)
@@ -70,8 +70,11 @@ class TestUncoupled:
         assert len(calls) == 2
 
     def test_unconverged_host_spectrum_raises(self, fig1, monkeypatch):
-        # a Lanczos run cut off after one restart does not converge
-        monkeypatch.setattr(spectral, "eigsh", functools.partial(eigsh, maxiter=1, ncv=4))
+        # a tridiagonal eigensolve that fails in LAPACK does not converge
+        def bisection_fails(*args, **kwargs):
+            raise LinAlgError("eigenvalue bisection failed")
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", bisection_fails)
         with pytest.raises(spectral.SpectralError, match="^host 1 spectrum did not converge"):
             solve_uncoupled(build_problem(fig1, 0.05), 1)
 
@@ -89,7 +92,7 @@ class TestCoupled:
         assert l1_norm(state.A) < 1e-8
 
     def test_fixed_point_residual_both_backends(self, fig1, fig1_state):
-        # the FFT map and the same map as an O(n^2) Toeplitz product
+        # the tridiagonal-solve map and the same map as an O(n^2) Toeplitz product
         problem = build_problem(fig1, 0.01)
         tmap = update_map(problem)
         a = fig1_state.A.values
@@ -155,6 +158,25 @@ class TestCoupled:
         assert state.iterations <= 200
         assert state.A.values.min() >= 0.0
         assert l1_norm(state.A - fig1_state.A) < 1e-8
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_single_host_state_is_not_accepted(self, fig1, eps):
+        # at the default tol host 1's single-host state passes the residual
+        # test after one map application, with host 2's mu2/theta = 1 far
+        # below its lambda1 = 1.81; the necessary conditions turn it down
+        problem = build_problem(fig1, eps)
+        state = solve_coupled(problem, start=solve_uncoupled(problem, 1).a_star)
+        assert state.converged and state.iterations > 1
+        assert all(p.inequality_ok for p in mu_pinning_check(problem, state))
+        assert all(ok for *_, ok in lower_bound_check(problem, state))
+        assert l1_norm(state.A - solve_coupled(problem).A) < 1e-6
+
+    def test_near_fixed_point_never_escaped_is_not_converged(self, fig1_problem, monkeypatch):
+        monkeypatch.setattr(equilibrium, "DEFAULT_MAX_ITER", 5)
+        start = solve_uncoupled(fig1_problem, 1).a_star
+        state = solve_coupled(fig1_problem, start=start)
+        assert state.residual_history[0] < 1e-10
+        assert not state.converged and state.classification == "non_converged"
 
     def test_negative_start_rejected(self, fig1_problem):
         vals = default_start(fig1_problem).values.copy()

@@ -1,16 +1,19 @@
 """The convolution, linear operators, nonlinear maps and the derivative."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mutsel.grid import Field, inner, l1_norm
-from mutsel.model import build_problem, preset
+from mutsel.grid import Field, TraitGrid, inner, l1_norm
+from mutsel.model import MutationKernel, build_problem, preset
 from mutsel.operators import (
     ConvolutionEngine,
     OperatorError,
     combined_operator,
+    gram_inverse,
     host_map,
     host_operator,
     mass_bound,
@@ -104,6 +107,65 @@ class TestConvolution:
         f = _random_density(fig1_problem.grid, 4).values
         whole = eng.restricted(0, fig1_problem.grid.n)
         assert np.array_equal(whole.convolve_values(f), eng.convolve_values(f))
+
+
+def _laplace_kernel(n, ratio, rng, eps=0.01):
+    """The Laplace kernel on n nodes h = ratio * eps apart, with random positive
+    quadrature weights.  Built directly: a problem's grid has at least 16
+    nodes and the kernel asks for 5 within eps."""
+    h = ratio * eps
+    grid = TraitGrid(0.0, h * (n - 1), n, h, h * np.arange(n), h * rng.uniform(0.1, 1.0, n))
+    offsets = h * np.arange(-(n - 1), n)
+    raw_mass = 0.93
+    samples = 0.5 * np.exp(-np.abs(offsets) / eps) / (eps * raw_mass)
+    return MutationKernel(grid, samples, raw_mass, eps)
+
+
+class TestTridiagonalEngine:
+    # the factor is taken in closed form, not from the rounded tridiagonal
+    # entries, so the solve stays within 1e-12 of the Toeplitz product as
+    # h/eps shrinks, here down to 1e-4
+    @given(n=st.integers(1, 300), log_ratio=st.floats(-4.0, math.log10(0.5)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, log_ratio=-4.0, seed=0)
+    @example(n=2, log_ratio=-4.0, seed=1)
+    @example(n=2, log_ratio=math.log10(0.5), seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_toeplitz_oracle(self, n, log_ratio, seed):
+        rng = np.random.default_rng(seed)
+        kernel = _laplace_kernel(n, 10.0**log_ratio, rng)
+        eng = ConvolutionEngine(kernel)
+        w = kernel.grid.quad_weights
+        f = rng.standard_normal(n)
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo + 1, n + 1))
+        for got, want in (
+            (eng.convolve_values(f), eng.toeplitz() @ (w * f)),
+            (eng.restricted(lo, hi).convolve_values(f[lo:hi]),
+             eng.toeplitz()[lo:hi, lo:hi] @ (w[lo:hi] * f[lo:hi])),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @given(log_ratio=st.floats(-3.0, math.log10(0.5)),
+           steps=st.lists(st.one_of(st.integers(1, 5), st.just(0)), max_size=150))
+    @example(log_ratio=-3.0, steps=[])
+    @example(log_ratio=math.log10(0.5), steps=[0, 1, 0])
+    @settings(max_examples=60, deadline=None)
+    def test_gram_inverse_is_the_inverse(self, log_ratio, steps):
+        # nodes of a grid h = ratio * eps apart, skipping 1-5 nodes or (a 0
+        # step) so many that rho = exp(-gap/eps) underflows to 0; the
+        # product's own rounding grows like eps_mach * eps/h, hence h/eps >= 1e-3
+        eps = 0.01
+        h = 10.0**log_ratio * eps
+        wide = math.ceil(800 * eps / h)
+        idx = np.cumsum([0] + [s or wide for s in steps])
+        kernel = MutationKernel(None, None, 0.93, eps)
+        gram = 0.5 / (eps * 0.93) * np.exp(-h * np.abs(idx[:, None] - idx[None, :]) / eps)
+        diag, off = gram_inverse(kernel, h * np.diff(idx))
+        inverse = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(inverse @ gram - np.eye(len(idx)))) <= 1e-12
+        if 0 in steps:
+            assert np.exp(-h * wide / eps) == 0.0 and 0.0 in off
 
 
 # session problem for hypothesis (fixtures cannot feed @given directly)

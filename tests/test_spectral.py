@@ -1,9 +1,8 @@
 """Principal eigenpairs, dense spectra, gaps and threshold limits."""
 
-import functools
-
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mutsel.grid import Field, l1_norm
@@ -17,14 +16,15 @@ from mutsel.operators import combined_operator, host_operator
 from mutsel.spectral import (
     gap_exponent,
     principal_eigenpair,
+    solve_combined_spectrum,
     solve_host_spectrum,
     symmetric_spectrum,
 )
 
 
 def _full_grid_lanczos(op, k):
-    """Lanczos on the whole grid from principal_eigenpair's start vector, the
-    reference for its windowed run: (top k eigenvalues, descending; applications)."""
+    """Lanczos on the whole grid, the reference for principal_eigenpair's
+    tridiagonal solve: (top k eigenvalues, descending; applications)."""
     grid = op.engine.grid
     sw = np.sqrt(grid.quad_weights)
     s = np.sqrt(op.gain)
@@ -127,9 +127,49 @@ class TestDenseSpectrum:
     def test_lanczos_failure_is_not_converged(self, fig1_problem, monkeypatch):
         import mutsel.spectral as spec
 
-        monkeypatch.setattr(spec, "eigsh", functools.partial(eigsh, maxiter=1, ncv=4))
+        def bisection_fails(*args, **kwargs):
+            raise LinAlgError("eigenvalue bisection failed")
+
+        monkeypatch.setattr(spec, "eigh_tridiagonal", bisection_fails)
         res = solve_host_spectrum(fig1_problem, 1, with_second=True)
         assert not res.converged and res.residual > 1e-10
+
+    def test_subnormal_gain_tail(self, fig1):
+        # the Gaussian trait's tails underflow to subnormal gains, where the
+        # diagonal of (S G S)^-1, about 1/(w gain), would overflow
+        hosts = (
+            HostParams(xi=0.5, beta=TraitExpression("4*exp(-3e4*(x-0.4)**2)"),
+                       beta_support=(0.2, 0.6)),
+            fig1.hosts[1],
+        )
+        problem = build_problem(ModelParams(1.0, 1.0, 1.0, hosts), 0.05, n=512)
+        op = host_operator(problem, 1)
+        wg = problem.grid.quad_weights * op.gain
+        assert 0.0 < wg[wg > 0].min() < 1e-308
+        res = solve_host_spectrum(problem, 1, with_second=True)
+        dense = symmetric_spectrum(op, 2)
+        assert res.converged
+        assert res.lambda1 == pytest.approx(dense[0], rel=1e-12)
+        assert res.lambda2 == pytest.approx(dense[1], rel=1e-12)
+
+    def test_certificate_catches_a_loose_bisection(self, fig1, monkeypatch):
+        # LAPACK's default bisection tolerance, eps_mach times the 1-norm of a
+        # matrix whose diagonal reaches about 3e16 where the gain nears 0 at the
+        # support ends, misplaces the combined operator's top eigenvalue
+        import mutsel.spectral as spec
+
+        def default_tolerance(*args, tol=None, **kwargs):
+            return eigh_tridiagonal(*args, **kwargs)
+
+        problem = build_problem(fig1, 1e-2)
+        exact = solve_combined_spectrum(problem)
+        monkeypatch.setattr(spec, "eigh_tridiagonal", default_tolerance)
+        loose = solve_combined_spectrum(problem)
+        assert exact.converged and exact.lambda1 == pytest.approx(3.805, abs=1e-3)
+        assert not loose.converged and loose.residual > 1e-2
+        assert abs(loose.lambda1 - exact.lambda1) > 1.0
+        with pytest.raises(spec.SpectralError, match="^combined spectral radius"):
+            problem.combined_radius
 
 
 class TestWindowedLanczos:
@@ -148,12 +188,13 @@ class TestWindowedLanczos:
         assert res.lambda1 == pytest.approx(ref[0], rel=1e-12)
         if k == 2:
             assert res.lambda2 == pytest.approx(ref[1], rel=1e-12)
-        assert abs(res.iterations - applications) <= 1
+        # the eigenfunction's reconstruction and its residual
+        assert res.iterations == 2
 
     def test_combined_second_eigenvalue(self, fine):
-        # the combined window also holds the zero-gain nodes between the two
-        # supports, and the start vector's share there differs from the whole
-        # grid's: here the restarted run needs fewer applications (180, not 197)
+        # the combined gain is positive on two separate supports: one gap of
+        # G^-1 spans the zero-gain nodes between them, and the two full-grid
+        # applications are far fewer than the whole-grid Lanczos run's
         op = combined_operator(fine)
         res = principal_eigenpair(op, with_second=True)
         ref, applications = _full_grid_lanczos(op, 2)
