@@ -1,30 +1,29 @@
 """Steady-state solvers and their diagnostics.
 
 Solves the single-host fixed-point problems in closed form from the principal
-eigenpair, solves the coupled problem by safeguarded Anderson-accelerated
-fixed-point iteration, rebuilds the full equilibrium (healthy tissue, infected
+eigenpair, solves the coupled problem by globalized Newton iteration from their
+superposition, rebuilds the full equilibrium (healthy tissue, infected
 densities) from the spore density, and evaluates the superposition,
 concentration, pinning and lower-bound diagnostics.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from .grid import Field, inner, integrate, l1_norm
-from .model import Problem
+from .model import OVERLAPPING_SUPPORTS, Problem
 from .operators import host_map, update_map
 from .spectral import SpectralResult
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
-ANDERSON_DEPTH = 5
-# the coupled solve falls back to plain steps after more than this many
-# iterations without a new lowest residual
-STALL_STEPS = 2 * ANDERSON_DEPTH
+# the coupled solve takes plain steps after this many Newton steps in a row
+# without a new lowest residual, until one comes in
+STALL_STEPS = 3
 # slack of the paper's inequalities mu_k/theta >= lambda1^k and
 # int(beta_k A) >= (theta/2)(lambda1^k - 1); mu_k/theta is pinned to lambda1^k
 # when the two agree to PIN_TOL
@@ -107,24 +106,26 @@ def solve_coupled(
     start: Field | None = None,
     tol: float = DEFAULT_TOL,
 ) -> EquilibriumState:
-    """Safeguarded Anderson-accelerated iteration for the coupled spore-density equation.
+    """Globalized Newton iteration for the coupled spore-density equation a = T(a).
 
-    Each iteration maps the iterate once, g = T(a), with the plain-map
-    residual f = g - a.  The next iterate is g - sum_j gamma_j dg_j projected
-    onto a >= 0, where dg_j and df_j are the differences of the last
-    ``ANDERSON_DEPTH + 1`` map values and residuals, and gamma minimizes
-    ||f - sum_j gamma_j df_j|| in the sqrt(w)-weighted 2-norm (type-II
-    Anderson acceleration, Walker and Ni, SIAM J. Numer. Anal. 49, 2011).
-    The plain step g is taken instead, and the history restarted, when
+    Each iteration maps the iterate once, g = T(a), with the plain-map residual
+    f = g - a, and takes the Newton step a + delta, (I - T'(a)) delta = f
+    (``UpdateMap.newton_direction``, O(n)), clipped at 0.  Every positive fixed
+    point keeps den_k - 1 = theta^-1 int beta_k a above the paper's lower bound
+    (lambda1^k - 1)/2, and max_k den_k - 1 above (rho - 1)/2, with rho the
+    combined radius.  The plain step T(a), clipped, is taken instead when
 
-    - the residual rose;
-    - the combination lost more than half of the excess max_k den_k - 1
-      >= rho - 1 that every positive fixed point has, with rho the combined
-      radius: it is heading for the zero state, a fixed point that repels
-      plain iteration when rho > 1;
-    - no new lowest residual came in over ``STALL_STEPS`` iterations: plain
-      steps then run until one does, so that a mode growing away from a
-      near-fixed point is followed instead of cancelled.
+    - the Newton iterate breaks a bound: it heads for the zero state, a root of
+      a - T(a) too, or for a state without one host's mode;
+    - the iterate is a near-fixed point (below);
+    - ``STALL_STEPS`` Newton steps in a row brought no new lowest residual (as at
+      clipped points where the step keeps pushing the same nodes below 0): plain
+      steps then run until an iterate within the bounds brings one;
+    - the Newton direction could not be computed.
+
+    The default start is the superposition a1* + a2* of the single-host states
+    (``Problem.host_spectra``), or ``default_start`` when the fitness supports
+    overlap or both hosts are below threshold.
 
     Converged only when the quadrature-L1 residual of the plain map is below
     ``tol`` and, for an endemic state, the paper's necessary conditions hold
@@ -132,65 +133,64 @@ def solve_coupled(
     endemic iterate under ``tol`` that fails them is a near-fixed point, such
     as a single host's steady state, which the other host's mode grows away
     from: plain steps follow that mode until a lower residual comes in.
+    ``iterations`` counts map applications and ``restarts`` plain steps.
     """
     tmap = update_map(problem)
+    excess_floor = 0.5 * (problem.combined_radius - 1.0)
+    floors = 0.5 * (np.array([s.lambda1 for s in problem.host_spectra]) - 1.0)
+
+    def within_bounds(x: np.ndarray) -> bool:
+        excess = tmap.denominators(x) - 1.0
+        return excess.max() >= excess_floor and bool(np.all(excess >= floors))
+
     if start is None:
         start = default_start(problem)
+        if OVERLAPPING_SUPPORTS not in problem.assumption_warnings:
+            superposed = solve_uncoupled(problem, 1).a_star + solve_uncoupled(problem, 2).a_star
+            start = superposed if np.any(superposed.values) else start
     if np.any(start.values < 0):
         raise SolverError("start density must be nonnegative")
-    w = problem.grid.quad_weights
-    sw = np.sqrt(w)
-    excess_floor = 0.5 * (problem.combined_radius - 1.0)
     a = start.values.copy()
-    steps: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=ANDERSON_DEPTH)
-    f_prev = g_prev = None
-    prev_res = best = np.inf
+    best = np.inf
     since_best = restarts = 0
-    plain = False
+    newton = plain = False
     history: list[float] = []
     converged = False
-    iterations = DEFAULT_MAX_ITER
     for it in range(1, DEFAULT_MAX_ITER + 1):
         g = tmap.apply_values(a)
         f = g - a
-        res = float(np.sum(w * np.abs(f)))
+        res = float(np.sum(problem.grid.quad_weights * np.abs(f)))
         history.append(res)
-        near_fixed = False
-        if res < tol:
+        near_fixed = res < tol
+        if near_fixed:
             state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None),
                                                is_density=True))
-            if necessary_conditions_hold(problem, state):
-                converged = True
-                iterations = it
+            converged = necessary_conditions_hold(problem, state)
+            if converged:
                 break
-            near_fixed = True
-        if res < best:
+        if res < best and within_bounds(a):
             best, since_best, plain = res, 0, False
-        else:
+        elif newton:
             since_best += 1
-            plain = plain or since_best > STALL_STEPS
+            plain = since_best >= STALL_STEPS
         plain = plain or near_fixed
-        if res > prev_res or plain:
-            restarts += bool(steps)
-            steps.clear()
-        elif f_prev is not None:
-            steps.append((sw * (f - f_prev), g - g_prev))
-        f_prev, g_prev, prev_res = f, g, res
-        a = np.clip(g, 0.0, None)
-        if steps:
-            d_res, d_map = (np.array(d) for d in zip(*steps))
-            gamma = np.linalg.lstsq(d_res.T, sw * f, rcond=None)[0]
-            accelerated = np.clip(g - gamma @ d_map, 0.0, None)
-            if tmap.denominators(accelerated).max() - 1.0 < excess_floor:
-                restarts += 1
-                steps.clear()
-            else:
-                a = accelerated
+        newton = not plain
+        if newton:
+            try:
+                trial = np.clip(a + tmap.newton_direction(a, f), 0.0, None)
+                newton = within_bounds(trial)
+            except LinAlgError:
+                newton = False
+        if newton:
+            a = trial
+        else:
+            restarts += 1
+            a = np.clip(g, 0.0, None)
     if not converged:
         state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None),
                                            is_density=True))
         state.classification = "non_converged"
-    state.iterations = iterations
+    state.iterations = it
     state.restarts = restarts
     state.converged = converged
     state.residual_history = history[-50:]

@@ -253,6 +253,9 @@ def support_distance(mp: ModelParams) -> float:
     return 0.0
 
 
+OVERLAPPING_SUPPORTS = "overlapping supports - superposition/concentration hypotheses violated"
+
+
 def validate_assumptions(
     mp: ModelParams, kernel: MutationKernel, derived: Sequence[HostDerived]
 ) -> list[str]:
@@ -270,9 +273,7 @@ def validate_assumptions(
         if hd.beta.values[:lo].any() or hd.beta.values[hi + 1:].any():
             warnings.append(f"beta_{hd.k} is positive outside its declared support")
     if support_distance(mp) <= 0:
-        warnings.append(
-            "overlapping supports - superposition/concentration hypotheses violated"
-        )
+        warnings.append(OVERLAPPING_SUPPORTS)
     if kernel.raw_mass < 1.0 - 1e-6:
         warnings.append(
             f"kernel truncation lost mass {1.0 - kernel.raw_mass:.3g}; renormalized"

@@ -10,17 +10,20 @@ The mutation kernel is the Laplace kernel m_eps(z) = exp(-|z|/eps)/(2 eps),
 the Green's function of 1 - eps^2 d^2/dx^2.  Its Gram matrix on any sorted
 set of nodes therefore has a tridiagonal inverse, and that inverse's
 Cholesky-type factor, in closed form (``gram_inverse``, ``gram_factor``): a
-convolution is one O(n) tridiagonal solve, and the symmetric eigenproblems
-built on it are tridiagonal too (see ``spectral``).
+convolution is one O(n) tridiagonal solve, the symmetric eigenproblems
+built on it are tridiagonal too (see ``spectral``), and a Newton step of a map
+is a tridiagonal solve plus a low-rank correction (``newton_direction``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrs
 from scipy.sparse.linalg import LinearOperator
 
 from .grid import Field
@@ -83,6 +86,11 @@ class ConvolutionEngine:
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
         return dpttrs(*self._factor, self.grid.quad_weights * values)[0]
 
+    @cached_property
+    def inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the tridiagonal K^-1 (``gram_inverse``)."""
+        return gram_inverse(self.kernel, np.full(self.grid.n - 1, self.grid.h))
+
     def restricted(self, lo: int, hi: int) -> "ConvolutionEngine":
         """The engine of the m = hi - lo nodes lo..hi-1 alone.
 
@@ -144,6 +152,51 @@ class UpdateMap:
     def linearization(self, a: np.ndarray) -> "Linearization":
         """Derivative of the map at density a, as an operator on directions h."""
         return Linearization(self, a)
+
+    def newton_direction(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The Newton direction of a - T(a) at a: delta with (I - T'(a)) delta = f,
+        for the residual f = T(a) - a.
+
+        I - T'(a) = K (T0 + U V^T), with the symmetric tridiagonal
+        T0 = K^-1 - diag(w g(a)), U's columns w c_k psi_k a / den_k^2 and V's
+        the rows w beta_k / theta, so delta solves (T0 + U V^T) delta = K^-1 f.
+        Near a fixed point T0 is singular, with a its null vector, and nearly
+        singular on the mode of each peak of a, where K w g(a) has an
+        eigenvalue pinned near 1.  So the Woodbury formula is applied around
+        T0 + sigma E E^T instead (sigma = max |diag T0|; E's columns are the unit
+        vectors at the highest local maxima of a, one per host), with the shift
+        moved into the low-rank term [U, -sigma E][V, E]^T: one LAPACK ``dgtsv``
+        solve with 1 + 2 right-hand sides per host and one small dense solve.
+        Raises ``LinAlgError`` when either is singular or the direction is not
+        finite.
+        """
+        den = self.denominators(a)
+        w = self.engine.grid.quad_weights
+        diag, off = self.engine.inverse
+        u = w * a * self.fitness / den[:, None] ** 2
+        padded = np.pad(a, 1, constant_values=-np.inf)
+        peaks = np.where((a >= padded[:-2]) & (a > padded[2:]), a, -1.0)
+        shift = np.zeros((min(len(den), a.size), a.size))
+        for row in shift:
+            j = np.argmax(peaks)
+            row[j], peaks[j] = 1.0, -np.inf
+        shifted = diag - w * self._gain(den)
+        sigma = np.abs(shifted).max()
+        shifted += sigma * shift.sum(axis=0)
+        kf = diag * f
+        kf[:-1] += off * f[1:]
+        kf[1:] += off * f[:-1]
+        # f2py's dgtsv asks for one off-diagonal entry, not zero, at n = 1
+        off = off if off.size else np.zeros(1)
+        *_, x, info = dgtsv(off, shifted, off, np.column_stack((kf, *u, *(-sigma * shift))))
+        if info:
+            raise LinAlgError("shifted Newton matrix is singular")
+        v = np.vstack((self.beta_rows, shift))
+        small = np.eye(len(v)) + v @ x[:, 1:]
+        delta = x[:, 0] - x[:, 1:] @ np.linalg.solve(small, v @ x[:, 0])
+        if not np.all(np.isfinite(delta)):
+            raise LinAlgError("Newton direction is not finite")
+        return delta
 
 
 class Linearization(LinearOperator):

@@ -1,12 +1,20 @@
 """Fixed-point solvers, reconstruction and steady-state diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
 from mutsel import equilibrium, spectral
 from mutsel.grid import Field, inner, l1_norm
-from mutsel.model import HostParams, ModelParams, TraitExpression, build_problem
+from mutsel.model import (
+    OVERLAPPING_SUPPORTS,
+    HostParams,
+    ModelParams,
+    TraitExpression,
+    build_problem,
+)
 from mutsel.operators import ConvolutionEngine, mass_bound, update_map
 from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
@@ -139,19 +147,69 @@ class TestCoupled:
 
     def test_small_eps_converges_in_few_iterations(self, fig1):
         # at eps = 1e-3 (n = 8193) plain iteration contracts at about 0.99 per
-        # step and took 905 and 1,431 map applications from these two starts
+        # step and took 905 and 1,431 map applications from these two starts;
+        # Newton takes 1 (from the superposition start) and 13
         problem = build_problem(fig1, 1e-3)
         for start in (None, _random_start(problem, np.random.default_rng(1))):
             state = solve_coupled(problem, start=start)
             assert state.converged
-            assert state.iterations <= 200
+            assert state.iterations <= 30
             assert state.A.values.min() >= 0.0
+
+    def test_superposition_start_converges_at_once(self, fig1):
+        # at eps = 1e-3 the sum of the single-host states has a residual near
+        # 1e-15, so one map application certifies it
+        state = solve_coupled(build_problem(fig1, 1e-3))
+        assert state.converged and state.classification == "endemic"
+        assert state.iterations == 1 and state.restarts == 0
+
+    def test_overlapping_supports_start_from_default_start(self, fig3):
+        # fig3's supports overlap, so its coupled state is no superposition
+        problem = build_problem(fig3, 2.5e-3)
+        assert OVERLAPPING_SUPPORTS in problem.assumption_warnings
+        state = solve_coupled(problem)
+        same = solve_coupled(problem, start=default_start(problem))
+        assert state.converged
+        assert state.residual_history == same.residual_history
+
+    @pytest.mark.parametrize("seed", [6, 8])
+    def test_stalled_newton_escapes_by_plain_steps(self, fig3, seed):
+        # from these random starts clipped Newton steps stall at points that
+        # miss host 1's peak (234 and 34 map applications, 197 and 10 of them
+        # plain steps); plain steps regrow it
+        problem = build_problem(fig3, 2.5e-3)
+        state = solve_coupled(problem, start=_random_start(problem, np.random.default_rng(seed)))
+        assert state.converged and state.restarts > 0
+        assert l1_norm(state.A - solve_coupled(problem).A) < 1e-8
+
+    @pytest.mark.parametrize("default", [False, True])
+    def test_near_threshold_converges_fast(self, fig1, default):
+        # at rho = 1.002 plain iteration contracts at nearly 1, and the previous
+        # Anderson solve took 1,550 map applications from default_start; Newton
+        # takes 1 from the superposition start and 13 from default_start
+        rho = build_problem(fig1, 1e-2).combined_radius
+        problem = build_problem(replace(fig1, lambda_=fig1.lambda_ * 1.002 / rho), 1e-2)
+        assert problem.combined_radius == pytest.approx(1.002, rel=1e-12)
+        state = solve_coupled(problem, start=default_start(problem) if default else None)
+        assert state.converged and state.classification == "endemic"
+        assert state.iterations <= 30
+
+    def test_tiny_start_does_not_collapse_to_zero(self, fig1_problem, fig1_state):
+        # the zero state is a root of a - T(a) too, and Newton heads for it from
+        # a start of mass 1e-8; plain steps grow the mass until the lower bounds
+        # hold (38 map applications, 32 of them plain steps)
+        start = Field(fig1_problem.grid, 1e-8 * default_start(fig1_problem).values)
+        state = solve_coupled(fig1_problem, start=start, tol=1e-12)
+        assert state.converged and state.classification == "endemic"
+        assert state.iterations <= 60
+        assert l1_norm(state.A - fig1_state.A) < 1e-8
 
     def test_escapes_single_host_state(self, fig1_problem, fig1_state):
         # host 1's single-host state is a near-fixed point of the coupled map
-        # (residual 2e-11) that host 2's mode grows away from; extrapolating
-        # through that growth would cancel it and stall there.  Plain
-        # iteration escapes and converges in 131 map applications.
+        # (residual 2e-11) that host 2's mode grows away from; a Newton step
+        # would cancel that growth and return there.  Plain steps follow it
+        # until host 2 meets its lower bound, then Newton converges: 50 map
+        # applications in all.
         start = solve_uncoupled(fig1_problem, 1).a_star
         state = solve_coupled(fig1_problem, start=start, tol=1e-12)
         assert state.converged
@@ -163,7 +221,8 @@ class TestCoupled:
     def test_single_host_state_is_not_accepted(self, fig1, eps):
         # at the default tol host 1's single-host state passes the residual
         # test after one map application, with host 2's mu2/theta = 1 far
-        # below its lambda1 = 1.81; the necessary conditions turn it down
+        # below its lambda1 = 1.81; the necessary conditions turn it down, and
+        # plain steps, not Newton steps, leave it
         problem = build_problem(fig1, eps)
         state = solve_coupled(problem, start=solve_uncoupled(problem, 1).a_star)
         assert state.converged and state.iterations > 1

@@ -12,6 +12,7 @@ from mutsel.model import MutationKernel, build_problem, preset
 from mutsel.operators import (
     ConvolutionEngine,
     OperatorError,
+    UpdateMap,
     combined_operator,
     gram_inverse,
     host_map,
@@ -324,6 +325,28 @@ class TestDerivative:
             g.quad_weights * np.abs(an)
         )
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("where", ["random", "fixed_point"])
+    def test_newton_direction_solves_the_jacobian(self, fig1_problem, fig1_state, where):
+        # at the fixed point T0 = K^-1 - diag(w g) is singular, and only the
+        # one-node shift keeps the Woodbury solve defined
+        tmap = update_map(fig1_problem)
+        g = fig1_problem.grid
+        a = fig1_state.A.values if where == "fixed_point" else _random_density(g, 4).values
+        f = _random_density(g, 5).values - 0.5
+        delta = tmap.newton_direction(a, f)
+        lhs = delta - tmap.linearization(a).matvec(delta)
+        assert np.sum(g.quad_weights * np.abs(lhs - f)) < 1e-10 * np.sum(g.quad_weights * np.abs(f))
+
+    def test_newton_direction_on_one_node(self, fig1_problem):
+        # a one-node engine has no off-diagonal; I - T'(a) is then a scalar
+        tmap = update_map(fig1_problem)
+        j = int(np.argmax(tmap.fitness[0]))
+        one = UpdateMap(tmap.engine.restricted(j, j + 1), tmap.fitness[:, j : j + 1],
+                        tmap.beta_rows[:, j : j + 1])
+        a, f = np.array([0.7]), np.array([0.3])
+        delta = one.newton_direction(a, f)
+        assert delta - one.linearization(a).matvec(delta) == pytest.approx(f, rel=1e-12)
 
     def test_contraction_identity_at_fixed_point(self, fig1_problem, fig1_state):
         # at a steady state the derivative applied to the state itself stays
