@@ -352,6 +352,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_dynamics(args) -> int:
     dyn.check_schedule(args.t_end, args.dt, args.sample_every)
+    if not (np.isfinite(args.bump) and args.bump >= 0):
+        raise SystemExit2(f"--bump must be finite and nonnegative, got {args.bump}")
     source, outdir, problem, states = _steady_states(args)
     if states is None:
         return 1

@@ -84,53 +84,67 @@ def disease_free_state(problem: Problem, *, bump: float = 0.0) -> SystemState:
     )
 
 
-class _System:
-    """Packed-vector right-hand side built on the coupled map's quadrature rows."""
+def _hull(mask: np.ndarray) -> slice:
+    idx = np.flatnonzero(mask)
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
-    def __init__(self, problem: Problem):
-        self.problem = problem
-        self.grid = problem.grid
+
+class _System:
+    """Right-hand side on the packed state y = (S1, S2, I1 on hull 1, I2 on hull 2, A).
+
+    Hull k is the range of nodes where beta_k or the start's I_k is nonzero. Off
+    it dI_k/dt = -(theta + d_k) I_k keeps I_k at exactly zero, so it is not
+    stored; ``unpack`` restores the full-grid fields.
+    """
+
+    def __init__(self, problem: Problem, init: SystemState):
+        mp, self.grid, n = problem.mp, problem.grid, problem.grid.n
+        self.theta, self.delta, self.n, self.full_size = mp.theta, mp.delta, n, 3 * n + 2
         self.tmap = update_map(problem)
-        mp = problem.mp
         self.influx = np.array([h.xi * mp.lambda_ for h in mp.hosts])
-        self.hosts = [
-            (hd.beta.values, mp.theta + hd.d.values, hd.r.values) for hd in problem.derived
-        ]
-        n = self.grid.n
-        self.n = n
+        self.hulls = [_hull((hd.beta.values != 0) | (i.values != 0))
+                      for hd, i in zip(problem.derived, (init.I1, init.I2))]
+        # the node of each packed I entry, and the traits there
+        self.nodes = np.r_[self.hulls[0], self.hulls[1]].astype(np.intp)
+        beta, d, self.r = (np.concatenate([getattr(hd, name).values[h]
+                                           for hd, h in zip(problem.derived, self.hulls)])
+                           for name in ("beta", "d", "r"))
+        self.loss = mp.theta + d
+        m1, m = self.hulls[0].stop - self.hulls[0].start, self.nodes.size
+        # beta_k in host k's column, so that host_beta @ (S1, S2) is beta_k S_k
+        self.host_beta = np.zeros((m, 2))
+        self.host_beta[:m1, 0], self.host_beta[m1:, 1] = beta[:m1], beta[m1:]
+        self.infected = slice(2, 2 + m)
+        self.slices = (slice(2, 2 + m1), slice(2 + m1, 2 + m), slice(2 + m, 2 + m + n))
         self.evals = 0
-        self.slices = (slice(2, 2 + n), slice(2 + n, 2 + 2 * n), slice(2 + 2 * n, 2 + 3 * n))
 
     def pack(self, state: SystemState) -> np.ndarray:
-        return np.concatenate(
-            ([state.S1, state.S2], state.I1.values, state.I2.values, state.A.values)
-        )
+        return np.concatenate(([state.S1, state.S2], state.I1.values[self.hulls[0]],
+                               state.I2.values[self.hulls[1]], state.A.values))
 
     def unpack(self, t: float, y: np.ndarray) -> SystemState:
-        i1, i2, a = (y[s] for s in self.slices)
-        g = self.grid
-        return SystemState(
-            t=t,
-            S1=float(y[0]),
-            S2=float(y[1]),
-            I1=Field(g, i1.copy(), is_density=True),
-            I2=Field(g, i2.copy(), is_density=True),
-            A=Field(g, a.copy(), is_density=True),
-        )
+        """The full-grid fields of a packed state, or of its derivative."""
+        infected = np.zeros((2, self.n))
+        for row, hull, part in zip(infected, self.hulls, self.slices):
+            row[hull] = y[part]
+        fields = (Field(self.grid, v) for v in (*infected, y[self.slices[2]].copy()))
+        return SystemState(t, float(y[0]), float(y[1]), *fields)
 
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        # dS_k/dt = xi_k Lambda - theta S_k (1 + theta^-1 int beta_k a)
+    def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # dS_k/dt = xi_k Lambda - theta S_k (1 + theta^-1 int beta_k a),
+        # dI_k/dt = beta_k S_k a - (theta + d_k) I_k and
+        # dA/dt = -delta a + m_eps * (sum_k r_k I_k)
         self.evals += 1
-        mp = self.problem.mp
-        a = y[self.slices[2]]
-        out = np.empty_like(y)
-        out[:2] = self.influx - mp.theta * y[:2] * self.tmap.denominators(a)
-        production = np.zeros(self.n)
-        for sk, sl, (beta, loss, r) in zip(y[:2], self.slices, self.hosts):
-            ik = y[sl]
-            out[sl] = beta * sk * a - loss * ik
-            production += r * ik
-        out[self.slices[2]] = -mp.delta * a + self.tmap.engine.convolve_values(production)
+        out = np.empty_like(y) if out is None else out
+        s, i, a = y[:2], y[self.infected], y[self.slices[2]]
+        out[:2] = self.influx - self.theta * s * self.tmap.denominators(a)
+        di = out[self.infected]
+        np.multiply(self.host_beta @ s, a[self.nodes], out=di)
+        di -= self.loss * i
+        production = np.bincount(self.nodes, self.r * i, minlength=self.n)
+        da = out[self.slices[2]]
+        np.multiply(a, -self.delta, out=da)
+        da += self.tmap.engine.convolve_values(production)
         return out
 
 
@@ -148,13 +162,6 @@ def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
         raise DynamicsError(f"t_end/dt = {t_end / dt:.3g} rounds to zero steps")
     if sample_every < 1:
         raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
-
-
-def _rk4(rhs, y, f, h):
-    k2 = rhs(y + 0.5 * h * f)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + h / 6.0 * (f + 2.0 * k2 + 2.0 * k3 + k4), None, None
 
 
 def _lower_triangular(rows: list[list[float]]) -> np.ndarray:
@@ -206,26 +213,52 @@ _E5 = np.array([
 ])
 
 
-def _dop853(rhs, y, f, h):
+_RK4_A = _lower_triangular([[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]])
+_RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+_E = np.array([_E3, _E5])
+
+
+def _stages(system, y, f, h, a):
+    """Rows y, k_1 = f, ..., k_s of an explicit Runge-Kutta step with the s x s
+    matrix ``a``, and a spare row; each stage input y + h sum_j a_ij k_j is one
+    product of the row (1, h a_i) with the rows above it."""
+    s = len(a)
+    coef = np.hstack((np.ones((s, 1)), h * a))
+    k = np.empty((s + 2, y.size))
+    k[0], k[1] = y, f
+    stage = np.empty(y.size)
+    for i in range(1, s):
+        np.dot(coef[i, : i + 1], k[: i + 1], out=stage)
+        system.rhs(stage, out=k[i + 1])
+    return k
+
+
+def _rk4(system, y, f, h):
+    k = _stages(system, y, f, h, _RK4_A)
+    return np.append(1.0, h * _RK4_B) @ k[:5], None, None
+
+
+def _dop853(system, y, f, h):
     """One step and its error in Hairer's DOP853 norm scaled by ATOL + RTOL*|y|
-    (accept if <= 1); the last stage is the derivative at the new state (FSAL)."""
-    k = np.empty((13, y.size))
-    k[0] = f
-    for s in range(1, 12):
-        k[s] = rhs(y + h * (_A[s, :s] @ k[:s]))
-    y_new = y + h * (_B @ k[:12])
-    k[12] = rhs(y_new)
-    scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
-    e3, e5 = (float(np.sum((e @ k / scale) ** 2)) for e in (_E3, _E5))
-    err = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * y.size) if e5 else 0.0
-    return y_new, k[12], err
+    (accept if <= 1); the last stage is the derivative at the new state (FSAL).
+    The norm's N is the full-grid state's length, not the packed one's: the
+    entries left out hold zeros, whose error is exactly zero."""
+    k = _stages(system, y, f, h, _A)
+    y_new = np.append(1.0, h * _B) @ k[:13]
+    system.rhs(y_new, out=k[13])
+    e = _E @ k[1:]
+    e /= ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+    e3, e5 = np.einsum("ij,ij->i", e, e)
+    err = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * system.full_size) if e5 else 0.0
+    return y_new, k[13], err
 
 
-# name -> step(rhs, y, rhs(y), h) -> (y_new, rhs(y_new) or None, error or None);
+# name -> step(system, y, system.rhs(y), h) -> (y_new, rhs(y_new) or None, error or None);
 # a stepper that reports no error always accepts its step
 STEPPERS = {"rk4": _rk4, "dop853": _dop853}
 
 
+@np.errstate(all="ignore")
 def integrate(
     problem: Problem,
     init: SystemState,
@@ -244,23 +277,26 @@ def integrate(
     undershoots within a tiny slack are clipped to zero and counted; larger
     ones, a blow-up past 1e12, a dop853 step below 1e-14*max(1, |t|) and more
     than max(MAX_RHS_EVALS, 4*round(t_end/dt)) right-hand-side evaluations
-    (rk4's cost of the schedule, so only dop853 can exceed it) abort the run.
+    (rk4's cost of the schedule, so only dop853 can exceed it) abort the run,
+    and so does a start that is not finite or is past 1e12. numpy's
+    floating-point warnings are off: these checks report what they would warn of.
     """
     if method not in STEPPERS:
         raise DynamicsError(f"unknown method {method!r}")
     check_schedule(t_end, dt, sample_every)
     step = STEPPERS[method]
-    sys = _System(problem)
+    sys = _System(problem, init)
     y = sys.pack(init)
+    t = init.t
+    _check_bounded(y, t)
     f = None  # rhs(y) once computed
     n_steps = int(round(t_end / dt))
     budget = max(MAX_RHS_EVALS, 4 * n_steps)
     marks = [*range(sample_every, n_steps, sample_every), n_steps]
-    t = init.t
     h = dt
     accepted = rejected = clip_events = 0
     may_grow = True
-    samples = [_sample(problem, t, y, sys)]
+    samples = [_sample(sys, t, y)]
     for mark in marks:
         target = init.t + mark * dt
         while t < target:
@@ -277,7 +313,7 @@ def integrate(
             h_try = target - t if landing else h
             if f is None:
                 f = sys.rhs(y)
-            y_new, f_new, err = step(sys.rhs, y, f, h_try)
+            y_new, f_new, err = step(sys, y, f, h_try)
             if err is not None:
                 if not err <= 1.0:  # NaN rejects too
                     rejected += 1
@@ -301,9 +337,8 @@ def integrate(
                 clip_events += int(np.count_nonzero(negative))
                 y[negative] = 0.0
                 f = None
-            if not np.all(np.isfinite(y)) or np.abs(y).max() > BLOWUP_NORM:
-                raise DynamicsError(f"solution blew up at t={t:.6g}")
-        samples.append(_sample(problem, t, y, sys))
+            _check_bounded(y, t)
+        samples.append(_sample(sys, t, y))
     return Trajectory(
         samples=samples,
         terminal=sys.unpack(t, y),
@@ -315,15 +350,14 @@ def integrate(
     )
 
 
-def _sample(problem: Problem, t: float, y: np.ndarray, sys: _System) -> TrajectorySample:
-    w = problem.grid.quad_weights
-    i1, i2, a = (y[s] for s in sys.slices)
-    return TrajectorySample(
-        t=t,
-        s1=float(y[0]),
-        s2=float(y[1]),
-        i1_mass=float(np.sum(w * np.abs(i1))),
-        i2_mass=float(np.sum(w * np.abs(i2))),
-        a_mass=float(np.sum(w * np.abs(a))),
-        a_argmax=float(problem.grid.nodes[int(np.argmax(a))]),
-    )
+def _check_bounded(y: np.ndarray, t: float) -> None:
+    if not np.all(np.isfinite(y)) or np.abs(y).max() > BLOWUP_NORM:
+        raise DynamicsError(f"solution blew up at t={t:.6g}")
+
+
+def _sample(sys: _System, t: float, y: np.ndarray) -> TrajectorySample:
+    w, a = sys.grid.quad_weights, y[sys.slices[2]]
+    masses = (float(np.sum(w[nodes] * np.abs(y[part])))
+              for nodes, part in zip((*sys.hulls, slice(None)), sys.slices))
+    return TrajectorySample(t, float(y[0]), float(y[1]), *masses,
+                            float(sys.grid.nodes[int(np.argmax(a))]))

@@ -241,6 +241,19 @@ class TestDynamicsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "budget" in err
 
+    @pytest.mark.parametrize("bump, status, message", [
+        ("-1", 2, "--bump"), ("nan", 2, "--bump"), ("inf", 2, "--bump"),
+        # a start past the blow-up norm: reported at t = 0, without numpy warnings
+        ("1e13", 1, "blew up at t=0"),
+    ])
+    def test_bad_bump(self, outdir, capsys, bump, status, message):
+        assert _status([
+            "dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--t-end", "1",
+            "--bump", bump, "--output-dir", str(outdir),
+        ]) == status
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     @pytest.mark.parametrize("method", ["dopri5", "euler"])
     def test_dopri5_is_no_method(self, outdir, method):
         with pytest.raises(SystemExit) as exc:

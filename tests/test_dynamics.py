@@ -1,11 +1,14 @@
 """Time integration: right-hand side identities and convergence to equilibria."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import mutsel.dynamics as dyn
 from mutsel.grid import Field, l1_norm
-from mutsel.model import build_problem
+from mutsel.model import build_problem, preset
+from mutsel.operators import ConvolutionEngine
 from mutsel.dynamics import (
     DynamicsError,
     SystemState,
@@ -29,17 +32,41 @@ def state_l1(a: SystemState, b: SystemState) -> float:
     )
 
 
-def derivative(problem, state: SystemState):
-    """The packed time derivative of a state, and the slices of I1, I2 and A in it."""
-    system = dyn._System(problem)
-    return system.rhs(system.pack(state)), system.slices
+def derivative(problem, state: SystemState) -> SystemState:
+    """The time derivative of a state, read on the full grid through ``unpack``."""
+    system = dyn._System(problem, state)
+    return system.unpack(state.t, system.rhs(system.pack(state)))
 
 
 def derivative_l1(problem, state: SystemState) -> float:
     """|dS1/dt| + |dS2/dt| plus the quadrature L1 norms of the density derivatives."""
-    dy, slices = derivative(problem, state)
-    w = problem.grid.quad_weights
-    return abs(dy[0]) + abs(dy[1]) + sum(float(np.sum(w * np.abs(dy[s]))) for s in slices)
+    d = derivative(problem, state)
+    return abs(d.S1) + abs(d.S2) + sum(l1_norm(f) for f in (d.I1, d.I2, d.A))
+
+
+def full_grid_derivative(problem, state: SystemState) -> tuple:
+    """The model's equations on the whole grid, as ((dS1, dS2), dI1, dI2, dA):
+    dS_k = xi_k Lambda - theta S_k - S_k int beta_k A, dI_k = beta_k S_k A - (theta + d_k) I_k
+    and dA = -delta A + m_eps * (r_1 I_1 + r_2 I_2)."""
+    mp, w, a = problem.mp, problem.grid.quad_weights, state.A.values
+    ds, di = [], []
+    production = np.zeros(problem.grid.n)
+    for host, hd, s, i in zip(mp.hosts, problem.derived, (state.S1, state.S2),
+                              (state.I1.values, state.I2.values)):
+        ds.append(host.xi * mp.lambda_ - mp.theta * s - s * np.sum(w * hd.beta.values * a))
+        di.append(hd.beta.values * s * a - (mp.theta + hd.d.values) * i)
+        production += hd.r.values * i
+    da = -mp.delta * a + ConvolutionEngine(problem.kernel).convolve_values(production)
+    return np.array(ds), *di, da
+
+
+def random_state(problem, seed: int) -> SystemState:
+    """Random positive S_k and A, and I_k random positive where beta_k is."""
+    rng = np.random.default_rng(seed)
+    g = problem.grid
+    i1, i2 = (rng.random(g.n) * (hd.beta.values > 0) for hd in problem.derived)
+    return SystemState(0.0, *rng.random(2), *(Field(g, v, is_density=True)
+                                              for v in (i1, i2, rng.random(g.n))))
 
 
 class TestRhs:
@@ -68,9 +95,50 @@ class TestRhs:
             I2=Field(g, np.zeros(g.n), is_density=True),
             A=Field(g, np.full(g.n, 0.7), is_density=True),
         )
-        dy, slices = derivative(fig1_problem, state)
+        da = derivative(fig1_problem, state).A.values
         delta = fig1_problem.mp.delta
-        assert np.max(np.abs(dy[slices[2]] + delta * 0.7)) < 1e-12
+        assert np.max(np.abs(da + delta * 0.7)) < 1e-12
+
+    @pytest.mark.parametrize("name, overlap", [("fig1", False), ("fig3", True)])
+    def test_packed_matches_full_grid_equations(self, name, overlap):
+        problem = build_problem(preset(name), 0.01)
+        for seed in range(3):
+            state = random_state(problem, seed)
+            hulls = dyn._System(problem, state).hulls
+            assert (hulls[0].stop > hulls[1].start) == overlap
+            d = derivative(problem, state)
+            packed = (np.array([d.S1, d.S2]), d.I1.values, d.I2.values, d.A.values)
+            for got, want in zip(packed, full_grid_derivative(problem, state)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestHulls:
+    @pytest.mark.parametrize("method, dt", [("rk4", 1e-3), ("dop853", 1e-2)])
+    def test_infected_start_off_beta_support_decays(self, fig1_problem, method, dt):
+        # I1 starts positive on x < 0.1, left of beta_1's support [0.2, 0.6]:
+        # there dI1/dt = -(theta + d_1) I1 alone
+        g = fig1_problem.grid
+        off = g.nodes < 0.1
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        init.I1 = Field(g, np.where(off, 0.5 + g.nodes, 0.0), is_density=True)
+        assert dyn._System(fig1_problem, init).hulls[0].start == 0
+        traj = integrate(fig1_problem, init, 1.0, dt, method=method, sample_every=10**6)
+        end = traj.terminal
+        loss = fig1_problem.mp.theta + fig1_problem.host(1).d.values[off]
+        exact = init.I1.values[off] * np.exp(-loss * end.t)
+        assert np.max(np.abs(end.I1.values[off] / exact - 1.0)) < 1e-12
+        assert all(f.values.shape == (g.n,) for f in (end.I1, end.I2, end.A))
+
+    def test_host_without_beta_or_infection_packs_no_nodes(self, fig1_problem):
+        g = fig1_problem.grid
+        host2 = replace(fig1_problem.host(2), beta=Field(g, np.zeros(g.n)))
+        problem = replace(fig1_problem, derived=(fig1_problem.host(1), host2))
+        init = disease_free_state(problem, bump=1e-3)
+        assert dyn._System(problem, init).hulls[1] == slice(0, 0)
+        for method in ("rk4", "dop853"):
+            end = integrate(problem, init, 0.1, 0.01, method=method).terminal
+            assert end.I2.values.shape == (g.n,) and not end.I2.values.any()
+            assert l1_norm(end.I1) > 0.0
 
 
 class TestIntegrate:
@@ -178,6 +246,9 @@ class TestIntegrate:
         assert state_l1(traj.terminal, tight.terminal) < 1e-12
         assert traj.rhs_evals < 3000
         assert traj.clip_events == 0
+        # the full-grid run's step decisions: the packed state's error norm
+        # divides by the full-grid length 3n + 2
+        assert (traj.steps, traj.rejected_steps, traj.rhs_evals) == (228, 4, 2785)
 
 
 def test_dop853_tableau_order_conditions():
