@@ -31,6 +31,8 @@ DEFAULT_SWEEP = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
 # parsed options the manifest leaves out: the subcommand's own, and the model
 # source, which goes under "model"
 NOT_OPTIONS = {"command", "func", "preset", "config", "scale_beta"}
+# rows write_csv formats and writes at a time
+CSV_BLOCK_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +87,19 @@ def _outdir(args) -> Path:
     return out
 
 
-def write_csv(path: Path, name: str, header: list[str], rows: list[list]) -> None:
-    """Rows of Python numbers and booleans, written by ``str``: the shortest
-    repr of a float.  (``repr`` of a numpy scalar reads ``np.float64(...)``.)"""
+def write_csv(path: Path, name: str, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """Rows of Python numbers and booleans, or the rows of a 2-d float array,
+    written by ``str``: the shortest repr of a float.  (``repr`` of a numpy
+    scalar reads ``np.float64(...)``, so an array is read through ``tolist``.)
+    Each block of ``CSV_BLOCK_ROWS`` rows is formatted column by column and
+    written at once."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema=mutsel.{name}.v{SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        for i in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[i : i + CSV_BLOCK_ROWS]
+            columns = block.T.tolist() if isinstance(block, np.ndarray) else zip(*block)
+            fh.write("\n".join(map(",".join, zip(*(map(str, c) for c in columns)))) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -249,9 +257,7 @@ def cmd_equilibrium(args) -> int:
         outdir / "equilibrium_fields.csv",
         "fields",
         ["x", "A", "I1", "I2"],
-        np.column_stack(
-            (problem.grid.nodes, state.A.values, state.I1.values, state.I2.values)
-        ).tolist(),
+        np.column_stack((problem.grid.nodes, state.A.values, state.I1.values, state.I2.values)),
     )
     diagnostics = {
         "classification": state.classification,
@@ -427,23 +433,24 @@ def _run_parallel(fn, payloads, jobs):
         return list(pool.map(fn, payloads))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=["fig1", "fig2", "fig3"])
-    p.add_argument("--config", help="JSON model-parameter file")
-    p.add_argument("--epsilon", type=float, action="append", default=[],
-                   help="mutation width (repeatable)")
-    p.add_argument("--n", type=int, default=None, help="grid node count override")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--scale-beta", type=float, default=1.0,
-                   help="multiply both infection efficiencies")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for sweep and spectrum (default: $MUTSEL_JOBS or 1)")
-    p.add_argument("--allow-partial", action="store_true",
-                   help="exit 0 even when some entries fail to converge")
-    p.add_argument("--output-dir", default="mutsel-out")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the options every subcommand takes, defined once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", choices=["fig1", "fig2", "fig3"])
+    common.add_argument("--config", help="JSON model-parameter file")
+    common.add_argument("--epsilon", type=float, action="append", default=[],
+                        help="mutation width (repeatable)")
+    common.add_argument("--n", type=int, default=None, help="grid node count override")
+    common.add_argument("--tol", type=float, default=1e-10)
+    common.add_argument("--scale-beta", type=float, default=1.0,
+                        help="multiply both infection efficiencies")
+    common.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for sweep and spectrum "
+                             "(default: $MUTSEL_JOBS or 1)")
+    common.add_argument("--allow-partial", action="store_true",
+                        help="exit 0 even when some entries fail to converge")
+    common.add_argument("--output-dir", default="mutsel-out")
+
     parser = argparse.ArgumentParser(
         prog="mutsel",
         description="Steady states, spectra and mutation-limit diagnostics "
@@ -451,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="principal eigenvalues and spectral gaps")
-    _add_common(p)
+    p = sub.add_parser("spectrum", parents=[common],
+                       help="principal eigenvalues and spectral gaps")
     p.add_argument("--host", type=int, choices=[0, 1, 2], default=1,
                    help="host operator (0 = combined)")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("equilibrium", help="coupled steady state and diagnostics")
-    _add_common(p)
+    p = sub.add_parser("equilibrium", parents=[common],
+                       help="coupled steady state and diagnostics")
     p.add_argument("--starts", type=int, default=1,
                    help="number of random starts (first uses the default start)")
     p.add_argument("--seed", type=int, default=0)
@@ -466,12 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the linearized-stability report")
     p.set_defaults(func=cmd_equilibrium)
 
-    p = sub.add_parser("sweep", help="mutation-width sweep tables")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[common], help="mutation-width sweep tables")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("dynamics", help="time integration toward equilibrium")
-    _add_common(p)
+    p = sub.add_parser("dynamics", parents=[common],
+                       help="time integration toward equilibrium")
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=0.01,
                    help="step of rk4; first step of dop853; "
@@ -482,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-every", type=int, default=100)
     p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("stability", help="linearized stability at the steady state")
-    _add_common(p)
+    p = sub.add_parser("stability", parents=[common],
+                       help="linearized stability at the steady state")
     p.set_defaults(func=cmd_stability)
 
     return parser

@@ -127,15 +127,33 @@ def solve_coupled(
     (``Problem.host_spectra``), or ``default_start`` when the fitness supports
     overlap or both hosts are below threshold.
 
-    Converged only when the quadrature-L1 residual of the plain map is below
-    ``tol`` and, for an endemic state, the paper's necessary conditions hold
-    (``necessary_conditions_hold``); the returned density is then T(a).  An
-    endemic iterate under ``tol`` that fails them is a near-fixed point, such
-    as a single host's steady state, which the other host's mode grows away
-    from: plain steps follow that mode until a lower residual comes in.
-    ``iterations`` counts map applications and ``restarts`` plain steps.
+    T(a) reads a only on the map's read nodes R, where a fitness or beta row is
+    nonzero (``UpdateMap.read_nodes``), so the iteration runs on R alone: its
+    map applications, residuals, bounds and Newton steps are those of the whole
+    grid's iteration read on R.  The returned density T(a) is extended to the
+    whole grid by one full-grid map application, and ``reconstruct`` certifies
+    it there.
+
+    Converged only when the quadrature-L1 residual of the plain map on R is
+    below ``tol`` and, for an endemic state, the paper's necessary conditions
+    hold (``necessary_conditions_hold``).  An endemic iterate under ``tol``
+    that fails them is a near-fixed point, such as a single host's steady
+    state, which the other host's mode grows away from: plain steps follow
+    that mode until a lower residual comes in.  ``iterations`` counts map
+    applications, ``restarts`` plain steps, and ``residual_history`` holds the
+    last residuals on R.
     """
-    tmap = update_map(problem)
+    whole = update_map(problem)
+    read, tmap = whole.read_nodes, whole.on_read_nodes
+    w = tmap.engine.weights
+
+    def steady_state(x: np.ndarray) -> EquilibriumState:
+        # T(x) on the whole grid, from x on R
+        full = np.zeros(problem.grid.n)
+        full[read] = x
+        A = np.clip(whole.apply_values(full), 0.0, None)
+        return reconstruct(problem, Field(problem.grid, A, is_density=True))
+
     excess_floor = 0.5 * (problem.combined_radius - 1.0)
     floors = 0.5 * (np.array([s.lambda1 for s in problem.host_spectra]) - 1.0)
 
@@ -150,21 +168,21 @@ def solve_coupled(
             start = superposed if np.any(superposed.values) else start
     if np.any(start.values < 0):
         raise SolverError("start density must be nonnegative")
-    a = start.values.copy()
+    a = start.values[read]
     best = np.inf
     since_best = restarts = 0
     newton = plain = False
     history: list[float] = []
     converged = False
     for it in range(1, DEFAULT_MAX_ITER + 1):
+        mapped = a  # the iterate g is the image of
         g = tmap.apply_values(a)
         f = g - a
-        res = float(np.sum(problem.grid.quad_weights * np.abs(f)))
+        res = float(np.sum(w * np.abs(f)))
         history.append(res)
         near_fixed = res < tol
         if near_fixed:
-            state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None),
-                                               is_density=True))
+            state = steady_state(mapped)
             converged = necessary_conditions_hold(problem, state)
             if converged:
                 break
@@ -187,8 +205,7 @@ def solve_coupled(
             restarts += 1
             a = np.clip(g, 0.0, None)
     if not converged:
-        state = reconstruct(problem, Field(problem.grid, np.clip(g, 0.0, None),
-                                           is_density=True))
+        state = steady_state(mapped)
         state.classification = "non_converged"
     state.iterations = it
     state.restarts = restarts

@@ -399,6 +399,14 @@ class Problem:
                      for k in (1, 2))
 
     @cached_property
+    def update_maps(self) -> tuple:
+        """The coupled map T = T_1 + T_2 and the host maps T_1 and T_2
+        (``operators.build_maps``), built once per problem, on first use."""
+        from .operators import build_maps
+
+        return build_maps(self)
+
+    @cached_property
     def assumption_warnings(self) -> list[str]:
         """The model-assumption warnings of this instance (O(n)), on first use."""
         return validate_assumptions(self.mp, self.kernel, self.derived)

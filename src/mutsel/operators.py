@@ -17,14 +17,13 @@ is a tridiagonal solve plus a low-rank correction (``newton_direction``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dgtsv, dpttrs
-from scipy.sparse.linalg import LinearOperator
 
 from .grid import Field
 from .model import MutationKernel, Problem
@@ -61,59 +60,62 @@ def gram_inverse(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, 
 
 
 class ConvolutionEngine:
-    """Quadrature convolution with the scaled mutation kernel, on the kernel's grid.
+    """Quadrature convolution with the scaled mutation kernel, on a sorted set of
+    the kernel's grid nodes (all of them by default).
 
-    Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j), that is g = K (w f)
-    with the Toeplitz K[i, j] = C r^|i-j|, r = exp(-h/eps).  Its inverse is
-    tridiagonal, K^-1 = tridiag(-r, 1 + r^2, -r)/((1 - r^2) C) with corner
-    entries 1/((1 - r^2) C), and its L D L^T factor is known in closed form
+    Returns g(x_i) = sum_j w_j m_eps(x_i - x_j) f(x_j) over the nodes, that is
+    g = K (w f) with the Gram matrix K[i, j] = C exp(-|x_i - x_j|/eps), whose
+    inverse is tridiagonal; on the whole grid K[i, j] = C r^|i-j|,
+    r = exp(-h/eps), and K^-1 = tridiag(-r, 1 + r^2, -r)/((1 - r^2) C) with
+    corner entries 1/((1 - r^2) C).  Its L D L^T factor is known in closed form
     (``gram_factor``), so each call is one O(n) LAPACK solve K^-1 g = w f
     (``dpttrs``).  The closed form keeps the solve accurate as h/eps shrinks,
     where a factor computed from the rounded tridiagonal entries is not: their
     row sums, (1 - r)/(1 + r) in the interior, are what K's action on smooth
-    values depends on.  ``restricted`` gives the engine of a window of nodes;
-    ``toeplitz`` and ``dense_matrix`` give the same sum as an O(n^2) Toeplitz
-    product, the reference in tests.
+    values depends on.  ``restricted`` gives the engine of a subset of the
+    nodes; ``toeplitz`` and ``dense_matrix`` give the same sum as an O(n^2)
+    matrix product, the reference in tests.
     """
 
-    def __init__(self, kernel: MutationKernel):
+    def __init__(self, kernel: MutationKernel, nodes: np.ndarray | None = None):
         self.kernel = kernel
+        # the whole grid, whose indices ``nodes`` are
         self.grid = kernel.grid
-        d, sub = gram_factor(kernel, np.full(self.grid.n - 1, self.grid.h))
-        # f2py bounds the subdiagonal to one entry, not zero, at n = 1
+        self.nodes = np.arange(self.grid.n) if nodes is None else nodes
+        # the grid's own weights: a subset is not re-trapezoided, so an end node
+        # inside the grid keeps its whole weight
+        self.weights = self.grid.quad_weights[self.nodes]
+        self.gaps = self.grid.h * np.diff(self.nodes)
+        d, sub = gram_factor(kernel, self.gaps)
+        # f2py bounds the subdiagonal to one entry, not zero, on one node
         self._factor = d, sub if sub.size else np.zeros(1)
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
-        return dpttrs(*self._factor, self.grid.quad_weights * values)[0]
+        return dpttrs(*self._factor, self.weights * values)[0]
 
     @cached_property
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the tridiagonal K^-1 (``gram_inverse``)."""
-        return gram_inverse(self.kernel, np.full(self.grid.n - 1, self.grid.h))
+        return gram_inverse(self.kernel, self.gaps)
 
-    def restricted(self, lo: int, hi: int) -> "ConvolutionEngine":
-        """The engine of the m = hi - lo nodes lo..hi-1 alone.
+    def restricted(self, nodes: np.ndarray) -> "ConvolutionEngine":
+        """The engine of the given sorted positions among this engine's nodes.
 
-        It keeps this grid's quadrature weights on the window (the window is not
-        re-trapezoided: an end node inside the grid keeps its whole weight), so
-        its output is this engine's on values that vanish off the window, read
-        on the window; on the whole grid it computes exactly what this engine
-        does.  The kernel samples are cut to the 2m-1 offsets the window spans.
+        Its output is this engine's on values that vanish off those nodes, read
+        on them; on all of them it computes exactly what this engine does.
         """
-        g, n, m = self.grid, self.grid.n, hi - lo
-        window = replace(g, x_min=float(g.nodes[lo]), x_max=float(g.nodes[hi - 1]), n=m,
-                         nodes=g.nodes[lo:hi], quad_weights=g.quad_weights[lo:hi])
-        samples = self.kernel.samples[(n - 1) - (m - 1) : (n - 1) + m]
-        return ConvolutionEngine(replace(self.kernel, grid=window, samples=samples))
+        return ConvolutionEngine(self.kernel, self.nodes[nodes])
 
     def toeplitz(self) -> np.ndarray:
-        """Read-only n x n view K[i, j] = m_eps(x_i - x_j) = samples[(n-1)+i-j]."""
+        """K[i, j] = m_eps(x_i - x_j) = samples[(n-1)+i-j] on the nodes: a
+        read-only view on the whole grid, a gathered copy on a subset."""
         n = self.grid.n
-        return np.lib.stride_tricks.sliding_window_view(self.kernel.samples, n)[:, ::-1]
+        full = np.lib.stride_tricks.sliding_window_view(self.kernel.samples, n)[:, ::-1]
+        return full if self.nodes.size == n else full[np.ix_(self.nodes, self.nodes)]
 
     def dense_matrix(self, weight: np.ndarray) -> np.ndarray:
         """Matrix of f -> convolve_values(weight * f): K[i, j] w_j weight_j."""
-        return self.toeplitz() * (self.grid.quad_weights * weight)[None, :]
+        return self.toeplitz() * (self.weights * weight)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,24 @@ class UpdateMap:
     engine: ConvolutionEngine
     fitness: np.ndarray
     beta_rows: np.ndarray
+
+    @cached_property
+    def read_nodes(self) -> np.ndarray:
+        """The nodes where a fitness or a beta row is nonzero: T(a) reads a only
+        there, through g(a) a and through the denominators."""
+        return np.flatnonzero((self.fitness != 0).any(axis=0) | (self.beta_rows != 0).any(axis=0))
+
+    @cached_property
+    def on_read_nodes(self) -> "UpdateMap":
+        """This map restricted to ``read_nodes``, built once: T(a) on them is
+        this map of a read on them."""
+        return self.restricted(self.read_nodes)
+
+    def restricted(self, nodes: np.ndarray) -> "UpdateMap":
+        """This map on the given sorted positions among its engine's nodes alone
+        (``ConvolutionEngine.restricted``)."""
+        return UpdateMap(self.engine.restricted(nodes), self.fitness[:, nodes],
+                         self.beta_rows[:, nodes])
 
     def denominators(self, a: np.ndarray) -> np.ndarray:
         """Saturation denominators 1 + theta^-1 int beta_k a, one per host."""
@@ -171,7 +191,7 @@ class UpdateMap:
         finite.
         """
         den = self.denominators(a)
-        w = self.engine.grid.quad_weights
+        w = self.engine.weights
         diag, off = self.engine.inverse
         u = w * a * self.fitness / den[:, None] ** 2
         padded = np.pad(a, 1, constant_values=-np.inf)
@@ -199,12 +219,13 @@ class UpdateMap:
         return delta
 
 
-class Linearization(LinearOperator):
+class Linearization:
     """Derivative of an UpdateMap at a fixed density a.
 
     h -> m_eps * (g(a) h) - sum_k (L_k a / den_k^2)(theta^-1 int beta_k h).  The
     gain g(a) and the correction rows L_k a / den_k^2 are formed once, so each
-    application costs one convolution.
+    application costs one convolution.  It has the ``shape``, ``dtype`` and
+    ``matvec`` that scipy's iterative eigensolvers ask of a linear operator.
     """
 
     def __init__(self, tmap: UpdateMap, a: np.ndarray):
@@ -215,10 +236,10 @@ class Linearization(LinearOperator):
         self.correction = np.array(
             [tmap.engine.convolve_values(row * a) / d**2 for row, d in zip(tmap.fitness, den)]
         )
-        super().__init__(float, (len(a), len(a)))
+        self.shape = (len(a), len(a))
+        self.dtype = np.dtype(float)
 
-    def _matvec(self, h: np.ndarray) -> np.ndarray:
-        h = h.ravel()
+    def matvec(self, h: np.ndarray) -> np.ndarray:
         return self.engine.convolve_values(self.gain * h) - (self.beta_rows @ h) @ self.correction
 
     def dense(self) -> np.ndarray:
@@ -233,26 +254,28 @@ class Linearization(LinearOperator):
         return d
 
 
-def _map_over(problem: Problem, hosts: tuple[int, ...]) -> UpdateMap:
+def build_maps(problem: Problem) -> tuple[UpdateMap, UpdateMap, UpdateMap]:
+    """The coupled map T = T_1 + T_2 and the host maps T_1 and T_2, on one
+    convolution engine; ``Problem.update_maps`` keeps them."""
     mp = problem.mp
     w_theta = problem.grid.quad_weights / mp.theta
-    return UpdateMap(
-        ConvolutionEngine(problem.kernel),
-        # c_k psi_k with c_k = xi_k Lambda / theta
-        np.array([mp.hosts[k - 1].xi * mp.lambda_ / mp.theta * problem.host(k).psi.values
-                  for k in hosts]),
-        np.array([w_theta * problem.host(k).beta.values for k in hosts]),
-    )
+    engine = ConvolutionEngine(problem.kernel)
+    # c_k psi_k with c_k = xi_k Lambda / theta
+    fitness = np.array([h.xi * mp.lambda_ / mp.theta * hd.psi.values
+                        for h, hd in zip(mp.hosts, problem.derived)])
+    beta_rows = np.array([w_theta * hd.beta.values for hd in problem.derived])
+    return (UpdateMap(engine, fitness, beta_rows),
+            *(UpdateMap(engine, fitness[k : k + 1], beta_rows[k : k + 1]) for k in (0, 1)))
 
 
 def update_map(problem: Problem) -> UpdateMap:
     """The coupled map T = T_1 + T_2."""
-    return _map_over(problem, (1, 2))
+    return problem.update_maps[0]
 
 
 def host_map(problem: Problem, k: int) -> UpdateMap:
     """Single-host map T_k(a) = L_k a / (1 + theta^-1 int beta_k a)."""
-    return _map_over(problem, (k,))
+    return problem.update_maps[k]
 
 
 def host_operator(problem: Problem, k: int) -> Linearization:

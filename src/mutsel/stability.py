@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .grid import Field
 from .model import Problem
-from .operators import UpdateMap, host_map, host_operator, update_map
+from .operators import host_map, host_operator, update_map
 from .spectral import symmetric_spectrum
 from .equilibrium import UncoupledSolution
 
@@ -36,16 +35,14 @@ class StabilityError(RuntimeError):
     pass
 
 
-def arpack_window(mask: np.ndarray, k: int) -> tuple[int, int]:
-    """Node window lo..hi-1 (half-open) from the first to the last True entry of
-    ``mask``, widened within the grid to at least k + 2 nodes: ARPACK asks for
+def arpack_window(nodes: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The nodes lo..hi-1 from the first to the last of the sorted ``nodes``,
+    widened within the n-node grid to at least k + 2 nodes: ARPACK asks for
     more nodes than the k eigenvalues it returns."""
-    n = len(mask)
-    hits = np.flatnonzero(mask)
-    lo, hi = int(hits[0]), int(hits[-1]) + 1
+    lo, hi = int(nodes[0]), int(nodes[-1]) + 1
     need = min(n, k + 2)
     lo = max(0, min(lo, hi - need))
-    return lo, max(hi, lo + need)
+    return np.arange(lo, max(hi, lo + need))
 
 
 @dataclass
@@ -70,18 +67,19 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     n - 2 eigenvalues, and the hull the run takes place on is widened to at
     least k + 2 nodes.
     """
+    # scipy.sparse.linalg is imported where it runs: it is most of the import
+    # time and peak memory the CLI would otherwise spend before any command
+    from scipy.sparse.linalg import ArpackNoConvergence, eigs
+
     a = A.values
     tmap = update_map(problem)
     ta = tmap.apply_values(np.clip(a, 0.0, None))
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
     n = problem.grid.n
     k = min(EIGENVALUE_COUNT, n - 2)
-    # the map reads its input only where a fitness or beta row is nonzero
-    read = (tmap.fitness != 0).any(axis=0) | (tmap.beta_rows != 0).any(axis=0)
-    lo, hi = arpack_window(read, k)
-    window = slice(lo, hi)
-    restricted = UpdateMap(tmap.engine.restricted(lo, hi), tmap.fitness[:, window],
-                           tmap.beta_rows[:, window])
+    # the map reads its input only on its read nodes
+    window = arpack_window(tmap.read_nodes, n, k)
+    restricted = tmap.restricted(window)
     # seeded, because ARPACK's own start vector does not repeat within a process
     v0 = 1.0 + np.random.default_rng(0).random(n)
     try:

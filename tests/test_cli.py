@@ -19,7 +19,6 @@ from mutsel import cli
 from mutsel import dynamics as dyn
 from mutsel import equilibrium as eq
 from mutsel import spectral as spec
-from mutsel import stability as stab
 from mutsel.cli import main
 from mutsel.model import build_problem, preset
 from mutsel.spectral import solve_host_spectrum
@@ -529,7 +528,8 @@ def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
-    monkeypatch.setattr(stab, "eigs", no_convergence)
+    # stability_report imports eigs where it runs
+    monkeypatch.setattr("scipy.sparse.linalg.eigs", no_convergence)
     assert run(["stability", "--preset", "fig1", "--epsilon", "5e-2",
                 "--output-dir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error: Arnoldi")
@@ -671,6 +671,46 @@ def test_cli_import_leaves_out_scipy_signal():
 def test_cli_import_leaves_out_scipy_fft():
     # the Laplace kernel's convolutions are tridiagonal solves, not FFTs
     assert _probe("import sys, mutsel.cli; print('scipy.fft' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # scipy.sparse.linalg is loaded by the stability report alone, where it runs
+    assert _probe("import sys, mutsel.cli; print('scipy.sparse' in sys.modules)") == "False"
+
+
+def _rowwise_csv(path, name, header, rows):
+    """The row-by-row writer ``write_csv`` replaced, the reference of its bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# schema=mutsel.{name}.v{cli.SCHEMA_VERSION}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _float_table(rows):
+    """Random floats of every magnitude, with the special values among them."""
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-320, 300, (rows, 4))
+    specials = (-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, 1.0)
+    table.flat[: min(table.size, len(specials))] = specials[: table.size]
+    return table
+
+
+CSV_TABLES = {
+    "mixed rows": lambda: [[0, True, -0.0, 5e-324], [-3, False, 1e300, math.inf],
+                           [7, True, math.nan, 0.1], [2**70, False, -math.inf, 1e-5]],
+    "no rows": lambda: _float_table(0),
+    "partial last block": lambda: _float_table(2 * cli.CSV_BLOCK_ROWS + 5),
+}
+
+
+@pytest.mark.parametrize("table", sorted(CSV_TABLES))
+def test_write_csv_matches_rowwise_writer(table, tmp_path):
+    rows = CSV_TABLES[table]()
+    header = ["a", "b", "c", "d"]
+    cli.write_csv(tmp_path / "blocks.csv", "t", header, rows)
+    _rowwise_csv(tmp_path / "rows.csv", "t", header,
+                 rows.tolist() if isinstance(rows, np.ndarray) else rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 CSV_RUNS = {

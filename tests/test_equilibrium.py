@@ -172,10 +172,25 @@ class TestCoupled:
         assert state.converged
         assert state.residual_history == same.residual_history
 
+    def test_mass_off_the_read_nodes_is_ignored(self, fig1_problem, fig1_state):
+        # the map reads its input only where a fitness or beta row is nonzero,
+        # and the solve runs on those nodes alone: mass added elsewhere changes
+        # nothing, to the last bit
+        start = _random_start(fig1_problem, np.random.default_rng(3))
+        off = np.ones(fig1_problem.grid.n, bool)
+        off[update_map(fig1_problem).read_nodes] = False
+        assert off.any()
+        heavy = Field(fig1_problem.grid, start.values + 5.0 * off)
+        state, other = (solve_coupled(fig1_problem, start=s, tol=1e-12) for s in (start, heavy))
+        assert state.converged and other.converged
+        assert np.array_equal(state.A.values, other.A.values)
+        assert state.residual_history == other.residual_history
+        assert l1_norm(state.A - fig1_state.A) < 1e-8
+
     @pytest.mark.parametrize("seed", [6, 8])
     def test_stalled_newton_escapes_by_plain_steps(self, fig3, seed):
         # from these random starts clipped Newton steps stall at points that
-        # miss host 1's peak (234 and 34 map applications, 197 and 10 of them
+        # miss host 1's peak (236 and 34 map applications, 197 and 10 of them
         # plain steps); plain steps regrow it
         problem = build_problem(fig3, 2.5e-3)
         state = solve_coupled(problem, start=_random_start(problem, np.random.default_rng(seed)))

@@ -12,7 +12,6 @@ from mutsel.model import MutationKernel, build_problem, preset
 from mutsel.operators import (
     ConvolutionEngine,
     OperatorError,
-    UpdateMap,
     combined_operator,
     gram_inverse,
     host_map,
@@ -97,8 +96,8 @@ class TestConvolution:
         lo, hi = {"left edge": (0, n // 3), "right edge": (n - n // 5, n),
                   "interior": (n // 4, n // 2 + 7), "whole grid": (0, n)}[where]
         eng = ConvolutionEngine(fig1_problem.kernel)
-        sub = eng.restricted(lo, hi)
-        assert sub.grid.n == hi - lo
+        sub = eng.restricted(np.arange(lo, hi))
+        assert sub.weights.size == hi - lo
         f = np.random.default_rng(3).random(hi - lo)
         want = eng.toeplitz()[lo:hi, lo:hi] @ (g.quad_weights[lo:hi] * f)
         assert np.max(np.abs(sub.convolve_values(f) - want)) < 1e-10 * np.max(np.abs(want))
@@ -106,7 +105,7 @@ class TestConvolution:
     def test_whole_grid_restriction_is_the_engine(self, fig1_problem):
         eng = ConvolutionEngine(fig1_problem.kernel)
         f = _random_density(fig1_problem.grid, 4).values
-        whole = eng.restricted(0, fig1_problem.grid.n)
+        whole = eng.restricted(np.arange(fig1_problem.grid.n))
         assert np.array_equal(whole.convolve_values(f), eng.convolve_values(f))
 
 
@@ -125,27 +124,39 @@ def _laplace_kernel(n, ratio, rng, eps=0.01):
 class TestTridiagonalEngine:
     # the factor is taken in closed form, not from the rounded tridiagonal
     # entries, so the solve stays within 1e-12 of the Toeplitz product as
-    # h/eps shrinks, here down to 1e-4
+    # h/eps shrinks, here down to 1e-4.  On a random sorted subset of up to
+    # ``keep`` of the first n nodes it is the product's principal submatrix.
+    # With ``wide``, h = eps/2 and the grid has 1,600 more nodes, the last of
+    # which joins the subset at least 800 widths past the others: there
+    # rho = exp(-gap/eps) underflows to 0
     @given(n=st.integers(1, 300), log_ratio=st.floats(-4.0, math.log10(0.5)),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=1, log_ratio=-4.0, seed=0)
-    @example(n=2, log_ratio=-4.0, seed=1)
-    @example(n=2, log_ratio=math.log10(0.5), seed=2)
+           keep=st.integers(1, 300), wide=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, log_ratio=-4.0, keep=1, wide=False, seed=0)
+    @example(n=2, log_ratio=-4.0, keep=2, wide=False, seed=1)
+    @example(n=2, log_ratio=math.log10(0.5), keep=2, wide=False, seed=2)
+    @example(n=200, log_ratio=-2.0, keep=1, wide=False, seed=3)
+    @example(n=50, log_ratio=-1.0, keep=20, wide=True, seed=4)
     @settings(max_examples=60, deadline=None)
-    def test_matches_toeplitz_oracle(self, n, log_ratio, seed):
+    def test_matches_toeplitz_oracle(self, n, log_ratio, keep, wide, seed):
         rng = np.random.default_rng(seed)
-        kernel = _laplace_kernel(n, 10.0**log_ratio, rng)
+        size = n + 1600 if wide else n
+        kernel = _laplace_kernel(size, 0.5 if wide else 10.0**log_ratio, rng)
         eng = ConvolutionEngine(kernel)
         w = kernel.grid.quad_weights
-        f = rng.standard_normal(n)
-        lo = int(rng.integers(0, n))
-        hi = int(rng.integers(lo + 1, n + 1))
+        f = rng.standard_normal(size)
+        nodes = np.sort(rng.choice(n, min(keep, n), replace=False))
+        if wide:
+            nodes = np.append(nodes, size - 1)
+        sub = eng.restricted(nodes)
+        full = eng.toeplitz()
         for got, want in (
-            (eng.convolve_values(f), eng.toeplitz() @ (w * f)),
-            (eng.restricted(lo, hi).convolve_values(f[lo:hi]),
-             eng.toeplitz()[lo:hi, lo:hi] @ (w[lo:hi] * f[lo:hi])),
+            (eng.convolve_values(f), full @ (w * f)),
+            (sub.convolve_values(f[nodes]),
+             full[np.ix_(nodes, nodes)] @ (w[nodes] * f[nodes])),
         ):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if wide:
+            assert sub.gaps[-1] >= 800 * kernel.eps and sub.inverse[1][-1] == 0.0
 
     @given(log_ratio=st.floats(-3.0, math.log10(0.5)),
            steps=st.lists(st.one_of(st.integers(1, 5), st.just(0)), max_size=150))
@@ -342,8 +353,7 @@ class TestDerivative:
         # a one-node engine has no off-diagonal; I - T'(a) is then a scalar
         tmap = update_map(fig1_problem)
         j = int(np.argmax(tmap.fitness[0]))
-        one = UpdateMap(tmap.engine.restricted(j, j + 1), tmap.fitness[:, j : j + 1],
-                        tmap.beta_rows[:, j : j + 1])
+        one = tmap.restricted(np.array([j]))
         a, f = np.array([0.7]), np.array([0.3])
         delta = one.newton_direction(a, f)
         assert delta - one.linearization(a).matvec(delta) == pytest.approx(f, rel=1e-12)
