@@ -84,17 +84,12 @@ def disease_free_state(problem: Problem, *, bump: float = 0.0) -> SystemState:
     )
 
 
-def _hull(mask: np.ndarray) -> slice:
-    idx = np.flatnonzero(mask)
-    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
-
-
 class _System:
-    """Right-hand side on the packed state y = (S1, S2, I1 on hull 1, I2 on hull 2, A).
+    """Right-hand side on the packed state y = (S1, S2, I1 and I2 on their nodes, A).
 
-    Hull k is the range of nodes where beta_k or the start's I_k is nonzero. Off
-    it dI_k/dt = -(theta + d_k) I_k keeps I_k at exactly zero, so it is not
-    stored; ``unpack`` restores the full-grid fields.
+    Nodes k are those where beta_k or the start's I_k is nonzero, as in
+    ``UpdateMap.read_nodes``. Off them dI_k/dt = -(theta + d_k) I_k keeps I_k at
+    exactly zero, so it is not stored; ``unpack`` restores the full-grid fields.
     """
 
     def __init__(self, problem: Problem, init: SystemState):
@@ -102,15 +97,16 @@ class _System:
         self.theta, self.delta, self.n, self.full_size = mp.theta, mp.delta, n, 3 * n + 2
         self.tmap = update_map(problem)
         self.influx = np.array([h.xi * mp.lambda_ for h in mp.hosts])
-        self.hulls = [_hull((hd.beta.values != 0) | (i.values != 0))
-                      for hd, i in zip(problem.derived, (init.I1, init.I2))]
+        self.host_nodes = [np.flatnonzero((hd.beta.values != 0) | (i.values != 0))
+                           for hd, i in zip(problem.derived, (init.I1, init.I2))]
         # the node of each packed I entry, and the traits there
-        self.nodes = np.r_[self.hulls[0], self.hulls[1]].astype(np.intp)
-        beta, d, self.r = (np.concatenate([getattr(hd, name).values[h]
-                                           for hd, h in zip(problem.derived, self.hulls)])
-                           for name in ("beta", "d", "r"))
+        self.nodes = np.concatenate(self.host_nodes)
+        beta, d, self.r = (
+            np.concatenate([getattr(hd, name).values[nodes]
+                            for hd, nodes in zip(problem.derived, self.host_nodes)])
+            for name in ("beta", "d", "r"))
         self.loss = mp.theta + d
-        m1, m = self.hulls[0].stop - self.hulls[0].start, self.nodes.size
+        m1, m = self.host_nodes[0].size, self.nodes.size
         # beta_k in host k's column, so that host_beta @ (S1, S2) is beta_k S_k
         self.host_beta = np.zeros((m, 2))
         self.host_beta[:m1, 0], self.host_beta[m1:, 1] = beta[:m1], beta[m1:]
@@ -119,14 +115,14 @@ class _System:
         self.evals = 0
 
     def pack(self, state: SystemState) -> np.ndarray:
-        return np.concatenate(([state.S1, state.S2], state.I1.values[self.hulls[0]],
-                               state.I2.values[self.hulls[1]], state.A.values))
+        return np.concatenate(([state.S1, state.S2], state.I1.values[self.host_nodes[0]],
+                               state.I2.values[self.host_nodes[1]], state.A.values))
 
     def unpack(self, t: float, y: np.ndarray) -> SystemState:
         """The full-grid fields of a packed state, or of its derivative."""
         infected = np.zeros((2, self.n))
-        for row, hull, part in zip(infected, self.hulls, self.slices):
-            row[hull] = y[part]
+        for row, nodes, part in zip(infected, self.host_nodes, self.slices):
+            row[nodes] = y[part]
         fields = (Field(self.grid, v) for v in (*infected, y[self.slices[2]].copy()))
         return SystemState(t, float(y[0]), float(y[1]), *fields)
 
@@ -358,6 +354,6 @@ def _check_bounded(y: np.ndarray, t: float) -> None:
 def _sample(sys: _System, t: float, y: np.ndarray) -> TrajectorySample:
     w, a = sys.grid.quad_weights, y[sys.slices[2]]
     masses = (float(np.sum(w[nodes] * np.abs(y[part])))
-              for nodes, part in zip((*sys.hulls, slice(None)), sys.slices))
+              for nodes, part in zip((*sys.host_nodes, slice(None)), sys.slices))
     return TrajectorySample(t, float(y[0]), float(y[1]), *masses,
                             float(sys.grid.nodes[int(np.argmax(a))]))

@@ -1,10 +1,11 @@
 """The nonlinear update maps, their derivatives and the convolution beneath them.
 
 The fixed points of the update maps are the steady states.  Each map and its
-derivative are a single weighted convolution (the derivative minus a low-rank
-correction), whatever the number of hosts summed over.  The per-host and
-combined linear operators L f = m_eps * (gain . f) are the maps' derivatives at
-the zero density, so they share that code.
+derivative are a single weighted convolution, whatever the number of hosts
+summed over: the derivative's low-rank term is taken inside it.  The
+per-host and combined linear operators L f = m_eps * (gain . f) are the maps'
+derivatives at the zero density, so they share that code, and building one
+convolves nothing.
 
 The mutation kernel is the Laplace kernel m_eps(z) = exp(-|z|/eps)/(2 eps),
 the Green's function of 1 - eps^2 d^2/dx^2.  Its Gram matrix on any sorted
@@ -12,7 +13,8 @@ set of nodes therefore has a tridiagonal inverse, and that inverse's
 Cholesky-type factor, in closed form (``gram_inverse``, ``gram_factor``): a
 convolution is one O(n) tridiagonal solve, the symmetric eigenproblems
 built on it are tridiagonal too (see ``spectral``), and a Newton step of a map
-is a tridiagonal solve plus a low-rank correction (``newton_direction``).
+is a tridiagonal solve plus a low-rank correction (``newton_direction``,
+through ``tridiagonal_solve``, the one general tridiagonal solver).
 """
 
 from __future__ import annotations
@@ -57,6 +59,18 @@ def gram_inverse(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, 
     """
     d, sub = gram_factor(kernel, gaps)
     return d + np.append(0.0, sub**2 * d[:-1]), sub * d[:-1]
+
+
+def tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with tridiag(off, diag, off) x = rhs, for one right-hand side or the
+    columns of several, by LAPACK ``dgtsv``; ``LinAlgError`` if it fails (a
+    zero pivot: the matrix is singular)."""
+    # f2py's dgtsv asks for one off-diagonal entry, not zero, on one node
+    off = off if off.size else np.zeros(1)
+    *_, x, info = dgtsv(off, diag, off, rhs)
+    if info:
+        raise LinAlgError(f"tridiagonal solve failed (dgtsv info {info})")
+    return x
 
 
 class ConvolutionEngine:
@@ -185,7 +199,7 @@ class UpdateMap:
         eigenvalue pinned near 1.  So the Woodbury formula is applied around
         T0 + sigma E E^T instead (sigma = max |diag T0|; E's columns are the unit
         vectors at the highest local maxima of a, one per host), with the shift
-        moved into the low-rank term [U, -sigma E][V, E]^T: one LAPACK ``dgtsv``
+        moved into the low-rank term [U, -sigma E][V, E]^T: one tridiagonal
         solve with 1 + 2 right-hand sides per host and one small dense solve.
         Raises ``LinAlgError`` when either is singular or the direction is not
         finite.
@@ -206,11 +220,7 @@ class UpdateMap:
         kf = diag * f
         kf[:-1] += off * f[1:]
         kf[1:] += off * f[:-1]
-        # f2py's dgtsv asks for one off-diagonal entry, not zero, at n = 1
-        off = off if off.size else np.zeros(1)
-        *_, x, info = dgtsv(off, shifted, off, np.column_stack((kf, *u, *(-sigma * shift))))
-        if info:
-            raise LinAlgError("shifted Newton matrix is singular")
+        x = tridiagonal_solve(shifted, off, np.column_stack((kf, *u, *(-sigma * shift))))
         v = np.vstack((self.beta_rows, shift))
         small = np.eye(len(v)) + v @ x[:, 1:]
         delta = x[:, 0] - x[:, 1:] @ np.linalg.solve(small, v @ x[:, 0])
@@ -222,10 +232,10 @@ class UpdateMap:
 class Linearization:
     """Derivative of an UpdateMap at a fixed density a.
 
-    h -> m_eps * (g(a) h) - sum_k (L_k a / den_k^2)(theta^-1 int beta_k h).  The
-    gain g(a) and the correction rows L_k a / den_k^2 are formed once, so each
-    application costs one convolution.  It has the ``shape``, ``dtype`` and
-    ``matvec`` that scipy's iterative eigensolvers ask of a linear operator.
+    h -> m_eps * (g(a) h - sum_k (theta^-1 int beta_k h) c_k psi_k a / den_k^2),
+    with g(a) and the ``rows`` c_k psi_k a / den_k^2 formed once: building it
+    costs no convolution and each application one.  It has the ``shape``,
+    ``dtype`` and ``matvec`` scipy's iterative eigensolvers ask of an operator.
     """
 
     def __init__(self, tmap: UpdateMap, a: np.ndarray):
@@ -233,24 +243,24 @@ class Linearization:
         self.engine = tmap.engine
         self.beta_rows = tmap.beta_rows
         self.gain = tmap._gain(den)
-        self.correction = np.array(
-            [tmap.engine.convolve_values(row * a) / d**2 for row, d in zip(tmap.fitness, den)]
-        )
+        self.rows = tmap.fitness * a / den[:, None] ** 2
         self.shape = (len(a), len(a))
         self.dtype = np.dtype(float)
 
     def matvec(self, h: np.ndarray) -> np.ndarray:
-        return self.engine.convolve_values(self.gain * h) - (self.beta_rows @ h) @ self.correction
+        return self.engine.convolve_values(self.gain * h - (self.beta_rows @ h) @ self.rows)
 
     def dense(self) -> np.ndarray:
         """Explicit n x n matrix of the derivative, the only n x n array formed.
 
-        Each host's rank-one term is subtracted in place by BLAS ``dger`` on
-        the Fortran-ordered transpose, so no n x n temporary is allocated.
+        Each host's rank-one term, whose column K (w row) is a Toeplitz product,
+        is subtracted in place by BLAS ``dger`` on the Fortran-ordered
+        transpose, so no n x n temporary is allocated.
         """
         d = self.engine.dense_matrix(self.gain)
-        for beta_row, correction in zip(self.beta_rows, self.correction):
-            dger(-1.0, beta_row, correction, a=d.T, overwrite_a=1)
+        toeplitz = self.engine.toeplitz()
+        for beta_row, row in zip(self.beta_rows, self.rows):
+            dger(-1.0, beta_row, toeplitz @ (self.engine.weights * row), a=d.T, overwrite_a=1)
         return d
 
 

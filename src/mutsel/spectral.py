@@ -10,10 +10,11 @@ Laplace kernel G^-1 is tridiagonal (``operators.gram_inverse``, whatever the
 gaps between the nodes), and so is (S G S)^-1 = S^-1 G^-1 S^-1: the top
 eigenvalues of the operator are the reciprocals of its smallest ones, which
 LAPACK bisection (``stebz``) finds in O(m) work each; the eigenvector comes
-from inverse iteration on the equivalent pencil G^-1 - mu S^2.  The principal
-pair is certified by the L1 residual of the eigenfunction reconstructed on the
-whole grid; dense symmetric eigensolves provide the rest of the spectrum and
-the independent cross-check.
+from inverse iteration on the equivalent pencil G^-1 - mu S^2, and the
+principal eigenvalue is its Rayleigh quotient.  The principal pair is
+certified by the L1 residual of the eigenfunction reconstructed on the whole
+grid; dense symmetric eigensolves provide the rest of the spectrum and the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from .grid import Field, l1_norm
 from .model import Problem
-from .operators import Linearization, combined_operator, gram_inverse, host_operator
+from .operators import (Linearization, combined_operator, gram_inverse, host_operator,
+                        tridiagonal_solve)
 
 DEFAULT_TOL = 1e-10
 # absolute bisection tolerance: LAPACK's default, eps_mach times the matrix's
@@ -75,10 +76,12 @@ def principal_eigenpair(
     not negligible, by bisection to machine precision.  The operator has rank
     m on m such nodes, so with m = 1 its second eigenvalue is 0.  The
     eigenfunction comes from inverse iteration on the pencil G^-1 - mu S^2
-    (``_pencil_eigenvector``).  Convergence is declared on the relative
-    quadrature-L1 residual of the eigenpair on the whole grid, which costs two
-    full-grid operator applications (``iterations``); a LAPACK failure yields
-    ``converged=False``.
+    (``_pencil_eigenvector``), and lambda1 is its Rayleigh quotient in the
+    symmetric form: bisection's own lambda1 drifts like eps_mach (eps/h)^2,
+    with the conditioning of (S G S)^-1, and lambda2 is bisection's.
+    Convergence is declared on the relative quadrature-L1 residual of the
+    eigenpair on the whole grid, which costs two full-grid operator
+    applications (``iterations``); a LAPACK failure yields ``converged=False``.
     """
     grid = op.engine.grid
     wg = grid.quad_weights * op.gain
@@ -109,22 +112,23 @@ def principal_eigenpair(
         if with_second:
             result.lambda2 = result.gap = nan
         return result
-    lams = wg.max() / mu
-    lam = float(lams[0])
-    # u is the eigenfunction on the nodes, so phi = L u / lam, with u taken as
-    # 0 off them, where the gain is (negligibly) 0, solves L phi = lam phi
+    # u is the eigenfunction on the nodes, so L u, with u taken as 0 off them,
+    # where the gain is (negligibly) 0, is an eigenfunction of L
     y = np.zeros(grid.n)
     y[nodes] = op.gain[nodes] * u
-    phi = np.clip(op.engine.convolve_values(y) / lam, 0.0, None)
+    phi = np.clip(op.engine.convolve_values(y), 0.0, None)
     mass = l1_norm(Field(grid, phi))
     if mass <= 0:
         raise SpectralError("eigenfunction reconstruction produced the zero field")
     phi = Field(grid, phi / mass, is_density=True)
     lphi = op.matvec(phi.values)
+    # the Rayleigh quotient of the symmetric form w gain L
+    mphi = wg * phi.values
+    lam = float(mphi @ lphi / (mphi @ phi.values))
     res = float(np.sum(grid.quad_weights * np.abs(lphi - lam * phi.values)) / lam)
     result = SpectralResult(lam, phi, res, 2, res < tol)
     if with_second:
-        result.lambda2 = float(lams[1]) if len(lams) > 1 else 0.0
+        result.lambda2 = float(wg.max() / mu[1]) if len(mu) > 1 else 0.0
         result.gap = lam - result.lambda2
         result.degenerate = result.gap < 1e-12
     return result
@@ -143,13 +147,9 @@ def _pencil_eigenvector(diag: np.ndarray, off: np.ndarray, share: np.ndarray,
     so that no pivot is exactly zero (as it is for a single node), shrink the
     other eigenvectors by about 1e-12 over the relative gap to the next mu each.
     """
-    # f2py's dgtsv asks for one off-diagonal entry, not zero, at m = 1
-    off = off if off.size else np.zeros(1)
     u = np.ones(diag.size)
     for _ in range(2):
-        *_, u, info = dgtsv(off, diag - (1.0 - 1e-12) * mu * share, off, share * u)
-        if info:
-            raise LinAlgError("shifted pencil is singular")
+        u = tridiagonal_solve(diag - (1.0 - 1e-12) * mu * share, off, share * u)
         u /= np.max(np.abs(u))
     return u * np.sign(np.sum(u))
 

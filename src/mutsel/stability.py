@@ -6,13 +6,14 @@ density comes from one matrix-free Arnoldi run (ARPACK) for the
 single-host states the spectrum is also checked against its closed form,
 using the dense derivative as the reference.
 
-The map T(a) = m_eps * (g(a) a) reads a only where a fitness row (through g
-and a) or a beta row (through the denominators) is nonzero.  With P the
-restriction to the hull of those nodes its derivative satisfies T' = T'P.
-The nonzero eigenvalues of the product T'P are those of PT' (AB and BA share
-them), and PT' = PT'P, the derivative of the map restricted to the hull: the
-Arnoldi run takes the spectrum there, each application one convolution on the
-hull's nodes (an O(hull) tridiagonal solve).
+The map T(a) = m_eps * (g(a) a) reads a only on its read nodes R, where a
+fitness row (through g and a) or a beta row (through the denominators) is
+nonzero.  With P the restriction to R its derivative satisfies T' = T'P.  The
+nonzero eigenvalues of the product T'P are those of PT' (AB and BA share
+them), and PT' = PT'P, the derivative of the map restricted to R, the
+restriction the coupled solve runs on: the Arnoldi run takes the spectrum
+there, each application one convolution on R's nodes (an O(|R|) tridiagonal
+solve).
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ class StabilityError(RuntimeError):
     pass
 
 
-def arpack_window(nodes: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The nodes lo..hi-1 from the first to the last of the sorted ``nodes``,
-    widened within the n-node grid to at least k + 2 nodes: ARPACK asks for
-    more nodes than the k eigenvalues it returns."""
-    lo, hi = int(nodes[0]), int(nodes[-1]) + 1
-    need = min(n, k + 2)
-    lo = max(0, min(lo, hi - need))
-    return np.arange(lo, max(hi, lo + need))
-
-
 @dataclass
 class StabilityReport:
     eigenvalues: np.ndarray  # complex, the largest by modulus, descending
@@ -64,8 +55,9 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     asymptotically at rate q, so ``error_bound`` = residual / (1 - q) bounds
     A's L1 distance to the fixed point to first order (q is a spectral radius,
     not a norm).  ARPACK needs k < n - 1, so a grid of n nodes yields at most
-    n - 2 eigenvalues, and the hull the run takes place on is widened to at
-    least k + 2 nodes.
+    n - 2 eigenvalues, and the read nodes the run takes place on are padded
+    with the first nodes off them to at least k + 2 nodes (the padding adds
+    only zero eigenvalues: the derivative's columns there are zero).
     """
     # scipy.sparse.linalg is imported where it runs: it is most of the import
     # time and peak memory the CLI would otherwise spend before any command
@@ -77,15 +69,15 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
     n = problem.grid.n
     k = min(EIGENVALUE_COUNT, n - 2)
-    # the map reads its input only on its read nodes
-    window = arpack_window(tmap.read_nodes, n, k)
-    restricted = tmap.restricted(window)
+    read = tmap.read_nodes
+    pad = np.setdiff1d(np.arange(n), read)[: max(0, k + 2 - read.size)]
+    nodes = np.union1d(read, pad)
     # seeded, because ARPACK's own start vector does not repeat within a process
     v0 = 1.0 + np.random.default_rng(0).random(n)
     try:
         eig = eigs(
-            restricted.linearization(a[window]), k=k, which="LM",
-            v0=v0[window], tol=0, return_eigenvectors=False,
+            tmap.restricted(nodes).linearization(a[nodes]), k=k, which="LM",
+            v0=v0[nodes], tol=0, return_eigenvectors=False,
         )
     except ArpackNoConvergence as exc:
         raise StabilityError("Arnoldi iteration for the stability spectrum did not converge") from exc

@@ -749,9 +749,9 @@ def test_dynamics_run_leaves_out_scipy_integrate(tmp_path):
 
 def test_every_convolution_passes_the_engine(monkeypatch, outdir):
     # the benchmark's tracer counts and prices convolutions at
-    # ConvolutionEngine.convolve_values: a spectrum run makes three, all on the
-    # whole grid: the operator's zero correction row, and the eigenfunction and
-    # its residual, the full-grid applications reported as ``iterations``
+    # ConvolutionEngine.convolve_values: a spectrum run makes two, both on the
+    # whole grid: the eigenfunction and its residual, the full-grid
+    # applications reported as ``iterations`` (building the operator makes none)
     engine = importlib.import_module("mutsel.operators").ConvolutionEngine
     convolve = engine.convolve_values
     lengths = []
@@ -766,8 +766,8 @@ def test_every_convolution_passes_the_engine(monkeypatch, outdir):
     lines = (outdir / "spectrum.csv").read_text().splitlines()
     iterations = int(dict(zip(lines[1].split(","), lines[2].split(",")))["iterations"])
     n = build_problem(preset("fig1"), 5e-3).grid.n
-    assert len(lengths) == iterations + 1
-    assert lengths.count(n) == 3
+    assert len(lengths) == iterations
+    assert lengths.count(n) == 2
 
 
 @pytest.mark.parametrize("beta", ["exp(1000*x)", "log(x)"])

@@ -104,8 +104,8 @@ class TestRhs:
         problem = build_problem(preset(name), 0.01)
         for seed in range(3):
             state = random_state(problem, seed)
-            hulls = dyn._System(problem, state).hulls
-            assert (hulls[0].stop > hulls[1].start) == overlap
+            host_nodes = dyn._System(problem, state).host_nodes
+            assert (host_nodes[0][-1] >= host_nodes[1][0]) == overlap
             d = derivative(problem, state)
             packed = (np.array([d.S1, d.S2]), d.I1.values, d.I2.values, d.A.values)
             for got, want in zip(packed, full_grid_derivative(problem, state)):
@@ -121,7 +121,7 @@ class TestHulls:
         off = g.nodes < 0.1
         init = disease_free_state(fig1_problem, bump=1e-3)
         init.I1 = Field(g, np.where(off, 0.5 + g.nodes, 0.0), is_density=True)
-        assert dyn._System(fig1_problem, init).hulls[0].start == 0
+        assert dyn._System(fig1_problem, init).host_nodes[0][0] == 0
         traj = integrate(fig1_problem, init, 1.0, dt, method=method, sample_every=10**6)
         end = traj.terminal
         loss = fig1_problem.mp.theta + fig1_problem.host(1).d.values[off]
@@ -134,7 +134,7 @@ class TestHulls:
         host2 = replace(fig1_problem.host(2), beta=Field(g, np.zeros(g.n)))
         problem = replace(fig1_problem, derived=(fig1_problem.host(1), host2))
         init = disease_free_state(problem, bump=1e-3)
-        assert dyn._System(problem, init).hulls[1] == slice(0, 0)
+        assert dyn._System(problem, init).host_nodes[1].size == 0
         for method in ("rk4", "dop853"):
             end = integrate(problem, init, 0.1, 0.01, method=method).terminal
             assert end.I2.values.shape == (g.n,) and not end.I2.values.any()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
 from mutsel.grid import Field, TraitGrid, inner, l1_norm
 from mutsel.model import MutationKernel, build_problem, preset
@@ -17,6 +18,7 @@ from mutsel.operators import (
     host_map,
     host_operator,
     mass_bound,
+    tridiagonal_solve,
     update_map,
 )
 from mutsel.spectral import symmetric_spectrum
@@ -178,6 +180,24 @@ class TestTridiagonalEngine:
         assert np.max(np.abs(inverse @ gram - np.eye(len(idx)))) <= 1e-12
         if 0 in steps:
             assert np.exp(-h * wide / eps) == 0.0 and 0.0 in off
+
+
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_tridiagonal_solve_matches_dense(m):
+    rng = np.random.default_rng(m)
+    diag, off = 4.0 + rng.random(m), rng.standard_normal(m - 1)
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 1)), rng.standard_normal((m, 5))):
+        want = np.linalg.solve(matrix, rhs)
+        got = tridiagonal_solve(diag, off, rhs)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("diag, off", [([0.0], []), ([1.0, 1.0], [1.0])])
+def test_tridiagonal_solve_raises_on_a_singular_matrix(diag, off):
+    with pytest.raises(LinAlgError):
+        tridiagonal_solve(np.array(diag), np.array(off), np.ones(len(diag)))
 
 
 # session problem for hypothesis (fixtures cannot feed @given directly)
@@ -368,16 +388,22 @@ class TestDerivative:
         assert np.all(da[pos] < a[pos])
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The lengths of the inputs of every convolution made while the test runs."""
+    lengths = []
+    convolve = ConvolutionEngine.convolve_values
+
+    def counted(self, values):
+        lengths.append(len(values))
+        return convolve(self, values)
+
+    monkeypatch.setattr(ConvolutionEngine, "convolve_values", counted)
+    return lengths
+
+
 class TestOneConvolutionCore:
-    def test_one_convolution_per_map_application(self, fig1_problem, monkeypatch):
-        calls = []
-        convolve = ConvolutionEngine.convolve_values
-
-        def counted(self, values):
-            calls.append(len(values))
-            return convolve(self, values)
-
-        monkeypatch.setattr(ConvolutionEngine, "convolve_values", counted)
+    def test_one_convolution_per_map_application(self, fig1_problem, calls):
         a = _random_density(fig1_problem.grid, 4)
         for tmap in (update_map(fig1_problem), host_map(fig1_problem, 1)):
             for expected in (1, 2, 3):
@@ -385,15 +411,7 @@ class TestOneConvolutionCore:
                 assert len(calls) == expected
             calls.clear()
 
-    def test_one_convolution_per_linearization_application(self, fig1_problem, monkeypatch):
-        calls = []
-        convolve = ConvolutionEngine.convolve_values
-
-        def counted(self, values):
-            calls.append(len(values))
-            return convolve(self, values)
-
-        monkeypatch.setattr(ConvolutionEngine, "convolve_values", counted)
+    def test_one_convolution_per_linearization_application(self, fig1_problem, calls):
         a = _random_density(fig1_problem.grid, 5).values
         h = np.random.default_rng(6).standard_normal(fig1_problem.grid.n)
         for tmap in (update_map(fig1_problem), host_map(fig1_problem, 1)):
@@ -402,6 +420,22 @@ class TestOneConvolutionCore:
             for expected in (1, 2, 3):
                 lin.matvec(h)
                 assert len(calls) == expected
+
+    def test_building_an_operator_convolves_nothing(self, fig1_problem, calls):
+        # the low-rank term is taken inside the one convolution of an
+        # application; at the zero density it vanishes
+        a = _random_density(fig1_problem.grid, 5).values
+        h = np.random.default_rng(6).standard_normal(fig1_problem.grid.n)
+        for build in (lambda: host_operator(fig1_problem, 1),
+                      lambda: host_operator(fig1_problem, 2),
+                      lambda: combined_operator(fig1_problem),
+                      lambda: update_map(fig1_problem).linearization(a),
+                      lambda: host_map(fig1_problem, 2).linearization(a)):
+            op = build()
+            assert calls == []
+            op.matvec(h)
+            assert calls == [fig1_problem.grid.n]
+            calls.clear()
 
     def test_toeplitz_view_is_the_index_gather(self, coarse_problem):
         n = coarse_problem.grid.n

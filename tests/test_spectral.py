@@ -172,6 +172,15 @@ class TestDenseSpectrum:
             problem.combined_radius
 
 
+def test_fine_grid_certificates_converge(fig1):
+    # at h/eps = 1e-2 bisection's lambda1 is off by about eps_mach (eps/h)^2
+    # relative, which left the combined residual at 1.3e-10; the Rayleigh
+    # quotient is not
+    problem = build_problem(fig1, 1e-2, n=100_000)
+    for result in (solve_host_spectrum(problem, 1), solve_combined_spectrum(problem)):
+        assert result.converged and result.residual < 1e-11
+
+
 class TestWindowedLanczos:
     @pytest.fixture(scope="class")
     def fine(self, fig1):

@@ -124,6 +124,31 @@ def test_windowed_arnoldi_matches_full_grid(name):
     assert max(np.min(np.abs(rep.eigenvalues - z)) for z in ref) < 1e-10
 
 
+@pytest.mark.parametrize("eps, n, reads, size", [(2.5e-3, None, 1919, 1919), (0.2, 30, 19, 22)])
+def test_arnoldi_runs_on_the_read_nodes(eps, n, reads, size, monkeypatch):
+    # fig1 at eps = 2.5e-3 reads its input on 1,919 of 3,521 nodes, in two
+    # blocks whose hull has 2,239; on the 30-node grid the 19 read nodes are
+    # padded with the first 3 off them to the 22 that 20 eigenvalues need
+    import scipy.sparse.linalg
+
+    arnoldi = scipy.sparse.linalg.eigs
+    shapes = []
+
+    def recorded(op, *args, **kwargs):
+        shapes.append(op.shape)
+        return arnoldi(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", recorded)
+    problem = build_problem(preset("fig1"), eps, n=n, padding=None if n is None else 0.1)
+    assert update_map(problem).read_nodes.size == reads
+    state = solve_coupled(problem)
+    rep = stability_report(problem, state.A)
+    assert shapes == [(size, size)]
+    ref = _full_grid_arnoldi(problem, state.A.values)
+    top = ref[np.abs(ref) > 1e-12]
+    assert max(np.min(np.abs(rep.eigenvalues - z)) for z in top) < 1e-10
+
+
 class TestStabilityMechanism:
     def test_derivative_top_is_host_gap_ratios(self, fig1):
         # with separated supports the coupled derivative's two largest
