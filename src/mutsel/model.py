@@ -141,42 +141,38 @@ MIN_NODES_PER_WIDTH = 5
 
 @dataclass
 class MutationKernel:
-    """Samples of the scaled Laplace kernel on the difference grid of a TraitGrid.
-
-    ``samples[j]`` holds the kernel value at offset ``(j - (n-1)) * h`` so that
-    ``samples[(n-1) + i - j]`` is the kernel evaluated at ``x_i - x_j``.
-    The samples are renormalized to unit trapezoid mass; ``raw_mass`` is the
-    mass the truncated, unnormalized samples carried, so the kernel is
-    exp(-|z|/eps) / (2 eps raw_mass) at every offset z.
+    """The scaled Laplace kernel on a TraitGrid, renormalized to unit trapezoid
+    mass on the grid's difference grid: exp(-|z|/eps) / (2 eps raw_mass) at
+    every offset z, where ``raw_mass`` is the trapezoid mass the unnormalized
+    kernel carries on the offsets j h, |j| < n.
     """
 
     grid: TraitGrid
-    samples: np.ndarray
     raw_mass: float
     eps: float
 
-    @property
-    def center_value(self) -> float:
-        return float(self.samples[self.grid.n - 1])
-
 
 def scale_kernel(eps: float, grid: TraitGrid) -> MutationKernel:
-    """The Laplace kernel m(z) = exp(-|z|)/2 scaled to m_eps(z) = m(z/eps)/eps."""
+    """The Laplace kernel m(z) = exp(-|z|)/2 scaled to m_eps(z) = m(z/eps)/eps.
+
+    The check below fails only when fewer than two positive offsets j h lie
+    within eps, so it tests j = 1, 2 alone.  ``raw_mass`` is the geometric sum
+    (t/2) (1 + 2 r (1 - r^(n-1)) / (1 - r) - r^(n-1)), t = h/eps, r = e^-t,
+    with 1 - r^k taken as -expm1(-k t).
+    """
     if not (np.isfinite(eps) and eps > 0):
         raise ModelError(f"epsilon must be positive, got {eps}")
     n = grid.n
-    offsets = grid.h * np.arange(-(n - 1), n)
-    within = np.count_nonzero(np.abs(offsets) <= eps + 1e-15)
+    within = 1 + 2 * np.count_nonzero(grid.h * np.arange(1, min(n, 3)) <= eps + 1e-15)
     if within < MIN_NODES_PER_WIDTH:
         raise KernelResolutionError(
             f"grid under-resolves kernel: {within} nodes within |x| <= eps={eps} "
             f"(h={grid.h:.3g}); need {MIN_NODES_PER_WIDTH}"
         )
-    raw = 0.5 * np.exp(-np.abs(offsets / eps)) / eps
-    # trapezoid mass on the difference grid
-    raw_mass = grid.h * (raw.sum() - 0.5 * raw[0] - 0.5 * raw[-1])
-    samples = raw / raw_mass
-    return MutationKernel(grid, samples, float(raw_mass), float(eps))
+    t = grid.h / eps
+    geometric = math.exp(-t) * math.expm1(-(n - 1) * t) / math.expm1(-t)
+    raw_mass = 0.5 * t * (1.0 + 2.0 * geometric - math.exp(-(n - 1) * t))
+    return MutationKernel(grid, raw_mass, float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,6 @@ class HostDerived:
     d: Field
     r: Field
     sigma_support: tuple[int, int]   # index range (inclusive) of the declared beta support
-    omega_support: tuple[int, int]   # index range (inclusive) of {psi > 0}
     x_star: float
     psi_max: float
     r0: float
@@ -223,7 +218,6 @@ def build_fitness(mp: ModelParams, k: int, grid: TraitGrid) -> HostDerived:
     x_star = float(x[peaks[0]])
     lo, hi = host.beta_support
     sigma = _index_range((x >= lo - 1e-12) & (x <= hi + 1e-12), f"support of beta_{k}")
-    omega = _index_range(psi > 0, f"positivity set of psi_{k}")
     r0 = host.xi * mp.lambda_ / mp.theta * psi_max
     return HostDerived(
         k=k,
@@ -232,7 +226,6 @@ def build_fitness(mp: ModelParams, k: int, grid: TraitGrid) -> HostDerived:
         d=Field(grid, d),
         r=Field(grid, r),
         sigma_support=sigma,
-        omega_support=omega,
         x_star=x_star,
         psi_max=psi_max,
         r0=float(r0),
@@ -368,7 +361,7 @@ def default_node_count(window: tuple[float, float], eps: float) -> int:
 
 @dataclass
 class Problem:
-    """A discretized model instance: grid, kernel samples and derived fields."""
+    """A discretized model instance: grid, mutation kernel and derived fields."""
 
     mp: ModelParams
     eps: float

@@ -14,7 +14,10 @@ Cholesky-type factor, in closed form (``gram_inverse``, ``gram_factor``): a
 convolution is one O(n) tridiagonal solve, the symmetric eigenproblems
 built on it are tridiagonal too (see ``spectral``), and a Newton step of a map
 is a tridiagonal solve plus a low-rank correction (``newton_direction``,
-through ``tridiagonal_solve``, the one general tridiagonal solver).
+through ``tridiagonal_solve``, the one general tridiagonal solver).  The
+kernel enters only through eps and its mass (``gram_factor``): nothing here
+forms a sample array or an n x n matrix, and the O(n^2) matrix products the
+tests compare against live with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dgtsv, dpttrs
 
 from .grid import Field
@@ -87,8 +89,7 @@ class ConvolutionEngine:
     where a factor computed from the rounded tridiagonal entries is not: their
     row sums, (1 - r)/(1 + r) in the interior, are what K's action on smooth
     values depends on.  ``restricted`` gives the engine of a subset of the
-    nodes; ``toeplitz`` and ``dense_matrix`` give the same sum as an O(n^2)
-    matrix product, the reference in tests.
+    nodes.
     """
 
     def __init__(self, kernel: MutationKernel, nodes: np.ndarray | None = None):
@@ -119,17 +120,6 @@ class ConvolutionEngine:
         on them; on all of them it computes exactly what this engine does.
         """
         return ConvolutionEngine(self.kernel, self.nodes[nodes])
-
-    def toeplitz(self) -> np.ndarray:
-        """K[i, j] = m_eps(x_i - x_j) = samples[(n-1)+i-j] on the nodes: a
-        read-only view on the whole grid, a gathered copy on a subset."""
-        n = self.grid.n
-        full = np.lib.stride_tricks.sliding_window_view(self.kernel.samples, n)[:, ::-1]
-        return full if self.nodes.size == n else full[np.ix_(self.nodes, self.nodes)]
-
-    def dense_matrix(self, weight: np.ndarray) -> np.ndarray:
-        """Matrix of f -> convolve_values(weight * f): K[i, j] w_j weight_j."""
-        return self.toeplitz() * (self.weights * weight)[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +194,17 @@ class UpdateMap:
         Raises ``LinAlgError`` when either is singular or the direction is not
         finite.
         """
-        den = self.denominators(a)
+        lin = self.linearization(a)
         w = self.engine.weights
         diag, off = self.engine.inverse
-        u = w * a * self.fitness / den[:, None] ** 2
+        u = w * lin.rows
         padded = np.pad(a, 1, constant_values=-np.inf)
         peaks = np.where((a >= padded[:-2]) & (a > padded[2:]), a, -1.0)
-        shift = np.zeros((min(len(den), a.size), a.size))
+        shift = np.zeros((min(len(lin.rows), a.size), a.size))
         for row in shift:
             j = np.argmax(peaks)
             row[j], peaks[j] = 1.0, -np.inf
-        shifted = diag - w * self._gain(den)
+        shifted = diag - w * lin.gain
         sigma = np.abs(shifted).max()
         shifted += sigma * shift.sum(axis=0)
         kf = diag * f
@@ -233,9 +223,10 @@ class Linearization:
     """Derivative of an UpdateMap at a fixed density a.
 
     h -> m_eps * (g(a) h - sum_k (theta^-1 int beta_k h) c_k psi_k a / den_k^2),
-    with g(a) and the ``rows`` c_k psi_k a / den_k^2 formed once: building it
-    costs no convolution and each application one.  It has the ``shape``,
-    ``dtype`` and ``matvec`` scipy's iterative eigensolvers ask of an operator.
+    with g(a) and the ``rows`` c_k psi_k a / den_k^2 formed once (dividing by
+    den_k twice, as den_k^2 can overflow): building it costs no convolution
+    and each application one.  It has the ``shape``, ``dtype`` and ``matvec``
+    scipy's iterative eigensolvers ask of an operator.
     """
 
     def __init__(self, tmap: UpdateMap, a: np.ndarray):
@@ -243,25 +234,12 @@ class Linearization:
         self.engine = tmap.engine
         self.beta_rows = tmap.beta_rows
         self.gain = tmap._gain(den)
-        self.rows = tmap.fitness * a / den[:, None] ** 2
+        self.rows = tmap.fitness * a / den[:, None] / den[:, None]
         self.shape = (len(a), len(a))
         self.dtype = np.dtype(float)
 
     def matvec(self, h: np.ndarray) -> np.ndarray:
         return self.engine.convolve_values(self.gain * h - (self.beta_rows @ h) @ self.rows)
-
-    def dense(self) -> np.ndarray:
-        """Explicit n x n matrix of the derivative, the only n x n array formed.
-
-        Each host's rank-one term, whose column K (w row) is a Toeplitz product,
-        is subtracted in place by BLAS ``dger`` on the Fortran-ordered
-        transpose, so no n x n temporary is allocated.
-        """
-        d = self.engine.dense_matrix(self.gain)
-        toeplitz = self.engine.toeplitz()
-        for beta_row, row in zip(self.beta_rows, self.rows):
-            dger(-1.0, beta_row, toeplitz @ (self.engine.weights * row), a=d.T, overwrite_a=1)
-        return d
 
 
 def build_maps(problem: Problem) -> tuple[UpdateMap, UpdateMap, UpdateMap]:
@@ -297,16 +275,3 @@ def host_operator(problem: Problem, k: int) -> Linearization:
 def combined_operator(problem: Problem) -> Linearization:
     """L_1 + L_2, the derivative of the coupled map T at zero."""
     return update_map(problem).linearization(np.zeros(problem.grid.n))
-
-
-def mass_bound(problem: Problem) -> float:
-    """A-priori L1 bound (Lambda / (delta theta)) sum_k xi_k max(r_k)."""
-    mp = problem.mp
-    return (
-        mp.lambda_
-        / (mp.delta * mp.theta)
-        * sum(
-            mp.hosts[k].xi * float(problem.derived[k].r.values.max())
-            for k in (0, 1)
-        )
-    )

@@ -13,8 +13,8 @@ LAPACK bisection (``stebz``) finds in O(m) work each; the eigenvector comes
 from inverse iteration on the equivalent pencil G^-1 - mu S^2, and the
 principal eigenvalue is its Rayleigh quotient.  The principal pair is
 certified by the L1 residual of the eigenfunction reconstructed on the whole
-grid; dense symmetric eigensolves provide the rest of the spectrum and the
-independent cross-check.
+grid.  The dense symmetric eigensolve the tests cross-check against is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .grid import Field, l1_norm
 from .model import Problem
@@ -95,16 +95,16 @@ def principal_eigenpair(
     # left out
     share = wg / wg.max()
     nodes = np.flatnonzero(share > NEGLIGIBLE_SHARE)
-    share = share[nodes]
-    root = np.sqrt(share)
+    kept = share[nodes]
+    root = np.sqrt(kept)
     diag, off = gram_inverse(op.engine.kernel, grid.h * np.diff(nodes))
     try:
         mu = eigh_tridiagonal(
-            diag / share, off / (root[:-1] * root[1:]), eigvals_only=True, select="i",
+            diag / kept, off / (root[:-1] * root[1:]), eigvals_only=True, select="i",
             select_range=(0, min(k, nodes.size) - 1), lapack_driver="stebz",
             tol=BISECTION_TOL,
         )
-        u = _pencil_eigenvector(diag, off, share, mu[0])
+        u = _pencil_eigenvector(diag, off, kept, mu[0])
     except LinAlgError:
         # reported as not converged: ``certified`` raises, the CLI exits 1
         nan = float("nan")
@@ -122,8 +122,9 @@ def principal_eigenpair(
         raise SpectralError("eigenfunction reconstruction produced the zero field")
     phi = Field(grid, phi / mass, is_density=True)
     lphi = op.matvec(phi.values)
-    # the Rayleigh quotient of the symmetric form w gain L
-    mphi = wg * phi.values
+    # the Rayleigh quotient of the symmetric form w gain L, taken with the
+    # share, as w gain times L phi can overflow
+    mphi = share * phi.values
     lam = float(mphi @ lphi / (mphi @ phi.values))
     res = float(np.sum(grid.quad_weights * np.abs(lphi - lam * phi.values)) / lam)
     result = SpectralResult(lam, phi, res, 2, res < tol)
@@ -152,22 +153,6 @@ def _pencil_eigenvector(diag: np.ndarray, off: np.ndarray, share: np.ndarray,
         u = tridiagonal_solve(diag - (1.0 - 1e-12) * mu * share, off, share * u)
         u /= np.max(np.abs(u))
     return u * np.sign(np.sum(u))
-
-
-def symmetric_spectrum(op: Linearization, count: int) -> np.ndarray:
-    """Top ``count`` eigenvalues (descending) via a dense symmetric eigensolve.
-
-    The operator's matrix K w diag(gain) is similar, by diag(s) with
-    s = sqrt(w gain), to the symmetric s K s.
-    """
-    n = op.engine.grid.n
-    if count > n:
-        raise SpectralError(f"requested {count} eigenvalues from an {n}-point grid")
-    s = np.sqrt(op.engine.grid.quad_weights * op.gain)
-    b = s[:, None] * op.engine.toeplitz()
-    b *= s[None, :]
-    vals = eigh(b, eigvals_only=True, subset_by_index=(n - count, n - 1))
-    return vals[::-1]
 
 
 def solve_host_spectrum(

@@ -2,9 +2,9 @@
 
 The spectrum of the analytic derivative of the fixed-point map at a given
 density comes from one matrix-free Arnoldi run (ARPACK) for the
-``EIGENVALUE_COUNT`` eigenvalues of largest modulus, at any grid size.  For
-single-host states the spectrum is also checked against its closed form,
-using the dense derivative as the reference.
+``EIGENVALUE_COUNT`` eigenvalues of largest modulus, at any grid size.  The
+tests check it against a dense eigensolve of the assembled derivative, and at
+single-host states against the spectrum's closed form (``tests/oracles.py``).
 
 The map T(a) = m_eps * (g(a) a) reads a only on its read nodes R, where a
 fitness row (through g and a) or a beta row (through the denominators) is
@@ -24,9 +24,7 @@ import numpy as np
 
 from .grid import Field
 from .model import Problem
-from .operators import host_map, host_operator, update_map
-from .spectral import symmetric_spectrum
-from .equilibrium import UncoupledSolution
+from .operators import update_map
 
 EIGENVALUE_COUNT = 20
 STABILITY_MARGIN = 1e-9
@@ -90,51 +88,4 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
         fixed_point_residual=residual,
         is_fixed_point=residual < tol,
         error_bound=residual / (1.0 - radius) if radius < 1.0 else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-host closed form
-
-@dataclass
-class UncoupledStability:
-    formula: np.ndarray       # predicted derivative spectrum, descending
-    matrix: np.ndarray        # dense eigensolve of the assembled derivative
-    operator_spectrum: np.ndarray
-    max_mismatch: float
-
-
-def uncoupled_derivative_spectrum(
-    problem: Problem,
-    solution: UncoupledSolution,
-    *,
-    count: int = 10,
-) -> UncoupledStability:
-    """Derivative spectrum at a single-host steady state, formula vs matrix.
-
-    Above threshold the derivative spectrum is the operator spectrum divided by
-    its top value, with the top value itself replaced by its reciprocal (and 0
-    joining from the rank-one correction); below threshold the state is zero
-    and the derivative is the operator itself.
-    """
-    k = solution.k
-    op = host_operator(problem, k)
-    lam_spec = symmetric_spectrum(op, count + 1)
-    lam1 = lam_spec[0]
-    if solution.is_trivial:
-        formula = lam_spec[:count]
-    else:
-        vals = [1.0 / lam1] + [l / lam1 for l in lam_spec[1:]] + [0.0]
-        formula = np.sort(vals)[::-1][:count]
-
-    m = host_map(problem, k).linearization(solution.a_star.values).dense()
-    eig = np.linalg.eigvals(m)
-    eig = eig[np.argsort(-np.abs(eig))]
-    top = np.sort(eig.real[: count])[::-1]
-    mismatch = float(np.max(np.abs(top[: len(formula)] - formula)))
-    return UncoupledStability(
-        formula=formula,
-        matrix=eig[:count],
-        operator_spectrum=lam_spec,
-        max_mismatch=mismatch,
     )

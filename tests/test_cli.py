@@ -108,6 +108,16 @@ class TestEquilibriumCommand:
         diag = json.loads((outdir / "equilibrium.json").read_text())
         assert diag["classification"] == "disease_free"
 
+    def test_scale_beta_past_overflow(self, outdir):
+        # past about 1e154, w gain times L phi overflows in the combined
+        # radius's Rayleigh quotient unless it is taken with the gain's share
+        assert run([
+            "equilibrium", "--preset", "fig2", "--epsilon", "0.05",
+            "--scale-beta", "1e200", "--output-dir", str(outdir),
+        ]) == 0
+        diag = json.loads((outdir / "equilibrium.json").read_text())
+        assert diag["classification"] == "endemic"
+
     def test_multistart_spread_reported(self, outdir):
         assert run([
             "equilibrium", "--preset", "fig1", "--epsilon", "2e-2",
@@ -584,7 +594,6 @@ TRACED_NAMES = (
     "equilibrium.solve_uncoupled",
     "equilibrium.reconstruct",
     "spectral.principal_eigenpair",
-    "spectral.symmetric_spectrum",
     "stability.stability_report",
     "dynamics.integrate",
     "dynamics._System.rhs",

@@ -15,7 +15,7 @@ from mutsel.model import (
     TraitExpression,
     build_problem,
 )
-from mutsel.operators import ConvolutionEngine, mass_bound, update_map
+from mutsel.operators import ConvolutionEngine, update_map
 from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
     SolverError,
@@ -29,6 +29,7 @@ from mutsel.equilibrium import (
     solve_uncoupled,
     superposition_error,
 )
+from oracles import dense_matrix, mass_bound
 
 
 def _random_start(problem, rng):
@@ -104,7 +105,7 @@ class TestCoupled:
         problem = build_problem(fig1, 0.01)
         tmap = update_map(problem)
         a = fig1_state.A.values
-        toeplitz = tmap.engine.dense_matrix(np.ones(problem.grid.n))
+        toeplitz = dense_matrix(tmap.engine, np.ones(problem.grid.n))
         for ta in (tmap.apply_values(a), toeplitz @ (tmap.linearization(a).gain * a)):
             res = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
             assert res < 1e-9

@@ -1,9 +1,14 @@
 """Parameters, fitness construction, kernel scaling, presets and validation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mutsel.grid import make_grid
+from mutsel.grid import TraitGrid, make_grid
 from mutsel.model import (
     HostParams,
     KernelResolutionError,
@@ -18,6 +23,7 @@ from mutsel.model import (
     support_distance,
     validate_assumptions,
 )
+from oracles import kernel_samples, resolution_error, trapezoid_mass
 
 
 class TestFitness:
@@ -52,8 +58,9 @@ class TestFitness:
     def test_omega_inside_sigma(self, fig1):
         g = make_grid(0.0, 1.1, 513)
         hd = build_fitness(fig1, 1, g)
-        assert hd.sigma_support[0] <= hd.omega_support[0]
-        assert hd.omega_support[1] <= hd.sigma_support[1]
+        omega = np.flatnonzero(hd.psi.values > 0)
+        assert hd.sigma_support[0] <= omega[0]
+        assert omega[-1] <= hd.sigma_support[1]
 
     def test_zero_fitness_rejected(self):
         hosts = (
@@ -77,19 +84,59 @@ class TestKernel:
     def test_center_value(self):
         g = make_grid(0.0, 1.0, 257)
         k = scale_kernel(0.1, g)
-        assert k.center_value == pytest.approx(5.0, rel=1e-3)
+        assert kernel_samples(k)[g.n - 1] == pytest.approx(5.0, rel=1e-3)
 
     def test_unit_mass_after_normalization(self):
         g = make_grid(0.0, 1.0, 257)
         for eps in (0.05, 0.1, 0.3):
-            k = scale_kernel(eps, g)
-            mass = g.h * (k.samples.sum() - 0.5 * k.samples[0] - 0.5 * k.samples[-1])
+            samples = kernel_samples(scale_kernel(eps, g))
+            mass = g.h * (samples.sum() - 0.5 * samples[0] - 0.5 * samples[-1])
             assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_exact(self):
         g = make_grid(0.0, 1.0, 257)
-        k = scale_kernel(0.1, g)
-        assert np.array_equal(k.samples, k.samples[::-1])
+        samples = kernel_samples(scale_kernel(0.1, g))
+        assert np.array_equal(samples, samples[::-1])
+
+    # nodes h = ratio * eps apart; at n = 4000, ratio = 0.5 the end term
+    # r^(n-1) = exp(-1999.5) underflows to 0.  The closed form and the
+    # term-by-term sum each round differently: over 20,000 random draws they
+    # differed by at most 6 ulp
+    @given(n=st.integers(16, 4000), log_ratio=st.floats(-4.0, math.log10(0.5)))
+    @example(n=4000, log_ratio=math.log10(0.5))
+    @example(n=16, log_ratio=-4.0)
+    @settings(max_examples=100, deadline=None)
+    def test_raw_mass_is_the_trapezoid_sum(self, n, log_ratio):
+        g = make_grid(0.0, 1.0, n)
+        eps = g.h / 10.0**log_ratio
+        want = trapezoid_mass(eps, g)
+        assert abs(scale_kernel(eps, g).raw_mass - want) <= 8 * np.spacing(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 257])
+    @pytest.mark.parametrize("nodes_per_eps", [0.5, 1.0, 1.999999, 2.0, 2.000001, 3.0, 8.0])
+    def test_resolution_check_counts_as_all_offsets(self, n, nodes_per_eps):
+        # the check counts the offsets j h within eps for j = 1, 2 alone
+        h = 0.01
+        g = TraitGrid(0.0, h * max(n - 1, 1), n, h, h * np.arange(n), np.full(n, h))
+        eps = nodes_per_eps * h
+        want = resolution_error(eps, g)
+        if want is None:
+            scale_kernel(eps, g)
+        else:
+            with pytest.raises(KernelResolutionError) as exc:
+                scale_kernel(eps, g)
+            assert str(exc.value) == want
+
+    def test_building_allocates_no_offset_array(self):
+        # 2n - 1 offsets and samples would be 48 MB here
+        g = make_grid(0.0, 1.1, 1_000_001)
+        tracemalloc.start()
+        try:
+            scale_kernel(1e-5, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_under_resolution_rejected(self):
         g = make_grid(0.0, 1.2, 1024)
@@ -178,7 +225,6 @@ class TestProblemAssembly:
 
     def test_build_problem_shapes(self, fig1_problem):
         assert fig1_problem.grid.n == fig1_problem.host(1).psi.values.shape[0]
-        assert fig1_problem.kernel.samples.shape == (2 * fig1_problem.grid.n - 1,)
 
 
 class TestTraitExpressions:

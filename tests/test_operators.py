@@ -17,11 +17,11 @@ from mutsel.operators import (
     gram_inverse,
     host_map,
     host_operator,
-    mass_bound,
     tridiagonal_solve,
     update_map,
 )
-from mutsel.spectral import symmetric_spectrum
+from oracles import (dense_derivative, dense_matrix, kernel_matrix, kernel_samples, mass_bound,
+                     symmetric_spectrum)
 
 BETA1_MASS = 200.0 * 0.4**3 / 6.0
 
@@ -33,13 +33,13 @@ def _random_density(grid, seed):
 
 def _toeplitz_product(engine, f):
     """The O(n^2) reference: the same quadrature sum as a dense matrix product."""
-    return Field(f.grid, engine.dense_matrix(np.ones(f.grid.n)) @ f.values)
+    return Field(f.grid, dense_matrix(engine, np.ones(f.grid.n)) @ f.values)
 
 
 def _symmetrized_matrix(op):
     """s K s with s = sqrt(w gain), the form whose spectrum symmetric_spectrum takes."""
     s = np.sqrt(op.engine.grid.quad_weights * op.gain)
-    return s[:, None] * op.engine.toeplitz() * s[None, :]
+    return s[:, None] * kernel_matrix(op.engine) * s[None, :]
 
 
 class TestConvolution:
@@ -67,7 +67,7 @@ class TestConvolution:
         j = g.n // 2
         vals = np.zeros(g.n)
         vals[j] = 1.0 / g.quad_weights[j]
-        expected = fig1_problem.kernel.samples[np.arange(g.n) - j + g.n - 1]
+        expected = kernel_samples(fig1_problem.kernel)[np.arange(g.n) - j + g.n - 1]
         for out in (eng.convolve_values(vals), _toeplitz_product(eng, Field(g, vals)).values):
             assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -101,7 +101,7 @@ class TestConvolution:
         sub = eng.restricted(np.arange(lo, hi))
         assert sub.weights.size == hi - lo
         f = np.random.default_rng(3).random(hi - lo)
-        want = eng.toeplitz()[lo:hi, lo:hi] @ (g.quad_weights[lo:hi] * f)
+        want = kernel_matrix(eng)[lo:hi, lo:hi] @ (g.quad_weights[lo:hi] * f)
         assert np.max(np.abs(sub.convolve_values(f) - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_whole_grid_restriction_is_the_engine(self, fig1_problem):
@@ -117,10 +117,7 @@ def _laplace_kernel(n, ratio, rng, eps=0.01):
     nodes and the kernel asks for 5 within eps."""
     h = ratio * eps
     grid = TraitGrid(0.0, h * (n - 1), n, h, h * np.arange(n), h * rng.uniform(0.1, 1.0, n))
-    offsets = h * np.arange(-(n - 1), n)
-    raw_mass = 0.93
-    samples = 0.5 * np.exp(-np.abs(offsets) / eps) / (eps * raw_mass)
-    return MutationKernel(grid, samples, raw_mass, eps)
+    return MutationKernel(grid, 0.93, eps)
 
 
 class TestTridiagonalEngine:
@@ -150,7 +147,7 @@ class TestTridiagonalEngine:
         if wide:
             nodes = np.append(nodes, size - 1)
         sub = eng.restricted(nodes)
-        full = eng.toeplitz()
+        full = kernel_matrix(eng)
         for got, want in (
             (eng.convolve_values(f), full @ (w * f)),
             (sub.convolve_values(f[nodes]),
@@ -173,7 +170,7 @@ class TestTridiagonalEngine:
         h = 10.0**log_ratio * eps
         wide = math.ceil(800 * eps / h)
         idx = np.cumsum([0] + [s or wide for s in steps])
-        kernel = MutationKernel(None, None, 0.93, eps)
+        kernel = MutationKernel(None, 0.93, eps)
         gram = 0.5 / (eps * 0.93) * np.exp(-h * np.abs(idx[:, None] - idx[None, :]) / eps)
         diag, off = gram_inverse(kernel, h * np.diff(idx))
         inverse = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -254,7 +251,7 @@ class TestLinearOperators:
         op = host_operator(coarse_problem, 1)
         f = _random_density(coarse_problem.grid, 11)
         direct = op.matvec(f.values)
-        via_matrix = op.dense() @ f.values
+        via_matrix = dense_derivative(op) @ f.values
         assert np.max(np.abs(direct - via_matrix)) < 1e-10
 
     def test_symmetrized_matrix_symmetric(self, coarse_problem):
@@ -275,7 +272,7 @@ class TestLinearOperators:
         # the symmetric s K s is similar to the operator's own matrix, so its
         # top eigenvalues are those of the nonsymmetric dense eigensolve
         op = host_operator(coarse_problem, 1)
-        dense = np.sort(np.linalg.eigvals(op.dense()).real)[::-1][:10]
+        dense = np.sort(np.linalg.eigvals(dense_derivative(op)).real)[::-1][:10]
         assert np.max(np.abs(symmetric_spectrum(op, 10) - dense)) < 1e-10
 
 
@@ -437,13 +434,6 @@ class TestOneConvolutionCore:
             assert calls == [fig1_problem.grid.n]
             calls.clear()
 
-    def test_toeplitz_view_is_the_index_gather(self, coarse_problem):
-        n = coarse_problem.grid.n
-        idx = np.arange(n)
-        gathered = coarse_problem.kernel.samples[idx[:, None] - idx[None, :] + n - 1]
-        view = ConvolutionEngine(coarse_problem.kernel).toeplitz()
-        assert np.array_equal(view, gathered)
-
     def test_denominators_are_the_saturation_terms(self, fig1_problem):
         a = _random_density(fig1_problem.grid, 9)
         den = update_map(fig1_problem).denominators(a.values)
@@ -463,5 +453,5 @@ class TestOneConvolutionCore:
         rng = np.random.default_rng(12)
         a = rng.random(coarse_problem.grid.n)
         h = rng.standard_normal(coarse_problem.grid.n)
-        dh = tmap.linearization(a).dense() @ h
+        dh = dense_derivative(tmap.linearization(a)) @ h
         assert np.max(np.abs(dh - tmap.linearization(a).matvec(h))) < 1e-10

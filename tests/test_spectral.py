@@ -18,8 +18,8 @@ from mutsel.spectral import (
     principal_eigenpair,
     solve_combined_spectrum,
     solve_host_spectrum,
-    symmetric_spectrum,
 )
+from oracles import symmetric_spectrum
 
 
 def _full_grid_lanczos(op, k):
@@ -62,8 +62,8 @@ class TestPrincipalEigenpair:
         op = host_operator(coarse_problem, 1)
         res = principal_eigenpair(op, tol=1e-12)
         assert l1_norm(res.phi1) == pytest.approx(1.0, abs=1e-12)
-        lo, hi = coarse_problem.host(1).omega_support
-        assert np.all(res.phi1.values[lo : hi + 1] > 0.0)
+        omega = np.flatnonzero(coarse_problem.host(1).psi.values > 0)
+        assert np.all(res.phi1.values[omega[0] : omega[-1] + 1] > 0.0)
 
     def test_residual_below_tolerance(self, coarse_problem):
         op = host_operator(coarse_problem, 1)
@@ -101,10 +101,18 @@ class TestDenseSpectrum:
             symmetric_spectrum(host_operator(coarse_problem, 1), 10_000)
 
     def test_scale_equivariance(self, fig1, coarse_problem):
-        scaled = build_problem(fig1.scaled_beta(3.0), 0.05, n=512)
+        # at 1e200, w gain times L phi overflows: the Rayleigh quotient of
+        # principal_eigenpair is taken with w gain as a share of its maximum
         base = symmetric_spectrum(host_operator(coarse_problem, 1), 5)
-        tripled = symmetric_spectrum(host_operator(scaled, 1), 5)
-        assert np.allclose(tripled, 3.0 * base, rtol=1e-10)
+        pair = solve_host_spectrum(coarse_problem, 1, with_second=True)
+        for factor in (3.0, 1e200):
+            scaled = build_problem(fig1.scaled_beta(factor), 0.05, n=512)
+            multiplied = symmetric_spectrum(host_operator(scaled, 1), 5)
+            assert np.allclose(multiplied, factor * base, rtol=1e-10)
+            res = solve_host_spectrum(scaled, 1, with_second=True)
+            assert res.converged
+            assert res.lambda1 == pytest.approx(factor * pair.lambda1, rel=1e-13)
+            assert res.lambda2 == pytest.approx(factor * pair.lambda2, rel=1e-13)
 
     def test_second_matches_dense(self, coarse_problem):
         # the flat-beta operator's second eigenvector is odd, so a start vector
