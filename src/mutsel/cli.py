@@ -110,11 +110,9 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_manifest(outdir: Path, args, source: dict) -> None:
-    """Every parsed option but the model source, with the output directory and
-    the widths resolved (sweep's default list when none is given)."""
+    """Every parsed option but the model source, the output directory resolved."""
     options = {k: v for k, v in vars(args).items() if k not in NOT_OPTIONS}
     options["output_dir"] = str(Path(args.output_dir).resolve())
-    options["epsilon"] = args.epsilon or DEFAULT_SWEEP
     versions = {"mutsel": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
                 "python": platform.python_version()}
     write_json(outdir / "manifest.json",
@@ -247,8 +245,7 @@ def cmd_equilibrium(args) -> int:
         return 1
     state = states[0]
     spread = max(l1_norm(s.A - state.A) for s in states)
-    unc = (eq.solve_uncoupled(problem, 1), eq.solve_uncoupled(problem, 2))
-    sup = eq.superposition_error(problem, state.A, unc)
+    sup = eq.superposition_error(problem, state.A)
     pin = eq.mu_pinning_check(problem, state)
     low = eq.lower_bound_check(problem, state)
     row = eq.concentration_row(problem, state)
@@ -299,8 +296,7 @@ def _sweep_entry(payload):
     mp, eps, n, tol = payload
     problem = mdl.build_problem(mp, eps, n=n)
     state = eq.solve_coupled(problem, tol=tol)
-    unc = (eq.solve_uncoupled(problem, 1), eq.solve_uncoupled(problem, 2))
-    sup = eq.superposition_error(problem, state.A, unc)
+    sup = eq.superposition_error(problem, state.A)
     row = eq.concentration_row(problem, state)
     targets = eq.concentration_targets(problem)
     return row, sup, state.converged, targets, problem.assumption_warnings
@@ -308,7 +304,8 @@ def _sweep_entry(payload):
 
 def cmd_sweep(args) -> int:
     mp, source = resolve_model(args)
-    eps_list = _eps_list(args) if args.epsilon else DEFAULT_SWEEP
+    args.epsilon = args.epsilon or list(DEFAULT_SWEEP)
+    eps_list = _eps_list(args)
     outdir = _outdir(args)
     payloads = [(mp, e, args.n, args.tol) for e in sorted(eps_list, reverse=True)]
     results = _run_parallel(_sweep_entry, payloads, args.jobs)

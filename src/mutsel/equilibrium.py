@@ -16,8 +16,7 @@ from scipy.linalg import LinAlgError
 
 from .grid import Field, inner, integrate, l1_norm
 from .model import OVERLAPPING_SUPPORTS, Problem
-from .operators import host_map, update_map
-from .spectral import SpectralResult
+from .operators import update_map
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -38,18 +37,8 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 # single-host problem
 
-@dataclass
-class UncoupledSolution:
-    k: int
-    nu: float
-    a_star: Field
-    spectral: SpectralResult
-    is_trivial: bool
-    residual: float
-
-
-def solve_uncoupled(problem: Problem, k: int) -> UncoupledSolution:
-    """Single-host steady state: a multiple of the principal eigenfunction.
+def solve_uncoupled(problem: Problem, k: int) -> Field:
+    """Single-host steady state a_k*, a multiple of the cached eigenfunction.
 
     If the spectral radius exceeds 1 the unique positive fixed point is
     nu * phi1 with nu = theta (lambda1 - 1) / int(beta_k phi1); otherwise only
@@ -59,15 +48,12 @@ def solve_uncoupled(problem: Problem, k: int) -> UncoupledSolution:
     lam = spectral.lambda1
     grid = problem.grid
     if lam <= 1.0:
-        zero = Field(grid, np.zeros(grid.n), is_density=True)
-        return UncoupledSolution(k, 0.0, zero, spectral, True, 0.0)
+        return Field(grid, np.zeros(grid.n), is_density=True)
     beta_phi = inner(problem.host(k).beta, spectral.phi1)
     if beta_phi <= 0:
         raise SolverError(f"principal eigenfunction carries no beta_{k} mass")
     nu = problem.mp.theta * (lam - 1.0) / beta_phi
-    a_star = Field(grid, nu * spectral.phi1.values, is_density=True)
-    residual = l1_norm(host_map(problem, k).apply(a_star) - a_star)
-    return UncoupledSolution(k, float(nu), a_star, spectral, False, residual)
+    return Field(grid, nu * spectral.phi1.values, is_density=True)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +150,7 @@ def solve_coupled(
     if start is None:
         start = default_start(problem)
         if OVERLAPPING_SUPPORTS not in problem.assumption_warnings:
-            superposed = solve_uncoupled(problem, 1).a_star + solve_uncoupled(problem, 2).a_star
+            superposed = solve_uncoupled(problem, 1) + solve_uncoupled(problem, 2)
             start = superposed if np.any(superposed.values) else start
     if np.any(start.values < 0):
         raise SolverError("start density must be nonnegative")
@@ -267,18 +253,14 @@ class SuperpositionError:
     e_complement: float
 
 
-def superposition_error(
-    problem: Problem,
-    A: Field,
-    uncoupled: tuple[UncoupledSolution, UncoupledSolution],
-) -> SuperpositionError:
-    """L1 distances between the coupled state and the sum of single-host states.
+def superposition_error(problem: Problem, A: Field) -> SuperpositionError:
+    """L1 distances between A and the sum a1* + a2* of the single-host states.
 
     Over the window, over each beta support and over the rest; nodes where the
     supports overlap count in both support sums.  Each sum runs over the whole
     window with the nodes outside its set zeroed, so all four add in one order.
     """
-    diff = A.values - uncoupled[0].a_star.values - uncoupled[1].a_star.values
+    diff = A.values - solve_uncoupled(problem, 1).values - solve_uncoupled(problem, 2).values
     err = problem.grid.quad_weights * np.abs(diff)
     nodes = np.arange(problem.grid.n)
     on1, on2 = (
@@ -319,12 +301,12 @@ def concentration_targets(problem: Problem) -> ConcentrationTargets:
         host = mp.hosts[k - 1]
         if hd.r0 > 1.0:
             idx = int(np.argmin(np.abs(problem.grid.nodes - hd.x_star)))
-            beta_star = hd.beta.values[idx]
-            d_star = hd.d.values[idx]
+            beta_peak = hd.beta.values[idx]
+            d_peak = hd.d.values[idx]
             s_t.append(1.0 / hd.psi_max)
-            i_mass = (hd.r0 - 1.0) / (hd.psi_max * (1.0 + d_star / mp.theta))
+            i_mass = (hd.r0 - 1.0) / (hd.psi_max * (1.0 + d_peak / mp.theta))
             i_t.append(i_mass)
-            contrib = mp.theta / beta_star * (hd.r0 - 1.0)
+            contrib = mp.theta / beta_peak * (hd.r0 - 1.0)
             a_mass += contrib
             a_moment += hd.x_star * contrib
         else:

@@ -45,7 +45,7 @@ _EXPR_NAMES = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
     "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
     "pos": lambda u: np.clip(u, 0.0, None),
-    "pi": math.pi, "e": math.e,
+    "pi": np.float64(math.pi), "e": np.float64(math.e),
 }
 
 
@@ -61,8 +61,11 @@ class TraitExpression:
     def _compile(self):
         try:
             code = compile(self.expr, "<trait-expression>", "eval")
-        except SyntaxError as exc:
-            raise ModelError(f"invalid trait expression {self.expr!r}: {exc.msg}") from exc
+            # numbers are float64, which overflow to inf: Python ints grow without bound
+            code = code.replace(co_consts=tuple(
+                np.float64(c) if isinstance(c, (int, float)) else c for c in code.co_consts))
+        except (SyntaxError, OverflowError) as exc:
+            raise ModelError(f"invalid trait expression {self.expr!r}: {exc.args[0]}") from exc
         # a lambda, comprehension or generator carries its own code object,
         # whose names the check below would not see
         if any(isinstance(c, types.CodeType) for c in code.co_consts):

@@ -29,12 +29,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv, dpttrs
 
-from .grid import Field
 from .model import MutationKernel, Problem
-
-
-class OperatorError(ValueError):
-    pass
 
 
 def gram_factor(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,11 +162,6 @@ class UpdateMap:
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         return self.engine.convolve_values(self._gain(self.denominators(values)) * values)
-
-    def apply(self, f: Field) -> Field:
-        if np.any(f.values < 0):
-            raise OperatorError("update maps require a nonnegative input density")
-        return Field(self.engine.grid, self.apply_values(f.values))
 
     def linearization(self, a: np.ndarray) -> "Linearization":
         """Derivative of the map at density a, as an operator on directions h."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from mutsel.equilibrium import UncoupledSolution
+from mutsel.equilibrium import solve_uncoupled
 from mutsel.model import MIN_NODES_PER_WIDTH, Problem
 from mutsel.operators import ConvolutionEngine, Linearization, host_map, host_operator
 from mutsel.spectral import SpectralError
@@ -104,28 +104,28 @@ class UncoupledStability:
 
 def uncoupled_derivative_spectrum(
     problem: Problem,
-    solution: UncoupledSolution,
+    k: int,
     *,
     count: int = 10,
 ) -> UncoupledStability:
-    """Derivative spectrum at a single-host steady state, formula vs matrix.
+    """Derivative spectrum at host k's single-host steady state, formula vs matrix.
 
     Above threshold the derivative spectrum is the operator spectrum divided by
     its top value, with the top value itself replaced by its reciprocal (and 0
     joining from the rank-one correction); below threshold the state is zero
     and the derivative is the operator itself.
     """
-    k = solution.k
+    a = solve_uncoupled(problem, k)
     op = host_operator(problem, k)
     lam_spec = symmetric_spectrum(op, count + 1)
     lam1 = lam_spec[0]
-    if solution.is_trivial:
+    if not a.values.any():
         formula = lam_spec[:count]
     else:
         vals = [1.0 / lam1] + [l / lam1 for l in lam_spec[1:]] + [0.0]
         formula = np.sort(vals)[::-1][:count]
 
-    m = dense_derivative(host_map(problem, k).linearization(solution.a_star.values))
+    m = dense_derivative(host_map(problem, k).linearization(a.values))
     eig = np.linalg.eigvals(m)
     eig = eig[np.argsort(-np.abs(eig))]
     top = np.sort(eig.real[: count])[::-1]

@@ -660,11 +660,12 @@ def test_traced_names_resolve():
 
 
 def _fresh(code: str, *, check: bool) -> subprocess.CompletedProcess:
-    """``code`` run in a fresh interpreter that imports this mutsel."""
+    """``code`` run in a fresh interpreter that imports this mutsel; a run that
+    hangs fails with ``TimeoutExpired`` after a minute."""
     src = str(Path(mutsel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=check)
+                          text=True, check=check, timeout=60)
 
 
 def _probe(code: str) -> str:
@@ -787,3 +788,30 @@ def test_non_finite_trait_prints_only_the_error(beta, tmp_path):
     out = _fresh(f"import sys, mutsel.cli; sys.exit(mutsel.cli.main({argv!r}))", check=False)
     assert out.returncode == 2
     assert out.stderr == "error: host 1 trait functions must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize("beta", [
+    "9**9**9**9",
+    "((1>0)<<60)**((1>0)<<60)",
+    "[1]*10**10",
+    "'a'*10**10",
+    "1" * 400,
+])
+def test_unbounded_trait_arithmetic_exits_2(beta, tmp_path):
+    # numbers in a trait expression are float64: Python ints would grow
+    # without bound (or ask for a 10**10-long list) before any check ran
+    argv = ["spectrum", *_config(tmp_path, beta=beta), "--epsilon", "5e-2",
+            "--output-dir", str(tmp_path / "out")]
+    out = _fresh(f"import sys, mutsel.cli; sys.exit(mutsel.cli.main({argv!r}))", check=False)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+
+
+def test_bool_arithmetic_in_trait_is_bounded(tmp_path):
+    # pi > e is a numpy bool, and numpy bools add as a logical or: this tower,
+    # a tower of 2s in Python ints, is 1 everywhere, a valid trait
+    tower = "**".join(["((pi>e)+(pi>e))"] * 20)
+    argv = ["spectrum", *_config(tmp_path, beta=tower), "--epsilon", "5e-2",
+            "--output-dir", str(tmp_path / "out")]
+    out = _fresh(f"import sys, mutsel.cli; sys.exit(mutsel.cli.main({argv!r}))", check=False)
+    assert (out.returncode, out.stderr) == (0, "")

@@ -15,7 +15,7 @@ from mutsel.model import (
     TraitExpression,
     build_problem,
 )
-from mutsel.operators import ConvolutionEngine, update_map
+from mutsel.operators import ConvolutionEngine, host_map, update_map
 from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
     SolverError,
@@ -40,24 +40,23 @@ def _random_start(problem, rng):
 
 class TestUncoupled:
     def test_fig1_host1_exact_fixed_point(self, fig1_problem, fig1_uncoupled):
-        sol = fig1_uncoupled[0]
-        assert not sol.is_trivial
-        assert sol.residual < 1e-9
+        a = fig1_uncoupled[0]
+        assert a.values.any()
+        mapped = Field(fig1_problem.grid, host_map(fig1_problem, 1).apply_values(a.values))
+        assert l1_norm(mapped - a) < 1e-9
 
     def test_nu_identity(self, fig1_problem, fig1_uncoupled):
         # int(beta a*) = theta (lambda1 - 1) by the closed form
-        sol = fig1_uncoupled[0]
-        beta_mass = inner(fig1_problem.host(1).beta, sol.a_star)
-        assert beta_mass == pytest.approx(sol.spectral.lambda1 - 1.0, rel=1e-10)
+        beta_mass = inner(fig1_problem.host(1).beta, fig1_uncoupled[0])
+        assert beta_mass == pytest.approx(fig1_problem.host_spectra[0].lambda1 - 1.0, rel=1e-10)
 
     def test_fig2_host2_trivial(self, fig2_problem):
-        sol = solve_uncoupled(fig2_problem, 2)
-        assert sol.is_trivial
-        assert l1_norm(sol.a_star) == 0.0
+        assert fig2_problem.host_spectra[1].lambda1 <= 1.0
+        assert l1_norm(solve_uncoupled(fig2_problem, 2)) == 0.0
 
     def test_a_star_positive_mass(self, fig1_uncoupled):
-        for sol in fig1_uncoupled:
-            assert l1_norm(sol.a_star) > 0.1
+        for a in fig1_uncoupled:
+            assert l1_norm(a) > 0.1
 
     def test_host_spectra_solved_once_per_problem(self, fig1, monkeypatch):
         # the coupled solve's certificate reads the host spectra too
@@ -77,6 +76,25 @@ class TestUncoupled:
         mu_pinning_check(problem, state)
         lower_bound_check(problem, state)
         assert len(calls) == 2
+
+    def test_single_host_states_convolve_nothing(self, fig1, monkeypatch):
+        # a_k* is a closed-form multiple of the cached eigenfunction, and the
+        # superposition error reads the two densities
+        problem = build_problem(fig1, 0.05)
+        problem.combined_radius
+        A = solve_coupled(problem).A
+        calls = []
+        convolve = ConvolutionEngine.convolve_values
+
+        def counted(self, values):
+            calls.append(values)
+            return convolve(self, values)
+
+        monkeypatch.setattr(ConvolutionEngine, "convolve_values", counted)
+        solve_uncoupled(problem, 1)
+        solve_uncoupled(problem, 2)
+        superposition_error(problem, A)
+        assert calls == []
 
     def test_unconverged_host_spectrum_raises(self, fig1, monkeypatch):
         # a tridiagonal eigensolve that fails in LAPACK does not converge
@@ -226,7 +244,7 @@ class TestCoupled:
         # would cancel that growth and return there.  Plain steps follow it
         # until host 2 meets its lower bound, then Newton converges: 50 map
         # applications in all.
-        start = solve_uncoupled(fig1_problem, 1).a_star
+        start = solve_uncoupled(fig1_problem, 1)
         state = solve_coupled(fig1_problem, start=start, tol=1e-12)
         assert state.converged
         assert state.iterations <= 200
@@ -240,7 +258,7 @@ class TestCoupled:
         # below its lambda1 = 1.81; the necessary conditions turn it down, and
         # plain steps, not Newton steps, leave it
         problem = build_problem(fig1, eps)
-        state = solve_coupled(problem, start=solve_uncoupled(problem, 1).a_star)
+        state = solve_coupled(problem, start=solve_uncoupled(problem, 1))
         assert state.converged and state.iterations > 1
         assert all(p.inequality_ok for p in mu_pinning_check(problem, state))
         assert all(ok for *_, ok in lower_bound_check(problem, state))
@@ -248,7 +266,7 @@ class TestCoupled:
 
     def test_near_fixed_point_never_escaped_is_not_converged(self, fig1_problem, monkeypatch):
         monkeypatch.setattr(equilibrium, "DEFAULT_MAX_ITER", 5)
-        start = solve_uncoupled(fig1_problem, 1).a_star
+        start = solve_uncoupled(fig1_problem, 1)
         state = solve_coupled(fig1_problem, start=start)
         assert state.residual_history[0] < 1e-10
         assert not state.converged and state.classification == "non_converged"
@@ -294,24 +312,20 @@ class TestReconstruct:
 
 
 class TestDiagnostics:
-    def test_superposition_small_at_moderate_eps(
-        self, fig1_problem, fig1_state, fig1_uncoupled
-    ):
-        sup = superposition_error(fig1_problem, fig1_state.A, fig1_uncoupled)
+    def test_superposition_small_at_moderate_eps(self, fig1_problem, fig1_state):
+        sup = superposition_error(fig1_problem, fig1_state.A)
         assert sup.e_total < 1e-6
         assert sup.e_sigma1 <= sup.e_total + 1e-15
         assert sup.e_complement <= sup.e_total + 1e-15
 
     def test_superposition_zero_on_exact_sum(self, fig1_problem, fig1_uncoupled):
-        s = fig1_uncoupled[0].a_star + fig1_uncoupled[1].a_star
-        sup = superposition_error(fig1_problem, s, fig1_uncoupled)
+        s = fig1_uncoupled[0] + fig1_uncoupled[1]
+        sup = superposition_error(fig1_problem, s)
         assert sup.e_total < 1e-12
 
-    def test_superposition_sums_partition_the_window(
-        self, fig1_problem, fig1_state, fig1_uncoupled, fig3
-    ):
+    def test_superposition_sums_partition_the_window(self, fig1_problem, fig1_state, fig3):
         # fig1: the supports are disjoint, so the three sums split e_total
-        sup = superposition_error(fig1_problem, fig1_state.A, fig1_uncoupled)
+        sup = superposition_error(fig1_problem, fig1_state.A)
         parts = sup.e_sigma1 + sup.e_sigma2 + sup.e_complement
         assert parts == pytest.approx(sup.e_total, rel=1e-14)
         # fig3: the supports overlap on [0.6, 0.7], which counts in both sigma sums
@@ -322,10 +336,9 @@ class TestDiagnostics:
         nodes = problem.grid.nodes
         assert lo1 < lo2 <= hi1 < hi2
         assert nodes[lo2] == pytest.approx(0.6) and nodes[hi1] == pytest.approx(0.7)
-        err = problem.grid.quad_weights * np.abs(a.values - unc[0].a_star.values
-                                                 - unc[1].a_star.values)
+        err = problem.grid.quad_weights * np.abs(a.values - unc[0].values - unc[1].values)
         overlap = float(np.sum(err[lo2 : hi1 + 1]))
-        sup = superposition_error(problem, a, unc)
+        sup = superposition_error(problem, a)
         assert overlap > 1e-3 * sup.e_total
         excess = sup.e_sigma1 + sup.e_sigma2 + sup.e_complement - sup.e_total
         assert excess == pytest.approx(overlap, rel=1e-12)

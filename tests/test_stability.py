@@ -168,13 +168,11 @@ class TestStabilityMechanism:
 
 class TestUncoupledFormula:
     def test_fig1_host1_formula_matches_matrix(self, coarse_problem):
-        sol = solve_uncoupled(coarse_problem, 1)
-        us = uncoupled_derivative_spectrum(coarse_problem, sol, count=10)
+        us = uncoupled_derivative_spectrum(coarse_problem, 1, count=10)
         assert us.max_mismatch < 1e-6
 
     def test_top_value_is_max_of_reciprocal_and_ratio(self, coarse_problem):
-        sol = solve_uncoupled(coarse_problem, 1)
-        us = uncoupled_derivative_spectrum(coarse_problem, sol, count=10)
+        us = uncoupled_derivative_spectrum(coarse_problem, 1, count=10)
         lam = us.operator_spectrum
         expected_top = max(1.0 / lam[0], lam[1] / lam[0])
         assert us.formula[0] == pytest.approx(expected_top, rel=1e-10)
@@ -182,34 +180,31 @@ class TestUncoupledFormula:
 
     def test_below_threshold_spectrum_is_operator_spectrum(self, fig2):
         problem = build_problem(fig2, 0.05, n=512)
-        sol = solve_uncoupled(problem, 2)
-        assert sol.is_trivial
-        us = uncoupled_derivative_spectrum(problem, sol, count=5)
+        assert not solve_uncoupled(problem, 2).values.any()
+        us = uncoupled_derivative_spectrum(problem, 2, count=5)
         assert np.allclose(us.formula, us.operator_spectrum[:5], atol=1e-10)
         assert us.formula[0] < 1.0
 
     def test_eigenfunction_maps_to_reciprocal_eigenvalue(self, coarse_problem):
         # at the single-host state, the principal eigenfunction is an
         # eigenvector of that host's derivative with eigenvalue 1/lambda1
-        sol = solve_uncoupled(coarse_problem, 1)
         g = coarse_problem.grid
         theta = coarse_problem.mp.theta
         hd = coarse_problem.host(1)
         op = host_operator(coarse_problem, 1)
-        a = sol.a_star.values
-        phi = sol.spectral.phi1.values
+        a = solve_uncoupled(coarse_problem, 1).values
+        phi = coarse_problem.host_spectra[0].phi1.values
         den = 1.0 + float(np.sum(g.quad_weights * hd.beta.values * a)) / theta
         beta_phi = float(np.sum(g.quad_weights * hd.beta.values * phi))
         out = op.matvec(phi) / den - op.matvec(a) / den**2 * (
             beta_phi / theta
         )
-        expected = phi / sol.spectral.lambda1
+        expected = phi / coarse_problem.host_spectra[0].lambda1
         rel = np.sum(g.quad_weights * np.abs(out - expected)) / np.sum(
             g.quad_weights * np.abs(expected)
         )
         assert rel < 1e-8
 
     def test_imaginary_parts_negligible(self, coarse_problem):
-        sol = solve_uncoupled(coarse_problem, 1)
-        us = uncoupled_derivative_spectrum(coarse_problem, sol, count=10)
+        us = uncoupled_derivative_spectrum(coarse_problem, 1, count=10)
         assert np.max(np.abs(us.matrix.imag)) < 1e-8
