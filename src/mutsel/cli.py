@@ -186,6 +186,15 @@ def _stability_fields(rep) -> dict:
         "stable": rep.stable,
         "error_bound": rep.error_bound,
         "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in rep.eigenvalues],
+        "eigensolve": {
+            "mode": rep.mode,
+            "fallback": rep.fallback,
+            "operator_applications": rep.operator_applications,
+            "certified": rep.certified,
+            # radius, pencil_count, winding and samples: counts, and no times,
+            # so repeated runs write the same artifact
+            "certificate": dict(vars(rep.certificate)),
+        },
     }
 
 

@@ -8,10 +8,11 @@ mutation width epsilon.
 
 from __future__ import annotations
 
+import ast
 import math
 import types
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +50,53 @@ _EXPR_NAMES = {
 }
 
 
+def _float_comparisons(tree: ast.Expression) -> ast.Expression:
+    """The tree with each comparison times 1.0: its value as a float64, for
+    numpy booleans add as logical or ((x > 0.3) + (x > 0.5) would be 1, not 2,
+    right of 0.5).  ``ast.walk`` is iterative, so a deep tree is no deeper a
+    recursion here than the compiler's own."""
+
+    def as_float(value):
+        if not isinstance(value, ast.Compare):
+            return value
+        one = ast.copy_location(ast.Constant(1.0), value)
+        return ast.copy_location(ast.BinOp(value, ast.Mult(), one), value)
+
+    for node in ast.walk(tree):
+        for field, value in ast.iter_fields(node):
+            setattr(node, field, [as_float(v) for v in value] if isinstance(value, list)
+                    else as_float(value))
+    return tree
+
+
+@lru_cache(maxsize=256)
+def _compiled(expr: str) -> types.CodeType:
+    """The checked code of a trait expression, compiled once per process."""
+    try:
+        tree = ast.parse(expr, "<trait-expression>", "eval")
+        # an f-string builds its text when evaluated, at any size its format
+        # spec asks for ('f"{1:{10**7}}"' is 10 MB), and numpy parses a
+        # string of a number as that number
+        if any(isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant)
+               and isinstance(node.value, (str, bytes)) for node in ast.walk(tree)):
+            raise ModelError(f"trait expression {expr!r} may not contain strings")
+        code = compile(_float_comparisons(tree), "<trait-expression>", "eval")
+        # numbers are float64, which overflow to inf: Python ints grow without bound
+        code = code.replace(co_consts=tuple(
+            np.float64(c) if isinstance(c, (int, float)) else c for c in code.co_consts))
+    except (SyntaxError, OverflowError, RecursionError) as exc:
+        # RecursionError: nested past what the parser or the compiler can take
+        raise ModelError(f"invalid trait expression {expr!r}: {exc.args[0]}") from exc
+    # a lambda, comprehension or generator carries its own code object,
+    # whose names the check below would not see
+    if any(isinstance(c, types.CodeType) for c in code.co_consts):
+        raise ModelError(f"trait expression {expr!r} may not define functions")
+    for name in code.co_names:
+        if name not in _EXPR_NAMES and name != "x":
+            raise ModelError(f"unknown name {name!r} in trait expression")
+    return code
+
+
 @dataclass(frozen=True)
 class TraitExpression:
     """Closed-form expression in x (e.g. '200*pos((x-0.2)*(0.6-x))')."""
@@ -56,28 +104,11 @@ class TraitExpression:
     expr: str
 
     def __post_init__(self):
-        self._compile()
-
-    def _compile(self):
-        try:
-            code = compile(self.expr, "<trait-expression>", "eval")
-            # numbers are float64, which overflow to inf: Python ints grow without bound
-            code = code.replace(co_consts=tuple(
-                np.float64(c) if isinstance(c, (int, float)) else c for c in code.co_consts))
-        except (SyntaxError, OverflowError) as exc:
-            raise ModelError(f"invalid trait expression {self.expr!r}: {exc.args[0]}") from exc
-        # a lambda, comprehension or generator carries its own code object,
-        # whose names the check below would not see
-        if any(isinstance(c, types.CodeType) for c in code.co_consts):
-            raise ModelError(f"trait expression {self.expr!r} may not define functions")
-        for name in code.co_names:
-            if name not in _EXPR_NAMES and name != "x":
-                raise ModelError(f"unknown name {name!r} in trait expression")
-        return code
+        _compiled(self.expr)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        code = self._compile()
+        code = _compiled(self.expr)
         try:
             # an overflow or the log of a nonpositive value gives inf or nan
             # silently; build_problem rejects those with a message of its own

@@ -12,9 +12,11 @@ the Green's function of 1 - eps^2 d^2/dx^2.  Its Gram matrix on any sorted
 set of nodes therefore has a tridiagonal inverse, and that inverse's
 Cholesky-type factor, in closed form (``gram_inverse``, ``gram_factor``): a
 convolution is one O(n) tridiagonal solve, the symmetric eigenproblems
-built on it are tridiagonal too (see ``spectral``), and a Newton step of a map
-is a tridiagonal solve plus a low-rank correction (``newton_direction``,
-through ``tridiagonal_solve``, the one general tridiagonal solver).  The
+built on it are tridiagonal too (see ``spectral``), and a solve with
+sigma I - T' for a map's derivative T', a Newton step at sigma = 1, is a
+tridiagonal solve plus a low-rank correction (``ShiftedSolve``).  Every
+general tridiagonal solve goes through ``TridiagonalLU``, factored once for
+many solves, or ``tridiagonal_solve`` for one.  The
 kernel enters only through eps and its mass (``gram_factor``): nothing here
 forms a sample array or an n x n matrix, and the O(n^2) matrix products the
 tests compare against live with the tests (``tests/oracles.py``).
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dpttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs, zgtsv
 
 from .model import MutationKernel, Problem
 
@@ -58,15 +60,48 @@ def gram_inverse(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, 
     return d + np.append(0.0, sub**2 * d[:-1]), sub * d[:-1]
 
 
+class TridiagonalLU:
+    """Factor of the real tridiag(off, diag, off) for any number of solves:
+    L D L^T without pivoting (LAPACK ``dpttrf``) when the matrix is positive
+    definite, else LU with partial pivoting (``dgttrf``).  ``LinAlgError`` if a
+    pivot is exactly zero (the matrix is singular)."""
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.n = diag.size
+        if self.n < 3:
+            # f2py's gttrf takes 3 nodes or more: pad with a decoupled identity
+            diag = np.append(diag, np.ones(3 - self.n))
+            off = np.append(off, np.zeros(3 - self.n))[:2]
+        *self._factor, info = dpttrf(diag, off)
+        self._trs = dpttrs
+        if info:
+            *self._factor, info = dgttrf(off, diag, off)
+            self._trs = dgttrs
+        if info:
+            raise LinAlgError(f"tridiagonal factorization failed (dgttrf info {info})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with tridiag(off, diag, off) x = rhs, for one right-hand side or the
+        columns of several."""
+        b = rhs.reshape(self.n, -1)
+        if self.n < 3:
+            b = np.vstack((b, np.zeros((3 - self.n, b.shape[1]), b.dtype)))
+        x, info = self._trs(*self._factor, b)
+        if info:
+            raise LinAlgError(f"tridiagonal solve failed (info {info})")
+        return x[: self.n].reshape(rhs.shape)
+
+
 def tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with tridiag(off, diag, off) x = rhs, for one right-hand side or the
-    columns of several, by LAPACK ``dgtsv``; ``LinAlgError`` if it fails (a
-    zero pivot: the matrix is singular)."""
-    # f2py's dgtsv asks for one off-diagonal entry, not zero, on one node
+    """x with tridiag(off, diag, off) x = rhs, real or complex, for one right-hand
+    side or the columns of several, in one LAPACK call (``gtsv``, LU with
+    partial pivoting).  ``LinAlgError`` if a pivot is exactly zero."""
+    gtsv = zgtsv if np.iscomplexobj(diag) or np.iscomplexobj(rhs) else dgtsv
+    # f2py asks for one off-diagonal entry, not zero, on one node
     off = off if off.size else np.zeros(1)
-    *_, x, info = dgtsv(off, diag, off, rhs)
+    *_, x, info = gtsv(off, diag, off, rhs)
     if info:
-        raise LinAlgError(f"tridiagonal solve failed (dgtsv info {info})")
+        raise LinAlgError(f"tridiagonal solve failed (gtsv info {info})")
     return x
 
 
@@ -169,44 +204,60 @@ class UpdateMap:
 
     def newton_direction(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The Newton direction of a - T(a) at a: delta with (I - T'(a)) delta = f,
-        for the residual f = T(a) - a.
+        for the residual f = T(a) - a (the sigma = 1 ``ShiftedSolve``).  Raises
+        ``LinAlgError`` when the solve is singular or the direction is not
+        finite."""
+        delta = ShiftedSolve(self, a, 1.0).solve(f)
+        if not np.all(np.isfinite(delta)):
+            raise LinAlgError("Newton direction is not finite")
+        return delta
 
-        I - T'(a) = K (T0 + U V^T), with the symmetric tridiagonal
-        T0 = K^-1 - diag(w g(a)), U's columns w c_k psi_k a / den_k^2 and V's
-        the rows w beta_k / theta, so delta solves (T0 + U V^T) delta = K^-1 f.
-        Near a fixed point T0 is singular, with a its null vector, and nearly
-        singular on the mode of each peak of a, where K w g(a) has an
-        eigenvalue pinned near 1.  So the Woodbury formula is applied around
-        T0 + sigma E E^T instead (sigma = max |diag T0|; E's columns are the unit
-        vectors at the highest local maxima of a, one per host), with the shift
-        moved into the low-rank term [U, -sigma E][V, E]^T: one tridiagonal
-        solve with 1 + 2 right-hand sides per host and one small dense solve.
-        Raises ``LinAlgError`` when either is singular or the direction is not
-        finite.
-        """
-        lin = self.linearization(a)
-        w = self.engine.weights
-        diag, off = self.engine.inverse
-        u = w * lin.rows
+
+class ShiftedSolve:
+    """x with (sigma I - T'(a)) x = y for the derivative T'(a) of an UpdateMap,
+    factored once for any number of right-hand sides.
+
+    T'(a) = K (D - U V^T), with K^-1 tridiagonal (``ConvolutionEngine.inverse``),
+    D = diag(w g(a)), U's columns w c_k psi_k a / den_k^2 and V's the rows
+    w beta_k / theta, so x solves (M + U V^T) x = K^-1 y with the symmetric
+    tridiagonal M = sigma K^-1 - D.  For sigma near 1 and a near a fixed point
+    M is singular or nearly so: a is the null vector of K^-1 - D, and K D has
+    an eigenvalue pinned near 1 on the mode of each peak of a.  So the
+    Woodbury formula is applied around M + s E E^T instead (s = max |diag M|;
+    E's columns are the unit vectors at the highest local maxima of a, one per
+    host), with the shift moved into the low-rank term [U, -s E][V, E]^T.
+    Building it takes one tridiagonal LU and a solve with 2 right-hand sides
+    per host; each solve then takes one product with K^-1, one tridiagonal
+    solve and a correction of rank 2 per host.  Raises ``LinAlgError`` when
+    the factor or the small dense system is singular.
+    """
+
+    def __init__(self, tmap: UpdateMap, a: np.ndarray, sigma: float):
+        lin = tmap.linearization(a)
+        w = tmap.engine.weights
+        self._inverse = diag, off = tmap.engine.inverse
         padded = np.pad(a, 1, constant_values=-np.inf)
         peaks = np.where((a >= padded[:-2]) & (a > padded[2:]), a, -1.0)
         shift = np.zeros((min(len(lin.rows), a.size), a.size))
         for row in shift:
             j = np.argmax(peaks)
             row[j], peaks[j] = 1.0, -np.inf
-        shifted = diag - w * lin.gain
-        sigma = np.abs(shifted).max()
-        shifted += sigma * shift.sum(axis=0)
-        kf = diag * f
-        kf[:-1] += off * f[1:]
-        kf[1:] += off * f[:-1]
-        x = tridiagonal_solve(shifted, off, np.column_stack((kf, *u, *(-sigma * shift))))
-        v = np.vstack((self.beta_rows, shift))
-        small = np.eye(len(v)) + v @ x[:, 1:]
-        delta = x[:, 0] - x[:, 1:] @ np.linalg.solve(small, v @ x[:, 0])
-        if not np.all(np.isfinite(delta)):
-            raise LinAlgError("Newton direction is not finite")
-        return delta
+        shifted = sigma * diag - w * lin.gain
+        s = np.abs(shifted).max()
+        shifted += s * shift.sum(axis=0)
+        self._lu = TridiagonalLU(shifted, sigma * off)
+        cols = self._lu.solve(np.column_stack((*(w * lin.rows), *(-s * shift))))
+        self._v = np.vstack((tmap.beta_rows, shift))
+        # (M + s E E^T + [U, -s E][V, E]^T)^-1 = (1 - cols small^-1 v) M_s^-1
+        self._correction = cols @ np.linalg.inv(np.eye(len(self._v)) + self._v @ cols)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        diag, off = self._inverse
+        ky = diag * y
+        ky[:-1] += off * y[1:]
+        ky[1:] += off * y[:-1]
+        x = self._lu.solve(ky)
+        return x - self._correction @ (self._v @ x)
 
 
 class Linearization:

@@ -1,19 +1,51 @@
 """Linearized stability of steady states.
 
-The spectrum of the analytic derivative of the fixed-point map at a given
-density comes from one matrix-free Arnoldi run (ARPACK) for the
-``EIGENVALUE_COUNT`` eigenvalues of largest modulus, at any grid size.  The
-tests check it against a dense eigensolve of the assembled derivative, and at
-single-host states against the spectrum's closed form (``tests/oracles.py``).
+The spectrum of the analytic derivative T' of the fixed-point map at a given
+density is taken for its ``EIGENVALUE_COUNT`` eigenvalues of largest modulus
+by one matrix-free Arnoldi run (ARPACK) in shift-invert mode, and the answer
+is certified by counting the eigenvalues outside a circle.
 
 The map T(a) = m_eps * (g(a) a) reads a only on its read nodes R, where a
 fitness row (through g and a) or a beta row (through the denominators) is
 nonzero.  With P the restriction to R its derivative satisfies T' = T'P.  The
 nonzero eigenvalues of the product T'P are those of PT' (AB and BA share
 them), and PT' = PT'P, the derivative of the map restricted to R, the
-restriction the coupled solve runs on: the Arnoldi run takes the spectrum
-there, each application one convolution on R's nodes (an O(|R|) tridiagonal
-solve).
+restriction the coupled solve runs on.  Everything below runs there.
+
+Shift-invert.  T' = K (D - U V^T), with K^-1 tridiagonal, D = diag(w g(a)) and
+a rank-2 U V^T (``operators.ShiftedSolve``), so (sigma I - T')^-1 costs one
+product with K^-1, one tridiagonal solve against a factor computed once and a
+small Woodbury correction.  Arnoldi on it with sigma = ``SHIFT``, just above
+1, finds the eigenvalues nearest sigma.  Regular-mode Arnoldi on T' itself
+needs ever more applications as the top eigenvalues cluster below 1 at small
+eps (fig1: 142, 212 and 716 at eps = 2.5e-3, 1e-3 and 1e-4); shift-invert
+separates them (78, 80 and 92).
+
+Certificate.  The eigenvalues nearest sigma need not be those of largest
+modulus.  By the matrix determinant lemma det(lambda I - T') is det(K) times
+det(lambda K^-1 - D) times f(lambda) = det(I + V^T (lambda K^-1 - D)^-1 U), a
+2 x 2 determinant, so by the argument principle the number of eigenvalues of
+T' outside |lambda| = r is the number of eigenvalues of the symmetric-definite
+pencil (D, K^-1) above r (the positive eigenvalues of the tridiagonal
+D - r K^-1, Sylvester's inertia, counted exactly by LAPACK ``stebz``) minus
+the winding number of f on the circle.  f(conj z) = conj f(z), so only the
+upper half-circle is sampled.  Each sample is one complex tridiagonal solve
+with four right-hand sides, which gives f and the rate at which its argument
+turns.  Gaps between samples are halved until f's argument moves by at most
+``MAX_ARGUMENT_STEP`` across each, and by that step to within
+``RATE_TOLERANCE`` of the trapezoid rule on the rates at its ends: a turn of
+2 pi between two samples would pass the first test alone.  A value of f that
+is 0 or not finite, or ``MAX_SAMPLES`` samples, leaves the count undecided.
+
+The circle is put midway between the k-th modulus found and the next, so a
+count equal to k proves that exactly the reported eigenvalues lie outside it:
+the radius is the largest of them and ``stable`` is decided by it.  A count
+that disagrees, or cannot be decided, falls back to regular-mode Arnoldi for
+the k eigenvalues of largest modulus, counted the same way just below its
+smallest modulus; the report says which ran and why.  What the sampling can
+miss is two zeros of f next to each other and to the circle between two
+samples: inside it they make the count too large, so regular mode runs;
+outside it they would have to be two eigenvalues the Arnoldi run missed.
 """
 
 from __future__ import annotations
@@ -21,17 +53,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dstebz
 
 from .grid import Field
 from .model import Problem
-from .operators import update_map
+from .operators import Linearization, ShiftedSolve, tridiagonal_solve, update_map
 
 EIGENVALUE_COUNT = 20
 STABILITY_MARGIN = 1e-9
+# Arnoldi's shift: just above the radius 1 that stability is about
+SHIFT = 1.001
+# relative gap below the k-th modulus under which the circle of the count is
+# not put between the k-th and the next modulus found
+RADIUS_GAP = 1e-6
+# the contour's first samples on the upper half-circle; the largest change in
+# f's argument accepted between neighbours, and the largest gap between that
+# change and the one predicted from f's rates at both; the sampling's budget
+INITIAL_SAMPLES = 5
+MAX_ARGUMENT_STEP = np.pi / 2
+RATE_TOLERANCE = np.pi / 8
+MAX_SAMPLES = 400
+# values of f computed per batched tridiagonal solve: bounds its memory to
+# about 40 vectors of the operator's length per value
+SAMPLES_PER_SOLVE = 3
 
 
 class StabilityError(RuntimeError):
     pass
+
+
+@dataclass
+class EigenvalueCount:
+    """The number of eigenvalues of T' outside the circle |lambda| = ``radius``:
+    ``pencil_count - winding``, or None where the sampling of f could not
+    decide its winding number."""
+
+    radius: float
+    pencil_count: int
+    winding: int | None
+    samples: int
+
+    @property
+    def count(self) -> int | None:
+        return None if self.winding is None else self.pencil_count - self.winding
 
 
 @dataclass
@@ -42,6 +107,101 @@ class StabilityReport:
     fixed_point_residual: float
     is_fixed_point: bool
     error_bound: float | None  # residual / (1 - radius); None unless radius < 1
+    mode: str  # the Arnoldi run the eigenvalues come from: "shift-invert" or "regular"
+    fallback: str | None  # why regular mode ran; None if it did not
+    operator_applications: int  # shifted solves and derivative applications, all runs
+    certificate: EigenvalueCount  # the count on the reported run's circle
+    certified: bool  # the count equals the number of eigenvalues found outside it
+
+
+def eigenvalue_count(lin: Linearization, radius: float) -> EigenvalueCount:
+    """The number of eigenvalues of the derivative ``lin`` outside |lambda| = radius,
+    as the pencil count minus the winding number of f (module docstring)."""
+    w = lin.engine.weights
+    diag, off = lin.engine.inverse
+    d = w * lin.gain
+    # the positive eigenvalues of D - r K^-1, from the Sturm counts at the ends
+    # of (0, bound]: the tolerance spans the interval, so nothing is bisected
+    b_diag, b_off = d - radius * diag, -radius * off
+    bound = 1.0 + np.abs(b_diag).max() + 2.0 * np.abs(b_off).max(initial=0.0)
+    pencil, *_, info = dstebz(b_diag, b_off, 1, 0.0, bound, 0, 0, bound, "E")
+    u = (w * lin.rows)[:, None, :]
+    m, _, n = u.shape
+    eye, vt = np.eye(m), lin.beta_rows.T.astype(complex)
+    # the columns of U, then of V, once per block of the batched solve below
+    rhs = np.tile(np.vstack((u[:, 0], lin.beta_rows)), SAMPLES_PER_SOLVE).T.astype(complex)
+    offs = np.append(off, 0.0)
+
+    def f(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f at r e^(i theta), and the rate d(arg f)/d(theta) = Re(lambda f'/f).
+
+        With R = (lambda K^-1 - D)^-1, symmetric, X = R U, Y = R V and
+        S = I + V^T X: f = det S, f'/f = -tr(S^-1 Y^T K^-1 X) as R' = -R K^-1 R,
+        and lambda K^-1 X = U + D X as (lambda K^-1 - D) R = I.
+        """
+        values, rates = np.empty(theta.size, complex), np.empty(theta.size)
+        for lo in range(0, theta.size, SAMPLES_PER_SOLVE):
+            lam = radius * np.exp(1j * theta[lo : lo + SAMPLES_PER_SOLVE])
+            # one block-diagonal system of the samples: its couplings between
+            # blocks are 0
+            xy = tridiagonal_solve((lam[:, None] * diag - d).ravel(),
+                                   (lam[:, None] * offs).ravel()[:-1],
+                                   rhs[: lam.size * n]).T.reshape(2 * m, lam.size, n)
+            x, y = xy[:m], xy[m:]
+            s = eye + (x @ vt).transpose(1, 2, 0)
+            sw = np.linalg.solve(s, y.transpose(1, 0, 2) @ (u + d * x).transpose(1, 2, 0))
+            values[lo : lo + lam.size] = np.linalg.det(s)
+            rates[lo : lo + lam.size] = -np.trace(sw, axis1=1, axis2=2).real
+        return values, rates
+
+    theta = np.linspace(0.0, np.pi, INITIAL_SAMPLES)
+    try:
+        values, rates = f(theta)
+    except LinAlgError:
+        values = np.zeros(1)
+    # a failed pencil count, a singular solve, or f 0 or not finite on the
+    # circle leaves the count undecided
+    while not info and np.all(np.isfinite(values) & (values != 0)):
+        steps = np.angle(values[1:] / values[:-1])
+        # a turn hidden between two samples shows as a step 2 pi away from
+        # the one the trapezoid rule predicts from the rates at its ends
+        predicted = 0.5 * np.diff(theta) * (rates[1:] + rates[:-1])
+        wide = ((np.abs(steps) > MAX_ARGUMENT_STEP)
+                | (np.abs(steps - predicted) > RATE_TOLERANCE))
+        if not wide.any():
+            # f is real at -r and r, so the change over the half-circle is a
+            # multiple of pi, and over the whole circle twice it
+            turns = steps.sum() / np.pi
+            winding = round(turns)
+            return EigenvalueCount(radius, pencil, winding if abs(turns - winding) < 0.25
+                                   else None, theta.size)
+        if theta.size + wide.sum() > MAX_SAMPLES:
+            break
+        mid = 0.5 * (theta[:-1] + theta[1:])[wide]
+        try:
+            new, new_rates = f(mid)
+        except LinAlgError:
+            break
+        order = np.argsort(np.concatenate((theta, mid)), kind="stable")
+        theta = np.concatenate((theta, mid))[order]
+        values = np.concatenate((values, new))[order]
+        rates = np.concatenate((rates, new_rates))[order]
+    return EigenvalueCount(radius, pencil, None, theta.size)
+
+
+def _by_modulus(eig: np.ndarray) -> np.ndarray:
+    """Eigenvalues by descending modulus, a conjugate pair's positive imaginary
+    part first."""
+    return eig[np.lexsort((-eig.imag, -np.abs(eig)))]
+
+
+def _circle(moduli: np.ndarray, k: int) -> tuple[float, int]:
+    """The radius of the counting circle for the descending ``moduli`` found, and
+    the count that certifies them: between the k-th and the next one where they
+    are apart, else just below the last one."""
+    if moduli.size > k and moduli[k] < (1.0 - RADIUS_GAP) * moduli[k - 1]:
+        return 0.5 * (moduli[k - 1] + moduli[k]), k
+    return (1.0 - RADIUS_GAP) * moduli[-1], moduli.size
 
 
 def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> StabilityReport:
@@ -53,13 +213,16 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     asymptotically at rate q, so ``error_bound`` = residual / (1 - q) bounds
     A's L1 distance to the fixed point to first order (q is a spectral radius,
     not a norm).  ARPACK needs k < n - 1, so a grid of n nodes yields at most
-    n - 2 eigenvalues, and the read nodes the run takes place on are padded
-    with the first nodes off them to at least k + 2 nodes (the padding adds
-    only zero eigenvalues: the derivative's columns there are zero).
+    n - 2 eigenvalues, and read nodes fewer than k + 2 are padded with the
+    first nodes off them (the padding adds only zero eigenvalues: the
+    derivative's columns there are zero).  Shift-invert asks for one
+    eigenvalue more than it reports, to place the counting circle in the gap
+    below the k-th, and so runs on k + 3 nodes or more; on fewer the regular
+    run is the only one.
     """
     # scipy.sparse.linalg is imported where it runs: it is most of the import
     # time and peak memory the CLI would otherwise spend before any command
-    from scipy.sparse.linalg import ArpackNoConvergence, eigs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     a = A.values
     tmap = update_map(problem)
@@ -67,19 +230,58 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
     n = problem.grid.n
     k = min(EIGENVALUE_COUNT, n - 2)
-    read = tmap.read_nodes
-    pad = np.setdiff1d(np.arange(n), read)[: max(0, k + 2 - read.size)]
-    nodes = np.union1d(read, pad)
+    nodes = tmap.read_nodes
+    if nodes.size >= k + 2:
+        sub = tmap.on_read_nodes
+    else:
+        pad = np.setdiff1d(np.arange(n), nodes)[: k + 2 - nodes.size]
+        nodes = np.union1d(nodes, pad)
+        sub = tmap.restricted(nodes)
+    a = a[nodes]
+    lin = sub.linearization(a)
     # seeded, because ARPACK's own start vector does not repeat within a process
-    v0 = 1.0 + np.random.default_rng(0).random(n)
-    try:
-        eig = eigs(
-            tmap.restricted(nodes).linearization(a[nodes]), k=k, which="LM",
-            v0=v0[nodes], tol=0, return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as exc:
-        raise StabilityError("Arnoldi iteration for the stability spectrum did not converge") from exc
-    eig = eig[np.argsort(-np.abs(eig))]
+    v0 = (1.0 + np.random.default_rng(0).random(n))[nodes]
+    applications = 0
+
+    def counted(apply) -> LinearOperator:
+        def matvec(y):
+            nonlocal applications
+            applications += 1
+            return apply(y)
+        return LinearOperator(lin.shape, matvec=matvec, dtype=float)
+
+    def shift_invert() -> np.ndarray:
+        shifted = ShiftedSolve(sub, a, SHIFT)
+        return eigs(lin, k=k + 1, sigma=SHIFT, OPinv=counted(lambda y: -shifted.solve(y)),
+                    v0=v0, tol=0, return_eigenvectors=False)
+
+    def certify(eig: np.ndarray) -> tuple[np.ndarray, EigenvalueCount, int]:
+        eig = _by_modulus(eig)
+        radius, expected = _circle(np.abs(eig), k)
+        return eig, eigenvalue_count(lin, radius), expected
+
+    fallback = None
+    if nodes.size < k + 3:
+        fallback = f"{nodes.size} nodes, fewer than the {k + 3} shift-invert runs on"
+    else:
+        try:
+            eig, count, expected = certify(shift_invert())
+        except LinAlgError as exc:
+            fallback = f"the shifted solve failed: {exc}"
+        except ArpackNoConvergence:
+            fallback = "shift-invert Arnoldi did not converge"
+        else:
+            if count.count is None:
+                fallback = "the count is undecided"
+            elif count.count != expected:
+                fallback = f"the count outside r = {count.radius:.9g} is {count.count}, not {expected}"
+    if fallback is not None:
+        try:
+            eig, count, expected = certify(eigs(counted(lin.matvec), k=k, which="LM", v0=v0,
+                                                tol=0, return_eigenvectors=False))
+        except ArpackNoConvergence as exc:
+            raise StabilityError("Arnoldi iteration for the stability spectrum did not converge") from exc
+    eig = eig[:k]
     radius = float(np.abs(eig[0]))
     return StabilityReport(
         eigenvalues=eig,
@@ -88,4 +290,9 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
         fixed_point_residual=residual,
         is_fixed_point=residual < tol,
         error_bound=residual / (1.0 - radius) if radius < 1.0 else None,
+        mode="shift-invert" if fallback is None else "regular",
+        fallback=fallback,
+        operator_applications=applications,
+        certificate=count,
+        certified=count.count == expected,
     )

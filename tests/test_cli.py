@@ -22,6 +22,7 @@ from mutsel import spectral as spec
 from mutsel.cli import main
 from mutsel.model import build_problem, preset
 from mutsel.spectral import solve_host_spectrum
+from mutsel.stability import INITIAL_SAMPLES
 
 
 def run(argv):
@@ -284,6 +285,13 @@ class TestStabilityCommand:
         assert rep["spectral_radius"] < 1.0
         assert 0.0 < rep["error_bound"] < 1e-8
         assert rep["assumption_warnings"] == []
+        solve = rep["eigensolve"]
+        assert solve["mode"] == "shift-invert" and solve["fallback"] is None
+        assert solve["certified"] is True and 0 < solve["operator_applications"] <= 100
+        cert = solve["certificate"]
+        assert cert["pencil_count"] - cert["winding"] == 20
+        assert 0.0 < cert["radius"] < min(abs(complex(z["re"], z["im"])) for z in rep["eigenvalues"])
+        assert cert["samples"] >= INITIAL_SAMPLES
 
     def test_fig3_lists_overlapping_supports(self, outdir):
         assert run([
@@ -394,6 +402,9 @@ MALFORMED = {
                                            "--epsilon", "5e-2"],
     "trait type error": lambda tmp: ["spectrum", *_config(tmp, beta="x + 'a'"),
                                      "--epsilon", "5e-2"],
+    # an f-string's text would parse as the number 1
+    "trait f-string": lambda tmp: ["spectrum", *_config(tmp, beta='f"{1:{10**3}}"'),
+                                   "--epsilon", "5e-2"],
     "infinite trait": lambda tmp: ["spectrum", *_config(tmp, beta="1e308*10 + x"),
                                    "--epsilon", "5e-2"],
     "nan dt": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
@@ -808,10 +819,11 @@ def test_unbounded_trait_arithmetic_exits_2(beta, tmp_path):
 
 
 def test_bool_arithmetic_in_trait_is_bounded(tmp_path):
-    # pi > e is a numpy bool, and numpy bools add as a logical or: this tower,
-    # a tower of 2s in Python ints, is 1 everywhere, a valid trait
+    # a comparison is the float64 0.0 or 1.0, so this tower of 2s is float64
+    # arithmetic, not Python ints: it overflows to inf at once and is rejected
     tower = "**".join(["((pi>e)+(pi>e))"] * 20)
     argv = ["spectrum", *_config(tmp_path, beta=tower), "--epsilon", "5e-2",
             "--output-dir", str(tmp_path / "out")]
     out = _fresh(f"import sys, mutsel.cli; sys.exit(mutsel.cli.main({argv!r}))", check=False)
-    assert (out.returncode, out.stderr) == (0, "")
+    assert (out.returncode, out.stderr) == (
+        2, "error: host 1 trait functions must be finite and nonnegative\n")

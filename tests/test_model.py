@@ -15,6 +15,7 @@ from mutsel.model import (
     ModelError,
     ModelParams,
     TraitExpression,
+    _EXPR_NAMES,
     build_fitness,
     build_problem,
     default_window,
@@ -250,3 +251,49 @@ class TestTraitExpressions:
     def test_rejects_unknown_names(self):
         with pytest.raises(ModelError):
             TraitExpression("__import__('os').system('true')")
+
+    @pytest.mark.parametrize("expr", ['"1"', "b'1'", "x + '1'", 'f"{x}"'])
+    def test_rejects_strings(self, expr):
+        with pytest.raises(ModelError, match="may not contain strings"):
+            TraitExpression(expr)
+
+    def test_rejects_f_string_before_building_it(self):
+        # evaluated, this f-string is 10 MB of spaces, then the number 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="may not contain strings"):
+                TraitExpression('f"{1:{10**7}}"')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_deep_expressions(self):
+        # comparisons are cast without recursing over the tree, so a sum of 900
+        # terms still evaluates; one the parser cannot take is a ModelError
+        assert TraitExpression("+".join(["x"] * 900))(np.ones(2)).tolist() == [900.0, 900.0]
+        with pytest.raises(ModelError, match="recursion"):
+            TraitExpression("+".join(["x"] * 5000))
+
+    @pytest.mark.parametrize("expr", ["(x>0.3)+(x>0.5)", "(pi>e)+(pi>e)"])
+    def test_comparisons_add_as_numbers(self, expr):
+        x = np.array([0.0, 0.4, 0.6, 1.0])
+        got = TraitExpression(expr)(x)
+        assert got.dtype == np.float64
+        assert got[-1] == 2.0
+        assert np.all(got[x > 0.5] == 2.0)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_preset_traits_unchanged_by_the_comparison_cast(self, name):
+        # the presets hold no comparison: their values are those of the
+        # expression compiled as written, byte for byte
+        x = np.linspace(-0.5, 1.5, 4001)
+        for host in preset(name).hosts:
+            for trait in (host.beta, host.d, host.r):
+                code = compile(trait.expr, "<trait-expression>", "eval")
+                code = code.replace(co_consts=tuple(
+                    np.float64(c) if isinstance(c, (int, float)) else c for c in code.co_consts))
+                with np.errstate(all="ignore"):
+                    want = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
+                want = np.broadcast_to(np.asarray(want, dtype=float), x.shape)
+                assert trait(x).tobytes() == want.tobytes()

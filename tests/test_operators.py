@@ -12,6 +12,8 @@ from mutsel.grid import Field, TraitGrid, inner, l1_norm
 from mutsel.model import MutationKernel, build_problem, preset
 from mutsel.operators import (
     ConvolutionEngine,
+    ShiftedSolve,
+    TridiagonalLU,
     combined_operator,
     gram_inverse,
     host_map,
@@ -196,6 +198,24 @@ def test_tridiagonal_solve_raises_on_a_singular_matrix(diag, off):
         tridiagonal_solve(np.array(diag), np.array(off), np.ones(len(diag)))
 
 
+@pytest.mark.parametrize("m", [1, 2, 40])
+@pytest.mark.parametrize("kind", ["definite", "indefinite"])
+def test_tridiagonal_lu_solves_many_right_hand_sides(m, kind):
+    # L D L^T without pivoting for a real positive definite matrix, pivoted LU
+    # otherwise; one factor, then solves with one and with several columns
+    rng = np.random.default_rng(m)
+    diag, off = 4.0 + rng.random(m), rng.standard_normal(m - 1)
+    if kind == "indefinite":
+        diag[m // 2] = -4.0
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lu = TridiagonalLU(diag, off)
+    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+        want = np.linalg.solve(matrix, rhs)
+        got = lu.solve(rhs)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # session problem for hypothesis (fixtures cannot feed @given directly)
 _CACHE = {}
 
@@ -359,6 +379,19 @@ class TestDerivative:
         delta = tmap.newton_direction(a, f)
         lhs = delta - tmap.linearization(a).matvec(delta)
         assert np.sum(g.quad_weights * np.abs(lhs - f)) < 1e-10 * np.sum(g.quad_weights * np.abs(f))
+
+    @pytest.mark.parametrize("sigma", [1.001, 0.9, 2.5])
+    def test_shifted_solve_inverts_the_shifted_derivative(self, fig1_problem, fig1_state, sigma):
+        # factored once, each solve x has (sigma I - T'(a)) x = y, also where
+        # sigma K^-1 - D is indefinite (sigma below the pencil's top, 1)
+        tmap = update_map(fig1_problem)
+        a = fig1_state.A.values
+        solve = ShiftedSolve(tmap, a, sigma)
+        lin = tmap.linearization(a)
+        for seed in (5, 6):
+            y = _random_density(fig1_problem.grid, seed).values - 0.5
+            x = solve.solve(y)
+            assert np.max(np.abs(sigma * x - lin.matvec(x) - y)) < 1e-11 * np.max(np.abs(y))
 
     def test_newton_direction_on_one_node(self, fig1_problem):
         # a one-node engine has no off-diagonal; I - T'(a) is then a scalar

@@ -11,7 +11,8 @@ from mutsel.model import build_problem, preset
 from mutsel.operators import host_operator, update_map
 from mutsel.spectral import solve_combined_spectrum, solve_host_spectrum
 from mutsel.equilibrium import default_start, solve_coupled, solve_uncoupled
-from mutsel.stability import EIGENVALUE_COUNT, stability_report
+from mutsel.stability import (EIGENVALUE_COUNT, STABILITY_MARGIN, eigenvalue_count,
+                              stability_report)
 from oracles import dense_derivative, uncoupled_derivative_spectrum
 
 
@@ -45,10 +46,19 @@ class TestStabilityReport:
         )
         assert l1_norm(rough.A - fig1_state.A) <= rep.error_bound
 
-    def test_eigenvalues_sorted_by_modulus(self, fig1_problem, fig1_state):
+    def test_eigenvalues_sorted_by_modulus(self, fig1_problem, fig1_state, fig3_tight):
         rep = stability_report(fig1_problem, fig1_state.A)
         mods = np.abs(rep.eigenvalues)
         assert np.all(np.diff(mods) <= 1e-12)
+        # a conjugate pair shares its modulus exactly; its positive imaginary
+        # part comes first, whichever order ARPACK returned it in
+        eig = stability_report(*fig3_tight).eigenvalues
+        mods = np.abs(eig)
+        assert np.all(np.diff(mods) <= 0.0)
+        ties = np.flatnonzero(np.diff(mods) == 0.0)
+        assert ties.size >= 1
+        for i in ties:
+            assert eig[i] == np.conj(eig[i + 1]) and eig[i].imag > 0.0
 
     def test_non_fixed_point_flagged(self, fig1_problem):
         g = fig1_problem.grid
@@ -93,6 +103,113 @@ class TestStabilityReport:
         rep = stability_report(problem, default_start(problem))
         assert len(rep.eigenvalues) == 14
         assert rep.spectral_radius == pytest.approx(0.2041052007786639, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def fig3_tight():
+    """fig3 at eps = 2.5e-3 and its steady state: overlapping supports, and a
+    conjugate pair (0.815178 +- 0.000195i) among the top 20 eigenvalues."""
+    problem = build_problem(preset("fig3"), 2.5e-3)
+    return problem, solve_coupled(problem).A
+
+
+def _on_read_nodes(problem, A):
+    """The derivative the report's Arnoldi runs on, and the report's start vector there."""
+    tmap = update_map(problem)
+    read = tmap.read_nodes
+    v0 = (1.0 + np.random.default_rng(0).random(problem.grid.n))[read]
+    return tmap.on_read_nodes.linearization(A.values[read]), v0
+
+
+def _regular(problem, A):
+    """The regular-mode run the report falls back to, sorted as the report sorts."""
+    lin, v0 = _on_read_nodes(problem, A)
+    eig = eigs(lin, k=EIGENVALUE_COUNT, which="LM", v0=v0, tol=0, return_eigenvectors=False)
+    return eig[np.lexsort((-eig.imag, -np.abs(eig)))]
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("name, eps", [("fig1", 2.5e-3), ("fig3", 2.5e-3), ("fig1", 1e-3)])
+    def test_matches_regular_mode(self, name, eps):
+        # shift-invert runs and is certified; its sorted list is regular mode's
+        # to 1e-12, a conjugate pair included (fig3)
+        problem = build_problem(preset(name), eps)
+        state = solve_coupled(problem)
+        rep = stability_report(problem, state.A)
+        assert rep.mode == "shift-invert" and rep.fallback is None
+        assert rep.certified and rep.certificate.count == EIGENVALUE_COUNT
+        assert rep.operator_applications <= 100
+        assert np.max(np.abs(rep.eigenvalues - _regular(problem, state.A))) < 1e-12
+
+    def test_wrong_eigenvalue_set_falls_back_to_regular_mode(self, fig3_tight, monkeypatch):
+        # shift-invert is made to lose its largest eigenvalue: the count outside
+        # the circle then exceeds the eigenvalues found there, and regular mode runs
+        import scipy.sparse.linalg
+
+        arnoldi = scipy.sparse.linalg.eigs
+
+        def lossy(*args, **kwargs):
+            eig = arnoldi(*args, **kwargs)
+            if "sigma" not in kwargs:
+                return eig
+            eig = eig[np.argsort(-np.abs(eig))]
+            return np.append(eig[1:], 0.5 * eig[-1])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", lossy)
+        rep = stability_report(*fig3_tight)
+        assert rep.mode == "regular"
+        assert "count" in rep.fallback
+        assert rep.certified
+        assert np.max(np.abs(rep.eigenvalues - _regular(*fig3_tight))) < 1e-12
+
+    def test_undecided_count_falls_back_to_regular_mode(self, fig1_problem, fig1_state,
+                                                        monkeypatch):
+        import mutsel.stability as stab
+
+        count = stab.eigenvalue_count
+        calls = []
+
+        def undecided(lin, radius):
+            calls.append(radius)
+            got = count(lin, radius)
+            return got if len(calls) > 1 else stab.EigenvalueCount(radius, got.pencil_count,
+                                                                   None, got.samples)
+
+        monkeypatch.setattr(stab, "eigenvalue_count", undecided)
+        rep = stability_report(fig1_problem, fig1_state.A)
+        assert len(calls) == 2
+        assert rep.mode == "regular" and "undecided" in rep.fallback
+        assert rep.certified and rep.stable
+
+    def test_single_host_state_counted_unstable(self, fig1_problem):
+        # at host 1's single-host state host 2's mode grows: the count outside
+        # the stability boundary is the number of eigenvalues found beyond it
+        A = solve_uncoupled(fig1_problem, 1)
+        rep = stability_report(fig1_problem, A)
+        assert not rep.stable and rep.spectral_radius > 1.0
+        assert rep.certified
+        lin, _ = _on_read_nodes(fig1_problem, A)
+        boundary = eigenvalue_count(lin, 1.0 - STABILITY_MARGIN)
+        outside = np.count_nonzero(np.abs(rep.eigenvalues) > 1.0 - STABILITY_MARGIN)
+        assert boundary.count == outside >= 1
+
+
+@pytest.mark.parametrize("where", ["fixed_point", "random", "zero"])
+def test_eigenvalue_count_matches_dense(coarse_problem, where):
+    # the count outside circles between the moduli of the dense spectrum,
+    # by modulus gap and at the stability boundary
+    tmap = update_map(coarse_problem)
+    read = tmap.read_nodes
+    a = {"fixed_point": solve_coupled(coarse_problem, tol=1e-12).A.values,
+         "random": np.random.default_rng(3).random(coarse_problem.grid.n),
+         "zero": np.zeros(coarse_problem.grid.n)}[where][read]
+    lin = tmap.on_read_nodes.linearization(a)
+    mods = np.sort(np.abs(np.linalg.eigvals(dense_derivative(lin))))[::-1]
+    for j in (1, 2, 5, 20):
+        radius = 0.5 * (mods[j - 1] + mods[j])
+        assert eigenvalue_count(lin, radius).count == j
+    assert eigenvalue_count(lin, 1.0 - STABILITY_MARGIN).count == np.count_nonzero(
+        mods > 1.0 - STABILITY_MARGIN)
 
 
 def _full_grid_arnoldi(problem, a):
