@@ -193,7 +193,7 @@ def _stability_fields(rep) -> dict:
             "certified": rep.certified,
             # radius, pencil_count, winding and samples: counts, and no times,
             # so repeated runs write the same artifact
-            "certificate": dict(vars(rep.certificate)),
+            "certificate": dict(vars(rep.certificate)) if rep.certificate else None,
         },
     }
 

@@ -12,7 +12,7 @@ import ast
 import math
 import types
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,9 +69,8 @@ def _float_comparisons(tree: ast.Expression) -> ast.Expression:
     return tree
 
 
-@lru_cache(maxsize=256)
 def _compiled(expr: str) -> types.CodeType:
-    """The checked code of a trait expression, compiled once per process."""
+    """The checked code of a trait expression."""
     try:
         tree = ast.parse(expr, "<trait-expression>", "eval")
         # an f-string builds its text when evaluated, at any size its format
@@ -104,16 +103,21 @@ class TraitExpression:
     expr: str
 
     def __post_init__(self):
-        _compiled(self.expr)
+        # compiled once; the frozen instance keeps the code beside its field
+        object.__setattr__(self, "_code", _compiled(self.expr))
+
+    def __reduce__(self):
+        # a code object does not pickle (the sweep's workers receive traits),
+        # so the expression is sent and compiled again
+        return TraitExpression, (self.expr,)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        code = _compiled(self.expr)
         try:
             # an overflow or the log of a nonpositive value gives inf or nan
             # silently; build_problem rejects those with a message of its own
             with np.errstate(all="ignore"):
-                out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
+                out = eval(self._code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ModelError(f"trait expression {self.expr!r} failed: {exc}") from exc

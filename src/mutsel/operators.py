@@ -63,8 +63,12 @@ def gram_inverse(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, 
 class TridiagonalLU:
     """Factor of the real tridiag(off, diag, off) for any number of solves:
     L D L^T without pivoting (LAPACK ``dpttrf``) when the matrix is positive
-    definite, else LU with partial pivoting (``dgttrf``).  ``LinAlgError`` if a
-    pivot is exactly zero (the matrix is singular)."""
+    definite, as the shifted solves are at a stable steady state, else LU with
+    partial pivoting (``dgttrf``).  ``dpttrs`` takes about half the time of
+    ``dgttrs`` per right-hand side, which is most of a shift-invert step; on
+    an indefinite matrix the failed ``dpttrf`` stops at its first nonpositive
+    pivot, one pass at most.  ``LinAlgError`` if a pivot is exactly zero (the
+    matrix is singular)."""
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         self.n = diag.size

@@ -1,6 +1,7 @@
 """Parameters, fitness construction, kernel scaling, presets and validation."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -274,6 +275,14 @@ class TestTraitExpressions:
         assert TraitExpression("+".join(["x"] * 900))(np.ones(2)).tolist() == [900.0, 900.0]
         with pytest.raises(ModelError, match="recursion"):
             TraitExpression("+".join(["x"] * 5000))
+
+    def test_pickles_by_expression(self):
+        # the sweep's worker processes receive traits pickled; the compiled
+        # code stays behind and is rebuilt from the expression
+        trait = TraitExpression("200*pos((x-0.2)*(0.6-x))+(x>0.5)")
+        copy = pickle.loads(pickle.dumps(trait))
+        x = np.linspace(0.0, 1.0, 11)
+        assert copy == trait and copy(x).tobytes() == trait(x).tobytes()
 
     @pytest.mark.parametrize("expr", ["(x>0.3)+(x>0.5)", "(pi>e)+(pi>e)"])
     def test_comparisons_add_as_numbers(self, expr):

@@ -103,6 +103,9 @@ class TestStabilityReport:
         rep = stability_report(problem, default_start(problem))
         assert len(rep.eigenvalues) == 14
         assert rep.spectral_radius == pytest.approx(0.2041052007786639, abs=1e-12)
+        # too few nodes for shift-invert: regular mode runs and nothing is counted
+        assert rep.mode == "regular" and "fewer" in rep.fallback
+        assert rep.certificate is None and not rep.certified
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +162,8 @@ class TestShiftInvert:
         rep = stability_report(*fig3_tight)
         assert rep.mode == "regular"
         assert "count" in rep.fallback
-        assert rep.certified
+        # the regular run is not counted: the report keeps the count that failed
+        assert not rep.certified and rep.certificate.count != EIGENVALUE_COUNT
         assert np.max(np.abs(rep.eigenvalues - _regular(*fig3_tight))) < 1e-12
 
     def test_undecided_count_falls_back_to_regular_mode(self, fig1_problem, fig1_state,
@@ -172,14 +176,14 @@ class TestShiftInvert:
         def undecided(lin, radius):
             calls.append(radius)
             got = count(lin, radius)
-            return got if len(calls) > 1 else stab.EigenvalueCount(radius, got.pencil_count,
-                                                                   None, got.samples)
+            return stab.EigenvalueCount(radius, got.pencil_count, None, got.samples)
 
         monkeypatch.setattr(stab, "eigenvalue_count", undecided)
         rep = stability_report(fig1_problem, fig1_state.A)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert rep.mode == "regular" and "undecided" in rep.fallback
-        assert rep.certified and rep.stable
+        assert not rep.certified and rep.certificate.winding is None
+        assert rep.stable
 
     def test_single_host_state_counted_unstable(self, fig1_problem):
         # at host 1's single-host state host 2's mode grows: the count outside
@@ -187,7 +191,6 @@ class TestShiftInvert:
         A = solve_uncoupled(fig1_problem, 1)
         rep = stability_report(fig1_problem, A)
         assert not rep.stable and rep.spectral_radius > 1.0
-        assert rep.certified
         lin, _ = _on_read_nodes(fig1_problem, A)
         boundary = eigenvalue_count(lin, 1.0 - STABILITY_MARGIN)
         outside = np.count_nonzero(np.abs(rep.eigenvalues) > 1.0 - STABILITY_MARGIN)
