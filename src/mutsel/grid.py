@@ -59,9 +59,6 @@ class Field:
         if self.is_density and np.any(self.values < 0):
             raise GridError("density field must be nonnegative")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.is_density)
-
     def __add__(self, other: "Field") -> "Field":
         _check_same_grid(self, other)
         return Field(self.grid, self.values + other.values)

@@ -14,12 +14,12 @@ Cholesky-type factor, in closed form (``gram_inverse``, ``gram_factor``): a
 convolution is one O(n) tridiagonal solve, the symmetric eigenproblems
 built on it are tridiagonal too (see ``spectral``), and a solve with
 sigma I - T' for a map's derivative T', a Newton step at sigma = 1, is a
-tridiagonal solve plus a low-rank correction (``ShiftedSolve``).  Every
-general tridiagonal solve goes through ``TridiagonalLU``, factored once for
-many solves, or ``tridiagonal_solve`` for one.  The
-kernel enters only through eps and its mass (``gram_factor``): nothing here
-forms a sample array or an n x n matrix, and the O(n^2) matrix products the
-tests compare against live with the tests (``tests/oracles.py``).
+tridiagonal solve plus a low-rank correction (``ShiftedSolve``) on the
+structure ``Linearization`` derives.  Every general tridiagonal solve, real
+or complex, goes through ``TridiagonalLU``.  The kernel enters only through
+eps and its mass (``gram_factor``): nothing here forms a sample array or an
+n x n matrix, and the O(n^2) matrix products the tests compare against live
+with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs, zgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, zgttrf, zgttrs
 
 from .model import MutationKernel, Problem
 
@@ -61,32 +61,37 @@ def gram_inverse(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, 
 
 
 class TridiagonalLU:
-    """Factor of the real tridiag(off, diag, off) for any number of solves:
-    L D L^T without pivoting (LAPACK ``dpttrf``) when the matrix is positive
-    definite, as the shifted solves are at a stable steady state, else LU with
-    partial pivoting (``dgttrf``).  ``dpttrs`` takes about half the time of
-    ``dgttrs`` per right-hand side, which is most of a shift-invert step; on
-    an indefinite matrix the failed ``dpttrf`` stops at its first nonpositive
-    pivot, one pass at most.  ``LinAlgError`` if a pivot is exactly zero (the
-    matrix is singular)."""
+    """Factor of tridiag(off, diag, off), real or complex, for any number of
+    solves: L D L^T without pivoting (LAPACK ``dpttrf``) when the matrix is real
+    and positive definite, as the shifted solves are at a stable steady state,
+    else LU with partial pivoting (``dgttrf``, ``zgttrf``).  ``dpttrs`` takes
+    about half the time of ``dgttrs`` per right-hand side, which is most of a
+    shift-invert step; on an indefinite matrix the failed ``dpttrf`` stops at
+    its first nonpositive pivot, one pass at most.  ``LinAlgError`` if a pivot
+    is exactly zero (the matrix is singular)."""
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         self.n = diag.size
+        self.is_complex = np.iscomplexobj(diag) or np.iscomplexobj(off)
         if self.n < 3:
             # f2py's gttrf takes 3 nodes or more: pad with a decoupled identity
             diag = np.append(diag, np.ones(3 - self.n))
             off = np.append(off, np.zeros(3 - self.n))[:2]
-        *self._factor, info = dpttrf(diag, off)
-        self._trs = dpttrs
+        if not self.is_complex:
+            *self._factor, info = dpttrf(diag, off)
+            self._trs = dpttrs
+        if self.is_complex or info:
+            gttrf, self._trs = (zgttrf, zgttrs) if self.is_complex else (dgttrf, dgttrs)
+            *self._factor, info = gttrf(off, diag, off)
         if info:
-            *self._factor, info = dgttrf(off, diag, off)
-            self._trs = dgttrs
-        if info:
-            raise LinAlgError(f"tridiagonal factorization failed (dgttrf info {info})")
+            raise LinAlgError(f"tridiagonal factorization failed (gttrf info {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with tridiag(off, diag, off) x = rhs, for one right-hand side or the
-        columns of several."""
+        columns of several; ``TypeError`` for complex ones on a real factor."""
+        if np.iscomplexobj(rhs) and not self.is_complex:
+            # LAPACK's real solve would drop the imaginary part, with a ComplexWarning
+            raise TypeError("a real tridiagonal factor cannot solve a complex right-hand side")
         b = rhs.reshape(self.n, -1)
         if self.n < 3:
             b = np.vstack((b, np.zeros((3 - self.n, b.shape[1]), b.dtype)))
@@ -94,19 +99,6 @@ class TridiagonalLU:
         if info:
             raise LinAlgError(f"tridiagonal solve failed (info {info})")
         return x[: self.n].reshape(rhs.shape)
-
-
-def tridiagonal_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with tridiag(off, diag, off) x = rhs, real or complex, for one right-hand
-    side or the columns of several, in one LAPACK call (``gtsv``, LU with
-    partial pivoting).  ``LinAlgError`` if a pivot is exactly zero."""
-    gtsv = zgtsv if np.iscomplexobj(diag) or np.iscomplexobj(rhs) else dgtsv
-    # f2py asks for one off-diagonal entry, not zero, on one node
-    off = off if off.size else np.zeros(1)
-    *_, x, info = gtsv(off, diag, off, rhs)
-    if info:
-        raise LinAlgError(f"tridiagonal solve failed (gtsv info {info})")
-    return x
 
 
 class ConvolutionEngine:
@@ -211,24 +203,23 @@ class UpdateMap:
         for the residual f = T(a) - a (the sigma = 1 ``ShiftedSolve``).  Raises
         ``LinAlgError`` when the solve is singular or the direction is not
         finite."""
-        delta = ShiftedSolve(self, a, 1.0).solve(f)
+        delta = ShiftedSolve(self.linearization(a), 1.0).solve(f)
         if not np.all(np.isfinite(delta)):
             raise LinAlgError("Newton direction is not finite")
         return delta
 
 
 class ShiftedSolve:
-    """x with (sigma I - T'(a)) x = y for the derivative T'(a) of an UpdateMap,
-    factored once for any number of right-hand sides.
+    """x with (sigma I - T'(a)) x = y for the derivative T'(a) = K (D - U V^T)
+    of an UpdateMap (``Linearization``), factored once for any number of
+    right-hand sides.
 
-    T'(a) = K (D - U V^T), with K^-1 tridiagonal (``ConvolutionEngine.inverse``),
-    D = diag(w g(a)), U's columns w c_k psi_k a / den_k^2 and V's the rows
-    w beta_k / theta, so x solves (M + U V^T) x = K^-1 y with the symmetric
-    tridiagonal M = sigma K^-1 - D.  For sigma near 1 and a near a fixed point
-    M is singular or nearly so: a is the null vector of K^-1 - D, and K D has
-    an eigenvalue pinned near 1 on the mode of each peak of a.  So the
-    Woodbury formula is applied around M + s E E^T instead (s = max |diag M|;
-    E's columns are the unit vectors at the highest local maxima of a, one per
+    x solves (M + U V^T) x = K^-1 y with the symmetric tridiagonal
+    M = sigma K^-1 - D.  For sigma near 1 and a near a fixed point M is
+    singular or nearly so: a is the null vector of K^-1 - D, and K D has an
+    eigenvalue pinned near 1 on the mode of each peak of a.  So the Woodbury
+    formula is applied around M + s E E^T instead (s = max |diag M|; E's
+    columns are the unit vectors at the highest local maxima of a, one per
     host), with the shift moved into the low-rank term [U, -s E][V, E]^T.
     Building it takes one tridiagonal LU and a solve with 2 right-hand sides
     per host; each solve then takes one product with K^-1, one tridiagonal
@@ -236,55 +227,71 @@ class ShiftedSolve:
     the factor or the small dense system is singular.
     """
 
-    def __init__(self, tmap: UpdateMap, a: np.ndarray, sigma: float):
-        lin = tmap.linearization(a)
-        w = tmap.engine.weights
-        self._inverse = diag, off = tmap.engine.inverse
-        padded = np.pad(a, 1, constant_values=-np.inf)
-        peaks = np.where((a >= padded[:-2]) & (a > padded[2:]), a, -1.0)
-        shift = np.zeros((min(len(lin.rows), a.size), a.size))
-        for row in shift:
-            j = np.argmax(peaks)
-            row[j], peaks[j] = 1.0, -np.inf
-        shifted = sigma * diag - w * lin.gain
+    def __init__(self, lin: Linearization, sigma: float):
+        a, self._lin = lin.a, lin
+        # the highest local maxima of a (a plateau's last node), one per host,
+        # then the first other nodes where a has fewer
+        peak = np.append(True, a[1:] >= a[:-1]) & np.append(a[:-1] > a[1:], True)
+        keys = np.where(peak, a, -1.0)
+        self._peaks = np.empty(min(len(lin.u), a.size), int)
+        for i in range(self._peaks.size):
+            self._peaks[i] = np.argmax(keys)
+            keys[self._peaks[i]] = -np.inf
+        shifted, off = lin.shifted(sigma)
         s = np.abs(shifted).max()
-        shifted += s * shift.sum(axis=0)
-        self._lu = TridiagonalLU(shifted, sigma * off)
-        cols = self._lu.solve(np.column_stack((*(w * lin.rows), *(-s * shift))))
-        self._v = np.vstack((tmap.beta_rows, shift))
-        # (M + s E E^T + [U, -s E][V, E]^T)^-1 = (1 - cols small^-1 v) M_s^-1
-        self._correction = cols @ np.linalg.inv(np.eye(len(self._v)) + self._v @ cols)
+        shifted[self._peaks] += s
+        self._lu = TridiagonalLU(shifted, off)
+        rhs = np.zeros((a.size, len(lin.u) + self._peaks.size))
+        rhs[:, : len(lin.u)] = lin.u.T
+        rhs[self._peaks, len(lin.u) + np.arange(self._peaks.size)] = -s
+        cols = self._lu.solve(rhs)
+        # (M + s E E^T + [U, -s E][V, E]^T)^-1 = (1 - cols small^-1 [V, E]^T) M_s^-1
+        self._correction = cols @ np.linalg.inv(np.eye(rhs.shape[1]) + self._low_rank(cols))
+
+    def _low_rank(self, x: np.ndarray) -> np.ndarray:
+        """[V, E]^T x: V^T x, then x at the peaks."""
+        return np.concatenate((self._lin.beta_rows @ x, x[self._peaks]))
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        diag, off = self._inverse
+        diag, off = self._lin.engine.inverse
         ky = diag * y
         ky[:-1] += off * y[1:]
         ky[1:] += off * y[:-1]
         x = self._lu.solve(ky)
-        return x - self._correction @ (self._v @ x)
+        return x - self._correction @ self._low_rank(x)
 
 
 class Linearization:
-    """Derivative of an UpdateMap at a fixed density a.
+    """Derivative of an UpdateMap at a fixed density ``a``.
 
     h -> m_eps * (g(a) h - sum_k (theta^-1 int beta_k h) c_k psi_k a / den_k^2),
     with g(a) and the ``rows`` c_k psi_k a / den_k^2 formed once (dividing by
     den_k twice, as den_k^2 can overflow): building it costs no convolution
     and each application one.  It has the ``shape``, ``dtype`` and ``matvec``
-    scipy's iterative eigensolvers ask of an operator.
+    scipy's iterative eigensolvers ask of an operator.  As a matrix it is
+    T' = K (D - U V^T), with K^-1 tridiagonal (``ConvolutionEngine.inverse``),
+    D = diag(``d``) = diag(w g(a)), U^T = ``u`` = w rows and V^T = ``beta_rows``.
     """
 
     def __init__(self, tmap: UpdateMap, a: np.ndarray):
         den = tmap.denominators(a)
+        self.a = a
         self.engine = tmap.engine
         self.beta_rows = tmap.beta_rows
         self.gain = tmap._gain(den)
         self.rows = tmap.fitness * a / den[:, None] / den[:, None]
+        self.d = self.engine.weights * self.gain
+        self.u = self.engine.weights * self.rows
         self.shape = (len(a), len(a))
         self.dtype = np.dtype(float)
 
     def matvec(self, h: np.ndarray) -> np.ndarray:
         return self.engine.convolve_values(self.gain * h - (self.beta_rows @ h) @ self.rows)
+
+    def shifted(self, sigma: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the symmetric tridiagonal sigma K^-1 - D."""
+        diag, off = self.engine.inverse
+        return sigma * diag - self.d, sigma * off
 
 
 def build_maps(problem: Problem) -> tuple[UpdateMap, UpdateMap, UpdateMap]:

@@ -26,8 +26,8 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .grid import Field, l1_norm
 from .model import Problem
-from .operators import (Linearization, combined_operator, gram_inverse, host_operator,
-                        tridiagonal_solve)
+from .operators import (Linearization, TridiagonalLU, combined_operator, gram_inverse,
+                        host_operator)
 
 DEFAULT_TOL = 1e-10
 # absolute bisection tolerance: LAPACK's default, eps_mach times the matrix's
@@ -84,7 +84,7 @@ def principal_eigenpair(
     applications (``iterations``); a LAPACK failure yields ``converged=False``.
     """
     grid = op.engine.grid
-    wg = grid.quad_weights * op.gain
+    wg = op.d
     if not np.any(wg > 0):
         raise SpectralError("operator gain is identically zero")
     k = 2 if with_second else 1
@@ -144,13 +144,15 @@ def _pencil_eigenvector(diag: np.ndarray, off: np.ndarray, share: np.ndarray,
     where S is tiny (about 3e16 at a support's end nodes): inverse iteration
     there, as in LAPACK's ``stein``, leaves residuals of eps_mach times that
     norm, 1e-11 in the certificate.  The pencil's entries stay bounded.  Two
-    steps of inverse iteration from the constant vector, shifted just below mu
-    so that no pivot is exactly zero (as it is for a single node), shrink the
-    other eigenvectors by about 1e-12 over the relative gap to the next mu each.
+    steps of inverse iteration from the constant vector, against one factor of
+    the pencil shifted just below mu so that no pivot is exactly zero (as it
+    is for a single node), shrink the other eigenvectors by about 1e-12 over
+    the relative gap to the next mu each.
     """
+    lu = TridiagonalLU(diag - (1.0 - 1e-12) * mu * share, off)
     u = np.ones(diag.size)
     for _ in range(2):
-        u = tridiagonal_solve(diag - (1.0 - 1e-12) * mu * share, off, share * u)
+        u = lu.solve(share * u)
         u /= np.max(np.abs(u))
     return u * np.sign(np.sum(u))
 

@@ -13,13 +13,14 @@ them), and PT' = PT'P, the derivative of the map restricted to R, the
 restriction the coupled solve runs on.  Everything below runs there.
 
 Shift-invert.  T' = K (D - U V^T), with K^-1 tridiagonal, D = diag(w g(a)) and
-a rank-2 U V^T (``operators.ShiftedSolve``), so (sigma I - T')^-1 costs one
+a rank-2 U V^T, all taken from one ``operators.Linearization``, which the
+shifted solve and the count below both read.  (sigma I - T')^-1 costs one
 product with K^-1, one tridiagonal solve against a factor computed once and a
-small Woodbury correction.  Arnoldi on it with sigma = ``SHIFT``, just above
-1, finds the eigenvalues nearest sigma.  Regular-mode Arnoldi on T' itself
-needs ever more applications as the top eigenvalues cluster below 1 at small
-eps (fig1: 142, 212 and 716 at eps = 2.5e-3, 1e-3 and 1e-4); shift-invert
-separates them (78, 80 and 92).
+small Woodbury correction (``operators.ShiftedSolve``).  Arnoldi on it with
+sigma = ``SHIFT``, just above 1, finds the eigenvalues nearest sigma.
+Regular-mode Arnoldi on T' itself needs ever more applications as the top
+eigenvalues cluster below 1 at small eps (fig1: 142, 212 and 716 at eps =
+2.5e-3, 1e-3 and 1e-4); shift-invert separates them (78, 80 and 92).
 
 Certificate.  The eigenvalues nearest sigma need not be those of largest
 modulus.  By the matrix determinant lemma det(lambda I - T') is det(K) times
@@ -30,12 +31,13 @@ pencil (D, K^-1) above r (the positive eigenvalues of the tridiagonal
 D - r K^-1, Sylvester's inertia, counted exactly by LAPACK ``stebz``) minus
 the winding number of f on the circle.  The pencil count is exact; the
 winding number is read from samples of f.  f(conj z) = conj f(z), so only
-the upper half-circle is sampled.  Each sample is one complex tridiagonal
-solve with the columns of U and V as right-hand sides, which gives f and the
-rate at which its argument turns.  Gaps between samples are halved until f's
-argument moves by at most ``MAX_ARGUMENT_STEP`` across each, and by that step
-to within ``RATE_TOLERANCE`` of the trapezoid rule on the rates at its ends: a
-turn of 2 pi between two samples would pass the first test alone.  A value of
+the upper half-circle is sampled.  Each sample factors the complex
+tridiagonal lambda K^-1 - D (``operators.TridiagonalLU``) and solves it with
+the columns of U and V as right-hand sides, which gives f and the rate at
+which its argument turns.  Gaps between samples are halved until f's argument
+moves by at most ``MAX_ARGUMENT_STEP`` across each, and by that step to within
+``RATE_TOLERANCE`` of the trapezoid rule on the rates at its ends: a turn of
+2 pi between two samples would pass the first test alone.  A value of
 f that is 0 or not finite, or ``MAX_SAMPLES`` samples, leaves the count
 undecided.
 
@@ -63,7 +65,7 @@ from scipy.linalg.lapack import dstebz
 
 from .grid import Field
 from .model import Problem
-from .operators import Linearization, ShiftedSolve, tridiagonal_solve, update_map
+from .operators import Linearization, ShiftedSolve, TridiagonalLU, update_map
 
 EIGENVALUE_COUNT = 20
 STABILITY_MARGIN = 1e-9
@@ -121,19 +123,13 @@ class StabilityReport:
 def eigenvalue_count(lin: Linearization, radius: float) -> EigenvalueCount:
     """The number of eigenvalues of the derivative ``lin`` outside |lambda| = radius,
     as the pencil count minus the winding number of f (module docstring)."""
-    w = lin.engine.weights
-    diag, off = lin.engine.inverse
-    d = w * lin.gain
     # the positive eigenvalues of D - r K^-1, from the Sturm counts at the ends
     # of (0, bound]: the tolerance spans the interval, so nothing is bisected
-    b_diag, b_off = d - radius * diag, -radius * off
+    b_diag, b_off = (-t for t in lin.shifted(radius))
     bound = 1.0 + np.abs(b_diag).max() + 2.0 * np.abs(b_off).max(initial=0.0)
     pencil, *_, info = dstebz(b_diag, b_off, 1, 0.0, bound, 0, 0, bound, "E")
-    u = w * lin.rows
-    m = len(u)
-    eye = np.eye(m)
     # the columns of U, then of V
-    rhs = np.vstack((u, lin.beta_rows)).T.astype(complex)
+    rhs = np.vstack((lin.u, lin.beta_rows)).T
 
     def f(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f at r e^(i theta), and the rate d(arg f)/d(theta) = Re(lambda f'/f).
@@ -144,11 +140,10 @@ def eigenvalue_count(lin: Linearization, radius: float) -> EigenvalueCount:
         """
         values, rates = np.empty(theta.size, complex), np.empty(theta.size)
         for i, lam in enumerate(radius * np.exp(1j * theta)):
-            xy = tridiagonal_solve(lam * diag - d, lam * off, rhs)
-            x, y = xy[:, :m], xy[:, m:]
-            s = eye + lin.beta_rows @ x
+            x, y = np.hsplit(TridiagonalLU(*lin.shifted(lam)).solve(rhs), 2)
+            s = np.eye(len(lin.u)) + lin.beta_rows @ x
             values[i] = np.linalg.det(s)
-            rates[i] = -np.trace(np.linalg.solve(s, y.T @ (u.T + d[:, None] * x))).real
+            rates[i] = -np.trace(np.linalg.solve(s, y.T @ (lin.u.T + lin.d[:, None] * x))).real
         return values, rates
 
     theta = np.linspace(0.0, np.pi, INITIAL_SAMPLES)
@@ -234,8 +229,7 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
         pad = np.setdiff1d(np.arange(n), nodes)[: k + 2 - nodes.size]
         nodes = np.union1d(nodes, pad)
         sub = tmap.restricted(nodes)
-    a = a[nodes]
-    lin = sub.linearization(a)
+    lin = sub.linearization(a[nodes])
     # seeded, because ARPACK's own start vector does not repeat within a process
     v0 = (1.0 + np.random.default_rng(0).random(n))[nodes]
     applications = 0
@@ -247,17 +241,14 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
             return apply(y)
         return LinearOperator(lin.shape, matvec=matvec, dtype=float)
 
-    def shift_invert() -> np.ndarray:
-        shifted = ShiftedSolve(sub, a, SHIFT)
-        return eigs(lin, k=k + 1, sigma=SHIFT, OPinv=counted(lambda y: -shifted.solve(y)),
-                    v0=v0, tol=0, return_eigenvectors=False)
-
     fallback, count = None, None
     if nodes.size < k + 3:
         fallback = f"{nodes.size} nodes, fewer than the {k + 3} shift-invert runs on"
     else:
         try:
-            eig = _by_modulus(shift_invert())
+            shifted = ShiftedSolve(lin, SHIFT)
+            eig = _by_modulus(eigs(lin, k=k + 1, sigma=SHIFT, v0=v0, tol=0, return_eigenvectors=False,
+                                   OPinv=counted(lambda y: -shifted.solve(y))))
             radius, expected = _circle(np.abs(eig), k)
             count = eigenvalue_count(lin, radius)
         except LinAlgError as exc:

@@ -49,6 +49,14 @@ def fig2_state(fig2_problem):
 
 
 @pytest.fixture(scope="session")
+def fig3_tight(fig3):
+    """fig3 at eps = 2.5e-3 and its steady state: overlapping supports, and a
+    conjugate pair (0.815178 +- 0.000195i) among the top 20 eigenvalues."""
+    problem = build_problem(fig3, 2.5e-3)
+    return problem, solve_coupled(problem).A
+
+
+@pytest.fixture(scope="session")
 def coarse_problem(fig1):
     """Small grid for dense-matrix comparisons."""
     return build_problem(fig1, 0.05, n=512)

@@ -1,6 +1,9 @@
 """The convolution, linear operators, nonlinear maps and the derivative."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
+import mutsel
 from mutsel.grid import Field, TraitGrid, inner, l1_norm
 from mutsel.model import MutationKernel, build_problem, preset
 from mutsel.operators import (
@@ -18,7 +22,6 @@ from mutsel.operators import (
     gram_inverse,
     host_map,
     host_operator,
-    tridiagonal_solve,
     update_map,
 )
 from oracles import (dense_derivative, dense_matrix, kernel_matrix, kernel_samples, mass_bound,
@@ -181,39 +184,56 @@ class TestTridiagonalEngine:
 
 
 @pytest.mark.parametrize("m", [1, 2, 40])
-def test_tridiagonal_solve_matches_dense(m):
-    rng = np.random.default_rng(m)
-    diag, off = 4.0 + rng.random(m), rng.standard_normal(m - 1)
-    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 1)), rng.standard_normal((m, 5))):
-        want = np.linalg.solve(matrix, rhs)
-        got = tridiagonal_solve(diag, off, rhs)
-        assert got.shape == rhs.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("diag, off", [([0.0], []), ([1.0, 1.0], [1.0])])
-def test_tridiagonal_solve_raises_on_a_singular_matrix(diag, off):
-    with pytest.raises(LinAlgError):
-        tridiagonal_solve(np.array(diag), np.array(off), np.ones(len(diag)))
-
-
-@pytest.mark.parametrize("m", [1, 2, 40])
-@pytest.mark.parametrize("kind", ["definite", "indefinite"])
+@pytest.mark.parametrize("kind", ["definite", "indefinite", "complex", "singular"])
 def test_tridiagonal_lu_solves_many_right_hand_sides(m, kind):
     # L D L^T without pivoting for a real positive definite matrix, pivoted LU
-    # otherwise; one factor, then solves with one and with several columns
+    # otherwise, complex symmetric ones included; one factor, then solves with
+    # one and with several columns.  A singular matrix fails to factor.
     rng = np.random.default_rng(m)
     diag, off = 4.0 + rng.random(m), rng.standard_normal(m - 1)
     if kind == "indefinite":
         diag[m // 2] = -4.0
+    if kind == "complex":
+        diag, off = diag + 1j * rng.standard_normal(m), off * (1.0 - 0.5j)
+    if kind == "singular":
+        # [0], and [[1, 1], [1, 1]] decoupled from the rest
+        diag[:2], off[:2] = ([0.0], []) if m == 1 else ([1.0, 1.0], [1.0, 0.0][: m - 1])
+        with pytest.raises(LinAlgError):
+            TridiagonalLU(diag, off)
+        return
     matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     lu = TridiagonalLU(diag, off)
-    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+    rhs_list = [rng.standard_normal(m), rng.standard_normal((m, 1)), rng.standard_normal((m, 5))]
+    if kind == "complex":
+        rhs_list.append(rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))
+    for rhs in rhs_list:
         want = np.linalg.solve(matrix, rhs)
         got = lu.solve(rhs)
         assert got.shape == rhs.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_tridiagonal_lu_rejects_a_complex_right_hand_side_on_a_real_factor():
+    # LAPACK's real solve would keep only the real part, with a ComplexWarning
+    lu = TridiagonalLU(np.full(4, 4.0), np.ones(3))
+    with pytest.raises(TypeError):
+        lu.solve(np.ones(4) + 1j)
+
+
+def test_only_operators_calls_lapack_tridiagonal_routines():
+    # TridiagonalLU (and the convolution's closed-form factor) is the one
+    # home of tridiagonal factors and solves: no other module names a LAPACK
+    # gtsv, gttrf, gttrs, pttrf or pttrs, by import, attribute or the string
+    # get_lapack_funcs takes
+    routine = re.compile(r"[sdcz]?(gtsv|gttrf|gttrs|pttrf|pttrs)")
+    users = set()
+    for path in Path(mutsel.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("name", "attr", "id", "value"):
+                name = getattr(node, field, None)
+                if isinstance(name, str) and routine.fullmatch(name.rsplit(".", 1)[-1]):
+                    users.add(path.name)
+    assert users == {"operators.py"}
 
 
 # session problem for hypothesis (fixtures cannot feed @given directly)
@@ -381,17 +401,25 @@ class TestDerivative:
         assert np.sum(g.quad_weights * np.abs(lhs - f)) < 1e-10 * np.sum(g.quad_weights * np.abs(f))
 
     @pytest.mark.parametrize("sigma", [1.001, 0.9, 2.5])
-    def test_shifted_solve_inverts_the_shifted_derivative(self, fig1_problem, fig1_state, sigma):
+    def test_shifted_solve_inverts_the_shifted_derivative(self, fig1_problem, fig1_state,
+                                                          fig3_tight, sigma):
         # factored once, each solve x has (sigma I - T'(a)) x = y, also where
-        # sigma K^-1 - D is indefinite (sigma below the pencil's top, 1)
-        tmap = update_map(fig1_problem)
-        a = fig1_state.A.values
-        solve = ShiftedSolve(tmap, a, sigma)
-        lin = tmap.linearization(a)
-        for seed in (5, 6):
-            y = _random_density(fig1_problem.grid, seed).values - 0.5
-            x = solve.solve(y)
-            assert np.max(np.abs(sigma * x - lin.matvec(x) - y)) < 1e-11 * np.max(np.abs(y))
+        # sigma K^-1 - D is indefinite (sigma below the pencil's top, 1): at
+        # fig1's and fig3's steady states (overlapping supports), at a density
+        # off the fixed point, and at one with a single local maximum, where
+        # the second host's shift lands off a peak
+        g = fig1_problem.grid
+        one_peak = 1.0 / (1.0 + ((g.nodes - g.nodes[g.n // 3]) / 0.2) ** 2)
+        top = int(np.argmax(one_peak))
+        assert np.all(np.diff(one_peak[: top + 1]) > 0) and np.all(np.diff(one_peak[top:]) < 0)
+        for problem, a in ((fig1_problem, fig1_state.A.values), (fig3_tight[0], fig3_tight[1].values),
+                           (fig1_problem, _random_density(g, 7).values), (fig1_problem, one_peak)):
+            lin = update_map(problem).linearization(a)
+            solve = ShiftedSolve(lin, sigma)
+            for seed in (5, 6):
+                y = _random_density(problem.grid, seed).values - 0.5
+                x = solve.solve(y)
+                assert np.max(np.abs(sigma * x - lin.matvec(x) - y)) < 1e-11 * np.max(np.abs(y))
 
     def test_newton_direction_on_one_node(self, fig1_problem):
         # a one-node engine has no off-diagonal; I - T'(a) is then a scalar

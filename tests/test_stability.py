@@ -108,14 +108,6 @@ class TestStabilityReport:
         assert rep.certificate is None and not rep.certified
 
 
-@pytest.fixture(scope="module")
-def fig3_tight():
-    """fig3 at eps = 2.5e-3 and its steady state: overlapping supports, and a
-    conjugate pair (0.815178 +- 0.000195i) among the top 20 eigenvalues."""
-    problem = build_problem(preset("fig3"), 2.5e-3)
-    return problem, solve_coupled(problem).A
-
-
 def _on_read_nodes(problem, A):
     """The derivative the report's Arnoldi runs on, and the report's start vector there."""
     tmap = update_map(problem)
