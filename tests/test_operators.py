@@ -184,6 +184,20 @@ class TestTridiagonalEngine:
 
 
 @pytest.mark.parametrize("m", [1, 2, 40])
+def test_tridiagonal_solve_matches_dense(m):
+    # a factor made for one solve, with a right-hand side of shape (m,),
+    # (m, 1) or (m, 5), gives the dense solution in that shape
+    rng = np.random.default_rng(m)
+    diag, off = 4.0 + rng.random(m), rng.standard_normal(m - 1)
+    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    for rhs in (rng.standard_normal(m), rng.standard_normal((m, 1)), rng.standard_normal((m, 5))):
+        want = np.linalg.solve(matrix, rhs)
+        got = TridiagonalLU(diag, off).solve(rhs)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 40])
 @pytest.mark.parametrize("kind", ["definite", "indefinite", "complex", "singular"])
 def test_tridiagonal_lu_solves_many_right_hand_sides(m, kind):
     # L D L^T without pivoting for a real positive definite matrix, pivoted LU
