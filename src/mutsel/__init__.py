@@ -16,9 +16,9 @@ from .model import (
     scale_kernel,
 )
 from .spectral import SpectralResult, solve_combined_spectrum, solve_host_spectrum
-from .equilibrium import EquilibriumState, solve_coupled, solve_uncoupled
+from .equilibrium import EquilibriumState, SystemState, solve_coupled, solve_uncoupled
 from .stability import StabilityReport, stability_report
-from .dynamics import SystemState, integrate as integrate_dynamics
+from .dynamics import integrate as integrate_dynamics
 
 __version__ = "0.1.0"
 

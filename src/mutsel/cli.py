@@ -257,30 +257,30 @@ def cmd_equilibrium(args) -> int:
     sup = eq.superposition_error(problem, state.A)
     pin = eq.mu_pinning_check(problem, state)
     low = eq.lower_bound_check(problem, state)
-    row = eq.concentration_row(problem, state)
+    summary = eq.summarize(state)
 
     write_csv(
         outdir / "equilibrium_fields.csv",
         "fields",
         ["x", "A", "I1", "I2"],
-        np.column_stack((problem.grid.nodes, state.A.values, state.I1.values, state.I2.values)),
+        np.column_stack((problem.grid.nodes, state.A.values, *(i.values for i in state.I))),
     )
     diagnostics = {
         "classification": state.classification,
         "residual": state.residual,
         "iterations": state.iterations,
         "restarts": state.restarts,
-        "S1": state.S1,
-        "S2": state.S2,
-        "mu1": state.mu1,
-        "mu2": state.mu2,
+        "S1": summary.S[0],
+        "S2": summary.S[1],
+        "mu1": float(state.mu[0]),
+        "mu2": float(state.mu[1]),
         "masses": {
-            "I1": row.i1_mass,
-            "I2": row.i2_mass,
-            "A": row.a_mass,
-            "xA": row.a_first_moment,
+            "I1": summary.infected_mass[0],
+            "I2": summary.infected_mass[1],
+            "A": summary.a_mass,
+            "xA": summary.a_first_moment,
         },
-        "a_argmax": row.a_argmax,
+        "a_argmax": summary.a_argmax,
         "multistart_spread": spread,
         "superposition": vars(sup),
         "pinning": [vars(p) for p in pin],
@@ -295,8 +295,8 @@ def cmd_equilibrium(args) -> int:
     write_json(outdir / "equilibrium.json", diagnostics)
     write_manifest(outdir, args, source)
     print(
-        f"classification={state.classification} A_mass={row.a_mass:.6g} "
-        f"argmax={row.a_argmax:.4g}"
+        f"classification={state.classification} A_mass={summary.a_mass:.6g} "
+        f"argmax={summary.a_argmax:.4g}"
     )
     return 0
 
@@ -306,9 +306,8 @@ def _sweep_entry(payload):
     problem = mdl.build_problem(mp, eps, n=n)
     state = eq.solve_coupled(problem, tol=tol)
     sup = eq.superposition_error(problem, state.A)
-    row = eq.concentration_row(problem, state)
     targets = eq.concentration_targets(problem)
-    return row, sup, state.converged, targets, problem.assumption_warnings
+    return eq.summarize(state), sup, state.converged, targets, problem.assumption_warnings
 
 
 def cmd_sweep(args) -> int:
@@ -322,12 +321,10 @@ def cmd_sweep(args) -> int:
     sup_rows = []
     failures = 0
     targets = results[-1][3]
-    for row, sup, converged, *_ in results:
-        conv_rows.append(
-            [row.eps, row.s1, row.s2, row.i1_mass, row.i2_mass, row.a_mass,
-             row.a_first_moment, row.a_argmax, converged]
-        )
-        sup_rows.append([row.eps, sup.e_total, sup.e_sigma1, sup.e_sigma2, sup.e_complement])
+    for (_, eps, *_), (s, sup, converged, *_) in zip(payloads, results):
+        conv_rows.append([eps, *s.S, *s.infected_mass, s.a_mass, s.a_first_moment,
+                          s.a_argmax, converged])
+        sup_rows.append([eps, sup.e_total, sup.e_sigma1, sup.e_sigma2, sup.e_complement])
         failures += 0 if converged else 1
     header = ["epsilon", "S1", "S2", "I1_mass", "I2_mass", "A_mass", "A_first_moment",
               "A_argmax", "converged"]
@@ -383,14 +380,13 @@ def cmd_dynamics(args) -> int:
         outdir / "trajectory.csv",
         "trajectory",
         ["t", "S1", "S2", "I1_mass", "I2_mass", "A_mass", "A_argmax"],
-        [[s.t, s.s1, s.s2, s.i1_mass, s.i2_mass, s.a_mass, s.a_argmax]
-         for s in traj.samples],
+        [[t, *s.S, *s.infected_mass, s.a_mass, s.a_argmax] for t, s in traj.samples],
     )
     dist = l1_norm(traj.terminal.A - state.A)
     write_json(
         outdir / "dynamics_summary.json",
         {
-            "terminal_time": traj.terminal.t,
+            "terminal_time": traj.t_end,
             "terminal_a_mass": l1_norm(traj.terminal.A),
             "distance_to_equilibrium": dist,
             "equilibrium_classification": state.classification,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import Field
 from .model import Problem
-from .equilibrium import default_start
+from .equilibrium import Summary, SystemState, default_start, summarize
 from .operators import update_map
 
 NEGATIVE_SLACK = 1e-12
@@ -33,30 +33,10 @@ class DynamicsError(RuntimeError):
 
 
 @dataclass
-class SystemState:
-    t: float
-    S1: float
-    S2: float
-    I1: Field
-    I2: Field
-    A: Field
-
-
-@dataclass
-class TrajectorySample:
-    t: float
-    s1: float
-    s2: float
-    i1_mass: float
-    i2_mass: float
-    a_mass: float
-    a_argmax: float
-
-
-@dataclass
 class Trajectory:
-    samples: list[TrajectorySample]
+    samples: list[tuple[float, Summary]]  # (t, summary) at t = 0, each mark and t_end
     terminal: SystemState
+    t_end: float
     clip_events: int
     steps: int  # accepted steps
     method: str
@@ -70,22 +50,16 @@ def disease_free_state(problem: Problem, *, bump: float = 0.0) -> SystemState:
     ``bump`` scales a unit-mass positive density supported on both fitness
     supports; 0 gives the exact disease-free state.
     """
-    mp = problem.mp
-    grid = problem.grid
-    zero = np.zeros(grid.n)
-    vals = bump * default_start(problem).values
+    mp, grid = problem.mp, problem.grid
     return SystemState(
-        t=0.0,
-        S1=mp.hosts[0].xi * mp.lambda_ / mp.theta,
-        S2=mp.hosts[1].xi * mp.lambda_ / mp.theta,
-        I1=Field(grid, zero.copy(), is_density=True),
-        I2=Field(grid, zero.copy(), is_density=True),
-        A=Field(grid, vals, is_density=True),
+        S=np.array([host.xi * mp.lambda_ / mp.theta for host in mp.hosts]),
+        I=tuple(Field(grid, np.zeros(grid.n), is_density=True) for _ in mp.hosts),
+        A=Field(grid, bump * default_start(problem).values, is_density=True),
     )
 
 
 class _System:
-    """Right-hand side on the packed state y = (S1, S2, I1 and I2 on their nodes, A).
+    """Right-hand side on the packed state y = (S, each I_k on its nodes, A).
 
     Nodes k are those where beta_k or the start's I_k is nonzero, as in
     ``UpdateMap.read_nodes``. Off them dI_k/dt = -(theta + d_k) I_k keeps I_k at
@@ -98,7 +72,7 @@ class _System:
         self.tmap = update_map(problem)
         self.influx = np.array([h.xi * mp.lambda_ for h in mp.hosts])
         self.host_nodes = [np.flatnonzero((hd.beta.values != 0) | (i.values != 0))
-                           for hd, i in zip(problem.derived, (init.I1, init.I2))]
+                           for hd, i in zip(problem.derived, init.I)]
         # the node of each packed I entry, and the traits there
         self.nodes = np.concatenate(self.host_nodes)
         beta, d, self.r = (
@@ -107,7 +81,7 @@ class _System:
             for name in ("beta", "d", "r"))
         self.loss = mp.theta + d
         m1, m = self.host_nodes[0].size, self.nodes.size
-        # beta_k in host k's column, so that host_beta @ (S1, S2) is beta_k S_k
+        # beta_k in host k's column, so that host_beta @ S is beta_k S_k
         self.host_beta = np.zeros((m, 2))
         self.host_beta[:m1, 0], self.host_beta[m1:, 1] = beta[:m1], beta[m1:]
         self.infected = slice(2, 2 + m)
@@ -115,16 +89,16 @@ class _System:
         self.evals = 0
 
     def pack(self, state: SystemState) -> np.ndarray:
-        return np.concatenate(([state.S1, state.S2], state.I1.values[self.host_nodes[0]],
-                               state.I2.values[self.host_nodes[1]], state.A.values))
+        return np.concatenate((state.S, *(i.values[nodes] for i, nodes in
+                                          zip(state.I, self.host_nodes)), state.A.values))
 
-    def unpack(self, t: float, y: np.ndarray) -> SystemState:
+    def unpack(self, y: np.ndarray) -> SystemState:
         """The full-grid fields of a packed state, or of its derivative."""
         infected = np.zeros((2, self.n))
         for row, nodes, part in zip(infected, self.host_nodes, self.slices):
             row[nodes] = y[part]
-        fields = (Field(self.grid, v) for v in (*infected, y[self.slices[2]].copy()))
-        return SystemState(t, float(y[0]), float(y[1]), *fields)
+        return SystemState(y[:2].copy(), tuple(Field(self.grid, v) for v in infected),
+                           Field(self.grid, y[self.slices[2]].copy()))
 
     def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # dS_k/dt = xi_k Lambda - theta S_k (1 + theta^-1 int beta_k a),
@@ -264,12 +238,12 @@ def integrate(
     method: str = "dop853",
     sample_every: int = 100,
 ) -> Trajectory:
-    """Integrate from ``init`` to ``init.t + round(t_end/dt)*dt``.
+    """Integrate from ``init`` at t = 0 to ``round(t_end/dt)*dt``.
 
     rk4 takes fixed steps of ``dt``. dop853 starts with ``dt`` and adapts
     the step to RTOL and ATOL, by the factor 0.9*err^(-1/8) clamped to
     [0.2, 10]. Both methods land exactly on the sample times
-    ``init.t + k*sample_every*dt`` and on the end time. Negative
+    ``k*sample_every*dt`` and on the end time. Negative
     undershoots within a tiny slack are clipped to zero and counted; larger
     ones, a blow-up past 1e12, a dop853 step below 1e-14*max(1, |t|) and more
     than max(MAX_RHS_EVALS, 4*round(t_end/dt)) right-hand-side evaluations
@@ -283,7 +257,7 @@ def integrate(
     step = STEPPERS[method]
     sys = _System(problem, init)
     y = sys.pack(init)
-    t = init.t
+    t = 0.0
     _check_bounded(y, t)
     f = None  # rhs(y) once computed
     n_steps = int(round(t_end / dt))
@@ -292,9 +266,9 @@ def integrate(
     h = dt
     accepted = rejected = clip_events = 0
     may_grow = True
-    samples = [_sample(sys, t, y)]
+    samples = [(t, summarize(init))]
     for mark in marks:
-        target = init.t + mark * dt
+        target = mark * dt
         while t < target:
             if sys.evals > budget:
                 raise DynamicsError(
@@ -334,10 +308,12 @@ def integrate(
                 y[negative] = 0.0
                 f = None
             _check_bounded(y, t)
-        samples.append(_sample(sys, t, y))
+        end = sys.unpack(y)
+        samples.append((t, summarize(end)))
     return Trajectory(
         samples=samples,
-        terminal=sys.unpack(t, y),
+        terminal=end,
+        t_end=t,
         clip_events=clip_events,
         steps=accepted,
         method=method,
@@ -350,10 +326,3 @@ def _check_bounded(y: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(y)) or np.abs(y).max() > BLOWUP_NORM:
         raise DynamicsError(f"solution blew up at t={t:.6g}")
 
-
-def _sample(sys: _System, t: float, y: np.ndarray) -> TrajectorySample:
-    w, a = sys.grid.quad_weights, y[sys.slices[2]]
-    masses = (float(np.sum(w[nodes] * np.abs(y[part])))
-              for nodes, part in zip((*sys.host_nodes, slice(None)), sys.slices))
-    return TrajectorySample(t, float(y[0]), float(y[1]), *masses,
-                            float(sys.grid.nodes[int(np.argmax(a))]))

@@ -60,23 +60,27 @@ def solve_uncoupled(problem: Problem, k: int) -> Field:
 # coupled problem
 
 @dataclass
-class EquilibriumState:
+class SystemState:
+    """A state of the model: healthy tissue S, an array indexed by host k - 1,
+    the infected densities I, one ``Field`` per host, and the spore density A."""
+
+    S: np.ndarray
+    I: tuple[Field, Field]
     A: Field
-    S1: float
-    S2: float
-    I1: Field
-    I2: Field
-    mu1: float
-    mu2: float
+
+
+@dataclass
+class EquilibriumState(SystemState):
+    """A steady state, with mu_k = theta + int(beta_k A) indexed as S is, and the
+    balance residual, class and counters of the solve that found it."""
+
+    mu: np.ndarray
     residual: float
-    classification: str  # "disease_free" | "endemic"
+    classification: str  # "disease_free" | "endemic" | "non_converged"
     iterations: int = 0
     restarts: int = 0
     converged: bool = True
     residual_history: list[float] = field(default_factory=list)
-
-    def mu(self, k: int) -> float:
-        return self.mu1 if k == 1 else self.mu2
 
 
 def default_start(problem: Problem) -> Field:
@@ -219,27 +223,12 @@ def reconstruct(problem: Problem, A: Field) -> EquilibriumState:
     """
     mp = problem.mp
     tmap = update_map(problem)
-    mus = mp.theta * tmap.denominators(A.values)
-    ss = []
-    infected = []
-    for k, mu in zip((1, 2), mus):
-        hd = problem.host(k)
-        s = mp.hosts[k - 1].xi * mp.lambda_ / mu
-        ik = hd.beta.values * s * A.values / (mp.theta + hd.d.values)
-        ss.append(s)
-        infected.append(Field(problem.grid, ik, is_density=True))
+    mu = mp.theta * tmap.denominators(A.values)
+    S = np.array([host.xi for host in mp.hosts]) * mp.lambda_ / mu
+    I = tuple(Field(problem.grid, hd.beta.values * s * A.values / (mp.theta + hd.d.values),
+                    is_density=True) for hd, s in zip(problem.derived, S))
     residual = mp.delta * l1_norm(A - Field(problem.grid, tmap.apply_values(A.values)))
-    return EquilibriumState(
-        A=A,
-        S1=float(ss[0]),
-        S2=float(ss[1]),
-        I1=infected[0],
-        I2=infected[1],
-        mu1=float(mus[0]),
-        mu2=float(mus[1]),
-        residual=residual,
-        classification=classify(problem, A),
-    )
+    return EquilibriumState(S, I, A, mu, residual, classify(problem, A))
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +310,25 @@ def concentration_targets(problem: Problem) -> ConcentrationTargets:
 
 
 @dataclass
-class ConcentrationRow:
-    eps: float
-    s1: float
-    s2: float
-    i1_mass: float
-    i2_mass: float
+class Summary:
+    """The scalars of a state: S_k and the infected mass int I_k per host, and
+    the mass, first moment and argmax of A, all Python floats."""
+
+    S: tuple[float, float]
+    infected_mass: tuple[float, float]
     a_mass: float
     a_first_moment: float
     a_argmax: float
 
 
-def concentration_row(problem: Problem, state: EquilibriumState) -> ConcentrationRow:
-    x = Field(problem.grid, problem.grid.nodes)
-    return ConcentrationRow(
-        eps=problem.eps,
-        s1=state.S1,
-        s2=state.S2,
-        i1_mass=integrate(state.I1),
-        i2_mass=integrate(state.I2),
+def summarize(state: SystemState) -> Summary:
+    grid = state.A.grid
+    return Summary(
+        S=tuple(state.S.tolist()),
+        infected_mass=tuple(integrate(i) for i in state.I),
         a_mass=integrate(state.A),
-        a_first_moment=inner(x, state.A),
-        a_argmax=float(problem.grid.nodes[int(np.argmax(state.A.values))]),
+        a_first_moment=inner(Field(grid, grid.nodes), state.A),
+        a_argmax=float(grid.nodes[int(np.argmax(state.A.values))]),
     )
 
 
@@ -365,8 +351,8 @@ def mu_pinning_check(problem: Problem, state: EquilibriumState) -> list[PinningR
     if state.classification != "endemic":
         return []
     reports = []
-    for k in (1, 2):
-        ratio = state.mu(k) / problem.mp.theta
+    for k, mu in enumerate(state.mu.tolist(), start=1):
+        ratio = mu / problem.mp.theta
         lam = problem.host_spectra[k - 1].lambda1
         gap = ratio - lam
         reports.append(

@@ -117,8 +117,10 @@ class TraitExpression:
             # an overflow or the log of a nonpositive value gives inf or nan
             # silently; build_problem rejects those with a message of its own
             with np.errstate(all="ignore"):
-                out = eval(self._code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
-            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+                out = np.asarray(eval(self._code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x}))
+            if np.iscomplexobj(out):  # a cast to float would drop the imaginary part
+                raise TypeError("complex values")
+            return np.broadcast_to(out.astype(float, copy=False), x.shape).copy()
         except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
             raise ModelError(f"trait expression {self.expr!r} failed: {exc}") from exc
 

@@ -26,11 +26,11 @@ from mutsel.model import build_problem, preset, scale_kernel
 from mutsel.operators import ConvolutionEngine, host_operator, update_map
 from mutsel.spectral import principal_eigenpair, solve_combined_spectrum, solve_host_spectrum
 from mutsel.equilibrium import (
-    concentration_row,
     concentration_targets,
     lower_bound_check,
     mu_pinning_check,
     solve_coupled,
+    summarize,
     superposition_error,
 )
 from mutsel.stability import stability_report
@@ -114,13 +114,13 @@ def test_criterion_2_threshold_dichotomy(fig1, fig1_small):
 def test_criterion_3_concentration_limits(fig1_small):
     problem, state = fig1_small
     t0 = time.perf_counter()
-    row = concentration_row(problem, state)
+    row = summarize(state)
     targets = concentration_targets(problem)
     pairs = [
-        ("S1", row.s1, targets.s[0]),
-        ("S2", row.s2, targets.s[1]),
-        ("I1 mass", row.i1_mass, targets.infected_mass[0]),
-        ("I2 mass", row.i2_mass, targets.infected_mass[1]),
+        ("S1", row.S[0], targets.s[0]),
+        ("S2", row.S[1], targets.s[1]),
+        ("I1 mass", row.infected_mass[0], targets.infected_mass[0]),
+        ("I2 mass", row.infected_mass[1], targets.infected_mass[1]),
         ("A mass", row.a_mass, targets.a_mass),
         ("A first moment", row.a_first_moment, targets.a_first_moment),
     ]
@@ -282,12 +282,12 @@ def test_criterion_11_property_suites(fig1):
     for padding in (None, 0.4):  # default padding is 0.2 at this width
         p = build_problem(fig1, 0.01, padding=padding)
         st = solve_coupled(p, tol=1e-12)
-        row = concentration_row(p, st)
+        row = summarize(st)
         lam1 = solve_host_spectrum(p, 1, tol=1e-12).lambda1
         lam2 = solve_host_spectrum(p, 2, tol=1e-12).lambda1
         scalars.append([
-            row.s1, row.s2, row.i1_mass, row.i2_mass, row.a_mass,
-            row.a_first_moment, row.a_argmax, st.mu1, st.mu2, lam1, lam2,
+            *row.S, *row.infected_mass, row.a_mass,
+            row.a_first_moment, row.a_argmax, *st.mu, lam1, lam2,
         ])
     drift = max(abs(x - y) for x, y in zip(*scalars))
     checks.append(("padding doubling drift < 1e-6", drift < 1e-6))

@@ -407,6 +407,12 @@ MALFORMED = {
                                    "--epsilon", "5e-2"],
     "infinite trait": lambda tmp: ["spectrum", *_config(tmp, beta="1e308*10 + x"),
                                    "--epsilon", "5e-2"],
+    # cast to float, these would keep their real parts: an endemic state, and
+    # a host 1 fitness that is identically zero
+    "complex trait": lambda tmp: ["equilibrium", "--epsilon", "5e-2", *_config(
+        tmp, beta="200*pos((x-0.2)*(0.6-x)) + 1e-3j")],
+    "imaginary trait": lambda tmp: ["equilibrium", *_config(tmp, beta="1j*x"),
+                                    "--epsilon", "5e-2"],
     "nan dt": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
                            "--dt", "nan"],
     "infinite t-end": lambda tmp: ["dynamics", "--preset", "fig1", "--epsilon", "5e-2",
@@ -657,6 +663,96 @@ def test_manifest_echoes_every_option(command, tmp_path):
     for name, value in options.items():
         want = str(Path(parsed[name]).resolve()) if name == "output_dir" else parsed[name]
         assert value == want, name
+
+
+MANIFEST_KEYS = {"command", "model.preset", "schema_version", "versions.mutsel",
+                 "versions.numpy", "versions.python", "versions.scipy"}
+STABILITY_KEYS = {
+    "eigensolve.certificate.pencil_count", "eigensolve.certificate.radius",
+    "eigensolve.certificate.samples", "eigensolve.certificate.winding",
+    "eigensolve.certified", "eigensolve.fallback", "eigensolve.mode",
+    "eigensolve.operator_applications", "eigenvalues[].im", "eigenvalues[].re",
+    "error_bound", "spectral_radius", "stable",
+}
+# each subcommand's run and its artifacts other than the manifest: the schema
+# and header lines of a CSV file, the key paths of a JSON file
+SCHEMA_RUNS = {
+    "spectrum": (["spectrum", "--host", "1", "--epsilon", "5e-2", "--epsilon", "2e-2"], {
+        "spectrum.csv": "# schema=mutsel.spectrum.v1\n"
+                        "epsilon,lambda1,lambda2,gap,residual,iterations,converged",
+        "spectrum_summary.json": {"assumption_warnings", "degenerate", "gap_exponent", "rows",
+                                  "schema_version"},
+    }),
+    "equilibrium": (["equilibrium", "--epsilon", "5e-2", "--starts", "2", "--stability"], {
+        "equilibrium_fields.csv": "# schema=mutsel.fields.v1\nx,A,I1,I2",
+        "equilibrium.json": {
+            "S1", "S2", "mu1", "mu2", "masses.A", "masses.I1", "masses.I2", "masses.xA",
+            "a_argmax", "assumption_warnings", "classification", "iterations", "restarts",
+            "residual", "multistart_spread", "schema_version",
+            "lower_bounds[].beta_mass", "lower_bounds[].bound", "lower_bounds[].host",
+            "lower_bounds[].ok", "pinning[].host", "pinning[].inequality_ok",
+            "pinning[].lambda1", "pinning[].mu_over_theta", "pinning[].pinned",
+            "pinning[].signed_gap", "superposition.e_complement", "superposition.e_sigma1",
+            "superposition.e_sigma2", "superposition.e_total",
+            *(f"stability.{key}" for key in STABILITY_KEYS),
+        },
+    }),
+    "sweep": (["sweep", "--epsilon", "5e-2", "--epsilon", "2e-2"], {
+        "concentration.csv": "# schema=mutsel.concentration.v1\n"
+                             "epsilon,S1,S2,I1_mass,I2_mass,A_mass,A_first_moment,A_argmax,"
+                             "converged",
+        "superposition.csv": "# schema=mutsel.superposition.v1\n"
+                             "epsilon,e_total,e_sigma1,e_sigma2,e_complement",
+        "targets.json": {
+            "S1", "S2", "I1_mass", "I2_mass", "A_mass", "A_first_moment",
+            "assumption_warnings", "schema_version", "extrapolated.A_argmax",
+            "extrapolated.S1", "extrapolated.S2", "extrapolated.I1_mass",
+            "extrapolated.I2_mass", "extrapolated.A_mass", "extrapolated.A_first_moment",
+        },
+    }),
+    "dynamics": (["dynamics", "--epsilon", "5e-2", "--t-end", "1"], {
+        "trajectory.csv": "# schema=mutsel.trajectory.v1\n"
+                          "t,S1,S2,I1_mass,I2_mass,A_mass,A_argmax",
+        "dynamics_summary.json": {
+            "assumption_warnings", "clip_events", "distance_to_equilibrium",
+            "equilibrium_classification", "method", "rejected_steps", "rhs_evals",
+            "schema_version", "steps", "terminal_a_mass", "terminal_time",
+        },
+    }),
+    "stability": (["stability", "--epsilon", "5e-2"], {
+        "stability.json": STABILITY_KEYS | {"assumption_warnings", "classification",
+                                            "is_fixed_point", "schema_version"},
+    }),
+}
+
+
+def _key_paths(doc, prefix: str = "") -> set[str]:
+    """The dotted key paths of a JSON document's leaves, ``name[].key`` for the
+    keys of the objects in a list; any other value is a leaf."""
+    if isinstance(doc, list) and doc and all(isinstance(d, dict) for d in doc):
+        return set().union(*(_key_paths(d, prefix + "[]") for d in doc))
+    if isinstance(doc, dict) and doc:
+        return set().union(*(_key_paths(v, f"{prefix}.{k}" if prefix else k)
+                             for k, v in doc.items()))
+    return {prefix}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMA_RUNS))
+def test_artifact_schema(command, outdir):
+    # the benchmark reads S1, S2, masses.A, iterations, distance_to_equilibrium,
+    # clip_events, steps, is_fixed_point, stable, spectral_radius and the
+    # columns of spectrum.csv: a renamed key fails here, not in the benchmark
+    argv, artifacts = SCHEMA_RUNS[command]
+    assert run([*argv, "--preset", "fig1", "--output-dir", str(outdir)]) == 0
+    options = {f"options.{o}" for o in CLI_SURFACE[command] - {"preset", "config", "scale_beta"}}
+    expected = {**artifacts, "manifest.json": MANIFEST_KEYS | options}
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(expected)
+    for name, keys in expected.items():
+        text = (outdir / name).read_text()
+        if name.endswith(".csv"):
+            assert "\n".join(text.splitlines()[:2]) == keys, name
+        else:
+            assert _key_paths(json.loads(text)) == keys, name
 
 
 def test_traced_names_resolve():

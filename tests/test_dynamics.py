@@ -27,21 +27,21 @@ def endemic_rk4(fig1_problem):
 
 def state_l1(a: SystemState, b: SystemState) -> float:
     """|dS1| + |dS2| plus the quadrature L1 norms of the three density differences."""
-    return abs(a.S1 - b.S1) + abs(a.S2 - b.S2) + sum(
-        l1_norm(x - y) for x, y in ((a.I1, b.I1), (a.I2, b.I2), (a.A, b.A))
+    return np.abs(a.S - b.S).sum() + sum(
+        l1_norm(x - y) for x, y in zip((*a.I, a.A), (*b.I, b.A))
     )
 
 
 def derivative(problem, state: SystemState) -> SystemState:
     """The time derivative of a state, read on the full grid through ``unpack``."""
     system = dyn._System(problem, state)
-    return system.unpack(state.t, system.rhs(system.pack(state)))
+    return system.unpack(system.rhs(system.pack(state)))
 
 
 def derivative_l1(problem, state: SystemState) -> float:
     """|dS1/dt| + |dS2/dt| plus the quadrature L1 norms of the density derivatives."""
     d = derivative(problem, state)
-    return abs(d.S1) + abs(d.S2) + sum(l1_norm(f) for f in (d.I1, d.I2, d.A))
+    return np.abs(d.S).sum() + sum(l1_norm(f) for f in (*d.I, d.A))
 
 
 def full_grid_derivative(problem, state: SystemState) -> tuple:
@@ -51,8 +51,8 @@ def full_grid_derivative(problem, state: SystemState) -> tuple:
     mp, w, a = problem.mp, problem.grid.quad_weights, state.A.values
     ds, di = [], []
     production = np.zeros(problem.grid.n)
-    for host, hd, s, i in zip(mp.hosts, problem.derived, (state.S1, state.S2),
-                              (state.I1.values, state.I2.values)):
+    for host, hd, s, i in zip(mp.hosts, problem.derived, state.S,
+                              (i.values for i in state.I)):
         ds.append(host.xi * mp.lambda_ - mp.theta * s - s * np.sum(w * hd.beta.values * a))
         di.append(hd.beta.values * s * a - (mp.theta + hd.d.values) * i)
         production += hd.r.values * i
@@ -65,8 +65,9 @@ def random_state(problem, seed: int) -> SystemState:
     rng = np.random.default_rng(seed)
     g = problem.grid
     i1, i2 = (rng.random(g.n) * (hd.beta.values > 0) for hd in problem.derived)
-    return SystemState(0.0, *rng.random(2), *(Field(g, v, is_density=True)
-                                              for v in (i1, i2, rng.random(g.n))))
+    s = rng.random(2)
+    return SystemState(s, tuple(Field(g, v, is_density=True) for v in (i1, i2)),
+                       Field(g, rng.random(g.n), is_density=True))
 
 
 class TestRhs:
@@ -75,24 +76,13 @@ class TestRhs:
         assert derivative_l1(fig1_problem, state) == 0.0
 
     def test_solver_equilibrium_nearly_stationary(self, fig1_problem, fig1_state):
-        state = SystemState(
-            t=0.0,
-            S1=fig1_state.S1,
-            S2=fig1_state.S2,
-            I1=fig1_state.I1,
-            I2=fig1_state.I2,
-            A=fig1_state.A,
-        )
-        assert derivative_l1(fig1_problem, state) < 1e-9
+        assert derivative_l1(fig1_problem, fig1_state) < 1e-9
 
     def test_pure_decay_without_infection(self, fig1_problem):
         g = fig1_problem.grid
         state = SystemState(
-            t=0.0,
-            S1=0.5,
-            S2=0.5,
-            I1=Field(g, np.zeros(g.n), is_density=True),
-            I2=Field(g, np.zeros(g.n), is_density=True),
+            S=np.array([0.5, 0.5]),
+            I=tuple(Field(g, np.zeros(g.n), is_density=True) for _ in range(2)),
             A=Field(g, np.full(g.n, 0.7), is_density=True),
         )
         da = derivative(fig1_problem, state).A.values
@@ -107,7 +97,7 @@ class TestRhs:
             host_nodes = dyn._System(problem, state).host_nodes
             assert (host_nodes[0][-1] >= host_nodes[1][0]) == overlap
             d = derivative(problem, state)
-            packed = (np.array([d.S1, d.S2]), d.I1.values, d.I2.values, d.A.values)
+            packed = (d.S, d.I[0].values, d.I[1].values, d.A.values)
             for got, want in zip(packed, full_grid_derivative(problem, state)):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -120,14 +110,14 @@ class TestHulls:
         g = fig1_problem.grid
         off = g.nodes < 0.1
         init = disease_free_state(fig1_problem, bump=1e-3)
-        init.I1 = Field(g, np.where(off, 0.5 + g.nodes, 0.0), is_density=True)
+        init.I = (Field(g, np.where(off, 0.5 + g.nodes, 0.0), is_density=True), init.I[1])
         assert dyn._System(fig1_problem, init).host_nodes[0][0] == 0
         traj = integrate(fig1_problem, init, 1.0, dt, method=method, sample_every=10**6)
         end = traj.terminal
         loss = fig1_problem.mp.theta + fig1_problem.host(1).d.values[off]
-        exact = init.I1.values[off] * np.exp(-loss * end.t)
-        assert np.max(np.abs(end.I1.values[off] / exact - 1.0)) < 1e-12
-        assert all(f.values.shape == (g.n,) for f in (end.I1, end.I2, end.A))
+        exact = init.I[0].values[off] * np.exp(-loss * traj.t_end)
+        assert np.max(np.abs(end.I[0].values[off] / exact - 1.0)) < 1e-12
+        assert all(f.values.shape == (g.n,) for f in (*end.I, end.A))
 
     def test_host_without_beta_or_infection_packs_no_nodes(self, fig1_problem):
         g = fig1_problem.grid
@@ -137,15 +127,15 @@ class TestHulls:
         assert dyn._System(problem, init).host_nodes[1].size == 0
         for method in ("rk4", "dop853"):
             end = integrate(problem, init, 0.1, 0.01, method=method).terminal
-            assert end.I2.values.shape == (g.n,) and not end.I2.values.any()
-            assert l1_norm(end.I1) > 0.0
+            assert end.I[1].values.shape == (g.n,) and not end.I[1].values.any()
+            assert l1_norm(end.I[0]) > 0.0
 
 
 class TestIntegrate:
     def test_constant_trajectory_from_equilibrium(self, fig1_problem):
         state = disease_free_state(fig1_problem)
         traj = integrate(fig1_problem, state, 1.0, 0.01, method="rk4", sample_every=10)
-        assert traj.terminal.S1 == pytest.approx(state.S1, abs=1e-12)
+        assert traj.terminal.S[0] == pytest.approx(state.S[0], abs=1e-12)
         assert l1_norm(traj.terminal.A) == 0.0
 
     @staticmethod
@@ -153,7 +143,7 @@ class TestIntegrate:
         problem = build_problem(fig1.scaled_beta(0.1), 0.02)
         init = disease_free_state(problem, bump=0.1)
         traj = integrate(problem, init, 60.0, 0.01, method=method, sample_every=500)
-        masses = [s.a_mass for s in traj.samples]
+        masses = [s.a_mass for _, s in traj.samples]
         assert masses[-1] < 1e-8
         assert all(b <= a + 1e-14 for a, b in zip(masses[1:], masses[2:]))
 
@@ -206,6 +196,12 @@ class TestIntegrate:
         assert adaptive.method == "dop853"
         assert adaptive.rhs_evals < fixed.rhs_evals / 2
 
+    def test_dop853_from_equilibrium_stays_there(self, fig1_problem, fig1_state):
+        # an EquilibriumState is a SystemState: the dynamics start from it as it is
+        end = integrate(fig1_problem, fig1_state, 1.0, 0.01, method="dop853").terminal
+        assert l1_norm(end.A - fig1_state.A) < 1e-12
+        assert np.abs(end.S - fig1_state.S).sum() < 1e-12
+
     def test_dop853_reaches_equilibrium(self, fig1_problem, fig1_state):
         # criterion 9's two assertions, under the adaptive stepper
         init = disease_free_state(fig1_problem, bump=1e-3)
@@ -219,8 +215,8 @@ class TestIntegrate:
         traj = integrate(fig1_problem, init, 1.03, 0.005, method=method, sample_every=40)
         # round(1.03 / 0.005) = 206 steps: marks every 40 steps, then the end
         marks = [0, 40, 80, 120, 160, 200, 206]
-        assert [s.t for s in traj.samples] == [k * 0.005 for k in marks]
-        assert traj.terminal.t == 206 * 0.005
+        assert [t for t, _ in traj.samples] == [k * 0.005 for k in marks]
+        assert traj.t_end == 206 * 0.005
 
     def test_dop853_step_underflow_raises(self, fig1_problem, monkeypatch):
         monkeypatch.setattr(dyn, "RTOL", 0.0)
@@ -232,7 +228,7 @@ class TestIntegrate:
     def test_samples_monotone_time(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
         traj = integrate(fig1_problem, init, 5.0, 0.01, sample_every=100)
-        times = [s.t for s in traj.samples]
+        times = [t for t, _ in traj.samples]
         assert times == sorted(times)
         assert times[-1] == pytest.approx(5.0, abs=1e-9)
 

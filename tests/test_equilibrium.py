@@ -19,7 +19,6 @@ from mutsel.operators import ConvolutionEngine, host_map, update_map
 from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
     SolverError,
-    concentration_row,
     concentration_targets,
     default_start,
     lower_bound_check,
@@ -27,6 +26,7 @@ from mutsel.equilibrium import (
     reconstruct,
     solve_coupled,
     solve_uncoupled,
+    summarize,
     superposition_error,
 )
 from oracles import dense_matrix, mass_bound
@@ -160,7 +160,7 @@ class TestCoupled:
             if lam > 1.0:
                 # every positive fixed point has max_k mu_k / theta >= lam; the
                 # zero state, a fixed point too, has 1
-                assert max(state.mu1, state.mu2) / problem.mp.theta > lam - 1e-6
+                assert state.mu.max() / problem.mp.theta > lam - 1e-6
             if rho in damped_iterations:
                 assert state.iterations < damped_iterations[rho]
 
@@ -297,18 +297,18 @@ class TestReconstruct:
     def test_disease_free_levels(self, fig1_problem):
         g = fig1_problem.grid
         state = reconstruct(fig1_problem, Field(g, np.zeros(g.n), is_density=True))
-        assert state.S1 == pytest.approx(0.5, rel=1e-12)
-        assert state.S2 == pytest.approx(0.5, rel=1e-12)
+        assert state.S[0] == pytest.approx(0.5, rel=1e-12)
+        assert state.S[1] == pytest.approx(0.5, rel=1e-12)
         assert state.classification == "disease_free"
 
     def test_solver_output_consistent(self, fig1_problem, fig1_state):
         redone = reconstruct(fig1_problem, fig1_state.A)
         assert redone.residual < 1e-9
-        assert redone.S1 == pytest.approx(fig1_state.S1, rel=1e-12)
+        assert redone.S[0] == pytest.approx(fig1_state.S[0], rel=1e-12)
 
     def test_mu_definition(self, fig1_problem, fig1_state):
         mu1 = fig1_problem.mp.theta + inner(fig1_problem.host(1).beta, fig1_state.A)
-        assert fig1_state.mu1 == pytest.approx(mu1, rel=1e-12)
+        assert fig1_state.mu[0] == pytest.approx(mu1, rel=1e-12)
 
 
 class TestDiagnostics:
@@ -378,7 +378,7 @@ class TestDiagnostics:
         assert t.infected_mass[1] == 0.0
 
     def test_concentration_row_consistency(self, fig1_problem, fig1_state):
-        row = concentration_row(fig1_problem, fig1_state)
+        row = summarize(fig1_state)
         assert row.a_mass == pytest.approx(l1_norm(fig1_state.A), rel=1e-12)
         assert 0.3 < row.a_argmax < 0.9
 
@@ -406,8 +406,8 @@ class TestReconstructResidual:
         for A in densities:
             state = reconstruct(problem, A)
             production = (
-                problem.host(1).r.values * state.I1.values
-                + problem.host(2).r.values * state.I2.values
+                problem.host(1).r.values * state.I[0].values
+                + problem.host(2).r.values * state.I[1].values
             )
             old = l1_norm(
                 Field(problem.grid, mp.delta * A.values - engine.convolve_values(production))

@@ -249,6 +249,13 @@ class TestTraitExpressions:
         with pytest.raises(ModelError, match="finite and nonnegative"):
             build_problem(ModelParams(1.0, 1.0, 1.0, hosts), 0.05)
 
+    @pytest.mark.parametrize("expr", ["1j*x", "200*pos((x-0.2)*(0.6-x)) + 1e-3j", "1j"])
+    def test_rejects_complex_values(self, expr):
+        # a cast to float would keep the real part and drop the rest
+        with pytest.raises(ModelError, match="complex") as exc:
+            TraitExpression(expr)(np.linspace(0.0, 1.0, 5))
+        assert repr(expr) in str(exc.value)
+
     def test_rejects_unknown_names(self):
         with pytest.raises(ModelError):
             TraitExpression("__import__('os').system('true')")
