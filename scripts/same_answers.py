@@ -5,8 +5,10 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and three more, which reach the sweep, fig3's
-multistart with its stability report, and rk4 dynamics on fig2, each run once
+(``bench/workloads.py``, seed 1) and five more, which reach the sweep, fig3's
+multistart with its stability report, rk4 dynamics on fig2, and the second
+eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
+near its threshold, each run once
 with each tree, in a fresh interpreter with one BLAS thread.  For every
 artifact, and for the command's standard output, one line says
 ``byte-identical`` or gives the largest relative difference among its
@@ -36,6 +38,8 @@ EXTRA_COMMANDS = [
     ["equilibrium", "--preset", "fig3", "--epsilon", "2.5e-3", "--starts", "4", "--stability"],
     ["dynamics", "--preset", "fig2", "--epsilon", "2e-2", "--t-end", "50", "--method", "rk4",
      "--dt", "0.02"],
+    ["spectrum", "--preset", "fig3", "--host", "1", "--epsilon", "1e-2", "--epsilon", "2.5e-3"],
+    ["spectrum", "--preset", "fig2", "--host", "2", "--epsilon", "2e-3", "--epsilon", "1e-3"],
 ]
 # a number that stands alone: not the digit in a name such as S1 or v1
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)"

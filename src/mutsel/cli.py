@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON model-parameter file")
     common.add_argument("--epsilon", type=float, action="append", default=[],
                         help="mutation width (repeatable)")
-    common.add_argument("--n", type=int, default=None, help="grid node count override")
+    common.add_argument("--n", type=int, default=None, help="grid node count override, 16 to 10^7")
     common.add_argument("--tol", type=float, default=1e-10)
     common.add_argument("--scale-beta", type=float, default=1.0,
                         help="multiply both infection efficiencies")

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MIN_NODES = 16
+# 80 MB per vector of values
+MAX_NODES = 10_000_000
 
 
 class GridError(ValueError):
@@ -33,6 +35,8 @@ def make_grid(x_min: float, x_max: float, n: int) -> TraitGrid:
         raise GridError(f"x_min={x_min} must be < x_max={x_max}")
     if n < MIN_NODES:
         raise GridError(f"need at least {MIN_NODES} nodes, got {n}")
+    if n > MAX_NODES:
+        raise GridError(f"at most {MAX_NODES} nodes are allowed, got {n}")
     nodes = np.linspace(x_min, x_max, n)
     h = (x_max - x_min) / (n - 1)
     w = np.full(n, h)

@@ -16,10 +16,11 @@ built on it are tridiagonal too (see ``spectral``), and a solve with
 sigma I - T' for a map's derivative T', a Newton step at sigma = 1, is a
 tridiagonal solve plus a low-rank correction (``ShiftedSolve``) on the
 structure ``Linearization`` derives.  Every general tridiagonal solve, real
-or complex, goes through ``TridiagonalLU``.  The kernel enters only through
-eps and its mass (``gram_factor``): nothing here forms a sample array or an
-n x n matrix, and the O(n^2) matrix products the tests compare against live
-with the tests (``tests/oracles.py``).
+or complex, goes through ``TridiagonalLU``, and every count of a symmetric
+tridiagonal's eigenvalues in an interval through ``sturm_count``.  The
+kernel enters only through eps and its mass (``gram_factor``): nothing here
+forms a sample array or an n x n matrix, and the O(n^2) matrix products the
+tests compare against live with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, zgttrf, zgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz, zgttrf, zgttrs
 
 from .model import MutationKernel, Problem
 
@@ -67,8 +68,10 @@ class TridiagonalLU:
     else LU with partial pivoting (``dgttrf``, ``zgttrf``).  ``dpttrs`` takes
     about half the time of ``dgttrs`` per right-hand side, which is most of a
     shift-invert step; on an indefinite matrix the failed ``dpttrf`` stops at
-    its first nonpositive pivot, one pass at most.  ``LinAlgError`` if a pivot
-    is exactly zero (the matrix is singular)."""
+    its first nonpositive pivot, one pass at most.  ``positive_definite`` says
+    whether the L D L^T factor held, which proves the real matrix positive
+    definite.  ``LinAlgError`` if a pivot is exactly zero (the matrix is
+    singular)."""
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         self.n = diag.size
@@ -77,9 +80,11 @@ class TridiagonalLU:
             # f2py's gttrf takes 3 nodes or more: pad with a decoupled identity
             diag = np.append(diag, np.ones(3 - self.n))
             off = np.append(off, np.zeros(3 - self.n))[:2]
+        self.positive_definite = False
         if not self.is_complex:
             *self._factor, info = dpttrf(diag, off)
             self._trs = dpttrs
+            self.positive_definite = not info
         if self.is_complex or info:
             gttrf, self._trs = (zgttrf, zgttrs) if self.is_complex else (dgttrf, dgttrs)
             *self._factor, info = gttrf(off, diag, off)
@@ -99,6 +104,21 @@ class TridiagonalLU:
         if info:
             raise LinAlgError(f"tridiagonal solve failed (info {info})")
         return x[: self.n].reshape(rhs.shape)
+
+
+def sturm_count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
+    """The number of eigenvalues of the symmetric tridiag(off, diag, off) in
+    (lo, hi], either end infinite or not, from LAPACK ``stebz``'s Sturm counts
+    at the two ends, clipped to Gershgorin's discs: the tolerance spans the
+    interval, so nothing is bisected.  By Sylvester's law of inertia the count
+    is exact for a matrix within rounding of the given one.  ``LinAlgError``
+    if LAPACK reports a failure."""
+    # f2py bounds the off-diagonal to one entry, not zero, on one node
+    count, *_, info = dstebz(diag, off if off.size else np.zeros(1), 1, lo, hi, 0, 0,
+                             hi - lo, "E")
+    if info:
+        raise LinAlgError(f"Sturm count failed (stebz info {info})")
+    return int(count)
 
 
 class ConvolutionEngine:

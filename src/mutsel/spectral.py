@@ -7,13 +7,18 @@ symmetric form s K s, with s = sqrt(w gain), is zero off the gain's support,
 so its nonzero eigenpairs are those of S G S on the m nodes where the gain is
 positive, with G the kernel's Gram matrix there and S = diag(s).  For the
 Laplace kernel G^-1 is tridiagonal (``operators.gram_inverse``, whatever the
-gaps between the nodes), and so is (S G S)^-1 = S^-1 G^-1 S^-1: the top
-eigenvalues of the operator are the reciprocals of its smallest ones, which
-LAPACK bisection (``stebz``) finds in O(m) work each; the eigenvector comes
-from inverse iteration on the equivalent pencil G^-1 - mu S^2, and the
-principal eigenvalue is its Rayleigh quotient.  The principal pair is
-certified by the L1 residual of the eigenfunction reconstructed on the whole
-grid.  The dense symmetric eigensolve the tests cross-check against is in
+gaps between the nodes): the top eigenvalues of the operator are the
+reciprocals of the smallest ones of the pencil G^-1 u = mu S^2 u, whose
+entries stay bounded where the gain nears 0.  They are found by inverse
+iteration at shifts that a positive definite factor proves below the
+smallest one, and by Rayleigh-quotient iteration certified by Sturm counts
+(``operators.sturm_count``) for the second, with bisection on those counts
+as its fallback; each step is one O(m) tridiagonal factor and solve
+(``operators.TridiagonalLU``).  Rayleigh quotients in the pencil are taken
+through the closed-form factor of G^-1 (``operators.gram_factor``).  The
+principal eigenvalue is the Rayleigh quotient of the eigenfunction
+reconstructed on the whole grid, where the L1 residual of the pair certifies
+it.  The dense symmetric eigensolve the tests cross-check against is in
 ``tests/oracles.py``.
 """
 
@@ -22,18 +27,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError
 
 from .grid import Field, l1_norm
-from .model import Problem
-from .operators import (Linearization, TridiagonalLU, combined_operator, gram_inverse,
-                        host_operator)
+from .model import MutationKernel, Problem
+from .operators import (Linearization, TridiagonalLU, combined_operator, gram_factor,
+                        gram_inverse, host_operator, sturm_count)
 
 DEFAULT_TOL = 1e-10
-# absolute bisection tolerance: LAPACK's default, eps_mach times the matrix's
-# 1-norm, is far too coarse where a gain near 0 makes that norm huge, so
-# bisection runs to the relative accuracy of the arithmetic instead
-BISECTION_TOL = 1e-300
+# the relative change of the Rayleigh quotient at which inverse iteration for
+# the second eigenvector stops: the step after a quotient this close leaves
+# the vector within rounding
+RQI_TOL = 1e-10
+# the most steps (factors) either inverse iteration takes
+MAX_INVERSE_STEPS = 30
+# the relative distance from the second eigenvalue found at which its two
+# certifying Sturm counts are taken
+SECOND_COUNT_GAP = 1e-8
+# the relative width to which the fallback's bisection brackets the second
+# eigenvalue: it gives the shift of an inverse iteration, not the eigenvalue
+BISECTION_TOL = 1e-10
 # eps_mach^2: the share of the largest w * gain below which principal_eigenpair
 # leaves a node out of the eigensolve
 NEGLIGIBLE_SHARE = np.finfo(float).eps ** 2
@@ -72,39 +85,36 @@ def principal_eigenpair(
     operator, the derivative of an update map at zero.
 
     Takes the smallest eigenvalue or, with ``with_second``, the smallest two of
-    the tridiagonal (S G S)^-1 on the m nodes where the gain is positive and
-    not negligible, by bisection to machine precision.  The operator has rank
-    m on m such nodes, so with m = 1 its second eigenvalue is 0.  The
-    eigenfunction comes from inverse iteration on the pencil G^-1 - mu S^2
-    (``_pencil_eigenvector``), and lambda1 is its Rayleigh quotient in the
-    symmetric form: bisection's own lambda1 drifts like eps_mach (eps/h)^2,
-    with the conditioning of (S G S)^-1, and lambda2 is bisection's.
-    Convergence is declared on the relative quadrature-L1 residual of the
-    eigenpair on the whole grid, which costs two full-grid operator
-    applications (``iterations``); a LAPACK failure yields ``converged=False``.
+    the pencil G^-1 u = mu S^2 u on the m nodes where the gain is positive and
+    not negligible (``_Pencil``): mu1 and its eigenvector by inverse iteration
+    at shifts proven below mu1 (``_lowest``), mu2 by Rayleigh-quotient
+    iteration certified by two Sturm counts, with bisection as the fallback
+    (``_second``).  The operator has rank m on m such nodes, so with m = 1 its
+    second eigenvalue is 0.  lambda1 is the Rayleigh quotient of the
+    eigenfunction in the symmetric form on the whole grid, and lambda2 that of
+    the second eigenvector in the pencil, taken through the closed-form factor
+    of G^-1.  Convergence is declared on the relative quadrature-L1 residual of
+    the eigenpair on the whole grid, which costs two full-grid operator
+    applications (``iterations``); a LAPACK failure in the search for the
+    eigenvector yields ``converged=False``.
     """
     grid = op.engine.grid
     wg = op.d
     if not np.any(wg > 0):
         raise SpectralError("operator gain is identically zero")
-    k = 2 if with_second else 1
-    # S^2 = w gain as a share of its largest entry, so that the diagonal of
-    # (S G S)^-1, which grows like 1/(w gain), cannot overflow: a node whose
+    # S^2 = w gain as a share of its largest entry, so that the pencil's
+    # eigenvalues, which grow like 1/(w gain), cannot overflow: a node whose
     # share is below NEGLIGIBLE_SHARE (a subnormal tail of a trait, say) moves
     # the top eigenvalues by less than m times that share of lambda1, and is
     # left out
     share = wg / wg.max()
     nodes = np.flatnonzero(share > NEGLIGIBLE_SHARE)
-    kept = share[nodes]
-    root = np.sqrt(kept)
-    diag, off = gram_inverse(op.engine.kernel, grid.h * np.diff(nodes))
+    pencil = _Pencil(op.engine.kernel, grid.h * np.diff(nodes), share[nodes])
     try:
-        mu = eigh_tridiagonal(
-            diag / kept, off / (root[:-1] * root[1:]), eigvals_only=True, select="i",
-            select_range=(0, min(k, nodes.size) - 1), lapack_driver="stebz",
-            tol=BISECTION_TOL,
-        )
-        u = _pencil_eigenvector(diag, off, kept, mu[0])
+        u, below = _lowest(pencil)
+        # the operator has rank m on m nodes: with m = 1 its second eigenvalue is 0
+        mu2 = (_second(pencil, u, below, grid.nodes[nodes])
+               if with_second and nodes.size > 1 else np.inf)
     except LinAlgError:
         # reported as not converged: ``certified`` raises, the CLI exits 1
         nan = float("nan")
@@ -129,32 +139,165 @@ def principal_eigenpair(
     res = float(np.sum(grid.quad_weights * np.abs(lphi - lam * phi.values)) / lam)
     result = SpectralResult(lam, phi, res, 2, res < tol)
     if with_second:
-        result.lambda2 = float(wg.max() / mu[1]) if len(mu) > 1 else 0.0
+        result.lambda2 = float(wg.max() / mu2)
         result.gap = lam - result.lambda2
         result.degenerate = result.gap < 1e-12
     return result
 
 
-def _pencil_eigenvector(diag: np.ndarray, off: np.ndarray, share: np.ndarray,
-                        mu: float) -> np.ndarray:
-    """The positive eigenvector u of G^-1 u = mu S^2 u (G^-1 = tridiag(off,
-    diag, off), S^2 = diag(share)), scaled to max |u| = 1.
+class _Pencil:
+    """The symmetric-definite pencil G^-1 u = mu S^2 u on the kept nodes, with
+    S^2 = diag(``share``) and G^-1 = tridiag(off, diag, off) = L D L^T
+    (``gram_inverse``, ``gram_factor``).
 
-    u = S^-1 v for the eigenvector v of (S G S)^-1, whose diagonal is huge
-    where S is tiny (about 3e16 at a support's end nodes): inverse iteration
-    there, as in LAPACK's ``stein``, leaves residuals of eps_mach times that
-    norm, 1e-11 in the certificate.  The pencil's entries stay bounded.  Two
-    steps of inverse iteration from the constant vector, against one factor of
-    the pencil shifted just below mu so that no pivot is exactly zero (as it
-    is for a single node), shrink the other eigenvectors by about 1e-12 over
-    the relative gap to the next mu each.
+    mu = max(w gain) / lambda for the eigenvalues lambda of the operator, and
+    u = S^-1 v for the eigenvectors v of S G S.  Unlike (S G S)^-1, whose
+    diagonal reaches about 3e16 where the gain nears 0 at a support's ends,
+    the pencil's entries stay bounded.  Its Rayleigh quotient is taken through
+    the factor, u^T G^-1 u = sum d (L^T u)^2: L^T u is a difference of
+    neighbouring entries, where the tridiagonal's own entries would cancel
+    like eps_mach (eps/h)^2 on a smooth u.
     """
-    lu = TridiagonalLU(diag - (1.0 - 1e-12) * mu * share, off)
-    u = np.ones(diag.size)
-    for _ in range(2):
-        u = lu.solve(share * u)
-        u /= np.max(np.abs(u))
-    return u * np.sign(np.sum(u))
+
+    def __init__(self, kernel: MutationKernel, gaps: np.ndarray, share: np.ndarray):
+        self.share = share
+        self.d, self.sub = gram_factor(kernel, gaps)
+        self.diag, self.off = gram_inverse(kernel, gaps)
+
+    def rayleigh(self, u: np.ndarray) -> float:
+        ltu = u.copy()
+        ltu[:-1] += self.sub * u[1:]
+        return float(self.d @ ltu**2 / (self.share @ u**2))
+
+    def rounding(self, u: np.ndarray, rho: float) -> float:
+        """eps_mach u^T |G^-1| u / u^T G^-1 u for the quotient rho at u: to
+        first order, the largest relative change in the pencil's eigenvalues
+        near rho that rounding the entries of G^-1 can make, about
+        4 eps_mach (eps/h)^2 on a smooth u."""
+        au = np.abs(u)
+        bound = self.diag @ u**2 - 2.0 * self.off @ (au[:-1] * au[1:])
+        return float(np.finfo(float).eps * bound / (rho * (self.share @ u**2)))
+
+    def shifted(self, sigma: float) -> TridiagonalLU:
+        """The factor of G^-1 - sigma S^2."""
+        return TridiagonalLU(self.diag - sigma * self.share, self.off)
+
+    def count_below(self, sigma: float) -> int:
+        """The number of eigenvalues at or below sigma: by Sylvester's law of
+        inertia, that of the nonpositive eigenvalues of G^-1 - sigma S^2."""
+        return sturm_count(self.diag - sigma * self.share, self.off, -np.inf, 0.0)
+
+    def orthogonal(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """v made S^2-orthogonal to u, scaled to max |v| = 1."""
+        su = self.share * u
+        v = v - (su @ v) / (su @ u) * u
+        return v / np.abs(v).max()
+
+
+def _lowest(pencil: _Pencil) -> tuple[np.ndarray, float]:
+    """The positive eigenvector u of the pencil's smallest eigenvalue mu1,
+    scaled to max |u| = 1, and the last shift proven below mu1.
+
+    Inverse iteration from the constant vector, first at the shift 0, below
+    which G^-1 is positive definite, then just below the current Rayleigh
+    quotient: by its last fall, a distance that shrinks as fast as the
+    quotient's error does, but not by less than rounding can move the
+    quotient (``_Pencil.rounding``).  A shift is used only where the L D L^T
+    factor of G^-1 - sigma S^2 holds, which proves it below mu1; else the
+    shift falls back four times as far below the quotient.  Every step lowers
+    the quotient; once it falls by no more than rounding, one step at that
+    distance below it, where the other eigenvectors shrink by that distance
+    over their gap, is the last.  The solve of a positive definite matrix
+    whose off-diagonal is nonpositive keeps u positive.  ``LinAlgError`` if a
+    factor fails.
+    """
+    u = np.ones(pencil.share.size)
+    rho = pencil.rayleigh(u)
+    sigma = below = 0.0
+    rounding, last = None, False
+    for _ in range(MAX_INVERSE_STEPS):
+        lu = pencil.shifted(sigma)
+        if not lu.positive_definite:
+            sigma = max(below, rho - 4.0 * (rho - sigma))
+            continue
+        below = sigma
+        u = lu.solve(pencil.share * u)
+        u /= u.max()
+        if last:
+            break
+        quotient = pencil.rayleigh(u)
+        fall, rho = rho - quotient, quotient
+        if rounding is None:
+            # u is as smooth after the first step as at the end
+            rounding = pencil.rounding(u, rho)
+        last = fall <= rounding * rho
+        sigma = max(below, rho - max(fall, rounding * rho))
+    return u, below
+
+
+def _second(pencil: _Pencil, u1: np.ndarray, below: float, x: np.ndarray) -> float:
+    """The pencil's second smallest eigenvalue mu2, on two nodes or more, given
+    the eigenvector ``u1`` of mu1, a shift ``below`` it and the nodes' traits.
+
+    Rayleigh-quotient iteration on the S^2-orthogonal complement of u1, from
+    (x - xbar) u1 with xbar the mean trait under the weight S^2 u1^2 (so the
+    start lies in the complement), finds an eigenvalue of the complement.  It is mu2 when G^-1 - sigma S^2 has one nonpositive
+    eigenvalue at sigma = mu (1 - SECOND_COUNT_GAP) and two at
+    mu (1 + SECOND_COUNT_GAP).  It need not be, since the start vector
+    carries little of an eigenvector that lives where u1 is small (a second
+    bump of the gain, say); then bisection on the Sturm counts
+    (``_bisect_second``) brackets mu2 to BISECTION_TOL, and inverse iteration
+    at its upper end gives the eigenvector.  Either way mu2 is the Rayleigh
+    quotient of the last vector.
+    """
+    weights = pencil.share * u1**2
+    start = (x - weights @ x / weights.sum()) * u1
+    mu = _complement_iteration(pencil, u1, start)
+    hi = mu * (1.0 + SECOND_COUNT_GAP)
+    above = pencil.count_below(hi)
+    if above == 2 and pencil.count_below(mu * (1.0 - SECOND_COUNT_GAP)) == 1:
+        return mu
+    while above < 2:
+        hi *= 2.0
+        above = pencil.count_below(hi)
+    shift = _bisect_second(pencil, below, hi)
+    # the constant and the trait, neither even nor odd about any point
+    start = 1.0 + (x - x[0]) / (x[-1] - x[0])
+    return _complement_iteration(pencil, u1, start, shift)
+
+
+def _complement_iteration(pencil: _Pencil, u1: np.ndarray, v: np.ndarray,
+                          shift: float | None = None) -> float:
+    """Inverse iteration on the S^2-orthogonal complement of u1 from v, at a
+    fixed ``shift`` or, without one, at the current Rayleigh quotient (RQI):
+    the quotient once it moves by less than RQI_TOL relative, or after
+    MAX_INVERSE_STEPS steps.  A factor that is exactly singular stops it,
+    the shift being an eigenvalue to the accuracy of the arithmetic."""
+    v = pencil.orthogonal(v, u1)
+    rho = pencil.rayleigh(v)
+    for _ in range(MAX_INVERSE_STEPS):
+        try:
+            w = pencil.shifted(rho if shift is None else shift).solve(pencil.share * v)
+        except LinAlgError:
+            break
+        v = pencil.orthogonal(w, u1)
+        last, rho = rho, pencil.rayleigh(v)
+        if abs(rho - last) <= RQI_TOL * rho:
+            break
+    return rho
+
+
+def _bisect_second(pencil: _Pencil, lo: float, hi: float) -> float:
+    """The upper end of a bracket of mu2 whose width is BISECTION_TOL relative,
+    by bisection from ``lo``, with at most one eigenvalue at or below it, and
+    ``hi``, with two or more."""
+    while hi - lo > BISECTION_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if pencil.count_below(mid) >= 2:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def solve_host_spectrum(

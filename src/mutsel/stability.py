@@ -28,11 +28,12 @@ det(lambda K^-1 - D) times f(lambda) = det(I + V^T (lambda K^-1 - D)^-1 U), a
 2 x 2 determinant, so by the argument principle the number of eigenvalues of
 T' outside |lambda| = r is the number of eigenvalues of the symmetric-definite
 pencil (D, K^-1) above r (the positive eigenvalues of the tridiagonal
-D - r K^-1, Sylvester's inertia, counted exactly by LAPACK ``stebz``) minus
-the winding number of f on the circle.  The pencil count is exact; the
-winding number is read from samples of f.  f(conj z) = conj f(z), so only
-the upper half-circle is sampled.  Each sample factors the complex
-tridiagonal lambda K^-1 - D (``operators.TridiagonalLU``) and solves it with
+D - r K^-1, Sylvester's inertia, counted exactly by
+``operators.sturm_count``) minus the winding number of f on the circle.  The
+pencil count is exact; the winding number is read from samples of f.
+f(conj z) = conj f(z), so only the upper half-circle is sampled.  Each
+sample factors the complex tridiagonal lambda K^-1 - D
+(``operators.TridiagonalLU``) and solves it with
 the columns of U and V as right-hand sides, which gives f and the rate at
 which its argument turns.  Gaps between samples are halved until f's argument
 moves by at most ``MAX_ARGUMENT_STEP`` across each, and by that step to within
@@ -61,11 +62,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dstebz
 
 from .grid import Field
 from .model import Problem
-from .operators import Linearization, ShiftedSolve, TridiagonalLU, update_map
+from .operators import Linearization, ShiftedSolve, TridiagonalLU, sturm_count, update_map
 
 EIGENVALUE_COUNT = 20
 STABILITY_MARGIN = 1e-9
@@ -91,10 +91,11 @@ class StabilityError(RuntimeError):
 class EigenvalueCount:
     """The number of eigenvalues of T' outside the circle |lambda| = ``radius``:
     ``pencil_count - winding``, or None where the sampling of f could not
-    decide its winding number."""
+    decide its winding number or LAPACK's pencil count failed (``pencil_count``
+    None)."""
 
     radius: float
-    pencil_count: int
+    pencil_count: int | None
     winding: int | None
     samples: int
 
@@ -123,11 +124,11 @@ class StabilityReport:
 def eigenvalue_count(lin: Linearization, radius: float) -> EigenvalueCount:
     """The number of eigenvalues of the derivative ``lin`` outside |lambda| = radius,
     as the pencil count minus the winding number of f (module docstring)."""
-    # the positive eigenvalues of D - r K^-1, from the Sturm counts at the ends
-    # of (0, bound]: the tolerance spans the interval, so nothing is bisected
-    b_diag, b_off = (-t for t in lin.shifted(radius))
-    bound = 1.0 + np.abs(b_diag).max() + 2.0 * np.abs(b_off).max(initial=0.0)
-    pencil, *_, info = dstebz(b_diag, b_off, 1, 0.0, bound, 0, 0, bound, "E")
+    # the positive eigenvalues of D - r K^-1
+    try:
+        pencil = sturm_count(*(-t for t in lin.shifted(radius)), 0.0, np.inf)
+    except LinAlgError:
+        pencil = None
     # the columns of U, then of V
     rhs = np.vstack((lin.u, lin.beta_rows)).T
 
@@ -153,7 +154,7 @@ def eigenvalue_count(lin: Linearization, radius: float) -> EigenvalueCount:
         values = np.zeros(1)
     # a failed pencil count, a singular solve, or f 0 or not finite on the
     # circle leaves the count undecided
-    while not info and np.all(np.isfinite(values) & (values != 0)):
+    while pencil is not None and np.all(np.isfinite(values) & (values != 0)):
         steps = np.angle(values[1:] / values[:-1])
         # a turn hidden between two samples shows as a step 2 pi away from
         # the one the trapezoid rule predicts from the rates at its ends

@@ -386,6 +386,8 @@ def _file_parent(tmp_path):
 MALFORMED = {
     "too few nodes": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                                   "--n", "8"],
+    "too many nodes": lambda tmp: ["equilibrium", "--preset", "fig1", "--epsilon", "1e-2",
+                                   "--n", "10000000000"],
     "nan epsilon": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "nan"],
     "nan epsilon in sweep": lambda tmp: ["sweep", "--preset", "fig1", "--epsilon", "nan"],
     "non-numeric xi": lambda tmp: ["spectrum", *_config(tmp, xi="abc"), "--epsilon", "5e-2"],
@@ -565,15 +567,15 @@ def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
 SPECTRAL_FAILURE = {"equilibrium": "equilibrium.json", "sweep": "targets.json"}
 
 
-def _bisection_fails(*args, **kwargs):
-    raise LinAlgError("eigenvalue bisection failed")
+def _factor_fails(*args, **kwargs):
+    raise LinAlgError("tridiagonal factorization failed")
 
 
 @pytest.mark.parametrize("command", sorted(SPECTRAL_FAILURE))
 def test_lanczos_failure_exits_1(command, monkeypatch, outdir, capsys):
     # a failed tridiagonal eigensolve must stop the run before anything is
     # classified by the combined radius it did not deliver
-    monkeypatch.setattr(spec, "eigh_tridiagonal", _bisection_fails)
+    monkeypatch.setattr(spec, "TridiagonalLU", _factor_fails)
     assert run([command, "--preset", "fig1", "--epsilon", "5e-2",
                 "--output-dir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error: combined spectral radius")
@@ -581,7 +583,7 @@ def test_lanczos_failure_exits_1(command, monkeypatch, outdir, capsys):
 
 
 def test_bisection_failure_exits_1_from_spectrum(monkeypatch, outdir, capsys):
-    monkeypatch.setattr(spec, "eigh_tridiagonal", _bisection_fails)
+    monkeypatch.setattr(spec, "TridiagonalLU", _factor_fails)
     assert run(["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                 "--output-dir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error: 1 spectral solve(s) did not converge")

@@ -98,10 +98,10 @@ class TestUncoupled:
 
     def test_unconverged_host_spectrum_raises(self, fig1, monkeypatch):
         # a tridiagonal eigensolve that fails in LAPACK does not converge
-        def bisection_fails(*args, **kwargs):
-            raise LinAlgError("eigenvalue bisection failed")
+        def factor_fails(*args, **kwargs):
+            raise LinAlgError("tridiagonal factorization failed")
 
-        monkeypatch.setattr(spectral, "eigh_tridiagonal", bisection_fails)
+        monkeypatch.setattr(spectral, "TridiagonalLU", factor_fails)
         with pytest.raises(spectral.SpectralError, match="^host 1 spectrum did not converge"):
             solve_uncoupled(build_problem(fig1, 0.05), 1)
 

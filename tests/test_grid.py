@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mutsel.grid import (
     Field,
+    MAX_NODES,
     GridError,
     integrate,
     inner,
@@ -47,6 +48,12 @@ class TestMakeGrid:
     def test_rejects_small_n(self):
         with pytest.raises(GridError):
             make_grid(0.0, 1.0, 11)
+
+    def test_rejects_n_above_the_node_bound(self):
+        # raised before any array is allocated: 10^10 nodes would take 80 GB
+        for n in (MAX_NODES + 1, 10**10):
+            with pytest.raises(GridError, match=f"at most {MAX_NODES} nodes"):
+                make_grid(0.0, 1.0, n)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(GridError):

@@ -22,6 +22,7 @@ from mutsel.operators import (
     gram_inverse,
     host_map,
     host_operator,
+    sturm_count,
     update_map,
 )
 from oracles import (dense_derivative, dense_matrix, kernel_matrix, kernel_samples, mass_bound,
@@ -217,6 +218,8 @@ def test_tridiagonal_lu_solves_many_right_hand_sides(m, kind):
         return
     matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     lu = TridiagonalLU(diag, off)
+    # the L D L^T factor holds exactly on the positive definite matrices
+    assert lu.positive_definite == (kind == "definite")
     rhs_list = [rng.standard_normal(m), rng.standard_normal((m, 1)), rng.standard_normal((m, 5))]
     if kind == "complex":
         rhs_list.append(rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))
@@ -234,12 +237,24 @@ def test_tridiagonal_lu_rejects_a_complex_right_hand_side_on_a_real_factor():
         lu.solve(np.ones(4) + 1j)
 
 
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_sturm_count_matches_dense(m):
+    # eigenvalues in (lo, hi], finite or infinite ends, against a dense eigvalsh
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        diag, off = rng.standard_normal(m), rng.standard_normal(m - 1)
+        eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        lo, hi = np.sort(rng.standard_normal(2))
+        for a, b in ((lo, hi), (-np.inf, hi), (lo, np.inf), (-np.inf, np.inf)):
+            assert sturm_count(diag, off, a, b) == np.count_nonzero((eig > a) & (eig <= b))
+
+
 def test_only_operators_calls_lapack_tridiagonal_routines():
     # TridiagonalLU (and the convolution's closed-form factor) is the one
-    # home of tridiagonal factors and solves: no other module names a LAPACK
-    # gtsv, gttrf, gttrs, pttrf or pttrs, by import, attribute or the string
-    # get_lapack_funcs takes
-    routine = re.compile(r"[sdcz]?(gtsv|gttrf|gttrs|pttrf|pttrs)")
+    # home of tridiagonal factors and solves, and sturm_count of Sturm counts:
+    # no other module names a LAPACK gtsv, gttrf, gttrs, pttrf, pttrs or stebz,
+    # by import, attribute or the string get_lapack_funcs takes
+    routine = re.compile(r"[sdcz]?(gtsv|gttrf|gttrs|pttrf|pttrs|stebz)")
     users = set()
     for path in Path(mutsel.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mutsel.grid import Field, l1_norm
@@ -135,10 +135,10 @@ class TestDenseSpectrum:
     def test_lanczos_failure_is_not_converged(self, fig1_problem, monkeypatch):
         import mutsel.spectral as spec
 
-        def bisection_fails(*args, **kwargs):
-            raise LinAlgError("eigenvalue bisection failed")
+        def factor_fails(*args, **kwargs):
+            raise LinAlgError("tridiagonal factorization failed")
 
-        monkeypatch.setattr(spec, "eigh_tridiagonal", bisection_fails)
+        monkeypatch.setattr(spec, "TridiagonalLU", factor_fails)
         res = solve_host_spectrum(fig1_problem, 1, with_second=True)
         assert not res.converged and res.residual > 1e-10
 
@@ -163,15 +163,27 @@ class TestDenseSpectrum:
     def test_certificate_catches_a_loose_bisection(self, fig1, monkeypatch):
         # LAPACK's default bisection tolerance, eps_mach times the 1-norm of a
         # matrix whose diagonal reaches about 3e16 where the gain nears 0 at the
-        # support ends, misplaces the combined operator's top eigenvalue
+        # support ends, misplaced the combined operator's top eigenvalue at
+        # about 1.68 in place of 3.805: the certificate must reject an
+        # eigenvector of the pencil at such a wrong eigenvalue
         import mutsel.spectral as spec
 
-        def default_tolerance(*args, tol=None, **kwargs):
-            return eigh_tridiagonal(*args, **kwargs)
+        lowest = spec._lowest
+
+        def misplaced(pencil):
+            # two steps of inverse iteration from the constant vector at the
+            # shift 2.26 mu1, where lambda = 3.805/2.26, the misplaced value
+            u, below = lowest(pencil)
+            lu = pencil.shifted(2.26 * pencil.rayleigh(u))
+            u = np.ones(u.size)
+            for _ in range(2):
+                u = lu.solve(pencil.share * u)
+                u /= np.abs(u).max()
+            return u * np.sign(np.sum(u)), below
 
         problem = build_problem(fig1, 1e-2)
         exact = solve_combined_spectrum(problem)
-        monkeypatch.setattr(spec, "eigh_tridiagonal", default_tolerance)
+        monkeypatch.setattr(spec, "_lowest", misplaced)
         loose = solve_combined_spectrum(problem)
         assert exact.converged and exact.lambda1 == pytest.approx(3.805, abs=1e-3)
         assert not loose.converged and loose.residual > 1e-2
@@ -187,6 +199,80 @@ def test_fine_grid_certificates_converge(fig1):
     problem = build_problem(fig1, 1e-2, n=100_000)
     for result in (solve_host_spectrum(problem, 1), solve_combined_spectrum(problem)):
         assert result.converged and result.residual < 1e-11
+
+
+def test_fine_grid_second_eigenvalue(fig1):
+    # at h/eps = 1.1e-3 rounding the explicit entries of G^-1 moves its
+    # eigenvalues by about 4 eps_mach (eps/h)^2 = 7e-10 relative, and
+    # bisection on (S G S)^-1 left lambda2 1.0e-10 off; the Rayleigh quotient
+    # through the closed-form factor is not
+    problem = build_problem(fig1, 1e-2, n=100_000)
+    op = host_operator(problem, 1)
+    res = principal_eigenpair(op, with_second=True)
+    ref, _ = _full_grid_lanczos(op, 2)
+    assert res.converged
+    assert res.lambda2 == pytest.approx(ref[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("eps, n", [(1e-3, None), (1e-2, 100_000)])
+def test_factorizations_per_call_are_bounded(fig1, monkeypatch, eps, n):
+    # inverse iteration for lambda1 and Rayleigh-quotient iteration for
+    # lambda2 each take a few factors, at the default fine grid and at h/eps =
+    # 1.1e-3 alike
+    import mutsel.spectral as spec
+
+    problem = build_problem(fig1, eps, n=n)
+    assert problem.grid.n == (n or 8193)
+    factors = []
+    factor = spec.TridiagonalLU
+
+    def counted(*args):
+        factors.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(spec, "TridiagonalLU", counted)
+    for op in (host_operator(problem, 1), host_operator(problem, 2), combined_operator(problem)):
+        factors.clear()
+        assert principal_eigenpair(op, with_second=True).converged
+        assert 0 < len(factors) <= 30
+
+
+def test_second_eigenvalue_on_a_lower_bump(fig1, monkeypatch):
+    # two bumps of beta on one support: the second eigenvector lives on the
+    # lower bump, where u1 and so the start vector (x - xbar) u1 are small, and
+    # Rayleigh-quotient iteration finds the higher bump's second mode, lambda3;
+    # the Sturm counts reject it and bisection brackets lambda2
+    import mutsel.spectral as spec
+
+    beta = "8*exp(-200*(x-0.3)**2) + 7*exp(-200*(x-0.7)**2)"
+    hosts = (HostParams(xi=0.5, beta=TraitExpression(beta), beta_support=(0.1, 0.9)),
+             fig1.hosts[1])
+    problem = build_problem(ModelParams(1.0, 1.0, 1.0, hosts), 0.02, n=512)
+    op = host_operator(problem, 1)
+    iterations, bisections = [], []
+    iterate, bisect = spec._complement_iteration, spec._bisect_second
+
+    def iteration_spy(pencil, u1, v, shift=None):
+        mu = iterate(pencil, u1, v, shift)
+        iterations.append((pencil, mu, shift))
+        return mu
+
+    def bisection_spy(*args):
+        bisections.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(spec, "_complement_iteration", iteration_spy)
+    monkeypatch.setattr(spec, "_bisect_second", bisection_spy)
+    res = principal_eigenpair(op, with_second=True)
+    dense = symmetric_spectrum(op, 3)
+    (pencil, mu, shift), _ = iterations
+    assert shift is None
+    assert op.d.max() / mu == pytest.approx(dense[2], rel=1e-12)
+    assert [pencil.count_below(mu * (1.0 + t * spec.SECOND_COUNT_GAP))
+            for t in (-1.0, 1.0)] != [1, 2]
+    assert len(bisections) == 1
+    assert res.converged
+    assert res.lambda2 == pytest.approx(dense[1], rel=1e-12)
 
 
 class TestWindowedLanczos:
