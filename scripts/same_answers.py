@@ -5,21 +5,24 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and five more, which reach the sweep, fig3's
-multistart with its stability report, rk4 dynamics on fig2, and the second
+(``bench/workloads.py``, seed 1) and six more, which reach the sweep, fig3's
+multistart with its stability report, rk4 dynamics on fig2, the second
 eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
-near its threshold, each run once
+near its threshold, and fig3's coupled solve at eps = 1e-3, each run once
 with each tree, in a fresh interpreter with one BLAS thread.  For every
 artifact, and for the command's standard output, one line says
 ``byte-identical`` or gives the largest relative difference among its
-numbers; the output directory in ``manifest.json`` is left out.  The exit
-status is 1 when an exit status or an artifact's text outside its numbers
-differs, an artifact is missing on one side, or a number differs by more than
-1e-12 relative; else 0.
+numbers and where it is: the key path of a JSON artifact, the column and
+line of a CSV one, the line of the standard output.  The output directory
+in ``manifest.json`` is left out.  The exit status is 1 when an exit status
+or an artifact's text outside its numbers differs, an artifact is missing on
+one side, or a number differs by more than 1e-12 relative; else 0.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -40,9 +43,11 @@ EXTRA_COMMANDS = [
      "--dt", "0.02"],
     ["spectrum", "--preset", "fig3", "--host", "1", "--epsilon", "1e-2", "--epsilon", "2.5e-3"],
     ["spectrum", "--preset", "fig2", "--host", "2", "--epsilon", "2e-3", "--epsilon", "1e-3"],
+    ["equilibrium", "--preset", "fig3", "--epsilon", "1e-3"],
 ]
-# a number that stands alone: not the digit in a name such as S1 or v1
-NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)"
+# a number that stands alone: not the digit in a name such as S1 or v1; the
+# group keeps the numbers in NUMBER.split's list, at its odd positions
+NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN))"
                     r"(?![\w.])")
 
 
@@ -66,31 +71,89 @@ def artifact_text(path: Path) -> str:
     return json.dumps(manifest, indent=1, sort_keys=True)
 
 
-def largest_difference(a: str, b: str) -> float | None:
-    """The largest relative difference between the numbers of two texts, or
-    None when they differ outside their numbers."""
-    if NUMBER.split(a) != NUMBER.split(b):
+def _json_values(node, path: str = ""):
+    """(key path, value) of every leaf of a JSON document, in order, with list
+    items indexed, as in ``eigenvalues[3].re``; leaves other than numbers as
+    their JSON text."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_values(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_values(value, f"{path}[{i}]")
+    else:
+        number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        yield path, float(node) if number else json.dumps(node)
+
+
+def _csv_values(text: str):
+    """(column and line, cell) of every cell of a CSV artifact, cells that
+    parse as numbers as floats; its comment lines and header are one text
+    value each."""
+    header = None
+    for i, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if header is None:
+            yield f"line {i}", ",".join(row)
+            header = None if row and row[0].startswith("#") else row
+            continue
+        for j, cell in enumerate(row):
+            where = f"column {header[j] if j < len(header) else j}, line {i}"
+            try:
+                yield where, float(cell)
+            except ValueError:
+                yield where, cell
+
+
+def _text_values(text: str):
+    """(line, value) of the numbers of a plain text and the text between them."""
+    for i, line in enumerate(text.splitlines(), start=1):
+        for j, part in enumerate(NUMBER.split(line)):
+            yield f"line {i}", float(part) if j % 2 else part
+
+
+def labelled_values(name: str, text: str) -> list[tuple[str, float | str]]:
+    """The values of an artifact named ``name``, numbers as floats and the
+    rest as text, each with where it is: JSON leaves by key path, CSV cells by
+    column and line, and the numbers of any other text by line."""
+    if name.endswith(".json"):
+        return list(_json_values(json.loads(text)))
+    if name.endswith(".csv"):
+        return list(_csv_values(text))
+    return list(_text_values(text))
+
+
+def largest_difference(name: str, a: str, b: str) -> tuple[float, str] | None:
+    """The largest relative difference between the numbers of two texts and
+    where it is, or None when they differ outside their numbers."""
+    va, vb = labelled_values(name, a), labelled_values(name, b)
+
+    def skeleton(values):
+        return [(where, x if isinstance(x, str) else None) for where, x in values]
+
+    if skeleton(va) != skeleton(vb):
         return None
-    worst = 0.0
-    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
-        if x == y or (math.isnan(x) and math.isnan(y)):
+    worst, where = 0.0, ""
+    for (label, x), (_, y) in zip(va, vb):
+        if isinstance(x, str) or x == y or (math.isnan(x) and math.isnan(y)):
             continue
         scale = max(abs(x), abs(y))
-        worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
-    return worst
+        diff = abs(x - y) / scale if math.isfinite(scale) else math.inf
+        if diff > worst:
+            worst, where = diff, label
+    return worst, where
 
 
-def compare(label: str, a: str, b: str) -> bool:
+def compare(name: str, a: str, b: str) -> bool:
     """Print one line for a pair of texts; True when they agree within RTOL."""
     if a == b:
-        print(f"{label}: byte-identical")
+        print(f"  {name}: byte-identical")
         return True
-    diff = largest_difference(a, b)
+    diff = largest_difference(name, a, b)
     if diff is None:
-        print(f"{label}: differs outside its numbers")
+        print(f"  {name}: differs outside its numbers")
         return False
-    print(f"{label}: largest relative difference {diff:.3g}")
-    return diff <= RTOL
+    print(f"  {name}: largest relative difference {diff[0]:.3g} at {diff[1]}")
+    return diff[0] <= RTOL
 
 
 def main(argv: list[str]) -> int:
@@ -109,7 +172,7 @@ def main(argv: list[str]) -> int:
             if code_a != code_b:
                 print(f"  exit status {code_a} against {code_b}")
                 ok = False
-            ok &= compare("  (stdout)", out_a, out_b)
+            ok &= compare("(stdout)", out_a, out_b)
             names = sorted({p.name for d in outdirs if d.is_dir() for p in d.iterdir()})
             for name in names:
                 a, b = (d / name for d in outdirs)
@@ -117,7 +180,7 @@ def main(argv: list[str]) -> int:
                     print(f"  {name}: missing on one side")
                     ok = False
                 else:
-                    ok &= compare(f"  {name}", artifact_text(a), artifact_text(b))
+                    ok &= compare(name, artifact_text(a), artifact_text(b))
     return 0 if ok else 1
 
 

@@ -1,8 +1,8 @@
 """Steady-state solvers and their diagnostics.
 
 Solves the single-host fixed-point problems in closed form from the principal
-eigenpair, solves the coupled problem by globalized Newton iteration from their
-superposition, rebuilds the full equilibrium (healthy tissue, infected
+eigenpair, solves the coupled problem by pseudo-transient continuation from
+their superposition, rebuilds the full equilibrium (healthy tissue, infected
 densities) from the spore density, and evaluates the superposition,
 concentration, pinning and lower-bound diagnostics.
 """
@@ -20,9 +20,6 @@ from .operators import update_map
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
-# the coupled solve takes plain steps after this many Newton steps in a row
-# without a new lowest residual, until one comes in
-STALL_STEPS = 3
 # slack of the paper's inequalities mu_k/theta >= lambda1^k and
 # int(beta_k A) >= (theta/2)(lambda1^k - 1); mu_k/theta is pinned to lambda1^k
 # when the two agree to PIN_TOL
@@ -96,22 +93,29 @@ def solve_coupled(
     start: Field | None = None,
     tol: float = DEFAULT_TOL,
 ) -> EquilibriumState:
-    """Globalized Newton iteration for the coupled spore-density equation a = T(a).
+    """Pseudo-transient continuation for the coupled spore-density equation a = T(a).
 
     Each iteration maps the iterate once, g = T(a), with the plain-map residual
-    f = g - a, and takes the Newton step a + delta, (I - T'(a)) delta = f
-    (``UpdateMap.newton_direction``, O(n)), clipped at 0.  Every positive fixed
-    point keeps den_k - 1 = theta^-1 int beta_k a above the paper's lower bound
-    (lambda1^k - 1)/2, and max_k den_k - 1 above (rho - 1)/2, with rho the
-    combined radius.  The plain step T(a), clipped, is taken instead when
+    f = g - a, and takes the linearly implicit Euler step a + delta of
+    da/dt = T(a) - a, (sigma I - T'(a)) delta = f with sigma = 1 + 1/dt
+    (``UpdateMap.newton_direction``, O(n)), clipped at 0.  The step starts at
+    sigma = 2 (dt = 1) and is lengthened by switched evolution relaxation,
+    sigma <- 1 + (sigma - 1) res/res_prev (dt <- dt res_prev/res), so it
+    becomes Newton's step, sigma = 1, as the residual falls (Mulder & Van Leer,
+    J. Comput. Phys. 59, 1985; Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
 
-    - the Newton iterate breaks a bound: it heads for the zero state, a root of
-      a - T(a) too, or for a state without one host's mode;
-    - the iterate is a near-fixed point (below);
-    - ``STALL_STEPS`` Newton steps in a row brought no new lowest residual (as at
-      clipped points where the step keeps pushing the same nodes below 0): plain
-      steps then run until an iterate within the bounds brings one;
-    - the Newton direction could not be computed.
+    Every positive fixed point keeps den_k - 1 = theta^-1 int beta_k a above the
+    paper's lower bound (lambda1^k - 1)/2, and max_k den_k - 1 above
+    (rho - 1)/2, with rho the combined radius.  den - 1 is linear in a, so a
+    start below the second bound is first scaled up along itself to meet it.
+    The plain step T(a), clipped, is taken instead of the shifted one in two
+    cases, and sigma is reset to 2 after the first:
+
+    - the iterate breaks a bound: shifted steps would head for the zero state,
+      a root of a - T(a) too, or keep it at a saddle without one host's mode,
+      such as a single host's steady state, which the other host's mode grows
+      away from;
+    - the shifted solve is singular.
 
     The default start is the superposition a1* + a2* of the single-host states
     (``Problem.host_spectra``), or ``default_start`` when the fitness supports
@@ -119,17 +123,14 @@ def solve_coupled(
 
     T(a) reads a only on the map's read nodes R, where a fitness or beta row is
     nonzero (``UpdateMap.read_nodes``), so the iteration runs on R alone: its
-    map applications, residuals, bounds and Newton steps are those of the whole
+    map applications, residuals, bounds and steps are those of the whole
     grid's iteration read on R.  The returned density T(a) is extended to the
     whole grid by one full-grid map application, and ``reconstruct`` certifies
     it there.
 
     Converged only when the quadrature-L1 residual of the plain map on R is
     below ``tol`` and, for an endemic state, the paper's necessary conditions
-    hold (``necessary_conditions_hold``).  An endemic iterate under ``tol``
-    that fails them is a near-fixed point, such as a single host's steady
-    state, which the other host's mode grows away from: plain steps follow
-    that mode until a lower residual comes in.  ``iterations`` counts map
+    hold (``necessary_conditions_hold``).  ``iterations`` counts map
     applications, ``restarts`` plain steps, and ``residual_history`` holds the
     last residuals on R.
     """
@@ -147,10 +148,6 @@ def solve_coupled(
     excess_floor = 0.5 * (problem.combined_radius - 1.0)
     floors = 0.5 * (np.array([s.lambda1 for s in problem.host_spectra]) - 1.0)
 
-    def within_bounds(x: np.ndarray) -> bool:
-        excess = tmap.denominators(x) - 1.0
-        return excess.max() >= excess_floor and bool(np.all(excess >= floors))
-
     if start is None:
         start = default_start(problem)
         if OVERLAPPING_SUPPORTS not in problem.assumption_warnings:
@@ -159,9 +156,10 @@ def solve_coupled(
     if np.any(start.values < 0):
         raise SolverError("start density must be nonnegative")
     a = start.values[read]
-    best = np.inf
-    since_best = restarts = 0
-    newton = plain = False
+    top = (tmap.denominators(a) - 1.0).max()
+    if 0.0 < top < excess_floor:
+        a = a * (excess_floor / top)
+    sigma, restarts = 2.0, 0
     history: list[float] = []
     converged = False
     for it in range(1, DEFAULT_MAX_ITER + 1):
@@ -170,30 +168,24 @@ def solve_coupled(
         f = g - a
         res = float(np.sum(w * np.abs(f)))
         history.append(res)
-        near_fixed = res < tol
-        if near_fixed:
+        if res < tol:
             state = steady_state(mapped)
             converged = necessary_conditions_hold(problem, state)
             if converged:
                 break
-        if res < best and within_bounds(a):
-            best, since_best, plain = res, 0, False
-        elif newton:
-            since_best += 1
-            plain = since_best >= STALL_STEPS
-        plain = plain or near_fixed
-        newton = not plain
-        if newton:
-            try:
-                trial = np.clip(a + tmap.newton_direction(a, f), 0.0, None)
-                newton = within_bounds(trial)
-            except LinAlgError:
-                newton = False
-        if newton:
-            a = trial
+        if it > 1:
+            sigma = 1.0 + (sigma - 1.0) * res / history[-2]
+        excess = tmap.denominators(a) - 1.0
+        if excess.max() < excess_floor or np.any(excess < floors):
+            sigma = 2.0
         else:
-            restarts += 1
-            a = np.clip(g, 0.0, None)
+            try:
+                a = np.clip(a + tmap.newton_direction(a, f, sigma), 0.0, None)
+                continue
+            except LinAlgError:
+                pass
+        restarts += 1
+        a = np.clip(g, 0.0, None)
     if not converged:
         state = steady_state(mapped)
         state.classification = "non_converged"

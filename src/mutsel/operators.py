@@ -13,14 +13,15 @@ set of nodes therefore has a tridiagonal inverse, and that inverse's
 Cholesky-type factor, in closed form (``gram_inverse``, ``gram_factor``): a
 convolution is one O(n) tridiagonal solve, the symmetric eigenproblems
 built on it are tridiagonal too (see ``spectral``), and a solve with
-sigma I - T' for a map's derivative T', a Newton step at sigma = 1, is a
-tridiagonal solve plus a low-rank correction (``ShiftedSolve``) on the
-structure ``Linearization`` derives.  Every general tridiagonal solve, real
-or complex, goes through ``TridiagonalLU``, and every count of a symmetric
-tridiagonal's eigenvalues in an interval through ``sturm_count``.  The
-kernel enters only through eps and its mass (``gram_factor``): nothing here
-forms a sample array or an n x n matrix, and the O(n^2) matrix products the
-tests compare against live with the tests (``tests/oracles.py``).
+sigma I - T' for a map's derivative T', a pseudo-transient step (a Newton
+step at sigma = 1), is a tridiagonal solve plus a low-rank correction
+(``ShiftedSolve``) on the structure ``Linearization`` derives.  Every
+general tridiagonal solve, real or complex, goes through ``TridiagonalLU``,
+and every count of a symmetric tridiagonal's eigenvalues in an interval
+through ``sturm_count``.  The kernel enters only through eps and its mass
+(``gram_factor``): nothing here forms a sample array or an n x n matrix, and
+the O(n^2) matrix products the tests compare against live with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -218,12 +219,13 @@ class UpdateMap:
         """Derivative of the map at density a, as an operator on directions h."""
         return Linearization(self, a)
 
-    def newton_direction(self, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The Newton direction of a - T(a) at a: delta with (I - T'(a)) delta = f,
-        for the residual f = T(a) - a (the sigma = 1 ``ShiftedSolve``).  Raises
-        ``LinAlgError`` when the solve is singular or the direction is not
-        finite."""
-        delta = ShiftedSolve(self.linearization(a), 1.0).solve(f)
+    def newton_direction(self, a: np.ndarray, f: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+        """The shifted Newton direction of a - T(a) at a: delta with
+        (sigma I - T'(a)) delta = f, for the residual f = T(a) - a (``ShiftedSolve``).
+        sigma = 1 is Newton's step, and sigma = 1 + 1/dt the linearly implicit
+        Euler step of length dt of da/dt = T(a) - a.  Raises ``LinAlgError`` when
+        the solve is singular or the direction is not finite."""
+        delta = ShiftedSolve(self.linearization(a), sigma).solve(f)
         if not np.all(np.isfinite(delta)):
             raise LinAlgError("Newton direction is not finite")
         return delta
@@ -232,7 +234,8 @@ class UpdateMap:
 class ShiftedSolve:
     """x with (sigma I - T'(a)) x = y for the derivative T'(a) = K (D - U V^T)
     of an UpdateMap (``Linearization``), factored once for any number of
-    right-hand sides.
+    right-hand sides.  The coupled solve's steps take sigma = 1 + 1/dt, from 2
+    down towards Newton's 1, and the stability report's shift-invert 1.001.
 
     x solves (M + U V^T) x = K^-1 y with the symmetric tridiagonal
     M = sigma K^-1 - D.  For sigma near 1 and a near a fixed point M is
