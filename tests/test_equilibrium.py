@@ -224,6 +224,18 @@ class TestCoupled:
             iterations.append(state.iterations)
         assert max(iterations) <= 2 * np.median(iterations)
 
+    @pytest.mark.parametrize("seed", [6, 8])
+    def test_stalled_newton_escapes_by_plain_steps(self, fig3, seed):
+        # from these random starts clipped Newton steps stalled at points that
+        # missed host 1's peak (236 and 34 map applications, 197 and 10 of them
+        # plain steps), and plain steps regrew it.  Pseudo-transient steps do
+        # not stall there: 11 map applications each, and no plain step
+        problem = build_problem(fig3, 2.5e-3)
+        state = solve_coupled(problem, start=_random_start(problem, np.random.default_rng(seed)))
+        assert state.converged and state.restarts == 0
+        assert state.iterations <= 30
+        assert l1_norm(state.A - solve_coupled(problem).A) < 1e-8
+
     def test_overlapping_supports_default_start_converges_fast(self, fig3):
         # criterion 10's case: Newton with plain steps took 149 map
         # applications, 127 of them plain steps; pseudo-transient steps take 12
