@@ -5,10 +5,11 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and six more, which reach the sweep, fig3's
+(``bench/workloads.py``, seed 1) and eight more, which reach the sweep, fig3's
 multistart with its stability report, rk4 dynamics on fig2, the second
 eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
-near its threshold, and fig3's coupled solve at eps = 1e-3, each run once
+near its threshold, fig3's coupled solve at eps = 1e-3, and ``--scale-beta``
+in a sweep and in an equilibrium with its stability report, each run once
 with each tree, in a fresh interpreter with one BLAS thread.  For every
 artifact, and for the command's standard output, one line says
 ``byte-identical`` or gives the largest relative difference among its
@@ -44,6 +45,10 @@ EXTRA_COMMANDS = [
     ["spectrum", "--preset", "fig3", "--host", "1", "--epsilon", "1e-2", "--epsilon", "2.5e-3"],
     ["spectrum", "--preset", "fig2", "--host", "2", "--epsilon", "2e-3", "--epsilon", "1e-3"],
     ["equilibrium", "--preset", "fig3", "--epsilon", "1e-3"],
+    ["sweep", "--preset", "fig3", "--scale-beta", "0.52", "--epsilon", "1e-2",
+     "--epsilon", "2.5e-3"],
+    ["equilibrium", "--preset", "fig1", "--epsilon", "2.5e-3", "--scale-beta", "0.51",
+     "--stability"],
 ]
 # a number that stands alone: not the digit in a name such as S1 or v1; the
 # group keeps the numbers in NUMBER.split's list, at its odd positions
@@ -54,7 +59,7 @@ NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan|
 def run(src: Path, argv: list[str], outdir: Path) -> tuple[int, str]:
     """Exit status and standard output of ``mutsel argv`` run from ``src``,
     with the output directory's name in it read as OUTDIR."""
-    env = {**os.environ, "PYTHONPATH": str(src), "MUTSEL_JOBS": "1",
+    env = {**os.environ, "PYTHONPATH": str(src),
            **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                    "MKL_NUM_THREADS")}}
     proc = subprocess.run([sys.executable, "-m", "mutsel.cli", *argv,

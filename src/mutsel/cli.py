@@ -8,9 +8,7 @@ fully resolved configuration.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -201,35 +199,31 @@ def _stability_fields(rep) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _spectrum_entry(payload):
-    mp, eps, host, n, tol = payload
-    problem = mdl.build_problem(mp, eps, n=n)
-    if host == 0:
-        res = spec.solve_combined_spectrum(problem, tol=tol)
-        lam2 = gap = float("nan")
-    else:
-        res = spec.solve_host_spectrum(problem, host, tol=tol, with_second=True)
-        lam2, gap = res.lambda2, res.gap
-    row = [eps, res.lambda1, lam2, gap, res.residual, res.iterations, res.converged]
-    return row, res.degenerate, problem.assumption_warnings
-
-
 def cmd_spectrum(args) -> int:
     mp, source = resolve_model(args)
     eps_list = _eps_list(args)
     outdir = _outdir(args)
-    payloads = [(mp, e, args.host, args.n, args.tol) for e in eps_list]
-    results = _run_parallel(_spectrum_entry, payloads, args.jobs)
-    rows = [row for row, _, _ in results]
+    rows, degenerate, warnings = [], [], []
+    for eps in eps_list:
+        problem = mdl.build_problem(mp, eps, n=args.n)
+        if args.host == 0:
+            res = spec.solve_combined_spectrum(problem, tol=args.tol)
+            lam2 = gap = float("nan")
+        else:
+            res = spec.solve_host_spectrum(problem, args.host, tol=args.tol, with_second=True)
+            lam2, gap = res.lambda2, res.gap
+        rows.append([eps, res.lambda1, lam2, gap, res.residual, res.iterations, res.converged])
+        degenerate.append(res.degenerate)
+        warnings.append(problem.assumption_warnings)
     write_csv(
         outdir / "spectrum.csv",
         "spectrum",
         ["epsilon", "lambda1", "lambda2", "gap", "residual", "iterations", "converged"],
         rows,
     )
-    summary = {"rows": len(rows), "assumption_warnings": _merged([w for *_, w in results])}
+    summary = {"rows": len(rows), "assumption_warnings": _merged(warnings)}
     if args.host:  # the combined operator's second eigenvalue is not computed
-        summary["degenerate"] = any(d for _, d, _ in results)
+        summary["degenerate"] = any(degenerate)
     exponent = spec.gap_exponent([r[0] for r in rows], [r[3] for r in rows])
     if exponent is not None:
         summary["gap_exponent"] = exponent
@@ -301,31 +295,25 @@ def cmd_equilibrium(args) -> int:
     return 0
 
 
-def _sweep_entry(payload):
-    mp, eps, n, tol = payload
-    problem = mdl.build_problem(mp, eps, n=n)
-    state = eq.solve_coupled(problem, tol=tol)
-    sup = eq.superposition_error(problem, state.A)
-    targets = eq.concentration_targets(problem)
-    return eq.summarize(state), sup, state.converged, targets, problem.assumption_warnings
-
-
 def cmd_sweep(args) -> int:
     mp, source = resolve_model(args)
     args.epsilon = args.epsilon or list(DEFAULT_SWEEP)
     eps_list = _eps_list(args)
     outdir = _outdir(args)
-    payloads = [(mp, e, args.n, args.tol) for e in sorted(eps_list, reverse=True)]
-    results = _run_parallel(_sweep_entry, payloads, args.jobs)
-    conv_rows = []
-    sup_rows = []
+    conv_rows, sup_rows, warnings = [], [], []
     failures = 0
-    targets = results[-1][3]
-    for (_, eps, *_), (s, sup, converged, *_) in zip(payloads, results):
+    for eps in sorted(eps_list, reverse=True):
+        problem = mdl.build_problem(mp, eps, n=args.n)
+        state = eq.solve_coupled(problem, tol=args.tol)
+        sup = eq.superposition_error(problem, state.A)
+        s = eq.summarize(state)
         conv_rows.append([eps, *s.S, *s.infected_mass, s.a_mass, s.a_first_moment,
-                          s.a_argmax, converged])
+                          s.a_argmax, state.converged])
         sup_rows.append([eps, sup.e_total, sup.e_sigma1, sup.e_sigma2, sup.e_complement])
-        failures += 0 if converged else 1
+        failures += 0 if state.converged else 1
+        warnings.append(problem.assumption_warnings)
+    # the closed-form limits, on the finest width's grid
+    targets = eq.concentration_targets(problem)
     header = ["epsilon", "S1", "S2", "I1_mass", "I2_mass", "A_mass", "A_first_moment",
               "A_argmax", "converged"]
     write_csv(outdir / "concentration.csv", "concentration", header, conv_rows)
@@ -349,7 +337,7 @@ def cmd_sweep(args) -> int:
             name: (f * y - x) / (f - 1.0) for name, x, y in zip(header[1:7], a[1:7], b[1:7])
         }
         limits["extrapolated"]["A_argmax"] = b[7]
-    limits["assumption_warnings"] = _merged([w for *_, w in results])
+    limits["assumption_warnings"] = _merged(warnings)
     write_json(outdir / "targets.json", limits)
     write_manifest(outdir, args, source)
     if failures and not args.allow_partial:
@@ -426,15 +414,6 @@ def cmd_stability(args) -> int:
 # ---------------------------------------------------------------------------
 # plumbing
 
-def _run_parallel(fn, payloads, jobs):
-    if jobs == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    # the pool forks all its workers at the first submit, so fork no idle ones
-    workers = min(jobs, len(payloads))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
-
-
 def build_parser() -> argparse.ArgumentParser:
     # the options every subcommand takes, defined once
     common = argparse.ArgumentParser(add_help=False)
@@ -446,9 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-10)
     common.add_argument("--scale-beta", type=float, default=1.0,
                         help="multiply both infection efficiencies")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for sweep and spectrum "
-                             "(default: $MUTSEL_JOBS or 1)")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted only as 1: every command runs in one process")
     common.add_argument("--allow-partial", action="store_true",
                         help="exit 0 even when some entries fail to converge")
     common.add_argument("--output-dir", default="mutsel-out")
@@ -502,14 +480,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise SystemExit2(f"--tol must be finite and positive, got {args.tol}")
-    if args.jobs is None:
-        jobs = os.environ.get("MUTSEL_JOBS", "1")
-        try:
-            args.jobs = int(jobs)
-        except ValueError:
-            raise SystemExit2(f"MUTSEL_JOBS must be an integer, got {jobs!r}") from None
-    if args.jobs < 1:
-        raise SystemExit2(f"--jobs (or MUTSEL_JOBS) must be at least 1, got {args.jobs}")
+    if args.jobs != 1:
+        raise SystemExit2(f"--jobs must be 1: every command runs in one process, "
+                          f"got {args.jobs}")
     try:
         return args.func(args)
     except SystemExit2:

@@ -13,13 +13,11 @@ import math
 import types
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .grid import Field, TraitGrid, make_grid
-
-TraitFunction = Callable[[np.ndarray], np.ndarray]
 
 
 class ModelError(ValueError):
@@ -31,16 +29,7 @@ class KernelResolutionError(ModelError):
 
 
 # ---------------------------------------------------------------------------
-# trait function helpers
-
-@dataclass(frozen=True)
-class ScaledFunction:
-    factor: float
-    base: TraitFunction
-
-    def __call__(self, x):
-        return self.factor * np.asarray(self.base(x), dtype=float)
-
+# trait expressions
 
 _EXPR_NAMES = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
@@ -106,11 +95,6 @@ class TraitExpression:
         # compiled once; the frozen instance keeps the code beside its field
         object.__setattr__(self, "_code", _compiled(self.expr))
 
-    def __reduce__(self):
-        # a code object does not pickle (the sweep's workers receive traits),
-        # so the expression is sent and compiled again
-        return TraitExpression, (self.expr,)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         try:
@@ -130,13 +114,13 @@ class TraitExpression:
 
 @dataclass
 class HostParams:
-    """Per-host trait functions and the influx fraction xi."""
+    """Per-host trait expressions and the influx fraction xi."""
 
     xi: float
-    beta: TraitFunction
+    beta: TraitExpression
     beta_support: tuple[float, float]
-    d: TraitFunction = TraitExpression("0")
-    r: TraitFunction = TraitExpression("1")
+    d: TraitExpression = TraitExpression("0")
+    r: TraitExpression = TraitExpression("1")
 
     def __post_init__(self):
         if not 0.0 < self.xi < 1.0:
@@ -146,7 +130,8 @@ class HostParams:
             raise ModelError(f"invalid beta support {self.beta_support}")
 
     def scaled_beta(self, factor: float) -> "HostParams":
-        return replace(self, beta=ScaledFunction(factor, self.beta))
+        # the same float64 product as multiplying beta's values by factor
+        return replace(self, beta=TraitExpression(f"{float(factor)!r}*({self.beta.expr})"))
 
 
 @dataclass

@@ -163,41 +163,17 @@ class TestSweepCommand:
         assert targets["S1"] == pytest.approx(0.125, rel=1e-3)
         assert targets["assumption_warnings"] == []
 
-    def test_jobs_fork_no_more_workers_than_entries(self, outdir, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records the pool size it is asked for and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        assert run([
-            "sweep", "--preset", "fig1", "--epsilon", "5e-2", "--epsilon", "2e-2",
-            "--jobs", "64", "--output-dir", str(outdir),
-        ]) == 0
-        assert sizes == [2]
-
-    def test_parallel_jobs_same_result(self, tmp_path):
+    def test_jobs_one_writes_the_same_artifacts(self, tmp_path):
+        # --jobs accepts only 1, its default: passing it changes no artifact,
+        # the manifest's options included
         texts = []
-        for jobs, name in (("1", "serial"), ("2", "parallel")):
+        for name, jobs in (("default", []), ("one", ["--jobs", "1"])):
             out = tmp_path / name
-            run([
-                "sweep", "--preset", "fig1", "--epsilon", "5e-2", "--epsilon", "2e-2",
-                "--tol", "1e-9", "--jobs", jobs, "--output-dir", str(out),
-            ])
-            texts.append((out / "concentration.csv").read_text())
-        assert texts[0] == texts[1]
+            assert run(["sweep", "--preset", "fig1", "--epsilon", "5e-2", "--epsilon", "2e-2",
+                        "--tol", "1e-9", *jobs, "--output-dir", str(out)]) == 0
+            texts.append({p.name: p.read_text().replace(str(out.resolve()), "OUT")
+                          for p in out.iterdir()})
+        assert len(texts[0]) == 4 and texts[0] == texts[1]
 
     def test_extrapolated_targets(self, tmp_path):
         out = tmp_path / "three"
@@ -454,6 +430,8 @@ MALFORMED = {
                                     "--starts", "-3"],
     "negative jobs": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                                   "--jobs", "-4"],
+    "jobs other than one": lambda tmp: ["sweep", "--preset", "fig1", "--epsilon", "5e-2",
+                                        "--jobs", "2"],
     "config is a directory": lambda tmp: ["spectrum", "--config", str(tmp),
                                           "--epsilon", "5e-2"],
     "non-UTF-8 config": lambda tmp: ["spectrum", *_config_file(tmp, b"{\xff\xfe}"),
@@ -496,15 +474,6 @@ def test_non_finite_scale_beta_names_the_option(scale, tmp_path, capsys):
             "--output-dir", str(tmp_path / "out")]
     assert _status(argv) == 2
     assert "--scale-beta" in capsys.readouterr().err
-
-
-def test_non_integer_jobs_env_is_usage_error(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("MUTSEL_JOBS", "abc")
-    argv = ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
-            "--output-dir", str(tmp_path / "out")]
-    assert _status(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "MUTSEL_JOBS" in err
 
 
 def test_stability_on_fine_grid(outdir):

@@ -1,7 +1,6 @@
 """Parameters, fitness construction, kernel scaling, presets and validation."""
 
 import math
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -217,6 +216,15 @@ class TestValidation:
         x = np.array([0.4])
         assert scaled.hosts[0].beta(x)[0] == pytest.approx(0.1 * fig1.hosts[0].beta(x)[0])
 
+    @pytest.mark.parametrize("factor", [0.1, 0.51, 1e200, 3])
+    def test_scaled_beta_is_the_product_expression(self, fig1, factor):
+        # a scaled trait is one more expression, whose values are the float64
+        # products of the factor and the unscaled values
+        x = np.linspace(0.0, 1.1, 1001)
+        for host, scaled in zip(fig1.hosts, fig1.scaled_beta(factor).hosts):
+            assert isinstance(scaled.beta, TraitExpression)
+            assert scaled.beta(x).tobytes() == (float(factor) * host.beta(x)).tobytes()
+
 
 class TestProblemAssembly:
     def test_default_window_padding(self, fig1):
@@ -282,14 +290,6 @@ class TestTraitExpressions:
         assert TraitExpression("+".join(["x"] * 900))(np.ones(2)).tolist() == [900.0, 900.0]
         with pytest.raises(ModelError, match="recursion"):
             TraitExpression("+".join(["x"] * 5000))
-
-    def test_pickles_by_expression(self):
-        # the sweep's worker processes receive traits pickled; the compiled
-        # code stays behind and is rebuilt from the expression
-        trait = TraitExpression("200*pos((x-0.2)*(0.6-x))+(x>0.5)")
-        copy = pickle.loads(pickle.dumps(trait))
-        x = np.linspace(0.0, 1.0, 11)
-        assert copy == trait and copy(x).tobytes() == trait(x).tobytes()
 
     @pytest.mark.parametrize("expr", ["(x>0.3)+(x>0.5)", "(pi>e)+(pi>e)"])
     def test_comparisons_add_as_numbers(self, expr):

@@ -352,11 +352,7 @@ class TestGapsAndLimits:
 
     def test_degenerate_twin_peaks_flagged(self):
         # two identical bumps: the limit eigenvalue is double, the gap collapses
-        def twin(x):
-            b = np.clip((x - 0.1) * (0.3 - x), 0.0, None)
-            b2 = np.clip((x - 0.7) * (0.9 - x), 0.0, None)
-            return 100.0 * (b + b2)
-
+        twin = TraitExpression("100*(pos((x-0.1)*(0.3-x)) + pos((x-0.7)*(0.9-x)))")
         hosts = (
             HostParams(xi=0.5, beta=twin, beta_support=(0.1, 0.9)),
             HostParams(xi=0.5, beta=TraitExpression("400*pos((x-0.4)*(0.6-x))"),
