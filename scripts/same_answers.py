@@ -5,17 +5,19 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and eight more, which reach the sweep, fig3's
+(``bench/workloads.py``, seed 1) and twelve more, which reach the sweep, fig3's
 multistart with its stability report, rk4 dynamics on fig2, the second
 eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
-near its threshold, fig3's coupled solve at eps = 1e-3, and ``--scale-beta``
-in a sweep and in an equilibrium with its stability report, each run once
-with each tree, in a fresh interpreter with one BLAS thread.  For every
-artifact, and for the command's standard output, one line says
+near its threshold, fig3's coupled solve at eps = 1e-3, ``--scale-beta``
+in a sweep and in an equilibrium with its stability report, and four
+malformed command lines (exit status 2), each run once with each tree, in a
+fresh interpreter with one BLAS thread.  For every artifact, and for the
+command's standard output and standard error, one line says
 ``byte-identical`` or gives the largest relative difference among its
 numbers and where it is: the key path of a JSON artifact, the column and
-line of a CSV one, the line of the standard output.  The output directory
-in ``manifest.json`` is left out.  The exit status is 1 when an exit status
+line of a CSV one, the line of the standard output or error.  The output
+directory reads OUTDIR in both streams, and is left out of
+``manifest.json``.  The exit status is 1 when an exit status
 or an artifact's text outside its numbers differs, an artifact is missing on
 one side, or a number differs by more than 1e-12 relative; else 0.
 """
@@ -49,6 +51,11 @@ EXTRA_COMMANDS = [
      "--epsilon", "2.5e-3"],
     ["equilibrium", "--preset", "fig1", "--epsilon", "2.5e-3", "--scale-beta", "0.51",
      "--stability"],
+    # malformed input, which exits 2 with one error line
+    ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2", "--tol", "-1"],
+    ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--dt", "nan"],
+    ["sweep", "--preset", "fig1", "--epsilon", "5e-2", "--jobs", "2"],
+    ["spectrum", "--preset", "fig1", "--epsilon", "5e-2", "--epsilon", "5e-2"],
 ]
 # a number that stands alone: not the digit in a name such as S1 or v1; the
 # group keeps the numbers in NUMBER.split's list, at its odd positions
@@ -56,16 +63,17 @@ NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan|
                     r"(?![\w.])")
 
 
-def run(src: Path, argv: list[str], outdir: Path) -> tuple[int, str]:
-    """Exit status and standard output of ``mutsel argv`` run from ``src``,
-    with the output directory's name in it read as OUTDIR."""
+def run(src: Path, argv: list[str], outdir: Path) -> tuple[int, str, str]:
+    """Exit status, standard output and standard error of ``mutsel argv`` run
+    from ``src``, with the output directory's name in them read as OUTDIR."""
     env = {**os.environ, "PYTHONPATH": str(src),
            **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                    "MKL_NUM_THREADS")}}
     proc = subprocess.run([sys.executable, "-m", "mutsel.cli", *argv,
                            "--output-dir", str(outdir)],
                           env=env, capture_output=True, text=True, check=False)
-    return proc.returncode, proc.stdout.replace(str(outdir), "OUTDIR")
+    return (proc.returncode, *(text.replace(str(outdir), "OUTDIR")
+                               for text in (proc.stdout, proc.stderr)))
 
 
 def artifact_text(path: Path) -> str:
@@ -171,13 +179,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate([*commands, *EXTRA_COMMANDS]):
             outdirs = [Path(tmp, f"{i}-{side}") for side in ("parent", "change")]
-            (code_a, out_a), (code_b, out_b) = (run(src, command, out)
-                                                for src, out in zip(trees, outdirs))
+            (code_a, *texts_a), (code_b, *texts_b) = (run(src, command, out)
+                                                      for src, out in zip(trees, outdirs))
             print("mutsel " + " ".join(command))
             if code_a != code_b:
                 print(f"  exit status {code_a} against {code_b}")
                 ok = False
-            ok &= compare("(stdout)", out_a, out_b)
+            for stream, a, b in zip(("(stdout)", "(stderr)"), texts_a, texts_b):
+                ok &= compare(stream, a, b)
             names = sorted({p.name for d in outdirs if d.is_dir() for p in d.iterdir()})
             for name in names:
                 a, b = (d / name for d in outdirs)

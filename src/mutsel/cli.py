@@ -33,6 +33,15 @@ NOT_OPTIONS = {"command", "func", "preset", "config", "scale_beta"}
 CSV_BLOCK_ROWS = 2048
 
 
+class UsageError(ValueError):
+    """Malformed input: ``main`` prints it as an ``error:`` line and returns 2."""
+
+
+class RunFailure(RuntimeError):
+    """Solves that did not converge: ``main`` prints it as an ``error:`` line
+    and returns 1."""
+
+
 # ---------------------------------------------------------------------------
 # config resolution
 
@@ -47,7 +56,7 @@ def load_model_config(path: str) -> mdl.ModelParams:
 
 def resolve_model(args) -> tuple[mdl.ModelParams, dict]:
     if args.preset and args.config:
-        raise SystemExit2("--preset and --config are mutually exclusive")
+        raise UsageError("--preset and --config are mutually exclusive")
     if args.preset:
         mp = mdl.preset(args.preset)
         source = {"preset": args.preset}
@@ -55,22 +64,14 @@ def resolve_model(args) -> tuple[mdl.ModelParams, dict]:
         mp = load_model_config(args.config)
         source = {"config": str(Path(args.config).resolve())}
     else:
-        raise SystemExit2("one of --preset or --config is required")
+        raise UsageError("one of --preset or --config is required")
     scale = getattr(args, "scale_beta", 1.0)
     if scale != 1.0:
         if not (np.isfinite(scale) and scale > 0):
-            raise SystemExit2(f"--scale-beta must be finite and positive, got {scale}")
+            raise UsageError(f"--scale-beta must be finite and positive, got {scale}")
         mp = mp.scaled_beta(scale)
         source["scale_beta"] = scale
     return mp, source
-
-
-class SystemExit2(SystemExit):
-    """Usage error: exit status 2, message on stderr."""
-
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ def _outdir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise SystemExit2(f"cannot create output directory {out}: {exc}") from None
+        raise UsageError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
@@ -121,45 +122,30 @@ def write_manifest(outdir: Path, args, source: dict) -> None:
 def _eps_list(args) -> list[float]:
     eps = args.epsilon
     if not eps:
-        raise SystemExit2("at least one --epsilon value is required")
+        raise UsageError("at least one --epsilon value is required")
     if not all(np.isfinite(e) and e > 0 for e in eps):
-        raise SystemExit2("epsilon values must be finite and positive")
+        raise UsageError("epsilon values must be finite and positive")
     if len(set(eps)) != len(eps):
-        raise SystemExit2(f"repeated --epsilon value in {eps}")
+        raise UsageError(f"repeated --epsilon value in {eps}")
     return eps
 
 
-def _unconverged(args, outdir: Path, states) -> bool:
-    """Report coupled solves that did not converge; True means exit with status 1.
-
-    The residual histories of the failed solves go to ``residual_history.csv``;
-    with ``--allow-partial`` the failure is let through.
-    """
-    failed = [(i, s) for i, s in enumerate(states) if not s.converged]
-    if not failed or args.allow_partial:
-        return False
-    write_csv(
-        outdir / "residual_history.csv",
-        "residuals",
-        ["start", "iteration", "residual"],
-        [
-            [i, s.iterations - len(s.residual_history) + 1 + j, r]
-            for i, s in failed
-            for j, r in enumerate(s.residual_history)
-        ],
-    )
-    print(f"error: {len(failed)} coupled solve(s) did not converge", file=sys.stderr)
-    return True
+def _require_converged(args, failed: int, what: str) -> None:
+    """``RunFailure`` when ``failed`` solves (``what``) did not converge, unless
+    ``--allow-partial`` lets the failure through."""
+    if failed and not args.allow_partial:
+        raise RunFailure(f"{failed} {what} did not converge")
 
 
 def _steady_states(args, starts: int = 1, seed: int = 0):
     """The set-up of the one-width commands: ``(source, outdir, problem, states)``,
     the coupled solves from the default start and ``starts - 1`` seeded random
-    starts, with ``states`` None when one did not converge (exit status 1)."""
+    starts.  When one did not converge (``_require_converged``), the residual
+    histories of the failed ones go to ``residual_history.csv``."""
     mp, source = resolve_model(args)
     eps = _eps_list(args)
     if len(eps) != 1:
-        raise SystemExit2(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
+        raise UsageError(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
     outdir = _outdir(args)
     problem = mdl.build_problem(mp, eps[0], n=args.n)
     rng = np.random.default_rng(seed)
@@ -170,7 +156,22 @@ def _steady_states(args, starts: int = 1, seed: int = 0):
             vals = rng.random(problem.grid.n) + 1e-3
             start = Field(problem.grid, vals / float(np.sum(problem.grid.quad_weights * vals)))
         states.append(eq.solve_coupled(problem, start=start, tol=args.tol))
-    return source, outdir, problem, None if _unconverged(args, outdir, states) else states
+    failed = [(i, s) for i, s in enumerate(states) if not s.converged]
+    try:
+        _require_converged(args, len(failed), "coupled solve(s)")
+    except RunFailure:
+        write_csv(
+            outdir / "residual_history.csv",
+            "residuals",
+            ["start", "iteration", "residual"],
+            [
+                [i, s.iterations - len(s.residual_history) + 1 + j, r]
+                for i, s in failed
+                for j, r in enumerate(s.residual_history)
+            ],
+        )
+        raise
+    return source, outdir, problem, states
 
 
 def _merged(warning_lists) -> list[str]:
@@ -229,10 +230,7 @@ def cmd_spectrum(args) -> int:
         summary["gap_exponent"] = exponent
     write_manifest(outdir, args, source)
     write_json(outdir / "spectrum_summary.json", summary)
-    failed = [r for r in rows if not r[6]]
-    if failed and not args.allow_partial:
-        print(f"error: {len(failed)} spectral solve(s) did not converge", file=sys.stderr)
-        return 1
+    _require_converged(args, sum(not r[6] for r in rows), "spectral solve(s)")
     for r in rows:
         print(f"epsilon={r[0]:g} lambda1={r[1]:.12g}")
     return 0
@@ -240,12 +238,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     if args.seed < 0:
-        raise SystemExit2(f"--seed must be nonnegative, got {args.seed}")
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.starts < 1:
-        raise SystemExit2(f"--starts must be at least 1, got {args.starts}")
+        raise UsageError(f"--starts must be at least 1, got {args.starts}")
     source, outdir, problem, states = _steady_states(args, args.starts, args.seed)
-    if states is None:
-        return 1
     state = states[0]
     spread = max(l1_norm(s.A - state.A) for s in states)
     sup = eq.superposition_error(problem, state.A)
@@ -301,7 +297,6 @@ def cmd_sweep(args) -> int:
     eps_list = _eps_list(args)
     outdir = _outdir(args)
     conv_rows, sup_rows, warnings = [], [], []
-    failures = 0
     for eps in sorted(eps_list, reverse=True):
         problem = mdl.build_problem(mp, eps, n=args.n)
         state = eq.solve_coupled(problem, tol=args.tol)
@@ -310,7 +305,6 @@ def cmd_sweep(args) -> int:
         conv_rows.append([eps, *s.S, *s.infected_mass, s.a_mass, s.a_first_moment,
                           s.a_argmax, state.converged])
         sup_rows.append([eps, sup.e_total, sup.e_sigma1, sup.e_sigma2, sup.e_complement])
-        failures += 0 if state.converged else 1
         warnings.append(problem.assumption_warnings)
     # the closed-form limits, on the finest width's grid
     targets = eq.concentration_targets(problem)
@@ -340,30 +334,23 @@ def cmd_sweep(args) -> int:
     limits["assumption_warnings"] = _merged(warnings)
     write_json(outdir / "targets.json", limits)
     write_manifest(outdir, args, source)
-    if failures and not args.allow_partial:
-        print(f"error: {failures} sweep entr(ies) did not converge", file=sys.stderr)
-        return 1
+    _require_converged(args, sum(not r[-1] for r in conv_rows), "sweep entr(ies)")
     print(f"sweep complete: {len(conv_rows)} rows -> {outdir}")
     return 0
 
 
 def cmd_dynamics(args) -> int:
-    dyn.check_schedule(args.t_end, args.dt, args.sample_every)
+    try:
+        dyn.check_schedule(args.t_end, args.dt, args.sample_every)
+    except dyn.DynamicsError as exc:
+        raise UsageError(str(exc)) from None
     if not (np.isfinite(args.bump) and args.bump >= 0):
-        raise SystemExit2(f"--bump must be finite and nonnegative, got {args.bump}")
+        raise UsageError(f"--bump must be finite and nonnegative, got {args.bump}")
     source, outdir, problem, states = _steady_states(args)
-    if states is None:
-        return 1
     state = states[0]
     init = dyn.disease_free_state(problem, bump=args.bump)
-    try:
-        traj = dyn.integrate(
-            problem, init, args.t_end, args.dt, method=args.method,
-            sample_every=args.sample_every,
-        )
-    except dyn.DynamicsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    traj = dyn.integrate(problem, init, args.t_end, args.dt, method=args.method,
+                         sample_every=args.sample_every)
     write_csv(
         outdir / "trajectory.csv",
         "trajectory",
@@ -393,8 +380,6 @@ def cmd_dynamics(args) -> int:
 
 def cmd_stability(args) -> int:
     source, outdir, problem, states = _steady_states(args)
-    if states is None:
-        return 1
     state = states[0]
     rep = stab.stability_report(problem, state.A, tol=max(10 * args.tol, 1e-8))
     write_json(
@@ -476,21 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise SystemExit2(f"--tol must be finite and positive, got {args.tol}")
-    if args.jobs != 1:
-        raise SystemExit2(f"--jobs must be 1: every command runs in one process, "
-                          f"got {args.jobs}")
+    """Run one command.  The exit status is 0; or 2, with one ``error:`` line on
+    stderr, for malformed input; or 1, with one, for solves that did not
+    converge or a run that failed.  argparse's own errors exit 2 with its usage."""
+    args = build_parser().parse_args(argv)
     try:
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+        if args.jobs != 1:
+            raise UsageError(f"--jobs must be 1: every command runs in one process, "
+                             f"got {args.jobs}")
         return args.func(args)
-    except SystemExit2:
-        raise
-    except (mdl.ModelError, GridError, dyn.DynamicsError) as exc:
+    except (UsageError, mdl.ModelError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (spec.SpectralError, stab.StabilityError) as exc:
+    except (RunFailure, spec.SpectralError, stab.StabilityError, dyn.DynamicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,8 +76,11 @@ class EquilibriumState(SystemState):
     classification: str  # "disease_free" | "endemic" | "non_converged"
     iterations: int = 0
     restarts: int = 0
-    converged: bool = True
     residual_history: list[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.classification != "non_converged"
 
 
 def default_start(problem: Problem) -> Field:
@@ -135,7 +138,8 @@ def solve_coupled(
     last residuals on R.
     """
     whole = update_map(problem)
-    read, tmap = whole.read_nodes, whole.on_read_nodes
+    read = whole.read_nodes
+    tmap = whole.restricted(read)
     w = tmap.engine.weights
 
     def steady_state(x: np.ndarray) -> EquilibriumState:
@@ -191,7 +195,6 @@ def solve_coupled(
         state.classification = "non_converged"
     state.iterations = it
     state.restarts = restarts
-    state.converged = converged
     state.residual_history = history[-50:]
     return state
 

@@ -149,11 +149,12 @@ class ConvolutionEngine:
         self.weights = self.grid.quad_weights[self.nodes]
         self.gaps = self.grid.h * np.diff(self.nodes)
         d, sub = gram_factor(kernel, self.gaps)
-        # f2py bounds the subdiagonal to one entry, not zero, on one node
-        self._factor = d, sub if sub.size else np.zeros(1)
+        # the closed-form factor of K^-1 (``gram_factor``); f2py bounds the
+        # subdiagonal to one entry, not zero, on one node
+        self.factor = d, sub if sub.size else np.zeros(1)
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
-        return dpttrs(*self._factor, self.weights * values)[0]
+        return dpttrs(*self.factor, self.weights * values)[0]
 
     @cached_property
     def inverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -191,12 +192,6 @@ class UpdateMap:
         """The nodes where a fitness or a beta row is nonzero: T(a) reads a only
         there, through g(a) a and through the denominators."""
         return np.flatnonzero((self.fitness != 0).any(axis=0) | (self.beta_rows != 0).any(axis=0))
-
-    @cached_property
-    def on_read_nodes(self) -> "UpdateMap":
-        """This map restricted to ``read_nodes``, built once: T(a) on them is
-        this map of a read on them."""
-        return self.restricted(self.read_nodes)
 
     def restricted(self, nodes: np.ndarray) -> "UpdateMap":
         """This map on the given sorted positions among its engine's nodes alone

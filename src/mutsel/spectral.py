@@ -15,7 +15,7 @@ smallest one, and by Rayleigh-quotient iteration certified by Sturm counts
 (``operators.sturm_count``) for the second, with bisection on those counts
 as its fallback; each step is one O(m) tridiagonal factor and solve
 (``operators.TridiagonalLU``).  Rayleigh quotients in the pencil are taken
-through the closed-form factor of G^-1 (``operators.gram_factor``).  The
+through the closed-form factor of G^-1 (``ConvolutionEngine.factor``).  The
 principal eigenvalue is the Rayleigh quotient of the eigenfunction
 reconstructed on the whole grid, where the L1 residual of the pair certifies
 it.  The dense symmetric eigensolve the tests cross-check against is in
@@ -30,9 +30,9 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from .grid import Field, l1_norm
-from .model import MutationKernel, Problem
-from .operators import (Linearization, TridiagonalLU, combined_operator, gram_factor,
-                        gram_inverse, host_operator, sturm_count)
+from .model import Problem
+from .operators import (ConvolutionEngine, Linearization, TridiagonalLU, combined_operator,
+                        host_operator, sturm_count)
 
 DEFAULT_TOL = 1e-10
 # the relative change of the Rayleigh quotient at which inverse iteration for
@@ -109,7 +109,7 @@ def principal_eigenpair(
     # left out
     share = wg / wg.max()
     nodes = np.flatnonzero(share > NEGLIGIBLE_SHARE)
-    pencil = _Pencil(op.engine.kernel, grid.h * np.diff(nodes), share[nodes])
+    pencil = _Pencil(op.engine.restricted(nodes), share[nodes])
     try:
         u, below = _lowest(pencil)
         # the operator has rank m on m nodes: with m = 1 its second eigenvalue is 0
@@ -146,9 +146,9 @@ def principal_eigenpair(
 
 
 class _Pencil:
-    """The symmetric-definite pencil G^-1 u = mu S^2 u on the kept nodes, with
-    S^2 = diag(``share``) and G^-1 = tridiag(off, diag, off) = L D L^T
-    (``gram_inverse``, ``gram_factor``).
+    """The symmetric-definite pencil G^-1 u = mu S^2 u on the nodes of a
+    convolution engine, with S^2 = diag(``share``) and G^-1 = tridiag(off, diag,
+    off) = L D L^T the engine's ``inverse`` and ``factor``.
 
     mu = max(w gain) / lambda for the eigenvalues lambda of the operator, and
     u = S^-1 v for the eigenvectors v of S G S.  Unlike (S G S)^-1, whose
@@ -159,10 +159,10 @@ class _Pencil:
     like eps_mach (eps/h)^2 on a smooth u.
     """
 
-    def __init__(self, kernel: MutationKernel, gaps: np.ndarray, share: np.ndarray):
+    def __init__(self, engine: ConvolutionEngine, share: np.ndarray):
         self.share = share
-        self.d, self.sub = gram_factor(kernel, gaps)
-        self.diag, self.off = gram_inverse(kernel, gaps)
+        self.d, self.sub = engine.factor
+        self.diag, self.off = engine.inverse
 
     def rayleigh(self, u: np.ndarray) -> float:
         ltu = u.copy()

@@ -223,14 +223,11 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
     n = problem.grid.n
     k = min(EIGENVALUE_COUNT, n - 2)
-    nodes = tmap.read_nodes
-    if nodes.size >= k + 2:
-        sub = tmap.on_read_nodes
-    else:
-        pad = np.setdiff1d(np.arange(n), nodes)[: k + 2 - nodes.size]
-        nodes = np.union1d(nodes, pad)
-        sub = tmap.restricted(nodes)
-    lin = sub.linearization(a[nodes])
+    kept = np.zeros(n, bool)
+    kept[tmap.read_nodes] = True
+    kept[np.flatnonzero(~kept)[: max(k + 2 - tmap.read_nodes.size, 0)]] = True
+    nodes = np.flatnonzero(kept)
+    lin = tmap.restricted(nodes).linearization(a[nodes])
     # seeded, because ARPACK's own start vector does not repeat within a process
     v0 = (1.0 + np.random.default_rng(0).random(n))[nodes]
     applications = 0

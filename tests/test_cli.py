@@ -54,14 +54,10 @@ class TestSpectrumCommand:
         assert float(row[1]) < 1.0
 
     def test_missing_model_is_usage_error(self, outdir):
-        with pytest.raises(SystemExit) as exc:
-            run(["spectrum", "--epsilon", "1e-2", "--output-dir", str(outdir)])
-        assert exc.value.code == 2
+        assert run(["spectrum", "--epsilon", "1e-2", "--output-dir", str(outdir)]) == 2
 
     def test_missing_epsilon_is_usage_error(self, outdir):
-        with pytest.raises(SystemExit) as exc:
-            run(["spectrum", "--preset", "fig1", "--output-dir", str(outdir)])
-        assert exc.value.code == 2
+        assert run(["spectrum", "--preset", "fig1", "--output-dir", str(outdir)]) == 2
 
     def test_gap_sweep(self, outdir):
         assert run([
@@ -198,9 +194,8 @@ class TestSweepCommand:
         assert "extrapolated" not in json.loads((out / "targets.json").read_text())
 
     def test_negative_epsilon_usage_error(self, outdir):
-        with pytest.raises(SystemExit) as exc:
-            run(["sweep", "--preset", "fig1", "--epsilon", "-1", "--output-dir", str(outdir)])
-        assert exc.value.code == 2
+        assert run(["sweep", "--preset", "fig1", "--epsilon", "-1",
+                    "--output-dir", str(outdir)]) == 2
 
 
 class TestDynamicsCommand:
@@ -233,7 +228,7 @@ class TestDynamicsCommand:
         ("1e13", 1, "blew up at t=0"),
     ])
     def test_bad_bump(self, outdir, capsys, bump, status, message):
-        assert _status([
+        assert run([
             "dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--t-end", "1",
             "--bump", bump, "--output-dir", str(outdir),
         ]) == status
@@ -321,20 +316,10 @@ class TestConfigFile:
     def test_preset_and_config_conflict(self, tmp_path, outdir):
         cfg = tmp_path / "model.json"
         cfg.write_text("{}")
-        with pytest.raises(SystemExit) as exc:
-            run([
-                "spectrum", "--preset", "fig1", "--config", str(cfg),
-                "--epsilon", "1e-2", "--output-dir", str(outdir),
-            ])
-        assert exc.value.code == 2
-
-
-def _status(argv):
-    """Exit status of a CLI run, whether it returns or raises SystemExit."""
-    try:
-        return run(argv)
-    except SystemExit as exc:
-        return exc.code
+        assert run([
+            "spectrum", "--preset", "fig1", "--config", str(cfg),
+            "--epsilon", "1e-2", "--output-dir", str(outdir),
+        ]) == 2
 
 
 def _config(tmp_path, **host1):
@@ -452,18 +437,19 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_usage_error(case, tmp_path, capsys):
+    # main returns the status, with one error line, and raises no SystemExit
     argv = MALFORMED[case](tmp_path)
     if "--output-dir" not in argv:
         argv += ["--output-dir", str(tmp_path / "out")]
-    assert _status(argv) == 2
+    assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_error_names_path_and_key(tmp_path, capsys):
     argv = ["spectrum", *_config_file(tmp_path, b'{"lambda": 1}'), "--epsilon", "5e-2",
             "--output-dir", str(tmp_path / "out")]
-    assert _status(argv) == 2
+    assert run(argv) == 2
     err = capsys.readouterr().err
     assert str(tmp_path / "model.json") in err and "'hosts'" in err
 
@@ -472,7 +458,7 @@ def test_config_error_names_path_and_key(tmp_path, capsys):
 def test_non_finite_scale_beta_names_the_option(scale, tmp_path, capsys):
     argv = ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2", "--scale-beta", scale,
             "--output-dir", str(tmp_path / "out")]
-    assert _status(argv) == 2
+    assert run(argv) == 2
     assert "--scale-beta" in capsys.readouterr().err
 
 
@@ -491,6 +477,7 @@ UNCONVERGED = {
     "equilibrium": ["equilibrium"],
     "stability": ["stability"],
     "dynamics": ["dynamics", "--t-end", "1", "--dt", "0.02"],
+    "sweep": ["sweep"],
 }
 
 
@@ -500,10 +487,17 @@ def test_unconverged_solve_exits_1(command, monkeypatch, outdir, capsys):
     argv = [*UNCONVERGED[command], "--preset", "fig1", "--epsilon", "5e-2",
             "--output-dir", str(outdir)]
     assert run(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    lines = (outdir / "residual_history.csv").read_text().splitlines()
-    assert lines[1] == "start,iteration,residual"
-    assert [line.split(",")[:2] for line in lines[2:]] == [["0", "1"], ["0", "2"], ["0", "3"]]
+    err = capsys.readouterr().err
+    if command == "sweep":
+        # the sweep writes its tables, the entry marked not converged, and no histories
+        assert err == "error: 1 sweep entr(ies) did not converge\n"
+        assert (outdir / "concentration.csv").read_text().splitlines()[2].endswith(",False")
+        assert not (outdir / "residual_history.csv").exists()
+    else:
+        assert err == "error: 1 coupled solve(s) did not converge\n"
+        lines = (outdir / "residual_history.csv").read_text().splitlines()
+        assert lines[1] == "start,iteration,residual"
+        assert [line.split(",")[:2] for line in lines[2:]] == [["0", "1"], ["0", "2"], ["0", "3"]]
     assert run([*argv, "--allow-partial"]) == 0
 
 

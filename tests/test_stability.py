@@ -113,7 +113,7 @@ def _on_read_nodes(problem, A):
     tmap = update_map(problem)
     read = tmap.read_nodes
     v0 = (1.0 + np.random.default_rng(0).random(problem.grid.n))[read]
-    return tmap.on_read_nodes.linearization(A.values[read]), v0
+    return tmap.restricted(read).linearization(A.values[read]), v0
 
 
 def _regular(problem, A):
@@ -198,7 +198,7 @@ def test_eigenvalue_count_matches_dense(coarse_problem, where):
     a = {"fixed_point": solve_coupled(coarse_problem, tol=1e-12).A.values,
          "random": np.random.default_rng(3).random(coarse_problem.grid.n),
          "zero": np.zeros(coarse_problem.grid.n)}[where][read]
-    lin = tmap.on_read_nodes.linearization(a)
+    lin = tmap.restricted(read).linearization(a)
     mods = np.sort(np.abs(np.linalg.eigvals(dense_derivative(lin))))[::-1]
     for j in (1, 2, 5, 20):
         radius = 0.5 * (mods[j - 1] + mods[j])
