@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from .grid import Field, inner, integrate, l1_norm
 from .model import OVERLAPPING_SUPPORTS, Problem

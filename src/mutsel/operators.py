@@ -26,14 +26,39 @@ the O(n^2) matrix products the tests compare against live with the tests
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz, zgttrf, zgttrs
+import scipy
+from numpy.linalg import LinAlgError
 
 from .model import MutationKernel, Problem
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, loaded from its file without running
+    ``scipy/linalg/__init__.py``: that builds scipy's array-API namespace, which
+    imports ``numpy.f2py`` and ``numpy.testing``, most of the CLI's start-up.
+    It is registered under its own name, so ``scipy.linalg.lapack`` reuses it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = scipy.__path__[0] + "/linalg"
+        spec = PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no {name} in {where}")
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
+dgttrf, dgttrs, dpttrf, dpttrs = _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs
+dstebz, zgttrf, zgttrs = _flapack.dstebz, _flapack.zgttrf, _flapack.zgttrs
 
 
 def gram_factor(kernel: MutationKernel, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from .grid import Field, l1_norm
 from .model import Problem

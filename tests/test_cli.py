@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -758,6 +759,53 @@ def test_cli_import_leaves_out_scipy_fft():
 def test_cli_import_leaves_out_scipy_sparse():
     # scipy.sparse.linalg is loaded by the stability report alone, where it runs
     assert _probe("import sys, mutsel.cli; print('scipy.sparse' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # operators loads scipy's LAPACK extension alone: the package's __init__
+    # builds an array-API namespace that imports numpy.f2py and numpy.testing
+    left_out = ["scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing"]
+    code = f"import sys, mutsel.cli; print([m for m in {left_out!r} if m in sys.modules])"
+    assert _probe(code) == "[]"
+
+
+@pytest.mark.parametrize("first", ["mutsel.operators", "scipy.linalg.lapack"])
+def test_operators_binds_scipys_lapack_routines(first):
+    # operators loads scipy.linalg._flapack from its file and registers it, so
+    # scipy.linalg.lapack, imported before or after it, uses the same module
+    routines = ["dpttrf", "dpttrs", "dgttrf", "dgttrs", "zgttrf", "zgttrs", "dstebz"]
+    code = (f"import importlib, sys; importlib.import_module({first!r}); "
+            "import mutsel.operators as ops, scipy.linalg.lapack as lapack; "
+            "print(ops._flapack is sys.modules['scipy.linalg._flapack'], "
+            f"all(getattr(ops, n) is getattr(lapack, n) for n in {routines!r}))")
+    assert _probe(code) == "True True"
+
+
+def test_missing_lapack_extension_names_scipy_and_directory(tmp_path):
+    # no fallback: without the extension, importing operators fails and says where it looked
+    code = f"import scipy; scipy.__path__[0] = {str(tmp_path)!r}; import mutsel.operators"
+    err = _fresh(code, check=False).stderr.strip().splitlines()[-1]
+    assert err == (f"ImportError: scipy {scipy.__version__} has no scipy.linalg._flapack "
+                   f"in {tmp_path}/linalg")
+
+
+def test_only_the_stability_report_loads_scipy_linalg(tmp_path):
+    # the other commands never import scipy.linalg, before or during their
+    # run; the stability report's ARPACK (scipy.sparse.linalg) loads it
+    common = ["--preset", "fig1", "--epsilon", "5e-2"]
+    runs = [["equilibrium", *common], ["dynamics", *common, "--t-end", "1"],
+            ["spectrum", *common, "--host", "1"], ["sweep", *common]]
+    out = tmp_path / "out"
+    code = "\n".join([
+        "import json, sys, mutsel.cli",
+        f"for argv in {runs!r}:",
+        f"    assert mutsel.cli.main([*argv, '--output-dir', {str(out)!r}]) == 0, argv",
+        "    assert 'scipy.linalg' not in sys.modules, argv",
+        f"assert mutsel.cli.main(['stability', *{common!r}, '--output-dir', {str(out)!r}]) == 0",
+        f"rep = json.load(open({str(out / 'stability.json')!r}))",
+        "print(rep['eigensolve']['certified'], 'scipy.linalg' in sys.modules)",
+    ])
+    assert _probe(code).splitlines()[-1] == "True True"
 
 
 def _rowwise_csv(path, name, header, rows):

@@ -265,6 +265,30 @@ def test_only_operators_calls_lapack_tridiagonal_routines():
     assert users == {"operators.py"}
 
 
+def test_only_operators_names_flapack_and_none_imports_scipy_linalg():
+    # operators alone loads scipy's LAPACK extension; no module imports
+    # scipy.linalg at module level, so the CLI's import leaves it out
+    flapack_users, linalg_importers = set(), set()
+    for path in Path(mutsel.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for field in ("name", "attr", "id", "value", "module"):
+                name = getattr(node, field, None)
+                if isinstance(name, str) and "_flapack" in name:
+                    flapack_users.add(path.name)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+                linalg_importers.add(path.name)
+    assert flapack_users == {"operators.py"}
+    assert linalg_importers == set()
+
+
 # session problem for hypothesis (fixtures cannot feed @given directly)
 _CACHE = {}
 
