@@ -5,11 +5,12 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and twelve more, which reach the sweep, fig3's
+(``bench/workloads.py``, seed 1) and fourteen more, which reach the sweep, fig3's
 multistart with its stability report, rk4 dynamics on fig2, the second
 eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
 near its threshold, fig3's coupled solve at eps = 1e-3, ``--scale-beta``
-in a sweep and in an equilibrium with its stability report, and four
+in a sweep and in an equilibrium with its stability report, fig2's
+stability report, the disease-free state of ``--scale-beta 0.1``, and four
 malformed command lines (exit status 2), each run once with each tree, in a
 fresh interpreter with one BLAS thread.  For every artifact, and for the
 command's standard output and standard error, one line says
@@ -51,6 +52,9 @@ EXTRA_COMMANDS = [
      "--epsilon", "2.5e-3"],
     ["equilibrium", "--preset", "fig1", "--epsilon", "2.5e-3", "--scale-beta", "0.51",
      "--stability"],
+    ["stability", "--preset", "fig2", "--epsilon", "1e-2"],
+    # extinction: the disease-free path
+    ["equilibrium", "--preset", "fig1", "--scale-beta", "0.1", "--epsilon", "1e-3"],
     # malformed input, which exits 2 with one error line
     ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2", "--tol", "-1"],
     ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--dt", "nan"],

@@ -1,8 +1,8 @@
 """Command-line interface: spectra, equilibria, sweeps, dynamics, stability.
 
-Each subcommand resolves a model (preset name or JSON config), runs the
-corresponding solver and writes CSV/JSON artifacts plus a manifest echoing the
-fully resolved configuration.
+Each subcommand resolves a model (preset name or JSON config), writes a
+manifest echoing the fully resolved configuration (``_setup``), runs the
+corresponding solver and writes CSV/JSON artifacts.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ def resolve_model(args) -> tuple[mdl.ModelParams, dict]:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot create output directory {out}: {exc}") from None
-    return out
-
-
 def write_csv(path: Path, name: str, header: list[str], rows: list[list] | np.ndarray) -> None:
     """Rows of Python numbers and booleans, or the rows of a 2-d float array,
     written by ``str``: the shortest repr of a float.  (``repr`` of a numpy
@@ -130,24 +121,37 @@ def _eps_list(args) -> list[float]:
     return eps
 
 
-def _require_converged(args, failed: int, what: str) -> None:
-    """``RunFailure`` when ``failed`` solves (``what``) did not converge, unless
-    ``--allow-partial`` lets the failure through."""
-    if failed and not args.allow_partial:
+def _setup(args, *, one_width: bool = False) -> tuple[mdl.ModelParams, list[float], Path]:
+    """The set-up every command runs first: ``(model, widths, outdir)``.  It
+    resolves the model, checks the widths, creates the output directory and
+    writes ``manifest.json``, in that order: input these checks reject creates
+    nothing, and every run past them leaves a manifest, a failed one too."""
+    mp, source = resolve_model(args)
+    eps = _eps_list(args)
+    if one_width and len(eps) != 1:
+        raise UsageError(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
+    outdir = Path(args.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {outdir}: {exc}") from None
+    write_manifest(outdir, args, source)
+    return mp, eps, outdir
+
+
+def _require_converged(failed: int, what: str) -> None:
+    """``RunFailure`` when ``failed`` solves (``what``) did not converge."""
+    if failed:
         raise RunFailure(f"{failed} {what} did not converge")
 
 
 def _steady_states(args, starts: int = 1, seed: int = 0):
-    """The set-up of the one-width commands: ``(source, outdir, problem, states)``,
-    the coupled solves from the default start and ``starts - 1`` seeded random
-    starts.  When one did not converge (``_require_converged``), the residual
-    histories of the failed ones go to ``residual_history.csv``."""
-    mp, source = resolve_model(args)
-    eps = _eps_list(args)
-    if len(eps) != 1:
-        raise UsageError(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
-    outdir = _outdir(args)
-    problem = mdl.build_problem(mp, eps[0], n=args.n)
+    """The set-up of the one-width commands: ``(outdir, problem, states)``, the
+    coupled solves from the default start and ``starts - 1`` seeded random
+    starts.  When one did not converge, the residual histories of the failed
+    ones go to ``residual_history.csv`` before ``RunFailure`` is raised."""
+    mp, (eps,), outdir = _setup(args, one_width=True)
+    problem = mdl.build_problem(mp, eps, n=args.n)
     rng = np.random.default_rng(seed)
     states = []
     for i in range(starts):
@@ -157,9 +161,7 @@ def _steady_states(args, starts: int = 1, seed: int = 0):
             start = Field(problem.grid, vals / float(np.sum(problem.grid.quad_weights * vals)))
         states.append(eq.solve_coupled(problem, start=start, tol=args.tol))
     failed = [(i, s) for i, s in enumerate(states) if not s.converged]
-    try:
-        _require_converged(args, len(failed), "coupled solve(s)")
-    except RunFailure:
+    if failed:
         write_csv(
             outdir / "residual_history.csv",
             "residuals",
@@ -170,8 +172,8 @@ def _steady_states(args, starts: int = 1, seed: int = 0):
                 for j, r in enumerate(s.residual_history)
             ],
         )
-        raise
-    return source, outdir, problem, states
+    _require_converged(len(failed), "coupled solve(s)")
+    return outdir, problem, states
 
 
 def _merged(warning_lists) -> list[str]:
@@ -179,8 +181,12 @@ def _merged(warning_lists) -> list[str]:
     return list(dict.fromkeys(w for ws in warning_lists for w in ws))
 
 
-def _stability_fields(rep) -> dict:
+def _stability_block(args, problem, state) -> dict:
+    """The linearized-stability report at ``state``, as ``stability.json`` holds
+    it and ``equilibrium --stability`` adds it to ``equilibrium.json``."""
+    rep = stab.stability_report(problem, state.A, tol=max(10 * args.tol, 1e-8))
     return {
+        "is_fixed_point": rep.is_fixed_point,
         "spectral_radius": rep.spectral_radius,
         "stable": rep.stable,
         "error_bound": rep.error_bound,
@@ -201,9 +207,7 @@ def _stability_fields(rep) -> dict:
 # subcommands
 
 def cmd_spectrum(args) -> int:
-    mp, source = resolve_model(args)
-    eps_list = _eps_list(args)
-    outdir = _outdir(args)
+    mp, eps_list, outdir = _setup(args)
     rows, degenerate, warnings = [], [], []
     for eps in eps_list:
         problem = mdl.build_problem(mp, eps, n=args.n)
@@ -228,9 +232,8 @@ def cmd_spectrum(args) -> int:
     exponent = spec.gap_exponent([r[0] for r in rows], [r[3] for r in rows])
     if exponent is not None:
         summary["gap_exponent"] = exponent
-    write_manifest(outdir, args, source)
     write_json(outdir / "spectrum_summary.json", summary)
-    _require_converged(args, sum(not r[6] for r in rows), "spectral solve(s)")
+    _require_converged(sum(not r[6] for r in rows), "spectral solve(s)")
     for r in rows:
         print(f"epsilon={r[0]:g} lambda1={r[1]:.12g}")
     return 0
@@ -241,7 +244,7 @@ def cmd_equilibrium(args) -> int:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.starts < 1:
         raise UsageError(f"--starts must be at least 1, got {args.starts}")
-    source, outdir, problem, states = _steady_states(args, args.starts, args.seed)
+    outdir, problem, states = _steady_states(args, args.starts, args.seed)
     state = states[0]
     spread = max(l1_norm(s.A - state.A) for s in states)
     sup = eq.superposition_error(problem, state.A)
@@ -280,10 +283,8 @@ def cmd_equilibrium(args) -> int:
         "assumption_warnings": problem.assumption_warnings,
     }
     if args.stability:
-        rep = stab.stability_report(problem, state.A, tol=max(10 * args.tol, 1e-8))
-        diagnostics["stability"] = _stability_fields(rep)
+        diagnostics["stability"] = _stability_block(args, problem, state)
     write_json(outdir / "equilibrium.json", diagnostics)
-    write_manifest(outdir, args, source)
     print(
         f"classification={state.classification} A_mass={summary.a_mass:.6g} "
         f"argmax={summary.a_argmax:.4g}"
@@ -292,10 +293,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mp, source = resolve_model(args)
     args.epsilon = args.epsilon or list(DEFAULT_SWEEP)
-    eps_list = _eps_list(args)
-    outdir = _outdir(args)
+    mp, eps_list, outdir = _setup(args)
     conv_rows, sup_rows, warnings = [], [], []
     for eps in sorted(eps_list, reverse=True):
         problem = mdl.build_problem(mp, eps, n=args.n)
@@ -333,8 +332,7 @@ def cmd_sweep(args) -> int:
         limits["extrapolated"]["A_argmax"] = b[7]
     limits["assumption_warnings"] = _merged(warnings)
     write_json(outdir / "targets.json", limits)
-    write_manifest(outdir, args, source)
-    _require_converged(args, sum(not r[-1] for r in conv_rows), "sweep entr(ies)")
+    _require_converged(sum(not r[-1] for r in conv_rows), "sweep entr(ies)")
     print(f"sweep complete: {len(conv_rows)} rows -> {outdir}")
     return 0
 
@@ -346,8 +344,7 @@ def cmd_dynamics(args) -> int:
         raise UsageError(str(exc)) from None
     if not (np.isfinite(args.bump) and args.bump >= 0):
         raise UsageError(f"--bump must be finite and nonnegative, got {args.bump}")
-    source, outdir, problem, states = _steady_states(args)
-    state = states[0]
+    outdir, problem, (state,) = _steady_states(args)
     init = dyn.disease_free_state(problem, bump=args.bump)
     traj = dyn.integrate(problem, init, args.t_end, args.dt, method=args.method,
                          sample_every=args.sample_every)
@@ -373,26 +370,17 @@ def cmd_dynamics(args) -> int:
             "assumption_warnings": problem.assumption_warnings,
         },
     )
-    write_manifest(outdir, args, source)
     print(f"terminal distance to equilibrium: {dist:.6g}")
     return 0
 
 
 def cmd_stability(args) -> int:
-    source, outdir, problem, states = _steady_states(args)
-    state = states[0]
-    rep = stab.stability_report(problem, state.A, tol=max(10 * args.tol, 1e-8))
-    write_json(
-        outdir / "stability.json",
-        {
-            "classification": state.classification,
-            "is_fixed_point": rep.is_fixed_point,
-            **_stability_fields(rep),
-            "assumption_warnings": problem.assumption_warnings,
-        },
-    )
-    write_manifest(outdir, args, source)
-    print(f"spectral radius {rep.spectral_radius:.6g} -> {'stable' if rep.stable else 'unstable'}")
+    outdir, problem, (state,) = _steady_states(args)
+    block = _stability_block(args, problem, state)
+    write_json(outdir / "stability.json", {"classification": state.classification, **block,
+                                           "assumption_warnings": problem.assumption_warnings})
+    print(f"spectral radius {block['spectral_radius']:.6g} -> "
+          f"{'stable' if block['stable'] else 'unstable'}")
     return 0
 
 
@@ -412,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="multiply both infection efficiencies")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted only as 1: every command runs in one process")
-    common.add_argument("--allow-partial", action="store_true",
-                        help="exit 0 even when some entries fail to converge")
     common.add_argument("--output-dir", default="mutsel-out")
 
     parser = argparse.ArgumentParser(

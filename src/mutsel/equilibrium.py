@@ -15,7 +15,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .grid import Field, inner, integrate, l1_norm
-from .model import OVERLAPPING_SUPPORTS, Problem
+from .model import Problem, support_distance
 from .operators import update_map
 
 DEFAULT_TOL = 1e-10
@@ -121,8 +121,8 @@ def solve_coupled(
     - the shifted solve is singular.
 
     The default start is the superposition a1* + a2* of the single-host states
-    (``Problem.host_spectra``), or ``default_start`` when the fitness supports
-    overlap or both hosts are below threshold.
+    (``Problem.host_spectra``), or ``default_start`` when the beta supports
+    overlap (``support_distance`` is 0) or both hosts are below threshold.
 
     T(a) reads a only on the map's read nodes R, where a fitness or beta row is
     nonzero (``UpdateMap.read_nodes``), so the iteration runs on R alone: its
@@ -154,7 +154,7 @@ def solve_coupled(
 
     if start is None:
         start = default_start(problem)
-        if OVERLAPPING_SUPPORTS not in problem.assumption_warnings:
+        if support_distance(problem.mp) > 0:
             superposed = solve_uncoupled(problem, 1) + solve_uncoupled(problem, 2)
             start = superposed if np.any(superposed.values) else start
     if np.any(start.values < 0):

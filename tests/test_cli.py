@@ -447,6 +447,13 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["negative seed", "nan dt", "two widths for stability"])
+def test_malformed_input_creates_nothing(case, tmp_path):
+    # the one-width commands check their input before the output directory
+    assert run([*MALFORMED[case](tmp_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_names_path_and_key(tmp_path, capsys):
     argv = ["spectrum", *_config_file(tmp_path, b'{"lambda": 1}'), "--epsilon", "5e-2",
             "--output-dir", str(tmp_path / "out")]
@@ -499,7 +506,8 @@ def test_unconverged_solve_exits_1(command, monkeypatch, outdir, capsys):
         lines = (outdir / "residual_history.csv").read_text().splitlines()
         assert lines[1] == "start,iteration,residual"
         assert [line.split(",")[:2] for line in lines[2:]] == [["0", "1"], ["0", "2"], ["0", "3"]]
-    assert run([*argv, "--allow-partial"]) == 0
+    # the manifest is written before the solve
+    _assert_manifest_echoes(argv, outdir)
 
 
 def test_unconverged_later_start_exits_1(monkeypatch, outdir):
@@ -588,7 +596,7 @@ TRACED_NAMES = (
 
 # every subcommand's options: a new one is a visible edit here
 COMMON_OPTIONS = {"preset", "config", "epsilon", "n", "tol", "scale_beta", "jobs",
-                  "allow_partial", "output_dir"}
+                  "output_dir"}
 CLI_SURFACE = {
     "spectrum": COMMON_OPTIONS | {"host"},
     "equilibrium": COMMON_OPTIONS | {"starts", "seed", "stability"},
@@ -618,17 +626,36 @@ MANIFEST_RUNS = {
 }
 
 
+def _assert_manifest_echoes(argv, outdir):
+    """``outdir``'s manifest holds every option dest of ``argv``'s subcommand
+    but the model source, each with its parsed value."""
+    parsed = vars(cli.build_parser().parse_args(argv))
+    options = json.loads((outdir / "manifest.json").read_text())["options"]
+    assert set(options) == _option_dests()[argv[0]] - {"preset", "config", "scale_beta"}
+    for name, value in options.items():
+        want = str(Path(parsed[name]).resolve()) if name == "output_dir" else parsed[name]
+        assert value == want, name
+
+
 @pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
 def test_manifest_echoes_every_option(command, tmp_path):
     argv = [*MANIFEST_RUNS[command], "--preset", "fig1", "--epsilon", "5e-2", "--jobs", "1",
             "--output-dir", str(tmp_path / "out")]
-    parsed = vars(cli.build_parser().parse_args(argv))
     assert run(argv) == 0
-    options = json.loads((tmp_path / "out" / "manifest.json").read_text())["options"]
-    assert set(options) == _option_dests()[command] - {"preset", "config", "scale_beta"}
-    for name, value in options.items():
-        want = str(Path(parsed[name]).resolve()) if name == "output_dir" else parsed[name]
-        assert value == want, name
+    _assert_manifest_echoes(argv, tmp_path / "out")
+
+
+def test_one_stability_block(tmp_path):
+    # equilibrium --stability writes the report that stability writes, less
+    # the keys stability.json adds around it
+    model = ["--preset", "fig1", "--epsilon", "5e-2"]
+    assert run(["equilibrium", *model, "--stability", "--output-dir", str(tmp_path / "eq")]) == 0
+    assert run(["stability", *model, "--output-dir", str(tmp_path / "st")]) == 0
+    block = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())["stability"]
+    report = json.loads((tmp_path / "st" / "stability.json").read_text())
+    for key in ("classification", "assumption_warnings", "schema_version"):
+        del report[key]
+    assert block == report
 
 
 MANIFEST_KEYS = {"command", "model.preset", "schema_version", "versions.mutsel",
@@ -660,7 +687,7 @@ SCHEMA_RUNS = {
             "pinning[].lambda1", "pinning[].mu_over_theta", "pinning[].pinned",
             "pinning[].signed_gap", "superposition.e_complement", "superposition.e_sigma1",
             "superposition.e_sigma2", "superposition.e_total",
-            *(f"stability.{key}" for key in STABILITY_KEYS),
+            "stability.is_fixed_point", *(f"stability.{key}" for key in STABILITY_KEYS),
         },
     }),
     "sweep": (["sweep", "--epsilon", "5e-2", "--epsilon", "2e-2"], {

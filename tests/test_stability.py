@@ -1,18 +1,21 @@
 """Linearized stability spectra at steady states."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from scipy.sparse.linalg import eigs
 
+import mutsel.stability as stab
 from mutsel.grid import Field, l1_norm
 from mutsel.model import build_problem, preset
-from mutsel.operators import host_operator, update_map
+from mutsel.operators import TridiagonalLU, host_operator, update_map
 from mutsel.spectral import solve_combined_spectrum, solve_host_spectrum
 from mutsel.equilibrium import default_start, solve_coupled, solve_uncoupled
-from mutsel.stability import (EIGENVALUE_COUNT, STABILITY_MARGIN, eigenvalue_count,
-                              stability_report)
+from mutsel.stability import (EIGENVALUE_COUNT, INITIAL_SAMPLES, STABILITY_MARGIN,
+                              eigenvalue_count, stability_report)
 from oracles import dense_derivative, uncoupled_derivative_spectrum
 
 
@@ -205,6 +208,69 @@ def test_eigenvalue_count_matches_dense(coarse_problem, where):
         assert eigenvalue_count(lin, radius).count == j
     assert eigenvalue_count(lin, 1.0 - STABILITY_MARGIN).count == np.count_nonzero(
         mods > 1.0 - STABILITY_MARGIN)
+
+
+class TestUndecidedCount:
+    """The exits of ``eigenvalue_count`` that leave the count undecided, each
+    called directly on the report's circle and then met by the report, which
+    falls back to regular mode."""
+
+    @pytest.fixture(scope="class")
+    def case(self, coarse_problem):
+        """A density whose certified count refines past its first samples, the
+        derivative at it on the read nodes and the report's certificate."""
+        A = Field(coarse_problem.grid, np.random.default_rng(3).random(coarse_problem.grid.n),
+                  is_density=True)
+        rep = stability_report(coarse_problem, A)
+        assert rep.certified and rep.certificate.samples > INITIAL_SAMPLES
+        return A, _on_read_nodes(coarse_problem, A)[0], rep.certificate
+
+    @staticmethod
+    def _falls_back(problem, A):
+        rep = stability_report(problem, A)
+        assert rep.mode == "regular" and "undecided" in rep.fallback
+        assert not rep.certified and rep.certificate.count is None
+        return rep.certificate
+
+    def test_failed_pencil_count(self, coarse_problem, case, monkeypatch):
+        A, lin, cert = case
+
+        def fails(*args):
+            raise LinAlgError("Sturm count failed")
+
+        monkeypatch.setattr(stab, "sturm_count", fails)
+        got = eigenvalue_count(lin, cert.radius)
+        assert got.pencil_count is None and got.count is None
+        assert self._falls_back(coarse_problem, A).pencil_count is None
+
+    def test_failed_refinement_sample(self, coarse_problem, case, monkeypatch):
+        # the first samples factor, the first refinement sample does not
+        A, lin, cert = case
+
+        def first_samples_only():
+            calls = itertools.count(1)
+
+            def factor(*args):
+                if next(calls) > INITIAL_SAMPLES:
+                    raise LinAlgError("singular sample")
+                return TridiagonalLU(*args)
+            monkeypatch.setattr(stab, "TridiagonalLU", factor)
+
+        first_samples_only()
+        got = eigenvalue_count(lin, cert.radius)
+        assert got.pencil_count == cert.pencil_count and got.winding is None
+        assert got.samples == INITIAL_SAMPLES
+        first_samples_only()
+        assert self._falls_back(coarse_problem, A).winding is None
+
+    def test_sample_budget_exhausted(self, coarse_problem, case, monkeypatch):
+        A, lin, cert = case
+        monkeypatch.setattr(stab, "MAX_SAMPLES", cert.samples - 1)
+        got = eigenvalue_count(lin, cert.radius)
+        assert got.pencil_count == cert.pencil_count and got.winding is None
+        assert got.samples <= stab.MAX_SAMPLES
+        found = self._falls_back(coarse_problem, A)
+        assert found.winding is None and found.samples <= stab.MAX_SAMPLES
 
 
 def _full_grid_arnoldi(problem, a):
