@@ -123,13 +123,17 @@ def _eps_list(args) -> list[float]:
 
 def _setup(args, *, one_width: bool = False) -> tuple[mdl.ModelParams, list[float], Path]:
     """The set-up every command runs first: ``(model, widths, outdir)``.  It
-    resolves the model, checks the widths, creates the output directory and
-    writes ``manifest.json``, in that order: input these checks reject creates
-    nothing, and every run past them leaves a manifest, a failed one too."""
+    resolves the model, checks the widths and the grid of each (its node
+    count and kernel resolution, ``model.grid_size``), creates the output
+    directory and writes ``manifest.json``, in that order: input these checks
+    reject creates nothing, and every run past them leaves a manifest, a
+    failed one too."""
     mp, source = resolve_model(args)
     eps = _eps_list(args)
     if one_width and len(eps) != 1:
         raise UsageError(f"{args.command} takes exactly one --epsilon, got {len(eps)}")
+    for e in eps:
+        mdl.grid_size(mp, e, n=args.n)
     outdir = Path(args.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

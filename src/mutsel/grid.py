@@ -28,7 +28,9 @@ class TraitGrid:
     quad_weights: np.ndarray = field(compare=False)
 
 
-def make_grid(x_min: float, x_max: float, n: int) -> TraitGrid:
+def grid_spacing(x_min: float, x_max: float, n: int) -> float:
+    """The node spacing ``make_grid(x_min, x_max, n)`` gives, found without
+    allocating the grid: ``GridError`` for bounds or a node count it rejects."""
     if not (np.isfinite(x_min) and np.isfinite(x_max)):
         raise GridError("grid bounds must be finite")
     if x_min >= x_max:
@@ -37,8 +39,12 @@ def make_grid(x_min: float, x_max: float, n: int) -> TraitGrid:
         raise GridError(f"need at least {MIN_NODES} nodes, got {n}")
     if n > MAX_NODES:
         raise GridError(f"at most {MAX_NODES} nodes are allowed, got {n}")
+    return (x_max - x_min) / (n - 1)
+
+
+def make_grid(x_min: float, x_max: float, n: int) -> TraitGrid:
+    h = grid_spacing(x_min, x_max, n)
     nodes = np.linspace(x_min, x_max, n)
-    h = (x_max - x_min) / (n - 1)
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return TraitGrid(float(x_min), float(x_max), int(n), float(h), nodes, w)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Field, TraitGrid, make_grid
+from .grid import Field, TraitGrid, grid_spacing, make_grid
 
 
 class ModelError(ValueError):
@@ -177,23 +177,31 @@ class MutationKernel:
     eps: float
 
 
-def scale_kernel(eps: float, grid: TraitGrid) -> MutationKernel:
-    """The Laplace kernel m(z) = exp(-|z|)/2 scaled to m_eps(z) = m(z/eps)/eps.
+def _check_resolution(eps: float, h: float, n: int) -> None:
+    """``ModelError`` unless the width eps is positive, and
+    ``KernelResolutionError`` unless a grid of n nodes h apart resolves it.
 
-    The check below fails only when fewer than two positive offsets j h lie
-    within eps, so it tests j = 1, 2 alone.  ``raw_mass`` is the geometric sum
-    (t/2) (1 + 2 r (1 - r^(n-1)) / (1 - r) - r^(n-1)), t = h/eps, r = e^-t,
-    with 1 - r^k taken as -expm1(-k t).
-    """
+    The check fails only when fewer than two positive offsets j h lie within
+    eps, so it tests j = 1, 2 alone."""
     if not (np.isfinite(eps) and eps > 0):
         raise ModelError(f"epsilon must be positive, got {eps}")
-    n = grid.n
-    within = 1 + 2 * np.count_nonzero(grid.h * np.arange(1, min(n, 3)) <= eps + 1e-15)
+    within = 1 + 2 * np.count_nonzero(h * np.arange(1, min(n, 3)) <= eps + 1e-15)
     if within < MIN_NODES_PER_WIDTH:
         raise KernelResolutionError(
             f"grid under-resolves kernel: {within} nodes within |x| <= eps={eps} "
-            f"(h={grid.h:.3g}); need {MIN_NODES_PER_WIDTH}"
+            f"(h={h:.3g}); need {MIN_NODES_PER_WIDTH}"
         )
+
+
+def scale_kernel(eps: float, grid: TraitGrid) -> MutationKernel:
+    """The Laplace kernel m(z) = exp(-|z|)/2 scaled to m_eps(z) = m(z/eps)/eps.
+
+    ``raw_mass`` is the geometric sum
+    (t/2) (1 + 2 r (1 - r^(n-1)) / (1 - r) - r^(n-1)), t = h/eps, r = e^-t,
+    with 1 - r^k taken as -expm1(-k t).
+    """
+    n = grid.n
+    _check_resolution(eps, grid.h, n)
     t = grid.h / eps
     geometric = math.exp(-t) * math.expm1(-(n - 1) * t) / math.expm1(-t)
     raw_mass = 0.5 * t * (1.0 + 2.0 * geometric - math.exp(-(n - 1) * t))
@@ -430,6 +438,18 @@ class Problem:
         return validate_assumptions(self.mp, self.kernel, self.derived)
 
 
+def grid_size(mp: ModelParams, eps: float, *, n: int | None = None,
+              padding: float | None = None) -> tuple[tuple[float, float], int]:
+    """The trait window and node count of ``build_problem``'s grid, checked
+    as ``make_grid`` and ``scale_kernel`` check them, before anything is
+    allocated or sampled."""
+    window = default_window(mp, eps, padding)
+    if n is None:
+        n = default_node_count(window, eps)
+    _check_resolution(eps, grid_spacing(*window, n), n)
+    return window, n
+
+
 def build_problem(
     mp: ModelParams,
     eps: float,
@@ -437,9 +457,7 @@ def build_problem(
     n: int | None = None,
     padding: float | None = None,
 ) -> Problem:
-    window = default_window(mp, eps, padding)
-    if n is None:
-        n = default_node_count(window, eps)
+    window, n = grid_size(mp, eps, n=n, padding=padding)
     grid = make_grid(window[0], window[1], n)
     kernel = scale_kernel(eps, grid)
     derived = (build_fitness(mp, 1, grid), build_fitness(mp, 2, grid))

@@ -310,8 +310,8 @@ class Linearization:
     h -> m_eps * (g(a) h - sum_k (theta^-1 int beta_k h) c_k psi_k a / den_k^2),
     with g(a) and the ``rows`` c_k psi_k a / den_k^2 formed once (dividing by
     den_k twice, as den_k^2 can overflow): building it costs no convolution
-    and each application one.  It has the ``shape``, ``dtype`` and ``matvec``
-    scipy's iterative eigensolvers ask of an operator.  As a matrix it is
+    and each application one (``matvec``), all the stability report's
+    Arnoldi run asks of an operator.  As a matrix it is
     T' = K (D - U V^T), with K^-1 tridiagonal (``ConvolutionEngine.inverse``),
     D = diag(``d``) = diag(w g(a)), U^T = ``u`` = w rows and V^T = ``beta_rows``.
     """
@@ -325,8 +325,6 @@ class Linearization:
         self.rows = tmap.fitness * a / den[:, None] / den[:, None]
         self.d = self.engine.weights * self.gain
         self.u = self.engine.weights * self.rows
-        self.shape = (len(a), len(a))
-        self.dtype = np.dtype(float)
 
     def matvec(self, h: np.ndarray) -> np.ndarray:
         return self.engine.convolve_values(self.gain * h - (self.beta_rows @ h) @ self.rows)

@@ -2,8 +2,8 @@
 
 The spectrum of the analytic derivative T' of the fixed-point map at a given
 density is taken for its ``EIGENVALUE_COUNT`` eigenvalues of largest modulus
-by one matrix-free Arnoldi run (ARPACK) in shift-invert mode, and the answer
-is checked by counting the eigenvalues outside a circle.
+by one matrix-free Arnoldi run (``arnoldi``) in shift-invert mode, and the
+answer is checked by counting the eigenvalues outside a circle.
 
 The map T(a) = m_eps * (g(a) a) reads a only on its read nodes R, where a
 fitness row (through g and a) or a beta row (through the denominators) is
@@ -12,6 +12,18 @@ nonzero eigenvalues of the product T'P are those of PT' (AB and BA share
 them), and PT' = PT'P, the derivative of the map restricted to R, the
 restriction the coupled solve runs on.  Everything below runs there.
 
+Arnoldi.  ``arnoldi`` builds an orthonormal Krylov basis by classical
+Gram-Schmidt run twice and takes the Ritz pairs (theta, y) of the projected
+matrix H from ``numpy.linalg.eig`` once the basis holds ``BASIS_CAP``
+vectors.  It stops when the residual estimate |h_{m+1,m} y_m| of every
+wanted Ritz value is within machine precision of its modulus (ARPACK's test
+at ``tol=0``).  Otherwise it restarts from the wanted Ritz vectors and
+``RESTART_EXTRA`` more, orthonormalized (Morgan, Math. Comp. 65, 1996): their
+span is invariant under H, so the restarted basis keeps the Arnoldi relation
+without a Schur form, which numpy does not compute.  The leading Ritz vectors
+that have converged are locked, their coupling to the rest set to zero, so
+that their estimates stay at zero instead of wandering at rounding level.
+
 Shift-invert.  T' = K (D - U V^T), with K^-1 tridiagonal, D = diag(w g(a)) and
 a rank-2 U V^T, all taken from one ``operators.Linearization``, which the
 shifted solve and the count below both read.  (sigma I - T')^-1 costs one
@@ -19,8 +31,9 @@ product with K^-1, one tridiagonal solve against a factor computed once and a
 small Woodbury correction (``operators.ShiftedSolve``).  Arnoldi on it with
 sigma = ``SHIFT``, just above 1, finds the eigenvalues nearest sigma.
 Regular-mode Arnoldi on T' itself needs ever more applications as the top
-eigenvalues cluster below 1 at small eps (fig1: 142, 212 and 716 at eps =
-2.5e-3, 1e-3 and 1e-4); shift-invert separates them (78, 80 and 92).
+eigenvalues cluster below 1 at small eps (fig1: 135, 210 and 720 at eps =
+2.5e-3, 1e-3 and 1e-4, the last on 30,001 nodes); shift-invert separates
+them (73, 87 and 87).
 
 Certificate.  The eigenvalues nearest sigma need not be those of largest
 modulus.  By the matrix determinant lemma det(lambda I - T') is det(K) times
@@ -45,7 +58,8 @@ undecided.
 The circle is put midway between the k-th modulus found and the next, so a
 count equal to k says that exactly the reported eigenvalues lie outside it:
 the radius is the largest of them and ``stable`` is decided by it.  A count
-that disagrees, or cannot be decided, falls back to regular-mode Arnoldi for
+that disagrees, or cannot be decided, or a shift-invert run that does not
+converge within ``MAX_APPLICATIONS``, falls back to regular-mode Arnoldi for
 the k eigenvalues of largest modulus, which is not counted; the report says
 which ran and why, and keeps the count that failed.
 
@@ -58,6 +72,7 @@ eigenvalues the Arnoldi run missed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +96,15 @@ INITIAL_SAMPLES = 5
 MAX_ARGUMENT_STEP = np.pi / 2
 RATE_TOLERANCE = np.pi / 8
 MAX_SAMPLES = 400
+# the Arnoldi basis's largest size, the Ritz vectors a restart keeps beyond
+# the wanted ones, and the operator applications a run may spend
+BASIS_CAP = 45
+RESTART_EXTRA = 10
+MAX_APPLICATIONS = 5000
+# machine precision, and the floor ARPACK puts under a Ritz value's modulus
+# in its convergence test
+EPS = np.finfo(float).eps
+EPS23 = EPS ** (2 / 3)
 
 
 class StabilityError(RuntimeError):
@@ -182,6 +206,77 @@ def eigenvalue_count(lin: Linearization, radius: float) -> EigenvalueCount:
     return EigenvalueCount(radius, pencil, None, theta.size)
 
 
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w minus its projection on the orthonormal rows of ``basis``, by
+    classical Gram-Schmidt run twice, and the projection's coefficients."""
+    coeffs = basis @ w
+    w = w - coeffs @ basis
+    again = basis @ w
+    w -= again @ basis
+    return coeffs + again, w
+
+
+def arnoldi(apply, v0: np.ndarray, want: int) -> tuple[np.ndarray | None, int]:
+    """The ``want`` eigenvalues of largest modulus of the linear map ``apply``
+    on vectors of v0's length, by descending modulus (a conjugate pair may be
+    split at the last), and the applications spent; None in place of the
+    eigenvalues where ``MAX_APPLICATIONS`` did not converge them (module
+    docstring).  ``want`` must leave the basis room for a restart:
+    want + RESTART_EXTRA + 1 < BASIS_CAP.
+
+    A breakdown, h_{j+1,j} = 0 up to rounding, means the basis spans an
+    invariant subspace: the Ritz values there are exact, and the basis goes on
+    from a random vector orthogonal to it while the space has room."""
+    n = v0.size
+    cap = min(BASIS_CAP, n)
+    basis = np.empty((cap + 1, n))
+    h = np.zeros((cap + 1, cap))
+    basis[0] = v0 / np.linalg.norm(v0)
+    rng = np.random.default_rng(0)
+    j = applications = 0
+    while applications < MAX_APPLICATIONS:
+        coeffs, w = _orthogonalize(basis[: j + 1], apply(basis[j]))
+        applications += 1
+        h[: j + 1, j] = coeffs
+        beta = math.sqrt(w @ w)
+        j += 1
+        # once the basis spans the whole space, h[j, j - 1] stays 0
+        if j < n and beta > EPS * math.sqrt(coeffs @ coeffs):
+            h[j, j - 1] = beta
+            basis[j] = w / beta
+        elif j < n:
+            w = _orthogonalize(basis[:j], rng.standard_normal(n))[1]
+            basis[j] = w / np.linalg.norm(w)
+        if j < cap:
+            continue
+        values, vectors = np.linalg.eig(h[:j, :j])
+        order = np.argsort(-np.abs(values), kind="stable")
+        values, vectors = values[order], vectors[:, order]
+        converged = h[j, j - 1] * np.abs(vectors[-1]) <= EPS * np.maximum(EPS23, np.abs(values))
+        if converged[:want].all():
+            return values[:want], applications
+        # restart from the wanted Ritz vectors and a few more, a conjugate
+        # pair whole; its real and imaginary parts span the pair's subspace
+        kept = want + RESTART_EXTRA
+        kept += values[kept - 1].imag > 0
+        q = np.linalg.qr(np.where(values[:kept].imag < 0, vectors[:, :kept].imag,
+                                  vectors[:, :kept].real))[0]
+        t = q.T @ h[:j, :j] @ q
+        b = h[j, j - 1] * q[-1]
+        # lock the converged leading Ritz vectors (a conjugate pair's
+        # estimates are equal, so a pair is locked whole)
+        locked = kept if converged[:kept].all() else int(np.argmin(converged[:kept]))
+        t[locked:, :locked] = 0.0
+        b[:locked] = 0.0
+        basis[:kept] = q.T @ basis[:j]
+        basis[kept] = basis[j]
+        h[:] = 0.0
+        h[:kept, :kept] = t
+        h[kept, :kept] = b
+        j = kept
+    return None, applications
+
+
 def _by_modulus(eig: np.ndarray) -> np.ndarray:
     """Eigenvalues by descending modulus, a conjugate pair's positive imaginary
     part first."""
@@ -205,18 +300,14 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     returned).  Where the radius q is below 1, iteration near A contracts
     asymptotically at rate q, so ``error_bound`` = residual / (1 - q) bounds
     A's L1 distance to the fixed point to first order (q is a spectral radius,
-    not a norm).  ARPACK needs k < n - 1, so a grid of n nodes yields at most
-    n - 2 eigenvalues, and read nodes fewer than k + 2 are padded with the
-    first nodes off them (the padding adds only zero eigenvalues: the
-    derivative's columns there are zero).  Shift-invert asks for one
-    eigenvalue more than it reports, to place the counting circle in the gap
-    below the k-th, and so runs on k + 3 nodes or more; on fewer the regular
-    run is the only one.
+    not a norm).  A grid of n nodes yields at most n - 2 eigenvalues (the
+    bound ARPACK, the earlier eigensolver, set, kept so that artifacts keep
+    their shape), and read nodes fewer than k + 2 are padded with the first
+    nodes off them (the padding adds only zero eigenvalues: the derivative's
+    columns there are zero).  Shift-invert asks for one eigenvalue more than
+    it reports, to place the counting circle in the gap below the k-th, and
+    so runs on k + 3 nodes or more; on fewer the regular run is the only one.
     """
-    # scipy.sparse.linalg is imported where it runs: it is most of the import
-    # time and peak memory the CLI would otherwise spend before any command
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-
     a = A.values
     tmap = update_map(problem)
     ta = tmap.apply_values(np.clip(a, 0.0, None))
@@ -228,42 +319,36 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     kept[np.flatnonzero(~kept)[: max(k + 2 - tmap.read_nodes.size, 0)]] = True
     nodes = np.flatnonzero(kept)
     lin = tmap.restricted(nodes).linearization(a[nodes])
-    # seeded, because ARPACK's own start vector does not repeat within a process
+    # seeded, so that repeated reports repeat their Arnoldi runs
     v0 = (1.0 + np.random.default_rng(0).random(n))[nodes]
-    applications = 0
 
-    def counted(apply) -> LinearOperator:
-        def matvec(y):
-            nonlocal applications
-            applications += 1
-            return apply(y)
-        return LinearOperator(lin.shape, matvec=matvec, dtype=float)
-
-    fallback, count = None, None
+    fallback, count, applications = None, None, 0
     if nodes.size < k + 3:
         fallback = f"{nodes.size} nodes, fewer than the {k + 3} shift-invert runs on"
     else:
         try:
-            shifted = ShiftedSolve(lin, SHIFT)
-            eig = _by_modulus(eigs(lin, k=k + 1, sigma=SHIFT, v0=v0, tol=0, return_eigenvectors=False,
-                                   OPinv=counted(lambda y: -shifted.solve(y))))
-            radius, expected = _circle(np.abs(eig), k)
-            count = eigenvalue_count(lin, radius)
+            # the eigenvalues mu = 1 / (sigma - lambda) of (sigma I - T')^-1
+            mu, applications = arnoldi(ShiftedSolve(lin, SHIFT).solve, v0, k + 1)
         except LinAlgError as exc:
             fallback = f"the shifted solve failed: {exc}"
-        except ArpackNoConvergence:
-            fallback = "shift-invert Arnoldi did not converge"
         else:
-            if count.count is None:
-                fallback = "the count is undecided"
-            elif count.count != expected:
-                fallback = f"the count outside r = {count.radius:.9g} is {count.count}, not {expected}"
+            if mu is None:
+                fallback = "shift-invert Arnoldi did not converge"
+            else:
+                eig = _by_modulus(SHIFT - 1.0 / mu)
+                radius, expected = _circle(np.abs(eig), k)
+                count = eigenvalue_count(lin, radius)
+                if count.count is None:
+                    fallback = "the count is undecided"
+                elif count.count != expected:
+                    fallback = (f"the count outside r = {count.radius:.9g} is {count.count}, "
+                                f"not {expected}")
     if fallback is not None:
-        try:
-            eig = _by_modulus(eigs(counted(lin.matvec), k=k, which="LM", v0=v0, tol=0,
-                                   return_eigenvectors=False))
-        except ArpackNoConvergence as exc:
-            raise StabilityError("Arnoldi iteration for the stability spectrum did not converge") from exc
+        eig, used = arnoldi(lin.matvec, v0, k)
+        applications += used
+        if eig is None:
+            raise StabilityError("Arnoldi iteration for the stability spectrum did not converge")
+        eig = _by_modulus(eig)
     eig = eig[:k]
     radius = float(np.abs(eig[0]))
     return StabilityReport(

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import scipy
 from scipy.linalg import LinAlgError
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import mutsel
 from mutsel import cli
@@ -431,6 +430,10 @@ MALFORMED = {
     "infinite beta support": lambda tmp: ["spectrum", *_config(tmp, beta_support=[-1e308, 1e308]),
                                           "--epsilon", "5e-2"],
     "subnormal epsilon": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "1e-320"],
+    # at most 8,193 default nodes, too few to resolve the kernel at this width
+    "under-resolved kernel": lambda tmp: ["stability", "--preset", "fig1", "--epsilon", "1e-4"],
+    "under-resolved width in sweep": lambda tmp: ["sweep", "--preset", "fig1",
+                                                  "--epsilon", "5e-2", "--epsilon", "1e-4"],
     "output dir under a file": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                                             *_file_parent(tmp)],
 }
@@ -447,9 +450,12 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["negative seed", "nan dt", "two widths for stability"])
+@pytest.mark.parametrize("case", ["negative seed", "nan dt", "two widths for stability",
+                                  "too many nodes", "too few nodes", "infinite window",
+                                  "under-resolved kernel", "under-resolved width in sweep"])
 def test_malformed_input_creates_nothing(case, tmp_path):
-    # the one-width commands check their input before the output directory
+    # commands check their input, and the grid of every width, before the
+    # output directory
     assert run([*MALFORMED[case](tmp_path), "--output-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
@@ -526,11 +532,8 @@ def test_unconverged_later_start_exits_1(monkeypatch, outdir):
 
 
 def test_arnoldi_failure_exits_1(monkeypatch, outdir, capsys):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-    # stability_report imports eigs where it runs
-    monkeypatch.setattr("scipy.sparse.linalg.eigs", no_convergence)
+    # neither the shift-invert nor the regular run converges within its budget
+    monkeypatch.setattr("mutsel.stability.arnoldi", lambda apply, v0, want: (None, 0))
     assert run(["stability", "--preset", "fig1", "--epsilon", "5e-2",
                 "--output-dir", str(outdir)]) == 1
     assert capsys.readouterr().err.startswith("error: Arnoldi")
@@ -784,7 +787,7 @@ def test_cli_import_leaves_out_scipy_fft():
 
 
 def test_cli_import_leaves_out_scipy_sparse():
-    # scipy.sparse.linalg is loaded by the stability report alone, where it runs
+    # nothing loads scipy.sparse: the stability report's Arnoldi run is numpy's
     assert _probe("import sys, mutsel.cli; print('scipy.sparse' in sys.modules)") == "False"
 
 
@@ -816,23 +819,23 @@ def test_missing_lapack_extension_names_scipy_and_directory(tmp_path):
                    f"in {tmp_path}/linalg")
 
 
-def test_only_the_stability_report_loads_scipy_linalg(tmp_path):
-    # the other commands never import scipy.linalg, before or during their
-    # run; the stability report's ARPACK (scipy.sparse.linalg) loads it
+def test_no_command_loads_scipy_linalg_or_scipy_sparse(tmp_path):
+    # no command imports scipy.linalg or scipy.sparse, before or during its
+    # run: the stability report's Arnoldi run is numpy's
     common = ["--preset", "fig1", "--epsilon", "5e-2"]
-    runs = [["equilibrium", *common], ["dynamics", *common, "--t-end", "1"],
-            ["spectrum", *common, "--host", "1"], ["sweep", *common]]
+    runs = [["equilibrium", *common], ["equilibrium", *common, "--stability"],
+            ["dynamics", *common, "--t-end", "1"], ["spectrum", *common, "--host", "1"],
+            ["sweep", *common], ["stability", *common]]
     out = tmp_path / "out"
     code = "\n".join([
         "import json, sys, mutsel.cli",
         f"for argv in {runs!r}:",
         f"    assert mutsel.cli.main([*argv, '--output-dir', {str(out)!r}]) == 0, argv",
-        "    assert 'scipy.linalg' not in sys.modules, argv",
-        f"assert mutsel.cli.main(['stability', *{common!r}, '--output-dir', {str(out)!r}]) == 0",
+        "    assert not {'scipy.linalg', 'scipy.sparse'} & set(sys.modules), argv",
         f"rep = json.load(open({str(out / 'stability.json')!r}))",
-        "print(rep['eigensolve']['certified'], 'scipy.linalg' in sys.modules)",
+        "print(rep['eigensolve']['mode'], rep['eigensolve']['certified'])",
     ])
-    assert _probe(code).splitlines()[-1] == "True True"
+    assert _probe(code).splitlines()[-1] == "shift-invert True"
 
 
 def _rowwise_csv(path, name, header, rows):

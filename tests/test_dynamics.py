@@ -225,6 +225,32 @@ class TestIntegrate:
         with pytest.raises(DynamicsError, match="underflow"):
             integrate(fig1_problem, init, 1.0, 0.01, method="dop853")
 
+    @staticmethod
+    def undershoot(monkeypatch, depth):
+        """rk4 replaced by an Euler step that leaves the last two spore nodes
+        at -depth * NEGATIVE_SLACK."""
+        def step(system, y, f, h):
+            y_new = y + h * f
+            y_new[-2:] = -depth * dyn.NEGATIVE_SLACK
+            return y_new, None, None
+
+        monkeypatch.setitem(dyn.STEPPERS, "rk4", step)
+
+    def test_undershoot_within_slack_clipped(self, fig1_problem, monkeypatch):
+        # counted and set to zero after every step
+        self.undershoot(monkeypatch, 0.5)
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        traj = integrate(fig1_problem, init, 0.03, 0.01, method="rk4", sample_every=1)
+        assert traj.steps == 3 and traj.clip_events == 6
+        assert np.all(traj.terminal.A.values[-2:] == 0.0)
+        assert np.all(traj.terminal.A.values[:-2] >= 0.0)
+
+    def test_undershoot_past_slack_raises(self, fig1_problem, monkeypatch):
+        self.undershoot(monkeypatch, 2.0)
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        with pytest.raises(DynamicsError, match="went negative"):
+            integrate(fig1_problem, init, 0.03, 0.01, method="rk4", sample_every=1)
+
     def test_samples_monotone_time(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
         traj = integrate(fig1_problem, init, 5.0, 0.01, sample_every=100)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
-from scipy.sparse.linalg import eigs
+from scipy.sparse.linalg import LinearOperator, eigs
 
 import mutsel.stability as stab
 from mutsel.grid import Field, l1_norm
@@ -14,8 +14,8 @@ from mutsel.model import build_problem, preset
 from mutsel.operators import TridiagonalLU, host_operator, update_map
 from mutsel.spectral import solve_combined_spectrum, solve_host_spectrum
 from mutsel.equilibrium import default_start, solve_coupled, solve_uncoupled
-from mutsel.stability import (EIGENVALUE_COUNT, INITIAL_SAMPLES, STABILITY_MARGIN,
-                              eigenvalue_count, stability_report)
+from mutsel.stability import (BASIS_CAP, EIGENVALUE_COUNT, INITIAL_SAMPLES, SHIFT,
+                              STABILITY_MARGIN, arnoldi, eigenvalue_count, stability_report)
 from oracles import dense_derivative, uncoupled_derivative_spectrum
 
 
@@ -54,7 +54,7 @@ class TestStabilityReport:
         mods = np.abs(rep.eigenvalues)
         assert np.all(np.diff(mods) <= 1e-12)
         # a conjugate pair shares its modulus exactly; its positive imaginary
-        # part comes first, whichever order ARPACK returned it in
+        # part comes first, whichever order the Arnoldi run returned it in
         eig = stability_report(*fig3_tight).eigenvalues
         mods = np.abs(eig)
         assert np.all(np.diff(mods) <= 0.0)
@@ -99,7 +99,7 @@ class TestStabilityReport:
         assert rep.spectral_radius == pytest.approx(np.abs(dense[0]), abs=1e-10)
 
     def test_grid_smaller_than_eigenvalue_count(self):
-        # ARPACK needs k < n - 1, so 16 nodes give 14 eigenvalues; the radius
+        # a grid of n nodes gives at most n - 2, so 16 nodes give 14 eigenvalues; the radius
         # is the dense eigensolve's (only the radius is compared: values of
         # equal modulus need not come out in the same order)
         problem = build_problem(preset("fig1"), 0.2, n=16, padding=0.1)
@@ -109,6 +109,11 @@ class TestStabilityReport:
         # too few nodes for shift-invert: regular mode runs and nothing is counted
         assert rep.mode == "regular" and "fewer" in rep.fallback
         assert rep.certificate is None and not rep.certified
+
+
+def _operator(lin):
+    """``lin`` as the operator scipy's ``eigs``, the reference eigensolver, takes."""
+    return LinearOperator((lin.a.size, lin.a.size), matvec=lin.matvec, dtype=float)
 
 
 def _on_read_nodes(problem, A):
@@ -122,7 +127,8 @@ def _on_read_nodes(problem, A):
 def _regular(problem, A):
     """The regular-mode run the report falls back to, sorted as the report sorts."""
     lin, v0 = _on_read_nodes(problem, A)
-    eig = eigs(lin, k=EIGENVALUE_COUNT, which="LM", v0=v0, tol=0, return_eigenvectors=False)
+    eig = eigs(_operator(lin), k=EIGENVALUE_COUNT, which="LM", v0=v0, tol=0,
+               return_eigenvectors=False)
     return eig[np.lexsort((-eig.imag, -np.abs(eig)))]
 
 
@@ -142,18 +148,16 @@ class TestShiftInvert:
     def test_wrong_eigenvalue_set_falls_back_to_regular_mode(self, fig3_tight, monkeypatch):
         # shift-invert is made to lose its largest eigenvalue: the count outside
         # the circle then exceeds the eigenvalues found there, and regular mode runs
-        import scipy.sparse.linalg
-
-        arnoldi = scipy.sparse.linalg.eigs
-
-        def lossy(*args, **kwargs):
-            eig = arnoldi(*args, **kwargs)
-            if "sigma" not in kwargs:
-                return eig
+        def lossy(apply, v0, want):
+            mu, used = arnoldi(apply, v0, want)
+            if want == EIGENVALUE_COUNT:  # the regular run
+                return mu, used
+            # the run's values mu = 1 / (SHIFT - lambda), as eigenvalues lambda
+            eig = SHIFT - 1.0 / mu
             eig = eig[np.argsort(-np.abs(eig))]
-            return np.append(eig[1:], 0.5 * eig[-1])
+            return 1.0 / (SHIFT - np.append(eig[1:], 0.5 * eig[-1])), used
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", lossy)
+        monkeypatch.setattr(stab, "arnoldi", lossy)
         rep = stability_report(*fig3_tight)
         assert rep.mode == "regular"
         assert "count" in rep.fallback
@@ -190,6 +194,78 @@ class TestShiftInvert:
         boundary = eigenvalue_count(lin, 1.0 - STABILITY_MARGIN)
         outside = np.count_nonzero(np.abs(rep.eigenvalues) > 1.0 - STABILITY_MARGIN)
         assert boundary.count == outside >= 1
+
+
+class TestArnoldi:
+    @pytest.mark.parametrize("n, seed", [(40, 0), (40, 1), (150, 2), (150, 6)])
+    def test_top_values_match_dense(self, n, seed):
+        # random nonsymmetric matrices, their top values among conjugate
+        # pairs; the larger ones restart (n above the basis cap), and seed 6's
+        # first restart would split a conjugate pair
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        v0 = np.random.default_rng(seed + 10).random(n)
+        got, used = arnoldi(lambda y: a @ y, v0, 10)
+        want = stab._by_modulus(np.linalg.eigvals(a))[:10]
+        assert np.any(want.imag != 0.0)
+        assert (used > BASIS_CAP) == (n > BASIS_CAP)
+        assert got.size == 10 and np.all(np.diff(np.abs(got)) <= 1e-12)
+        assert np.max(np.abs(stab._by_modulus(got) - want)) < 1e-10 * np.abs(want[0])
+
+    def test_breakdown_goes_on_from_a_random_vector(self):
+        # an upper-triangular matrix keeps e1 invariant: the first step gives
+        # h_21 = 0 exactly, and the run continues orthogonally to e1
+        n = 12
+        a = (np.triu(np.random.default_rng(4).standard_normal((n, n)), 1)
+             + np.diag(np.arange(1.0, n + 1)))
+        got, used = arnoldi(lambda y: a @ y, np.eye(n)[0], n - 2)
+        assert used == n
+        assert np.allclose(got, np.arange(n, 2.0, -1.0), rtol=0.0, atol=1e-10)
+
+    def test_breakdown_on_a_tiny_grid(self):
+        # fig1's derivative on 16 nodes has rank 10 (its columns off the 11
+        # read nodes are zero), so no Krylov space has more than 11
+        # dimensions: the run breaks down before it spans the grid, goes on,
+        # and gives the dense spectrum's top 14
+        problem = build_problem(preset("fig1"), 0.2, n=16, padding=0.1)
+        lin = update_map(problem).linearization(default_start(problem).values)
+        dense = dense_derivative(lin)
+        assert np.linalg.matrix_rank(dense) == 10
+        got, used = arnoldi(lin.matvec, 1.0 + np.random.default_rng(0).random(16), 14)
+        assert used == 16
+        want = stab._by_modulus(np.linalg.eigvals(dense))[:14]
+        assert np.max(np.abs(stab._by_modulus(got) - want)) < 1e-12
+
+    def test_exhausted_budget_gives_none(self, monkeypatch):
+        monkeypatch.setattr(stab, "MAX_APPLICATIONS", BASIS_CAP)
+        a = np.random.default_rng(0).standard_normal((150, 150))
+        assert arnoldi(lambda y: a @ y, np.ones(150), 10) == (None, BASIS_CAP)
+
+    def test_regular_mode_restarts_to_scipys_answer(self):
+        # regular mode on fig1 at eps = 1e-3 clusters the top eigenvalues below
+        # 1: its run restarts, and still matches scipy's eigs, in no more
+        # applications than eigs takes there (212; 255 without locking)
+        problem = build_problem(preset("fig1"), 1e-3)
+        A = solve_coupled(problem).A
+        lin, v0 = _on_read_nodes(problem, A)
+        got, used = arnoldi(lin.matvec, v0, EIGENVALUE_COUNT)
+        assert BASIS_CAP < used <= 212
+        assert np.max(np.abs(stab._by_modulus(got) - _regular(problem, A))) < 1e-12
+
+    def test_unconverged_runs(self, fig3_tight, monkeypatch):
+        # shift-invert that does not converge falls back to regular mode; a
+        # regular run that does not either fails the report
+        def shift_invert_fails(apply, v0, want):
+            mu, used = arnoldi(apply, v0, want)
+            return (mu if want == EIGENVALUE_COUNT else None), used
+
+        monkeypatch.setattr(stab, "arnoldi", shift_invert_fails)
+        rep = stability_report(*fig3_tight)
+        assert rep.mode == "regular" and rep.fallback == "shift-invert Arnoldi did not converge"
+        assert rep.certificate is None and not rep.certified
+        assert np.max(np.abs(rep.eigenvalues - _regular(*fig3_tight))) < 1e-12
+        monkeypatch.setattr(stab, "arnoldi", lambda apply, v0, want: (None, 7))
+        with pytest.raises(stab.StabilityError, match="did not converge"):
+            stability_report(*fig3_tight)
 
 
 @pytest.mark.parametrize("where", ["fixed_point", "random", "zero"])
@@ -278,7 +354,7 @@ def _full_grid_arnoldi(problem, a):
     reference for its windowed run."""
     n = problem.grid.n
     v0 = 1.0 + np.random.default_rng(0).random(n)
-    return eigs(update_map(problem).linearization(a), k=min(EIGENVALUE_COUNT, n - 2),
+    return eigs(_operator(update_map(problem).linearization(a)), k=min(EIGENVALUE_COUNT, n - 2),
                 which="LM", v0=v0, tol=0, return_eigenvectors=False)
 
 
@@ -304,21 +380,18 @@ def test_arnoldi_runs_on_the_read_nodes(eps, n, reads, size, monkeypatch):
     # fig1 at eps = 2.5e-3 reads its input on 1,919 of 3,521 nodes, in two
     # blocks whose hull has 2,239; on the 30-node grid the 19 read nodes are
     # padded with the first 3 off them to the 22 that 20 eigenvalues need
-    import scipy.sparse.linalg
+    sizes = []
 
-    arnoldi = scipy.sparse.linalg.eigs
-    shapes = []
+    def recorded(apply, v0, want):
+        sizes.append(v0.size)
+        return arnoldi(apply, v0, want)
 
-    def recorded(op, *args, **kwargs):
-        shapes.append(op.shape)
-        return arnoldi(op, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", recorded)
+    monkeypatch.setattr(stab, "arnoldi", recorded)
     problem = build_problem(preset("fig1"), eps, n=n, padding=None if n is None else 0.1)
     assert update_map(problem).read_nodes.size == reads
     state = solve_coupled(problem)
     rep = stability_report(problem, state.A)
-    assert shapes == [(size, size)]
+    assert sizes == [size]
     ref = _full_grid_arnoldi(problem, state.A.values)
     top = ref[np.abs(ref) > 1e-12]
     assert max(np.min(np.abs(rep.eigenvalues - z)) for z in top) < 1e-10
