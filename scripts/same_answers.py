@@ -5,14 +5,17 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and fourteen more, which reach the sweep, fig3's
+(``bench/workloads.py``, seed 1) and sixteen more, which reach the sweep, fig3's
 multistart with its stability report, rk4 dynamics on fig2, the second
 eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
 near its threshold, fig3's coupled solve at eps = 1e-3, ``--scale-beta``
 in a sweep and in an equilibrium with its stability report, fig2's
-stability report, the disease-free state of ``--scale-beta 0.1``, and four
-malformed command lines (exit status 2), each run once with each tree, in a
-fresh interpreter with one BLAS thread.  For every artifact, and for the
+stability report, fig1's at eps = 0.5 (fewer read nodes than eigenvalues
+reported), a multistart whose third start takes a plain step, the
+disease-free state of ``--scale-beta 0.1``, and four malformed command lines
+(exit status 2), each run once with each tree, in a fresh interpreter with
+one BLAS thread.  It first prints the line count of ``mutsel/*.py`` in each
+tree, the size of a refactor.  For every artifact, and for the
 command's standard output and standard error, one line says
 ``byte-identical`` or gives the largest relative difference among its
 numbers and where it is: the key path of a JSON artifact, the column and
@@ -53,6 +56,10 @@ EXTRA_COMMANDS = [
     ["equilibrium", "--preset", "fig1", "--epsilon", "2.5e-3", "--scale-beta", "0.51",
      "--stability"],
     ["stability", "--preset", "fig2", "--epsilon", "1e-2"],
+    # 15 read nodes, fewer than the 20 eigenvalues reported
+    ["stability", "--preset", "fig1", "--epsilon", "0.5"],
+    # the third start takes a plain step in the coupled solve
+    ["equilibrium", "--preset", "fig1", "--epsilon", "1e-3", "--starts", "3", "--seed", "1"],
     # extinction: the disease-free path
     ["equilibrium", "--preset", "fig1", "--scale-beta", "0.1", "--epsilon", "1e-3"],
     # malformed input, which exits 2 with one error line
@@ -78,6 +85,11 @@ def run(src: Path, argv: list[str], outdir: Path) -> tuple[int, str, str]:
                           env=env, capture_output=True, text=True, check=False)
     return (proc.returncode, *(text.replace(str(outdir), "OUTDIR")
                                for text in (proc.stdout, proc.stderr)))
+
+
+def line_count(src: Path) -> int:
+    """The lines of ``mutsel/*.py`` under ``src``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "mutsel").glob("*.py"))
 
 
 def artifact_text(path: Path) -> str:
@@ -180,6 +192,7 @@ def main(argv: list[str]) -> int:
     trees = [Path(a).resolve() for a in argv]
     commands = [c for w in workloads.WORKLOADS for c in workloads.commands(w, 1)]
     ok = True
+    print("mutsel/*.py: {} lines against {}".format(*map(line_count, trees)))
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate([*commands, *EXTRA_COMMANDS]):
             outdirs = [Path(tmp, f"{i}-{side}") for side in ("parent", "change")]

@@ -16,7 +16,7 @@ from numpy.linalg import LinAlgError
 
 from .grid import Field, inner, integrate, l1_norm
 from .model import Problem, support_distance
-from .operators import update_map
+from .operators import ShiftedSolve, update_map
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
@@ -101,7 +101,7 @@ def solve_coupled(
     Each iteration maps the iterate once, g = T(a), with the plain-map residual
     f = g - a, and takes the linearly implicit Euler step a + delta of
     da/dt = T(a) - a, (sigma I - T'(a)) delta = f with sigma = 1 + 1/dt
-    (``UpdateMap.newton_direction``, O(n)), clipped at 0.  The step starts at
+    (``operators.ShiftedSolve``, O(n)), clipped at 0.  The step starts at
     sigma = 2 (dt = 1) and is lengthened by switched evolution relaxation,
     sigma <- 1 + (sigma - 1) res/res_prev (dt <- dt res_prev/res), so it
     becomes Newton's step, sigma = 1, as the residual falls (Mulder & Van Leer,
@@ -118,7 +118,7 @@ def solve_coupled(
       a root of a - T(a) too, or keep it at a saddle without one host's mode,
       such as a single host's steady state, which the other host's mode grows
       away from;
-    - the shifted solve is singular.
+    - the shifted solve is singular, or its step is not finite.
 
     The default start is the superposition a1* + a2* of the single-host states
     (``Problem.host_spectra``), or ``default_start`` when the beta supports
@@ -184,8 +184,10 @@ def solve_coupled(
             sigma = 2.0
         else:
             try:
-                a = np.clip(a + tmap.newton_direction(a, f, sigma), 0.0, None)
-                continue
+                delta = ShiftedSolve(tmap.linearization(a), sigma).solve(f)
+                if np.all(np.isfinite(delta)):
+                    a = np.clip(a + delta, 0.0, None)
+                    continue
             except LinAlgError:
                 pass
         restarts += 1

@@ -239,17 +239,6 @@ class UpdateMap:
         """Derivative of the map at density a, as an operator on directions h."""
         return Linearization(self, a)
 
-    def newton_direction(self, a: np.ndarray, f: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-        """The shifted Newton direction of a - T(a) at a: delta with
-        (sigma I - T'(a)) delta = f, for the residual f = T(a) - a (``ShiftedSolve``).
-        sigma = 1 is Newton's step, and sigma = 1 + 1/dt the linearly implicit
-        Euler step of length dt of da/dt = T(a) - a.  Raises ``LinAlgError`` when
-        the solve is singular or the direction is not finite."""
-        delta = ShiftedSolve(self.linearization(a), sigma).solve(f)
-        if not np.all(np.isfinite(delta)):
-            raise LinAlgError("Newton direction is not finite")
-        return delta
-
 
 class ShiftedSolve:
     """x with (sigma I - T'(a)) x = y for the derivative T'(a) = K (D - U V^T)

@@ -10,7 +10,9 @@ fitness row (through g and a) or a beta row (through the denominators) is
 nonzero.  With P the restriction to R its derivative satisfies T' = T'P.  The
 nonzero eigenvalues of the product T'P are those of PT' (AB and BA share
 them), and PT' = PT'P, the derivative of the map restricted to R, the
-restriction the coupled solve runs on.  Everything below runs there.
+restriction the coupled solve runs on.  Everything below runs there, and the
+eigenvalues off R are 0: where R has fewer nodes than eigenvalues are asked
+for, zeros make up the rest.
 
 Arnoldi.  ``arnoldi`` builds an orthonormal Krylov basis by classical
 Gram-Schmidt run twice and takes the Ritz pairs (theta, y) of the projected
@@ -300,56 +302,50 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     returned).  Where the radius q is below 1, iteration near A contracts
     asymptotically at rate q, so ``error_bound`` = residual / (1 - q) bounds
     A's L1 distance to the fixed point to first order (q is a spectral radius,
-    not a norm).  A grid of n nodes yields at most n - 2 eigenvalues (the
-    bound ARPACK, the earlier eigensolver, set, kept so that artifacts keep
-    their shape), and read nodes fewer than k + 2 are padded with the first
-    nodes off them (the padding adds only zero eigenvalues: the derivative's
-    columns there are zero).  Shift-invert asks for one eigenvalue more than
-    it reports, to place the counting circle in the gap below the k-th, and
-    so runs on k + 3 nodes or more; on fewer the regular run is the only one.
+    not a norm).  The k = min(``EIGENVALUE_COUNT``, n) eigenvalues of a grid
+    of n nodes are those found on the read nodes, followed by zeros where
+    there are fewer read nodes than k.  Shift-invert asks for one eigenvalue
+    more than it reports, to place the counting circle in the gap below the
+    k-th; on fewer read nodes than that it finds them all, and the circle goes
+    just below the smallest.
     """
     a = A.values
     tmap = update_map(problem)
     ta = tmap.apply_values(np.clip(a, 0.0, None))
     residual = float(np.sum(problem.grid.quad_weights * np.abs(ta - a)))
     n = problem.grid.n
-    k = min(EIGENVALUE_COUNT, n - 2)
-    kept = np.zeros(n, bool)
-    kept[tmap.read_nodes] = True
-    kept[np.flatnonzero(~kept)[: max(k + 2 - tmap.read_nodes.size, 0)]] = True
-    nodes = np.flatnonzero(kept)
+    k = min(EIGENVALUE_COUNT, n)
+    nodes = tmap.read_nodes
     lin = tmap.restricted(nodes).linearization(a[nodes])
     # seeded, so that repeated reports repeat their Arnoldi runs
     v0 = (1.0 + np.random.default_rng(0).random(n))[nodes]
 
     fallback, count, applications = None, None, 0
-    if nodes.size < k + 3:
-        fallback = f"{nodes.size} nodes, fewer than the {k + 3} shift-invert runs on"
+    try:
+        # the eigenvalues mu = 1 / (sigma - lambda) of (sigma I - T')^-1
+        mu, applications = arnoldi(ShiftedSolve(lin, SHIFT).solve, v0, k + 1)
+    except LinAlgError as exc:
+        fallback = f"the shifted solve failed: {exc}"
     else:
-        try:
-            # the eigenvalues mu = 1 / (sigma - lambda) of (sigma I - T')^-1
-            mu, applications = arnoldi(ShiftedSolve(lin, SHIFT).solve, v0, k + 1)
-        except LinAlgError as exc:
-            fallback = f"the shifted solve failed: {exc}"
+        if mu is None:
+            fallback = "shift-invert Arnoldi did not converge"
         else:
-            if mu is None:
-                fallback = "shift-invert Arnoldi did not converge"
-            else:
-                eig = _by_modulus(SHIFT - 1.0 / mu)
-                radius, expected = _circle(np.abs(eig), k)
-                count = eigenvalue_count(lin, radius)
-                if count.count is None:
-                    fallback = "the count is undecided"
-                elif count.count != expected:
-                    fallback = (f"the count outside r = {count.radius:.9g} is {count.count}, "
-                                f"not {expected}")
+            eig = _by_modulus(SHIFT - 1.0 / mu)
+            radius, expected = _circle(np.abs(eig), k)
+            count = eigenvalue_count(lin, radius)
+            if count.count is None:
+                fallback = "the count is undecided"
+            elif count.count != expected:
+                fallback = (f"the count outside r = {count.radius:.9g} is {count.count}, "
+                            f"not {expected}")
     if fallback is not None:
         eig, used = arnoldi(lin.matvec, v0, k)
         applications += used
         if eig is None:
             raise StabilityError("Arnoldi iteration for the stability spectrum did not converge")
         eig = _by_modulus(eig)
-    eig = eig[:k]
+    # T' = T'P: the eigenvalues off the read nodes are 0
+    eig = np.append(eig[:k], np.zeros(k - min(k, eig.size)))
     radius = float(np.abs(eig[0]))
     return StabilityReport(
         eigenvalues=eig,

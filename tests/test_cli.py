@@ -776,27 +776,62 @@ def _probe(code: str) -> str:
     return _fresh(code, check=True).stdout.strip()
 
 
-def test_cli_import_leaves_out_scipy_signal():
+# the modules ``import mutsel.cli`` leaves out, and those no command loads
+IMPORT_LEFT_OUT = ["scipy.signal", "scipy.fft", "scipy.sparse", "scipy.linalg",
+                   "scipy._lib._array_api", "numpy.f2py", "numpy.testing"]
+RUN_LEFT_OUT = ["scipy.linalg", "scipy.sparse", "scipy.integrate"]
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """One fresh interpreter's record: the modules of IMPORT_LEFT_OUT loaded
+    after ``import mutsel.cli`` ("import"), those of RUN_LEFT_OUT loaded after
+    each command in turn ("runs", by command line), and the mode and
+    ``certified`` of the stability command's report ("stability")."""
+    common = ["--preset", "fig1", "--epsilon", "5e-2"]
+    runs = [["equilibrium", *common], ["equilibrium", *common, "--stability"],
+            ["dynamics", *common, "--t-end", "1"], ["spectrum", *common, "--host", "1"],
+            ["sweep", *common], ["stability", *common]]
+    out = tmp_path_factory.mktemp("probe") / "out"
+    code = "\n".join([
+        "import json, sys, mutsel.cli",
+        "def present(modules): return [m for m in modules if m in sys.modules]",
+        f"record = {{'import': present({IMPORT_LEFT_OUT!r}), 'runs': {{}}}}",
+        f"for argv in {runs!r}:",
+        f"    assert mutsel.cli.main([*argv, '--output-dir', {str(out)!r}]) == 0, argv",
+        f"    record['runs'][' '.join(argv)] = present({RUN_LEFT_OUT!r})",
+        f"rep = json.load(open({str(out / 'stability.json')!r}))['eigensolve']",
+        "record['stability'] = [rep['mode'], rep['certified']]",
+        "print(json.dumps(record))",
+    ])
+    return json.loads(_probe(code).splitlines()[-1])
+
+
+def _loading(loaded, module):
+    """The command lines after which ``module`` is loaded."""
+    return [command for command, modules in loaded["runs"].items() if module in modules]
+
+
+def test_cli_import_leaves_out_scipy_signal(loaded):
     # scipy.signal alone was most of the CLI's import time; nothing needs it
-    assert _probe("import sys, mutsel.cli; print('scipy.signal' in sys.modules)") == "False"
+    assert "scipy.signal" not in loaded["import"]
 
 
-def test_cli_import_leaves_out_scipy_fft():
+def test_cli_import_leaves_out_scipy_fft(loaded):
     # the Laplace kernel's convolutions are tridiagonal solves, not FFTs
-    assert _probe("import sys, mutsel.cli; print('scipy.fft' in sys.modules)") == "False"
+    assert "scipy.fft" not in loaded["import"]
 
 
-def test_cli_import_leaves_out_scipy_sparse():
+def test_cli_import_leaves_out_scipy_sparse(loaded):
     # nothing loads scipy.sparse: the stability report's Arnoldi run is numpy's
-    assert _probe("import sys, mutsel.cli; print('scipy.sparse' in sys.modules)") == "False"
+    assert "scipy.sparse" not in loaded["import"]
 
 
-def test_cli_import_leaves_out_scipy_linalg():
+def test_cli_import_leaves_out_scipy_linalg(loaded):
     # operators loads scipy's LAPACK extension alone: the package's __init__
     # builds an array-API namespace that imports numpy.f2py and numpy.testing
     left_out = ["scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing"]
-    code = f"import sys, mutsel.cli; print([m for m in {left_out!r} if m in sys.modules])"
-    assert _probe(code) == "[]"
+    assert [m for m in left_out if m in loaded["import"]] == []
 
 
 @pytest.mark.parametrize("first", ["mutsel.operators", "scipy.linalg.lapack"])
@@ -819,23 +854,12 @@ def test_missing_lapack_extension_names_scipy_and_directory(tmp_path):
                    f"in {tmp_path}/linalg")
 
 
-def test_no_command_loads_scipy_linalg_or_scipy_sparse(tmp_path):
+def test_no_command_loads_scipy_linalg_or_scipy_sparse(loaded):
     # no command imports scipy.linalg or scipy.sparse, before or during its
     # run: the stability report's Arnoldi run is numpy's
-    common = ["--preset", "fig1", "--epsilon", "5e-2"]
-    runs = [["equilibrium", *common], ["equilibrium", *common, "--stability"],
-            ["dynamics", *common, "--t-end", "1"], ["spectrum", *common, "--host", "1"],
-            ["sweep", *common], ["stability", *common]]
-    out = tmp_path / "out"
-    code = "\n".join([
-        "import json, sys, mutsel.cli",
-        f"for argv in {runs!r}:",
-        f"    assert mutsel.cli.main([*argv, '--output-dir', {str(out)!r}]) == 0, argv",
-        "    assert not {'scipy.linalg', 'scipy.sparse'} & set(sys.modules), argv",
-        f"rep = json.load(open({str(out / 'stability.json')!r}))",
-        "print(rep['eigensolve']['mode'], rep['eigensolve']['certified'])",
-    ])
-    assert _probe(code).splitlines()[-1] == "shift-invert True"
+    for module in ("scipy.linalg", "scipy.sparse"):
+        assert _loading(loaded, module) == [], f"{module} loaded after {_loading(loaded, module)}"
+    assert loaded["stability"] == ["shift-invert", True]
 
 
 def _rowwise_csv(path, name, header, rows):
@@ -897,14 +921,11 @@ def test_csv_artifacts_parse(command, outdir):
                 float(cell)
 
 
-def test_dynamics_run_leaves_out_scipy_integrate(tmp_path):
-    # scipy.integrate pulls in scipy.optimize: +27% peak RSS on a dynamics run
-    argv = ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--t-end", "1",
-            "--output-dir", str(tmp_path / "out")]
-    code = ("import sys, mutsel.cli; "
-            f"assert mutsel.cli.main({argv!r}) == 0; "
-            "print('scipy.integrate' in sys.modules)")
-    assert _probe(code).splitlines()[-1] == "False"
+def test_dynamics_run_leaves_out_scipy_integrate(loaded):
+    # scipy.integrate pulls in scipy.optimize: +27% peak RSS on a dynamics
+    # run; no other command loads it either
+    assert _loading(loaded, "scipy.integrate") == [], \
+        f"scipy.integrate loaded after {_loading(loaded, 'scipy.integrate')}"
 
 
 def test_every_convolution_passes_the_engine(monkeypatch, outdir):

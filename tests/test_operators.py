@@ -442,26 +442,16 @@ class TestDerivative:
         )
         assert rel < 1e-6
 
-    @pytest.mark.parametrize("where", ["random", "fixed_point"])
-    def test_newton_direction_solves_the_jacobian(self, fig1_problem, fig1_state, where):
-        # at the fixed point T0 = K^-1 - diag(w g) is singular, and only the
-        # one-node shift keeps the Woodbury solve defined
-        tmap = update_map(fig1_problem)
-        g = fig1_problem.grid
-        a = fig1_state.A.values if where == "fixed_point" else _random_density(g, 4).values
-        f = _random_density(g, 5).values - 0.5
-        delta = tmap.newton_direction(a, f)
-        lhs = delta - tmap.linearization(a).matvec(delta)
-        assert np.sum(g.quad_weights * np.abs(lhs - f)) < 1e-10 * np.sum(g.quad_weights * np.abs(f))
-
-    @pytest.mark.parametrize("sigma", [1.001, 0.9, 2.5])
+    @pytest.mark.parametrize("sigma", [1.001, 0.9, 2.5, 1.0])
     def test_shifted_solve_inverts_the_shifted_derivative(self, fig1_problem, fig1_state,
                                                           fig3_tight, sigma):
         # factored once, each solve x has (sigma I - T'(a)) x = y, also where
-        # sigma K^-1 - D is indefinite (sigma below the pencil's top, 1): at
-        # fig1's and fig3's steady states (overlapping supports), at a density
-        # off the fixed point, and at one with a single local maximum, where
-        # the second host's shift lands off a peak
+        # sigma K^-1 - D is indefinite (sigma below the pencil's top, 1) or,
+        # at Newton's sigma = 1 and a fixed point, singular, so that only the
+        # shift at the peaks keeps the Woodbury solve defined: at fig1's and
+        # fig3's steady states (overlapping supports), at a density off the
+        # fixed point, and at one with a single local maximum, where the
+        # second host's shift lands off a peak
         g = fig1_problem.grid
         one_peak = 1.0 / (1.0 + ((g.nodes - g.nodes[g.n // 3]) / 0.2) ** 2)
         top = int(np.argmax(one_peak))
@@ -481,7 +471,7 @@ class TestDerivative:
         j = int(np.argmax(tmap.fitness[0]))
         one = tmap.restricted(np.array([j]))
         a, f = np.array([0.7]), np.array([0.3])
-        delta = one.newton_direction(a, f)
+        delta = ShiftedSolve(one.linearization(a), 1.0).solve(f)
         assert delta - one.linearization(a).matvec(delta) == pytest.approx(f, rel=1e-12)
 
     def test_contraction_identity_at_fixed_point(self, fig1_problem, fig1_state):

@@ -306,8 +306,8 @@ class TestWindowedLanczos:
         assert res.iterations <= applications
 
     def test_fitness_at_one_node(self, fig1):
-        # host 1's gain is positive at one node, so the window is widened to the
-        # k + 2 = 4 nodes ARPACK needs for two eigenvalues; the second is 0
+        # host 1's gain is positive at one node, so the pencil has one node and
+        # the operator rank 1: the second eigenvalue is 0
         hosts = (
             HostParams(xi=0.5, beta=TraitExpression("1e6*pos((x-0.499)*(0.503-x))"),
                        beta_support=(0.499, 0.503)),

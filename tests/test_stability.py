@@ -99,16 +99,32 @@ class TestStabilityReport:
         assert rep.spectral_radius == pytest.approx(np.abs(dense[0]), abs=1e-10)
 
     def test_grid_smaller_than_eigenvalue_count(self):
-        # a grid of n nodes gives at most n - 2, so 16 nodes give 14 eigenvalues; the radius
-        # is the dense eigensolve's (only the radius is compared: values of
-        # equal modulus need not come out in the same order)
+        # a grid of 16 nodes gives 16 eigenvalues; the radius is the dense
+        # eigensolve's (only the radius is compared: values of equal modulus
+        # need not come out in the same order)
         problem = build_problem(preset("fig1"), 0.2, n=16, padding=0.1)
         rep = stability_report(problem, default_start(problem))
-        assert len(rep.eigenvalues) == 14
+        assert len(rep.eigenvalues) == 16
         assert rep.spectral_radius == pytest.approx(0.2041052007786639, abs=1e-12)
-        # too few nodes for shift-invert: regular mode runs and nothing is counted
-        assert rep.mode == "regular" and "fewer" in rep.fallback
-        assert rep.certificate is None and not rep.certified
+        # the derivative on the 11 read nodes has rank 10: shift-invert finds
+        # all 11 eigenvalues, one of them 0, and the count's circle just below
+        # it holds the 10 others inside, so regular mode runs
+        assert rep.mode == "regular" and rep.fallback.startswith("the count outside")
+        assert rep.certificate.count == 10 and not rep.certified
+
+    def test_fewer_read_nodes_than_eigenvalues(self):
+        # fig1 at eps = 0.5 reads its input on 15 of its 257 nodes: shift-invert
+        # finds their 15 eigenvalues, certified, and the 5 off them are exactly 0
+        problem = build_problem(preset("fig1"), 0.5)
+        assert update_map(problem).read_nodes.size == 15
+        state = solve_coupled(problem)
+        rep = stability_report(problem, state.A)
+        assert rep.mode == "shift-invert" and rep.certified
+        assert len(rep.eigenvalues) == EIGENVALUE_COUNT
+        assert np.all(rep.eigenvalues[15:] == 0) and np.all(rep.eigenvalues[:15] != 0)
+        lin = update_map(problem).linearization(state.A.values)
+        dense = stab._by_modulus(np.linalg.eigvals(dense_derivative(lin)))[:EIGENVALUE_COUNT]
+        assert np.max(np.abs(rep.eigenvalues - dense)) < 1e-12
 
 
 def _operator(lin):
@@ -375,11 +391,11 @@ def test_windowed_arnoldi_matches_full_grid(name):
     assert max(np.min(np.abs(rep.eigenvalues - z)) for z in ref) < 1e-10
 
 
-@pytest.mark.parametrize("eps, n, reads, size", [(2.5e-3, None, 1919, 1919), (0.2, 30, 19, 22)])
+@pytest.mark.parametrize("eps, n, reads, size", [(2.5e-3, None, 1919, 1919), (0.2, 30, 19, 19)])
 def test_arnoldi_runs_on_the_read_nodes(eps, n, reads, size, monkeypatch):
     # fig1 at eps = 2.5e-3 reads its input on 1,919 of 3,521 nodes, in two
-    # blocks whose hull has 2,239; on the 30-node grid the 19 read nodes are
-    # padded with the first 3 off them to the 22 that 20 eigenvalues need
+    # blocks whose hull has 2,239; on the 30-node grid the run is on the 19
+    # read nodes, fewer than the 20 eigenvalues asked for
     sizes = []
 
     def recorded(apply, v0, want):
