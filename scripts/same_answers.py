@@ -6,7 +6,7 @@
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
 (``bench/workloads.py``, seed 1) and sixteen more, which reach the sweep, fig3's
-multistart with its stability report, rk4 dynamics on fig2, the second
+multistart with its stability report, dynamics on fig2 from dt = 0.02, the second
 eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
 near its threshold, fig3's coupled solve at eps = 1e-3, ``--scale-beta``
 in a sweep and in an equilibrium with its stability report, fig2's
@@ -15,7 +15,8 @@ reported), a multistart whose third start takes a plain step, the
 disease-free state of ``--scale-beta 0.1``, and four malformed command lines
 (exit status 2), each run once with each tree, in a fresh interpreter with
 one BLAS thread.  It first prints the line count of ``mutsel/*.py`` in each
-tree, the size of a refactor.  For every artifact, and for the
+tree and each subcommand's option count (``--help`` left out) in each, the
+size of a refactor and of its knobs.  For every artifact, and for the
 command's standard output and standard error, one line says
 ``byte-identical`` or gives the largest relative difference among its
 numbers and where it is: the key path of a JSON artifact, the column and
@@ -46,8 +47,7 @@ RTOL = 1e-12
 EXTRA_COMMANDS = [
     ["sweep", "--preset", "fig1"],
     ["equilibrium", "--preset", "fig3", "--epsilon", "2.5e-3", "--starts", "4", "--stability"],
-    ["dynamics", "--preset", "fig2", "--epsilon", "2e-2", "--t-end", "50", "--method", "rk4",
-     "--dt", "0.02"],
+    ["dynamics", "--preset", "fig2", "--epsilon", "2e-2", "--t-end", "50", "--dt", "0.02"],
     ["spectrum", "--preset", "fig3", "--host", "1", "--epsilon", "1e-2", "--epsilon", "2.5e-3"],
     ["spectrum", "--preset", "fig2", "--host", "2", "--epsilon", "2e-3", "--epsilon", "1e-3"],
     ["equilibrium", "--preset", "fig3", "--epsilon", "1e-3"],
@@ -72,17 +72,29 @@ EXTRA_COMMANDS = [
 # group keeps the numbers in NUMBER.split's list, at its odd positions
 NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN))"
                     r"(?![\w.])")
+# prints {subcommand: the parser actions that have option strings, but --help}
+OPTION_COUNTS = """
+import argparse, json
+from mutsel.cli import build_parser
+sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+print(json.dumps({name: sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+                            for a in p._actions) for name, p in sub.choices.items()}))
+"""
+
+
+def python(src: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """``python args`` with the ``mutsel`` package of ``src``, on one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(src),
+           **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=False)
 
 
 def run(src: Path, argv: list[str], outdir: Path) -> tuple[int, str, str]:
     """Exit status, standard output and standard error of ``mutsel argv`` run
     from ``src``, with the output directory's name in them read as OUTDIR."""
-    env = {**os.environ, "PYTHONPATH": str(src),
-           **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                   "MKL_NUM_THREADS")}}
-    proc = subprocess.run([sys.executable, "-m", "mutsel.cli", *argv,
-                           "--output-dir", str(outdir)],
-                          env=env, capture_output=True, text=True, check=False)
+    proc = python(src, ["-m", "mutsel.cli", *argv, "--output-dir", str(outdir)])
     return (proc.returncode, *(text.replace(str(outdir), "OUTDIR")
                                for text in (proc.stdout, proc.stderr)))
 
@@ -90,6 +102,11 @@ def run(src: Path, argv: list[str], outdir: Path) -> tuple[int, str, str]:
 def line_count(src: Path) -> int:
     """The lines of ``mutsel/*.py`` under ``src``, as ``wc -l`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (src / "mutsel").glob("*.py"))
+
+
+def option_counts(src: Path) -> dict[str, int]:
+    """Each subcommand's count of options of the ``mutsel`` CLI under ``src``."""
+    return json.loads(python(src, ["-c", OPTION_COUNTS]).stdout)
 
 
 def artifact_text(path: Path) -> str:
@@ -193,6 +210,9 @@ def main(argv: list[str]) -> int:
     commands = [c for w in workloads.WORKLOADS for c in workloads.commands(w, 1)]
     ok = True
     print("mutsel/*.py: {} lines against {}".format(*map(line_count, trees)))
+    parent, change = map(option_counts, trees)
+    print("options: " + ", ".join(f"{name} {parent.get(name, '-')} against "
+                                  f"{change.get(name, '-')}" for name in parent | change))
     with tempfile.TemporaryDirectory() as tmp:
         for i, command in enumerate([*commands, *EXTRA_COMMANDS]):
             outdirs = [Path(tmp, f"{i}-{side}") for side in ("parent", "change")]

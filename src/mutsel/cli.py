@@ -350,8 +350,7 @@ def cmd_dynamics(args) -> int:
         raise UsageError(f"--bump must be finite and nonnegative, got {args.bump}")
     outdir, problem, (state,) = _steady_states(args)
     init = dyn.disease_free_state(problem, bump=args.bump)
-    traj = dyn.integrate(problem, init, args.t_end, args.dt, method=args.method,
-                         sample_every=args.sample_every)
+    traj = dyn.integrate(problem, init, args.t_end, args.dt, sample_every=args.sample_every)
     write_csv(
         outdir / "trajectory.csv",
         "trajectory",
@@ -367,7 +366,6 @@ def cmd_dynamics(args) -> int:
             "distance_to_equilibrium": dist,
             "equilibrium_classification": state.classification,
             "clip_events": traj.clip_events,
-            "method": traj.method,
             "steps": traj.steps,
             "rejected_steps": traj.rejected_steps,
             "rhs_evals": traj.rhs_evals,
@@ -435,9 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time integration toward equilibrium")
     p.add_argument("--t-end", type=float, default=200.0)
     p.add_argument("--dt", type=float, default=0.01,
-                   help="step of rk4; first step of dop853; "
-                        "samples are --sample-every * dt apart")
-    p.add_argument("--method", choices=list(dyn.STEPPERS), default="dop853")
+                   help="first step; samples are --sample-every * dt apart")
     p.add_argument("--bump", type=float, default=1e-3,
                    help="initial spore-mass perturbation")
     p.add_argument("--sample-every", type=int, default=100)

@@ -1,10 +1,8 @@
 """Time integration of the two-host infection/mutation system.
 
 Evolves healthy-tissue scalars, infected-tissue densities and the spore
-density with explicit Runge-Kutta steppers (the adaptive Dormand-Prince
-8(5,3) pair by default, and fixed-step rk4 as its reference), to
-cross-validate the steady-state solvers and exhibit convergence toward
-equilibria.
+density with the adaptive Dormand-Prince 8(5,3) pair, to cross-validate the
+steady-state solvers and exhibit convergence toward equilibria.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .operators import update_map
 NEGATIVE_SLACK = 1e-12
 BLOWUP_NORM = 1e12
 MAX_STEPS = 10**7
-# rhs evaluations a run may spend, or rk4's cost of its schedule if that is larger
+# rhs evaluations a run may spend, or 4 per step of dt if that is larger
 MAX_RHS_EVALS = 10**6
 # dop853's error control, per accepted step
 RTOL = 1e-11
@@ -39,7 +37,6 @@ class Trajectory:
     t_end: float
     clip_events: int
     steps: int  # accepted steps
-    method: str
     rhs_evals: int
     rejected_steps: int
 
@@ -183,8 +180,6 @@ _E5 = np.array([
 ])
 
 
-_RK4_A = _lower_triangular([[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]])
-_RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
 _E = np.array([_E3, _E5])
 
 
@@ -203,11 +198,6 @@ def _stages(system, y, f, h, a):
     return k
 
 
-def _rk4(system, y, f, h):
-    k = _stages(system, y, f, h, _RK4_A)
-    return np.append(1.0, h * _RK4_B) @ k[:5], None, None
-
-
 def _dop853(system, y, f, h):
     """One step and its error in Hairer's DOP853 norm scaled by ATOL + RTOL*|y|
     (accept if <= 1); the last stage is the derivative at the new state (FSAL).
@@ -223,11 +213,6 @@ def _dop853(system, y, f, h):
     return y_new, k[13], err
 
 
-# name -> step(system, y, system.rhs(y), h) -> (y_new, rhs(y_new) or None, error or None);
-# a stepper that reports no error always accepts its step
-STEPPERS = {"rk4": _rk4, "dop853": _dop853}
-
-
 @np.errstate(all="ignore")
 def integrate(
     problem: Problem,
@@ -235,26 +220,21 @@ def integrate(
     t_end: float,
     dt: float,
     *,
-    method: str = "dop853",
     sample_every: int = 100,
 ) -> Trajectory:
     """Integrate from ``init`` at t = 0 to ``round(t_end/dt)*dt``.
 
-    rk4 takes fixed steps of ``dt``. dop853 starts with ``dt`` and adapts
-    the step to RTOL and ATOL, by the factor 0.9*err^(-1/8) clamped to
-    [0.2, 10]. Both methods land exactly on the sample times
-    ``k*sample_every*dt`` and on the end time. Negative
-    undershoots within a tiny slack are clipped to zero and counted; larger
-    ones, a blow-up past 1e12, a dop853 step below 1e-14*max(1, |t|) and more
-    than max(MAX_RHS_EVALS, 4*round(t_end/dt)) right-hand-side evaluations
-    (rk4's cost of the schedule, so only dop853 can exceed it) abort the run,
-    and so does a start that is not finite or is past 1e12. numpy's
-    floating-point warnings are off: these checks report what they would warn of.
+    dop853 starts with ``dt`` and adapts the step to RTOL and ATOL, by the
+    factor 0.9*err^(-1/8) clamped to [0.2, 10]. It lands exactly on the sample
+    times ``k*sample_every*dt`` and on the end time. Negative undershoots
+    within a tiny slack are clipped to zero and counted; larger ones, a
+    blow-up past 1e12, a step below 1e-14*max(1, |t|) and more than
+    max(MAX_RHS_EVALS, 4*round(t_end/dt)) right-hand-side evaluations (4 per
+    step of dt) abort the run, and so does a start that is not finite or is
+    past 1e12. numpy's floating-point warnings are off: these checks report
+    what they would warn of.
     """
-    if method not in STEPPERS:
-        raise DynamicsError(f"unknown method {method!r}")
     check_schedule(t_end, dt, sample_every)
-    step = STEPPERS[method]
     sys = _System(problem, init)
     y = sys.pack(init)
     t = 0.0
@@ -278,24 +258,23 @@ def integrate(
             if h < 1e-14 * max(1.0, abs(t)):
                 raise DynamicsError(f"step size underflow (h={h:.3g}) at t={t:.6g}")
             # stretch by up to 0.1% rather than leave a sliver before the mark
-            # (rounding in t would otherwise add a tiny step to rk4)
+            # (rounding in t would otherwise add a tiny step)
             landing = t + 1.001 * h >= target
             h_try = target - t if landing else h
             if f is None:
                 f = sys.rhs(y)
-            y_new, f_new, err = step(sys, y, f, h_try)
-            if err is not None:
-                if not err <= 1.0:  # NaN rejects too
-                    rejected += 1
-                    h = h_try * (max(0.2, 0.9 * err ** -0.125) if np.isfinite(err) else 0.2)
-                    may_grow = False
-                    continue
-                factor = min(10.0, 0.9 * err ** -0.125) if err > 0 else 10.0
-                if not may_grow:
-                    factor = min(1.0, factor)
-                # a step cut short to land on a mark never shrinks the next one
-                h = max(h, factor * h_try) if landing else factor * h_try
-                may_grow = True
+            y_new, f_new, err = _dop853(sys, y, f, h_try)
+            if not err <= 1.0:  # NaN rejects too
+                rejected += 1
+                h = h_try * (max(0.2, 0.9 * err ** -0.125) if np.isfinite(err) else 0.2)
+                may_grow = False
+                continue
+            factor = min(10.0, 0.9 * err ** -0.125) if err > 0 else 10.0
+            if not may_grow:
+                factor = min(1.0, factor)
+            # a step cut short to land on a mark never shrinks the next one
+            h = max(h, factor * h_try) if landing else factor * h_try
+            may_grow = True
             t = target if landing else t + h_try
             y, f = y_new, f_new
             accepted += 1
@@ -316,7 +295,6 @@ def integrate(
         t_end=t,
         clip_events=clip_events,
         steps=accepted,
-        method=method,
         rhs_evals=sys.evals,
         rejected_steps=rejected,
     )

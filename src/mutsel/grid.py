@@ -77,11 +77,6 @@ class Field:
         _check_same_grid(self, other)
         return Field(self.grid, self.values - other.values)
 
-    def __mul__(self, c: float) -> "Field":
-        return Field(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
 
 def _check_same_grid(f: Field, g: Field) -> None:
     if f.grid != g.grid:

@@ -89,7 +89,8 @@ STABILITY_MARGIN = 1e-9
 # Arnoldi's shift: just above the radius 1 that stability is about
 SHIFT = 1.001
 # relative gap below the k-th modulus under which the circle of the count is
-# not put between the k-th and the next modulus found
+# not put between the k-th and the next modulus found; moduli found at or below
+# this fraction of the largest are zeros to rounding
 RADIUS_GAP = 1e-6
 # the contour's first samples on the upper half-circle; the largest change in
 # f's argument accepted between neighbours, and the largest gap between that
@@ -288,7 +289,8 @@ def _by_modulus(eig: np.ndarray) -> np.ndarray:
 def _circle(moduli: np.ndarray, k: int) -> tuple[float, int]:
     """The radius of the counting circle for the descending ``moduli`` found, and
     the count that certifies them: between the k-th and the next one where they
-    are apart, else just below the last one."""
+    are apart, else just below the last one that is not a zero to rounding."""
+    moduli = moduli[: max(1, np.count_nonzero(moduli > RADIUS_GAP * moduli[0]))]
     if moduli.size > k and moduli[k] < (1.0 - RADIUS_GAP) * moduli[k - 1]:
         return 0.5 * (moduli[k - 1] + moduli[k]), k
     return (1.0 - RADIUS_GAP) * moduli[-1], moduli.size
@@ -307,7 +309,7 @@ def stability_report(problem: Problem, A: Field, *, tol: float = 1e-8) -> Stabil
     there are fewer read nodes than k.  Shift-invert asks for one eigenvalue
     more than it reports, to place the counting circle in the gap below the
     k-th; on fewer read nodes than that it finds them all, and the circle goes
-    just below the smallest.
+    just below the smallest that is not a zero to rounding.
     """
     a = A.values
     tmap = update_map(problem)

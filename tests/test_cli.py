@@ -208,8 +208,7 @@ class TestDynamicsCommand:
         assert summary["clip_events"] == 0
         assert (outdir / "trajectory.csv").exists()
         assert summary["assumption_warnings"] == []
-        # dop853 by default: one start derivative, then 12 stages per attempted step
-        assert summary["method"] == "dop853"
+        # dop853: one start derivative, then 12 stages per attempted step
         attempts = summary["steps"] + summary["rejected_steps"]
         assert summary["rhs_evals"] == 1 + 12 * attempts
 
@@ -235,7 +234,8 @@ class TestDynamicsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
-    @pytest.mark.parametrize("method", ["dopri5", "euler"])
+    # one stepper, so no --method of any name
+    @pytest.mark.parametrize("method", ["dopri5", "euler", "rk4", "dop853"])
     def test_dopri5_is_no_method(self, outdir, method):
         with pytest.raises(SystemExit) as exc:
             run([
@@ -604,7 +604,7 @@ CLI_SURFACE = {
     "spectrum": COMMON_OPTIONS | {"host"},
     "equilibrium": COMMON_OPTIONS | {"starts", "seed", "stability"},
     "sweep": COMMON_OPTIONS,
-    "dynamics": COMMON_OPTIONS | {"t_end", "dt", "method", "bump", "sample_every"},
+    "dynamics": COMMON_OPTIONS | {"t_end", "dt", "bump", "sample_every"},
     "stability": COMMON_OPTIONS,
 }
 
@@ -711,7 +711,7 @@ SCHEMA_RUNS = {
                           "t,S1,S2,I1_mass,I2_mass,A_mass,A_argmax",
         "dynamics_summary.json": {
             "assumption_warnings", "clip_events", "distance_to_equilibrium",
-            "equilibrium_classification", "method", "rejected_steps", "rhs_evals",
+            "equilibrium_classification", "rejected_steps", "rhs_evals",
             "schema_version", "steps", "terminal_a_mass", "terminal_time",
         },
     }),

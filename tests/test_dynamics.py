@@ -16,13 +16,14 @@ from mutsel.dynamics import (
     integrate,
 )
 from mutsel.equilibrium import reconstruct
+from oracles import rk4
 
 
 @pytest.fixture(scope="module")
 def endemic_rk4(fig1_problem):
     """rk4 from a small spore bump toward fig1's endemic state, t = 120, dt = 0.02."""
     init = disease_free_state(fig1_problem, bump=1e-3)
-    return integrate(fig1_problem, init, 120.0, 0.02, method="rk4", sample_every=1000)
+    return rk4(fig1_problem, init, 120.0, 0.02)
 
 
 def state_l1(a: SystemState, b: SystemState) -> float:
@@ -103,8 +104,7 @@ class TestRhs:
 
 
 class TestHulls:
-    @pytest.mark.parametrize("method, dt", [("rk4", 1e-3), ("dop853", 1e-2)])
-    def test_infected_start_off_beta_support_decays(self, fig1_problem, method, dt):
+    def test_infected_start_off_beta_support_decays(self, fig1_problem):
         # I1 starts positive on x < 0.1, left of beta_1's support [0.2, 0.6]:
         # there dI1/dt = -(theta + d_1) I1 alone
         g = fig1_problem.grid
@@ -112,7 +112,7 @@ class TestHulls:
         init = disease_free_state(fig1_problem, bump=1e-3)
         init.I = (Field(g, np.where(off, 0.5 + g.nodes, 0.0), is_density=True), init.I[1])
         assert dyn._System(fig1_problem, init).host_nodes[0][0] == 0
-        traj = integrate(fig1_problem, init, 1.0, dt, method=method, sample_every=10**6)
+        traj = integrate(fig1_problem, init, 1.0, 1e-2, sample_every=10**6)
         end = traj.terminal
         loss = fig1_problem.mp.theta + fig1_problem.host(1).d.values[off]
         exact = init.I[0].values[off] * np.exp(-loss * traj.t_end)
@@ -125,37 +125,29 @@ class TestHulls:
         problem = replace(fig1_problem, derived=(fig1_problem.host(1), host2))
         init = disease_free_state(problem, bump=1e-3)
         assert dyn._System(problem, init).host_nodes[1].size == 0
-        for method in ("rk4", "dop853"):
-            end = integrate(problem, init, 0.1, 0.01, method=method).terminal
-            assert end.I[1].values.shape == (g.n,) and not end.I[1].values.any()
-            assert l1_norm(end.I[0]) > 0.0
+        end = integrate(problem, init, 0.1, 0.01).terminal
+        assert end.I[1].values.shape == (g.n,) and not end.I[1].values.any()
+        assert l1_norm(end.I[0]) > 0.0
 
 
 class TestIntegrate:
     def test_constant_trajectory_from_equilibrium(self, fig1_problem):
         state = disease_free_state(fig1_problem)
-        traj = integrate(fig1_problem, state, 1.0, 0.01, method="rk4", sample_every=10)
+        traj = integrate(fig1_problem, state, 1.0, 0.01, sample_every=10)
         assert traj.terminal.S[0] == pytest.approx(state.S[0], abs=1e-12)
         assert l1_norm(traj.terminal.A) == 0.0
 
-    @staticmethod
-    def check_extinction(fig1, method):
+    def test_extinction_below_threshold_dop853(self, fig1):
         problem = build_problem(fig1.scaled_beta(0.1), 0.02)
         init = disease_free_state(problem, bump=0.1)
-        traj = integrate(problem, init, 60.0, 0.01, method=method, sample_every=500)
+        traj = integrate(problem, init, 60.0, 0.01, sample_every=500)
         masses = [s.a_mass for _, s in traj.samples]
         assert masses[-1] < 1e-8
         assert all(b <= a + 1e-14 for a, b in zip(masses[1:], masses[2:]))
 
-    def test_extinction_below_threshold(self, fig1):
-        self.check_extinction(fig1, "rk4")
-
-    def test_extinction_below_threshold_dop853(self, fig1):
-        self.check_extinction(fig1, "dop853")
-
     def test_convergence_to_endemic_state(self, endemic_rk4, fig1_state):
         assert l1_norm(endemic_rk4.terminal.A - fig1_state.A) < 1e-3
-        assert endemic_rk4.clip_events == 0
+        assert endemic_rk4.negative_entries == 0
 
     def test_terminal_state_reconstruction_consistent(self, fig1_problem, endemic_rk4):
         redone = reconstruct(fig1_problem, endemic_rk4.terminal.A)
@@ -163,17 +155,12 @@ class TestIntegrate:
 
     def test_step_halving_rk4_higher_order(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=0.05)
-        t1 = integrate(fig1_problem, init, 2.0, 0.08, method="rk4", sample_every=1000)
-        t2 = integrate(fig1_problem, init, 2.0, 0.04, method="rk4", sample_every=1000)
-        ref = integrate(fig1_problem, init, 2.0, 0.002, method="rk4", sample_every=1000)
+        t1 = rk4(fig1_problem, init, 2.0, 0.08)
+        t2 = rk4(fig1_problem, init, 2.0, 0.04)
+        ref = rk4(fig1_problem, init, 2.0, 0.002)
         e1 = l1_norm(t1.terminal.A - ref.terminal.A)
         e2 = l1_norm(t2.terminal.A - ref.terminal.A)
         assert e1 / e2 > 10.0  # order 4 would give 16; allow slack
-
-    def test_unknown_method_rejected(self, fig1_problem):
-        init = disease_free_state(fig1_problem)
-        with pytest.raises(DynamicsError):
-            integrate(fig1_problem, init, 1.0, 0.01, method="heun")
 
     @pytest.mark.parametrize(
         "t_end, dt, sample_every",
@@ -188,31 +175,28 @@ class TestIntegrate:
 
     def test_dop853_matches_rk4(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
-        fixed = integrate(fig1_problem, init, 20.0, 0.01, method="rk4")
-        adaptive = integrate(fig1_problem, init, 20.0, 0.01, method="dop853")
+        fixed = rk4(fig1_problem, init, 20.0, 0.01)
+        adaptive = integrate(fig1_problem, init, 20.0, 0.01)
         assert state_l1(adaptive.terminal, fixed.terminal) < 1e-10
-        assert (fixed.method, fixed.steps, fixed.rhs_evals, fixed.rejected_steps) == (
-            "rk4", 2000, 8000, 0)
-        assert adaptive.method == "dop853"
+        assert (fixed.steps, fixed.rhs_evals, fixed.negative_entries) == (2000, 8000, 0)
         assert adaptive.rhs_evals < fixed.rhs_evals / 2
 
     def test_dop853_from_equilibrium_stays_there(self, fig1_problem, fig1_state):
         # an EquilibriumState is a SystemState: the dynamics start from it as it is
-        end = integrate(fig1_problem, fig1_state, 1.0, 0.01, method="dop853").terminal
+        end = integrate(fig1_problem, fig1_state, 1.0, 0.01).terminal
         assert l1_norm(end.A - fig1_state.A) < 1e-12
         assert np.abs(end.S - fig1_state.S).sum() < 1e-12
 
     def test_dop853_reaches_equilibrium(self, fig1_problem, fig1_state):
         # criterion 9's two assertions, under the adaptive stepper
         init = disease_free_state(fig1_problem, bump=1e-3)
-        traj = integrate(fig1_problem, init, 200.0, 0.01, method="dop853", sample_every=2000)
+        traj = integrate(fig1_problem, init, 200.0, 0.01, sample_every=2000)
         assert l1_norm(traj.terminal.A - fig1_state.A) < 1e-4
         assert traj.clip_events == 0
 
-    @pytest.mark.parametrize("method", ["rk4", "dop853"])
-    def test_sample_times_exact(self, fig1_problem, method):
+    def test_sample_times_exact(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)
-        traj = integrate(fig1_problem, init, 1.03, 0.005, method=method, sample_every=40)
+        traj = integrate(fig1_problem, init, 1.03, 0.005, sample_every=40)
         # round(1.03 / 0.005) = 206 steps: marks every 40 steps, then the end
         marks = [0, 40, 80, 120, 160, 200, 206]
         assert [t for t, _ in traj.samples] == [k * 0.005 for k in marks]
@@ -223,24 +207,24 @@ class TestIntegrate:
         monkeypatch.setattr(dyn, "ATOL", 1e-100)
         init = disease_free_state(fig1_problem, bump=1e-3)
         with pytest.raises(DynamicsError, match="underflow"):
-            integrate(fig1_problem, init, 1.0, 0.01, method="dop853")
+            integrate(fig1_problem, init, 1.0, 0.01)
 
     @staticmethod
     def undershoot(monkeypatch, depth):
-        """rk4 replaced by an Euler step that leaves the last two spore nodes
-        at -depth * NEGATIVE_SLACK."""
+        """dop853 replaced by an Euler step with zero error that leaves the last
+        two spore nodes at -depth * NEGATIVE_SLACK."""
         def step(system, y, f, h):
             y_new = y + h * f
             y_new[-2:] = -depth * dyn.NEGATIVE_SLACK
-            return y_new, None, None
+            return y_new, system.rhs(y_new), 0.0
 
-        monkeypatch.setitem(dyn.STEPPERS, "rk4", step)
+        monkeypatch.setattr(dyn, "_dop853", step)
 
     def test_undershoot_within_slack_clipped(self, fig1_problem, monkeypatch):
         # counted and set to zero after every step
         self.undershoot(monkeypatch, 0.5)
         init = disease_free_state(fig1_problem, bump=1e-3)
-        traj = integrate(fig1_problem, init, 0.03, 0.01, method="rk4", sample_every=1)
+        traj = integrate(fig1_problem, init, 0.03, 0.01, sample_every=1)
         assert traj.steps == 3 and traj.clip_events == 6
         assert np.all(traj.terminal.A.values[-2:] == 0.0)
         assert np.all(traj.terminal.A.values[:-2] >= 0.0)
@@ -249,7 +233,7 @@ class TestIntegrate:
         self.undershoot(monkeypatch, 2.0)
         init = disease_free_state(fig1_problem, bump=1e-3)
         with pytest.raises(DynamicsError, match="went negative"):
-            integrate(fig1_problem, init, 0.03, 0.01, method="rk4", sample_every=1)
+            integrate(fig1_problem, init, 0.03, 0.01, sample_every=1)
 
     def test_samples_monotone_time(self, fig1_problem):
         init = disease_free_state(fig1_problem, bump=1e-3)

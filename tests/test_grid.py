@@ -128,7 +128,6 @@ class TestField:
         h = Field(g, np.full(64, 3.0))
         assert np.all((f + h).values == 5.0)
         assert np.all((h - f).values == 1.0)
-        assert np.all((2.0 * f).values == 4.0)
 
     def test_inner_and_integrate(self):
         g = make_grid(0.0, 1.0, 101)

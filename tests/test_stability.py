@@ -107,10 +107,12 @@ class TestStabilityReport:
         assert len(rep.eigenvalues) == 16
         assert rep.spectral_radius == pytest.approx(0.2041052007786639, abs=1e-12)
         # the derivative on the 11 read nodes has rank 10: shift-invert finds
-        # all 11 eigenvalues, one of them 0, and the count's circle just below
-        # it holds the 10 others inside, so regular mode runs
-        assert rep.mode == "regular" and rep.fallback.startswith("the count outside")
-        assert rep.certificate.count == 10 and not rep.certified
+        # all 11 eigenvalues, one of them 0 to rounding; the count's circle goes
+        # below the smallest of the 10 others and certifies them
+        assert rep.mode == "shift-invert" and rep.fallback is None and rep.certified
+        c = rep.certificate
+        assert (c.pencil_count, c.winding, c.count) == (9, -1, 10)
+        assert rep.operator_applications == 11
 
     def test_fewer_read_nodes_than_eigenvalues(self):
         # fig1 at eps = 0.5 reads its input on 15 of its 257 nodes: shift-invert
