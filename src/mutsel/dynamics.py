@@ -1,8 +1,8 @@
 """Time integration of the two-host infection/mutation system.
 
 Evolves healthy-tissue scalars, infected-tissue densities and the spore
-density with the adaptive Dormand-Prince 8(5,3) pair, to cross-validate the
-steady-state solvers and exhibit convergence toward equilibria.
+density with the adaptive Dormand-Prince 8(5,3) pair, its only stepper, to
+cross-validate the steady-state solvers and show convergence to equilibria.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ class _System:
             for name in ("beta", "d", "r"))
         self.loss = mp.theta + d
         m1, m = self.host_nodes[0].size, self.nodes.size
-        # beta_k in host k's column, so that host_beta @ S is beta_k S_k
-        self.host_beta = np.zeros((m, 2))
-        self.host_beta[:m1, 0], self.host_beta[m1:, 1] = beta[:m1], beta[m1:]
+        # the host of each packed I entry, so that beta * S[host] is beta_k S_k
+        self.beta, self.host = beta, np.repeat([0, 1], [m1, m - m1])
         self.infected = slice(2, 2 + m)
         self.slices = (slice(2, 2 + m1), slice(2 + m1, 2 + m), slice(2 + m, 2 + m + n))
         self.evals = 0
@@ -106,7 +105,7 @@ class _System:
         s, i, a = y[:2], y[self.infected], y[self.slices[2]]
         out[:2] = self.influx - self.theta * s * self.tmap.denominators(a)
         di = out[self.infected]
-        np.multiply(self.host_beta @ s, a[self.nodes], out=di)
+        np.multiply(self.beta * s[self.host], a[self.nodes], out=di)
         di -= self.loss * i
         production = np.bincount(self.nodes, self.r * i, minlength=self.n)
         da = out[self.slices[2]]
@@ -178,32 +177,25 @@ _E5 = np.array([
     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
     -0.022355307863886294, 0.0,
 ])
-
-
 _E = np.array([_E3, _E5])
-
-
-def _stages(system, y, f, h, a):
-    """Rows y, k_1 = f, ..., k_s of an explicit Runge-Kutta step with the s x s
-    matrix ``a``, and a spare row; each stage input y + h sum_j a_ij k_j is one
-    product of the row (1, h a_i) with the rows above it."""
-    s = len(a)
-    coef = np.hstack((np.ones((s, 1)), h * a))
-    k = np.empty((s + 2, y.size))
-    k[0], k[1] = y, f
-    stage = np.empty(y.size)
-    for i in range(1, s):
-        np.dot(coef[i, : i + 1], k[: i + 1], out=stage)
-        system.rhs(stage, out=k[i + 1])
-    return k
 
 
 def _dop853(system, y, f, h):
     """One step and its error in Hairer's DOP853 norm scaled by ATOL + RTOL*|y|
-    (accept if <= 1); the last stage is the derivative at the new state (FSAL).
-    The norm's N is the full-grid state's length, not the packed one's: the
-    entries left out hold zeros, whose error is exactly zero."""
-    k = _stages(system, y, f, h, _A)
+    (accept if <= 1). Rows 0 to 12 of ``k`` hold y, k_1 = f, ..., k_12; each
+    stage input y + h sum_j a_ij k_j is one product of the row (1, h a_i) with
+    the rows above it, and so is y_new with (1, h b). Row 13 is the derivative
+    at the new state, the next step's k_1 (FSAL), and the error estimates are
+    one product of (e3, e5) with rows 1 to 13. The norm's N is the full-grid
+    state's length, not the packed one's: the entries left out hold zeros,
+    whose error is exactly zero."""
+    coef = np.hstack((np.ones((12, 1)), h * _A))
+    k = np.empty((14, y.size))
+    k[0], k[1] = y, f
+    stage = np.empty(y.size)
+    for i in range(1, 12):
+        np.dot(coef[i, : i + 1], k[: i + 1], out=stage)
+        system.rhs(stage, out=k[i + 1])
     y_new = np.append(1.0, h * _B) @ k[:13]
     system.rhs(y_new, out=k[13])
     e = _E @ k[1:]
