@@ -5,11 +5,12 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and seventeen more, which reach the sweep,
+(``bench/workloads.py``, seed 1) and eighteen more, which reach the sweep,
 fig3's multistart with its stability report, dynamics on fig2 from dt = 0.02
 and on fig3's overlapping supports (nodes where both hosts' I entries are
 summed), the second eigenvalue of a host on fig3's overlapping supports and
-of fig2's host 2, near its threshold, fig3's coupled solve at eps = 1e-3,
+of fig2's host 2, near its threshold, fig3's coupled solve at eps = 1e-3 and
+fig2's from two starts, so the Newton steps run on all three presets,
 ``--scale-beta`` in a sweep and in an equilibrium with its stability report,
 fig2's stability report, fig1's at eps = 0.5 (fewer read nodes than eigenvalues
 reported), a multistart whose third start takes a plain step, the
@@ -54,6 +55,7 @@ EXTRA_COMMANDS = [
     ["spectrum", "--preset", "fig3", "--host", "1", "--epsilon", "1e-2", "--epsilon", "2.5e-3"],
     ["spectrum", "--preset", "fig2", "--host", "2", "--epsilon", "2e-3", "--epsilon", "1e-3"],
     ["equilibrium", "--preset", "fig3", "--epsilon", "1e-3"],
+    ["equilibrium", "--preset", "fig2", "--epsilon", "1e-3", "--starts", "2", "--seed", "3"],
     ["sweep", "--preset", "fig3", "--scale-beta", "0.52", "--epsilon", "1e-2",
      "--epsilon", "2.5e-3"],
     ["equilibrium", "--preset", "fig1", "--epsilon", "2.5e-3", "--scale-beta", "0.51",

@@ -11,6 +11,7 @@ import argparse
 import json
 import platform
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +82,16 @@ def write_csv(path: Path, name: str, header: list[str], rows: list[list] | np.nd
     """Rows of Python numbers and booleans, or the rows of a 2-d float array,
     written by ``str``: the shortest repr of a float.  (``repr`` of a numpy
     scalar reads ``np.float64(...)``, so an array is read through ``tolist``.)
-    Each block of ``CSV_BLOCK_ROWS`` rows is formatted column by column and
-    written at once."""
+    Each block of ``CSV_BLOCK_ROWS`` rows is one ``%`` of the row template on
+    its values in row order, written at once; ``%s`` is ``str``."""
+    row = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema=mutsel.{name}.v{SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
         for i in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[i : i + CSV_BLOCK_ROWS]
-            columns = block.T.tolist() if isinstance(block, np.ndarray) else zip(*block)
-            fh.write("\n".join(map(",".join, zip(*(map(str, c) for c in columns)))) + "\n")
+            values = block.ravel().tolist() if isinstance(block, np.ndarray) else chain(*block)
+            fh.write(row * len(block) % tuple(values))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -156,7 +158,8 @@ def _steady_states(args, starts: int = 1, seed: int = 0):
     ones go to ``residual_history.csv`` before ``RunFailure`` is raised."""
     mp, (eps,), outdir = _setup(args, one_width=True)
     problem = mdl.build_problem(mp, eps, n=args.n)
-    rng = np.random.default_rng(seed)
+    # only a random start loads numpy.random, whose first import is slow
+    rng = np.random.default_rng(seed) if starts > 1 else None
     states = []
     for i in range(starts):
         start = None

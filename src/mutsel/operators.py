@@ -117,16 +117,18 @@ class TridiagonalLU:
         if info:
             raise LinAlgError(f"tridiagonal factorization failed (gttrf info {info})")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """x with tridiag(off, diag, off) x = rhs, for one right-hand side or the
-        columns of several; ``TypeError`` for complex ones on a real factor."""
+        columns of several; ``TypeError`` for complex ones on a real factor.
+        ``overwrite`` solves a Fortran-order ``rhs`` of the factor's dtype in place
+        (3 nodes or more): ``ShiftedSolve`` may, ``eigenvalue_count`` reuses its."""
         if np.iscomplexobj(rhs) and not self.is_complex:
             # LAPACK's real solve would drop the imaginary part, with a ComplexWarning
             raise TypeError("a real tridiagonal factor cannot solve a complex right-hand side")
         b = rhs.reshape(self.n, -1)
         if self.n < 3:
             b = np.vstack((b, np.zeros((3 - self.n, b.shape[1]), b.dtype)))
-        x, info = self._trs(*self._factor, b)
+        x, info = self._trs(*self._factor, b, overwrite_b=overwrite)
         if info:
             raise LinAlgError(f"tridiagonal solve failed (info {info})")
         return x[: self.n].reshape(rhs.shape)
@@ -273,10 +275,10 @@ class ShiftedSolve:
         s = np.abs(shifted).max()
         shifted[self._peaks] += s
         self._lu = TridiagonalLU(shifted, off)
-        rhs = np.zeros((a.size, len(lin.u) + self._peaks.size))
+        rhs = np.zeros((a.size, len(lin.u) + self._peaks.size), order="F")
         rhs[:, : len(lin.u)] = lin.u.T
         rhs[self._peaks, len(lin.u) + np.arange(self._peaks.size)] = -s
-        cols = self._lu.solve(rhs)
+        cols = self._lu.solve(rhs, overwrite=True)
         # (M + s E E^T + [U, -s E][V, E]^T)^-1 = (1 - cols small^-1 [V, E]^T) M_s^-1
         self._correction = cols @ np.linalg.inv(np.eye(rhs.shape[1]) + self._low_rank(cols))
 

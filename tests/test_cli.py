@@ -862,6 +862,24 @@ def test_no_command_loads_scipy_linalg_or_scipy_sparse(loaded):
     assert loaded["stability"] == ["shift-invert", True]
 
 
+def test_one_start_commands_leave_numpy_random_unloaded(tmp_path):
+    # only a random start needs numpy.random, whose first import is slow: in a
+    # fresh interpreter, dynamics and a one-start equilibrium leave it unloaded
+    # and a second start loads it
+    common = ["--preset", "fig1", "--epsilon", "5e-2", "--output-dir", str(tmp_path)]
+    runs = [["dynamics", *common, "--t-end", "1"], ["equilibrium", *common],
+            ["equilibrium", *common, "--starts", "2"]]
+    code = "\n".join([
+        "import json, sys, mutsel.cli",
+        "loaded = []",
+        f"for argv in {runs!r}:",
+        "    assert mutsel.cli.main(argv) == 0, argv",
+        "    loaded.append('numpy.random' in sys.modules)",
+        "print(json.dumps(loaded))",
+    ])
+    assert json.loads(_probe(code).splitlines()[-1]) == [False, False, True]
+
+
 def _rowwise_csv(path, name, header, rows):
     """The row-by-row writer ``write_csv`` replaced, the reference of its bytes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -879,11 +897,20 @@ def _float_table(rows):
     return table
 
 
+def _list_rows(rows):
+    """List rows mixing ints, bools and floats, the special values among them,
+    as residual_history.csv and trajectory.csv hold."""
+    mixed = [0, -3, 2**70, True, False, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 0.1]
+    floats = _float_table(rows).tolist()
+    return [[mixed[i % len(mixed)], i, i % 2 == 0, floats[i][3]] for i in range(rows)]
+
+
 CSV_TABLES = {
     "mixed rows": lambda: [[0, True, -0.0, 5e-324], [-3, False, 1e300, math.inf],
                            [7, True, math.nan, 0.1], [2**70, False, -math.inf, 1e-5]],
     "no rows": lambda: _float_table(0),
     "partial last block": lambda: _float_table(2 * cli.CSV_BLOCK_ROWS + 5),
+    "list rows across blocks": lambda: _list_rows(2 * cli.CSV_BLOCK_ROWS + 3),
 }
 
 

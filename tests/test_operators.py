@@ -224,10 +224,19 @@ def test_tridiagonal_lu_solves_many_right_hand_sides(m, kind):
     if kind == "complex":
         rhs_list.append(rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))
     for rhs in rhs_list:
+        kept = rhs.copy()
         want = np.linalg.solve(matrix, rhs)
         got = lu.solve(rhs)
         assert got.shape == rhs.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # the copying solve leaves rhs as it was: eigenvalue_count reuses one
+        assert kept.tobytes() == rhs.tobytes()
+        # the in-place solve of a Fortran-order copy gives the same bits, in that
+        # copy when LAPACK can use it (3 nodes or more, the factor's dtype)
+        buffer = np.asfortranarray(rhs.copy())
+        in_place = lu.solve(buffer, overwrite=True)
+        assert in_place.shape == rhs.shape and in_place.tobytes() == got.tobytes()
+        assert np.shares_memory(in_place, buffer) == (m >= 3 and rhs.dtype == got.dtype)
 
 
 def test_tridiagonal_lu_rejects_a_complex_right_hand_side_on_a_real_factor():
