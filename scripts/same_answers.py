@@ -5,7 +5,7 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and eighteen more, which reach the sweep,
+(``bench/workloads.py``, seed 1) and twenty more, which reach the sweep,
 fig3's multistart with its stability report, dynamics on fig2 from dt = 0.02
 and on fig3's overlapping supports (nodes where both hosts' I entries are
 summed), the second eigenvalue of a host on fig3's overlapping supports and
@@ -14,7 +14,7 @@ fig2's from two starts, so the Newton steps run on all three presets,
 ``--scale-beta`` in a sweep and in an equilibrium with its stability report,
 fig2's stability report, fig1's at eps = 0.5 (fewer read nodes than eigenvalues
 reported), a multistart whose third start takes a plain step, the
-disease-free state of ``--scale-beta 0.1``, and four malformed command lines
+disease-free state of ``--scale-beta 0.1``, and six malformed command lines
 (exit status 2), each run once with each tree, in a fresh interpreter with
 one BLAS thread.  It first prints the line count of ``mutsel/*.py`` in each
 tree and each subcommand's option count (``--help`` left out) in each, the
@@ -70,6 +70,8 @@ EXTRA_COMMANDS = [
     # malformed input, which exits 2 with one error line
     ["equilibrium", "--preset", "fig1", "--epsilon", "5e-2", "--tol", "-1"],
     ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--dt", "nan"],
+    ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--t-end", "1", "--dt", "3"],
+    ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--sample-every", "0"],
     ["sweep", "--preset", "fig1", "--epsilon", "5e-2", "--jobs", "2"],
     ["spectrum", "--preset", "fig1", "--epsilon", "5e-2", "--epsilon", "5e-2"],
 ]

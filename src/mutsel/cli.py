@@ -23,7 +23,7 @@ from . import model as mdl
 from . import spectral as spec
 from . import stability as stab
 from . import dynamics as dyn
-from .grid import Field, GridError, l1_norm
+from .grid import Field, RunFailure, UsageError, l1_norm
 
 SCHEMA_VERSION = 1
 DEFAULT_SWEEP = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
@@ -32,15 +32,6 @@ DEFAULT_SWEEP = [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]
 NOT_OPTIONS = {"command", "func", "preset", "config", "scale_beta"}
 # rows write_csv formats and writes at a time
 CSV_BLOCK_ROWS = 2048
-
-
-class UsageError(ValueError):
-    """Malformed input: ``main`` prints it as an ``error:`` line and returns 2."""
-
-
-class RunFailure(RuntimeError):
-    """Solves that did not converge: ``main`` prints it as an ``error:`` line
-    and returns 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +336,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    try:
-        dyn.check_schedule(args.t_end, args.dt, args.sample_every)
-    except dyn.DynamicsError as exc:
-        raise UsageError(str(exc)) from None
+    dyn.check_schedule(args.t_end, args.dt, args.sample_every)
     if not (np.isfinite(args.bump) and args.bump >= 0):
         raise UsageError(f"--bump must be finite and nonnegative, got {args.bump}")
     outdir, problem, (state,) = _steady_states(args)
@@ -450,9 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command.  The exit status is 0; or 2, with one ``error:`` line on
-    stderr, for malformed input; or 1, with one, for solves that did not
-    converge or a run that failed.  argparse's own errors exit 2 with its usage."""
+    """Run one command: status 0; 2 and one ``error:`` line on stderr for a ``UsageError``
+    or an ``OSError``; 1 and one for a ``RunFailure``.  argparse's errors exit 2 with usage."""
     args = build_parser().parse_args(argv)
     try:
         if not (np.isfinite(args.tol) and args.tol > 0):
@@ -461,10 +448,10 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--jobs must be 1: every command runs in one process, "
                              f"got {args.jobs}")
         return args.func(args)
-    except (UsageError, mdl.ModelError, GridError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RunFailure, spec.SpectralError, stab.StabilityError, dyn.DynamicsError) as exc:
+    except RunFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

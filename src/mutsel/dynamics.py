@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, RunFailure, UsageError
 from .model import Problem
 from .equilibrium import Summary, SystemState, default_start, summarize
 from .operators import update_map
@@ -26,7 +26,7 @@ RTOL = 1e-11
 ATOL = 1e-13
 
 
-class DynamicsError(RuntimeError):
+class DynamicsError(RunFailure):
     pass
 
 
@@ -115,19 +115,19 @@ class _System:
 
 
 def check_schedule(t_end: float, dt: float, sample_every: int) -> None:
-    """Raise DynamicsError unless t_end and dt are finite and positive, t_end/dt
+    """Raise UsageError unless t_end and dt are finite and positive, t_end/dt
     is at most MAX_STEPS and rounds to at least one step, and sample_every >= 1."""
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
-            raise DynamicsError(f"{name} must be finite and positive, got {value}")
+            raise UsageError(f"{name} must be finite and positive, got {value}")
     if not t_end / dt <= MAX_STEPS:
-        raise DynamicsError(
+        raise UsageError(
             f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {MAX_STEPS}"
         )
     if round(t_end / dt) < 1:
-        raise DynamicsError(f"t_end/dt = {t_end / dt:.3g} rounds to zero steps")
+        raise UsageError(f"t_end/dt = {t_end / dt:.3g} rounds to zero steps")
     if sample_every < 1:
-        raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
+        raise UsageError(f"sample_every must be at least 1, got {sample_every}")
 
 
 def _lower_triangular(rows: list[list[float]]) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .grid import Field, inner, integrate, l1_norm
+from .grid import Field, RunFailure, UsageError, inner, integrate, l1_norm
 from .model import Problem, support_distance
 from .operators import ShiftedSolve, update_map
 
@@ -25,10 +25,6 @@ DEFAULT_MAX_ITER = 200_000
 # when the two agree to PIN_TOL
 INEQUALITY_TOL = 1e-9
 PIN_TOL = 1e-4
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +44,7 @@ def solve_uncoupled(problem: Problem, k: int) -> Field:
         return Field(grid, np.zeros(grid.n), is_density=True)
     beta_phi = inner(problem.host(k).beta, spectral.phi1)
     if beta_phi <= 0:
-        raise SolverError(f"principal eigenfunction carries no beta_{k} mass")
+        raise RunFailure(f"principal eigenfunction carries no beta_{k} mass")
     nu = problem.mp.theta * (lam - 1.0) / beta_phi
     return Field(grid, nu * spectral.phi1.values, is_density=True)
 
@@ -158,7 +154,7 @@ def solve_coupled(
             superposed = solve_uncoupled(problem, 1) + solve_uncoupled(problem, 2)
             start = superposed if np.any(superposed.values) else start
     if np.any(start.values < 0):
-        raise SolverError("start density must be nonnegative")
+        raise UsageError("start density must be nonnegative")
     a = start.values[read]
     top = (tmap.denominators(a) - 1.0).max()
     if 0.0 < top < excess_floor:

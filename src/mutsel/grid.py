@@ -1,4 +1,5 @@
-"""Uniform 1-D trait grids, trapezoid quadrature and density fields."""
+"""Uniform 1-D trait grids, trapezoid quadrature and density fields, and the two
+kinds of error: each error mutsel raises is a ``UsageError`` or a ``RunFailure``."""
 
 from __future__ import annotations
 
@@ -11,7 +12,15 @@ MIN_NODES = 16
 MAX_NODES = 10_000_000
 
 
-class GridError(ValueError):
+class UsageError(ValueError):
+    """Malformed input: ``cli.main`` prints it as an ``error:`` line and returns 2."""
+
+
+class RunFailure(RuntimeError):
+    """A failed run or solve: ``cli.main`` prints it as an ``error:`` line and returns 1."""
+
+
+class GridError(UsageError):
     pass
 
 

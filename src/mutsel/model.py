@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Field, TraitGrid, grid_spacing, make_grid
+from .grid import Field, TraitGrid, UsageError, grid_spacing, make_grid
 
 
-class ModelError(ValueError):
+class ModelError(UsageError):
     pass
 
 
@@ -243,15 +243,18 @@ def build_fitness(mp: ModelParams, k: int, grid: TraitGrid) -> HostDerived:
     r = np.asarray(host.r(x), dtype=float)
     if not all(np.all(np.isfinite(v) & (v >= 0)) for v in (beta, d, r)):
         raise ModelError(f"host {k} trait functions must be finite and nonnegative")
-    psi = beta * r / (mp.delta * (mp.theta + d))
+    with np.errstate(all="ignore"):  # a psi not finite makes r0 not finite: rejected below
+        psi = beta * r / (mp.delta * (mp.theta + d))
     if not np.any(psi > 0):
         raise ModelError(f"host {k} fitness is identically zero on the window")
     psi_max = float(psi.max())
+    r0 = host.xi * mp.lambda_ / mp.theta * psi_max
+    if not math.isfinite(r0):
+        raise ModelError(f"host {k} R0 = xi*lambda/theta*max(psi) is not finite")
     peaks = np.flatnonzero(psi >= psi_max - 1e-12 * max(psi_max, 1.0))
     x_star = float(x[peaks[0]])
     lo, hi = host.beta_support
     sigma = _index_range((x >= lo - 1e-12) & (x <= hi + 1e-12), f"support of beta_{k}")
-    r0 = host.xi * mp.lambda_ / mp.theta * psi_max
     return HostDerived(
         k=k,
         psi=Field(grid, psi),
@@ -348,7 +351,7 @@ def model_from_dict(raw: dict) -> ModelParams:
         )
     except KeyError as exc:
         raise ModelError(f"missing key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # float("abc"), three support bounds
         raise ModelError(str(exc)) from exc
 
 

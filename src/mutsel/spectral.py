@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .grid import Field, l1_norm
+from .grid import Field, RunFailure, l1_norm
 from .model import Problem
 from .operators import (ConvolutionEngine, Linearization, TridiagonalLU, combined_operator,
                         host_operator, sturm_count)
@@ -52,7 +52,7 @@ BISECTION_TOL = 1e-10
 NEGLIGIBLE_SHARE = np.finfo(float).eps ** 2
 
 
-class SpectralError(RuntimeError):
+class SpectralError(RunFailure):
     pass
 
 

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .grid import Field
+from .grid import Field, RunFailure
 from .model import Problem
 from .operators import Linearization, ShiftedSolve, TridiagonalLU, sturm_count, update_map
 
@@ -110,7 +110,7 @@ EPS = np.finfo(float).eps
 EPS23 = EPS ** (2 / 3)
 
 
-class StabilityError(RuntimeError):
+class StabilityError(RunFailure):
     pass
 
 

@@ -1,17 +1,23 @@
 """Command-line interface: subcommands, artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
 import importlib
+import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 import mutsel
@@ -20,6 +26,7 @@ from mutsel import dynamics as dyn
 from mutsel import equilibrium as eq
 from mutsel import spectral as spec
 from mutsel.cli import main
+from mutsel.grid import RunFailure, UsageError
 from mutsel.model import build_problem, preset
 from mutsel.spectral import solve_host_spectrum
 from mutsel.stability import INITIAL_SAMPLES
@@ -322,15 +329,20 @@ class TestConfigFile:
         ]) == 2
 
 
-def _config(tmp_path, **host1):
+def _fig1_doc(**host1) -> dict:
+    """fig1's model document, with host 1's entries updated by ``host1``."""
     hosts = [
         {"xi": 0.5, "beta": "200*pos((x-0.2)*(0.6-x))", "beta_support": [0.2, 0.6]},
         {"xi": 0.5, "beta": "400*pos((x-0.7)*(0.9-x))", "beta_support": [0.7, 0.9]},
     ]
     hosts[0].update(host1)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"lambda": 1.0, "theta": 1.0, "delta": 1.0, "hosts": hosts}))
-    return ["--config", str(path)]
+    return {"lambda": 1.0, "theta": 1.0, "delta": 1.0, "hosts": hosts}
+
+
+def _config(tmp_path, doc=None, **host1):
+    """``--config`` of ``doc``, or of fig1's document with host 1's entries
+    updated by ``host1``, written to ``tmp_path``."""
+    return _config_file(tmp_path, json.dumps(doc or _fig1_doc(**host1)).encode())
 
 
 def _config_file(tmp_path, data: bytes):
@@ -342,6 +354,11 @@ def _config_file(tmp_path, data: bytes):
 def _file_parent(tmp_path):
     (tmp_path / "file").write_text("")
     return ["--output-dir", str(tmp_path / "file" / "out")]
+
+
+def _artifact_dir(tmp_path):
+    (tmp_path / "out" / "spectrum.csv").mkdir(parents=True)
+    return ["--output-dir", str(tmp_path / "out")]
 
 
 MALFORMED = {
@@ -436,6 +453,14 @@ MALFORMED = {
                                                   "--epsilon", "5e-2", "--epsilon", "1e-4"],
     "output dir under a file": lambda tmp: ["spectrum", "--preset", "fig1", "--epsilon", "5e-2",
                                             *_file_parent(tmp)],
+    "artifact path is a directory": lambda tmp: ["spectrum", "--preset", "fig1",
+                                                 "--epsilon", "5e-2", *_artifact_dir(tmp)],
+    # c_1 psi_1 = xi lambda/theta max psi_1 overflows to inf
+    "gain overflow": lambda tmp: ["spectrum", *_config(tmp, {**_fig1_doc(), "theta": 1e-300}),
+                                  "--epsilon", "5e-2"],
+    # delta*(theta + d) underflows to 0 where d = 0: psi is inf or nan there
+    "fitness overflow": lambda tmp: ["spectrum", "--epsilon", "5e-2", *_config(
+        tmp, {**_fig1_doc(), "theta": 1e-200, "delta": 1e-200})],
 }
 
 
@@ -474,6 +499,76 @@ def test_non_finite_scale_beta_names_the_option(scale, tmp_path, capsys):
             "--output-dir", str(tmp_path / "out")]
     assert run(argv) == 2
     assert "--scale-beta" in capsys.readouterr().err
+
+
+# fig1's document with one corruption: a bad support, trait, host count, key, xi or scalar
+BAD_SUPPORTS = [[0.6, 0.2], [0.2], [math.nan, 0.6], [0.2, math.inf], "ab"]
+BAD_TRAITS = ["", "200*(x-", "'abc'", "1j*x", math.nan, "1e999-1e999", "-1", "1/0", "y*x",
+              "(lambda: 1)()"]
+BAD_XI = ["abc", None, 0.0, 1.0, -0.5, 0.3, math.nan, math.inf]
+BAD_SCALARS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+MISSING_KEYS = ["lambda", "theta", "delta", "hosts", "xi", "beta", "beta_support"]
+
+
+def _host_count(n):
+    doc = _fig1_doc()
+    doc["hosts"] = (doc["hosts"] * 2)[:n]
+    return doc
+
+
+def _without(key):
+    doc = _fig1_doc()
+    (doc if key in doc else doc["hosts"][0]).pop(key)
+    return doc
+
+
+MALFORMED_DOCUMENTS = st.one_of(
+    st.builds(lambda v: _fig1_doc(beta_support=v), st.sampled_from(BAD_SUPPORTS)),
+    st.builds(lambda k, v: _fig1_doc(**{k: v}), st.sampled_from(["beta", "d", "r"]),
+              st.sampled_from(BAD_TRAITS)),
+    st.builds(_host_count, st.sampled_from([0, 1, 3])),
+    st.builds(_without, st.sampled_from(MISSING_KEYS)),
+    st.builds(lambda v: _fig1_doc(xi=v), st.sampled_from(BAD_XI)),
+    st.builds(lambda k, v: {**_fig1_doc(), k: v}, st.sampled_from(["lambda", "theta", "delta"]),
+              st.sampled_from(BAD_SCALARS)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(doc=MALFORMED_DOCUMENTS)
+def test_malformed_document_is_usage_error(doc):
+    # hypothesis reruns the body, so each example has its own directory
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = run(["spectrum", *_config(Path(tmp), doc), "--epsilon", "5e-2",
+                          "--output-dir", str(Path(tmp, "out"))])
+    assert status == 2, doc
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, doc
+
+
+def test_every_error_is_one_of_two_kinds():
+    # cli.main maps these two kinds and nothing else: any other class of a
+    # mutsel module would end a command in a traceback
+    defined = set()
+    for info in pkgutil.iter_modules(mutsel.__path__):
+        module = importlib.import_module(f"mutsel.{info.name}")
+        defined |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    assert {"GridError", "ModelError", "SpectralError", "StabilityError",
+            "DynamicsError"} <= {cls.__name__ for cls in defined}
+    assert [cls for cls in defined if not issubclass(cls, (UsageError, RunFailure))] == []
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "sweep", "stability", "dynamics"])
+def test_eigenfunction_without_beta_mass_exits_1(command, tmp_path, capsys):
+    # host 1's R0 is above 1, but its subnormal beta_1 gives int(beta_1 phi_1) = 0
+    doc = {**_fig1_doc(beta="2.5e-320*pos((x-0.2)*(0.6-x))", r="1e308"),
+           "lambda": 1e10, "theta": 1e-3, "delta": 1e-3}
+    assert run([command, *_config(tmp_path, doc), "--epsilon", "1e-2",
+                "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: principal eigenfunction carries no beta_1 mass\n"
 
 
 def test_stability_on_fine_grid(outdir):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mutsel.dynamics as dyn
-from mutsel.grid import Field, l1_norm
+from mutsel.grid import Field, UsageError, l1_norm
 from mutsel.model import build_problem, preset
 from mutsel.operators import ConvolutionEngine
 from mutsel.dynamics import (
@@ -170,7 +170,7 @@ class TestIntegrate:
     )
     def test_bad_schedule_rejected(self, fig1_problem, t_end, dt, sample_every):
         init = disease_free_state(fig1_problem)
-        with pytest.raises(DynamicsError):
+        with pytest.raises(UsageError):
             integrate(fig1_problem, init, t_end, dt, sample_every=sample_every)
 
     def test_dop853_matches_rk4(self, fig1_problem):

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from mutsel import equilibrium, spectral
-from mutsel.grid import Field, inner, l1_norm
+from mutsel.grid import Field, UsageError, inner, l1_norm
 from mutsel.model import (
     OVERLAPPING_SUPPORTS,
     HostParams,
@@ -19,7 +19,6 @@ from mutsel.model import (
 from mutsel.operators import ConvolutionEngine, host_map, update_map
 from mutsel.spectral import solve_combined_spectrum
 from mutsel.equilibrium import (
-    SolverError,
     concentration_targets,
     default_start,
     lower_bound_check,
@@ -319,7 +318,7 @@ class TestCoupled:
     def test_negative_start_rejected(self, fig1_problem):
         vals = default_start(fig1_problem).values.copy()
         vals[len(vals) // 2] = -1e-12
-        with pytest.raises(SolverError, match="nonnegative"):
+        with pytest.raises(UsageError, match="nonnegative"):
             solve_coupled(fig1_problem, start=Field(fig1_problem.grid, vals))
 
     def test_combined_spectrum_computed_once_per_problem(self, fig1, monkeypatch):

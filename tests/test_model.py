@@ -19,6 +19,7 @@ from mutsel.model import (
     build_fitness,
     build_problem,
     default_window,
+    model_from_dict,
     preset,
     scale_kernel,
     support_distance,
@@ -176,6 +177,14 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ModelError):
             preset("fig9")
+
+    @pytest.mark.parametrize("host1", [{"xi": "abc"}, {"beta_support": [0.2, 0.4, 0.6]}])
+    def test_document_errors_are_model_errors(self, host1):
+        hosts = [{"xi": 0.5, "beta": "x", "beta_support": [0.2, 0.6]},
+                 {"xi": 0.5, "beta": "x", "beta_support": [0.7, 0.9]}]
+        hosts[0].update(host1)
+        with pytest.raises(ModelError):
+            model_from_dict({"lambda": 1.0, "theta": 1.0, "delta": 1.0, "hosts": hosts})
 
 
 class TestValidation:
