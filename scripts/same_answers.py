@@ -5,12 +5,14 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``mutsel`` package, such
 as the ``src`` directories of two checkouts.  The benchmark's command lines
-(``bench/workloads.py``, seed 1) and twenty more, which reach the sweep,
-fig3's multistart with its stability report, dynamics on fig2 from dt = 0.02
-and on fig3's overlapping supports (nodes where both hosts' I entries are
-summed), the second eigenvalue of a host on fig3's overlapping supports and
-of fig2's host 2, near its threshold, fig3's coupled solve at eps = 1e-3 and
-fig2's from two starts, so the Newton steps run on all three presets,
+(``bench/workloads.py``, seed 1) and twenty-one more, which reach the sweep,
+fig3's multistart with its stability report, dynamics on fig2 from dt = 0.02,
+on fig3's overlapping supports (nodes where both hosts' I entries are
+summed) and on fig1 at eps = 2.5e-3 (3,521 nodes, with long exponential
+tails of the spore density off the nodes it is integrated on), the second
+eigenvalue of a host on fig3's overlapping supports and of fig2's host 2,
+near its threshold, fig3's coupled solve at eps = 1e-3 and fig2's from two
+starts, so the Newton steps run on all three presets,
 ``--scale-beta`` in a sweep and in an equilibrium with its stability report,
 fig2's stability report, fig1's at eps = 0.5 (fewer read nodes than eigenvalues
 reported), a multistart whose third start takes a plain step, the
@@ -52,6 +54,8 @@ EXTRA_COMMANDS = [
     ["dynamics", "--preset", "fig2", "--epsilon", "2e-2", "--t-end", "50", "--dt", "0.02"],
     # 39 grid nodes carry an I entry of each host
     ["dynamics", "--preset", "fig3", "--epsilon", "2e-2", "--t-end", "20"],
+    # A off the spore nodes in long exponential tails, on 3,521 nodes
+    ["dynamics", "--preset", "fig1", "--epsilon", "2.5e-3", "--t-end", "50"],
     ["spectrum", "--preset", "fig3", "--host", "1", "--epsilon", "1e-2", "--epsilon", "2.5e-3"],
     ["spectrum", "--preset", "fig2", "--host", "2", "--epsilon", "2e-3", "--epsilon", "1e-3"],
     ["equilibrium", "--preset", "fig3", "--epsilon", "1e-3"],

@@ -56,50 +56,96 @@ def disease_free_state(problem: Problem, *, bump: float = 0.0) -> SystemState:
 
 
 class _System:
-    """Right-hand side on the packed state y = (S, each I_k on its nodes, A).
+    """Right-hand side on the packed state y = (S, each I_k on its nodes, A on
+    the spore nodes).
 
     Nodes k are those where beta_k or the start's I_k is nonzero, as in
     ``UpdateMap.read_nodes``. Off them dI_k/dt = -(theta + d_k) I_k keeps I_k at
-    exactly zero, so it is not stored; ``unpack`` restores the full-grid fields.
+    exactly zero, so it is not stored. The spore nodes P are the map's read
+    nodes R, where S and I read A, and the nodes of both hosts, where A is
+    produced; the right-hand side uses the map restricted to P, as
+    ``solve_coupled`` does. Off P, A only decays and receives the convolution
+    of the production on P, and by the Laplace kernel's Markov property that
+    convolution is E times its values on P: E's row at a node between spore
+    nodes x_L and x_R is (sinh((x_R - x)/eps), sinh((x - x_L)/eps)) /
+    sinh((x_R - x_L)/eps), and past the last spore node on either side
+    exp(-dist/eps). So z = A_off - E A_P obeys dz/dt = -delta z exactly, and
+    A_off(t) = E A_P(t) + exp(-delta t) z(0); ``unpack`` restores the full-grid
+    fields at time t.
     """
 
     def __init__(self, problem: Problem, init: SystemState):
         mp, self.grid, n = problem.mp, problem.grid, problem.grid.n
         self.theta, self.delta, self.n, self.full_size = mp.theta, mp.delta, n, 3 * n + 2
-        self.tmap = update_map(problem)
         self.influx = np.array([h.xi * mp.lambda_ for h in mp.hosts])
-        self.host_nodes = [np.flatnonzero((hd.beta.values != 0) | (i.values != 0))
-                           for hd, i in zip(problem.derived, init.I)]
-        # the node of each packed I entry, and the traits there
-        self.nodes = np.concatenate(self.host_nodes)
+        infected = [(hd.beta.values != 0) | (i.values != 0)
+                    for hd, i in zip(problem.derived, init.I)]
+        self.host_nodes = [np.flatnonzero(mask) for mask in infected]
+        # boolean masks, not np.union1d, which imports numpy.ma
+        spore = infected[0] | infected[1]
+        whole = update_map(problem)
+        spore[whole.read_nodes] = True
+        self.spore_nodes, self.off = np.flatnonzero(spore), np.flatnonzero(~spore)
+        self.tmap = whole.restricted(self.spore_nodes)
+        # the spore-node position of each packed I entry, and the traits there
+        self.nodes = (np.cumsum(spore) - 1)[np.concatenate(self.host_nodes)]
         beta, d, self.r = (
             np.concatenate([getattr(hd, name).values[nodes]
                             for hd, nodes in zip(problem.derived, self.host_nodes)])
             for name in ("beta", "d", "r"))
         self.loss = mp.theta + d
-        m1, m = self.host_nodes[0].size, self.nodes.size
+        m1, m, p = self.host_nodes[0].size, self.nodes.size, self.spore_nodes.size
         # the host of each packed I entry, so that beta * S[host] is beta_k S_k
         self.beta, self.host = beta, np.repeat([0, 1], [m1, m - m1])
         self.infected = slice(2, 2 + m)
-        self.slices = (slice(2, 2 + m1), slice(2 + m1, 2 + m), slice(2 + m, 2 + m + n))
+        self.slices = (slice(2, 2 + m1), slice(2 + m1, 2 + m), slice(2 + m, 2 + m + p))
+        # E's row at each off node: the spore nodes on its left and right, at
+        # distances in units of eps. Past either end the missing side's distance
+        # is infinite (a tail is a gap with one end at infinity, and its
+        # coefficient 0) and the nearest node stands in for it. sinh is formed
+        # from exp and expm1: it overflows past 710, and a gap can be wider
+        right = np.searchsorted(self.spore_nodes, self.off)
+        self.sides = np.maximum(right - 1, 0), np.minimum(right, p - 1)
+        scale = self.grid.h / problem.kernel.eps
+        dl = np.where(right > 0, scale * (self.off - self.spore_nodes[self.sides[0]]), np.inf)
+        dr = np.where(right < p, scale * (self.spore_nodes[self.sides[1]] - self.off), np.inf)
+        span = np.expm1(-2.0 * (dl + dr))
+        self.coefficients = (np.exp(-dl) * np.expm1(-2.0 * dr) / span,
+                             np.exp(-dr) * np.expm1(-2.0 * dl) / span)
+        a = init.A.values
+        self.z0 = a[self.off] - self._interpolate(a[self.spore_nodes])
         self.evals = 0
+
+    def _interpolate(self, a: np.ndarray) -> np.ndarray:
+        """E a: the spore nodes' values a carried to the off nodes."""
+        (left, right), (cl, cr) = self.sides, self.coefficients
+        return cl * a[left] + cr * a[right]
+
+    def spores(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """A on the whole grid from its values ``a`` on the spore nodes and z off them."""
+        full = np.empty(self.n)
+        full[self.spore_nodes] = a
+        full[self.off] = self._interpolate(a) + z
+        return full
 
     def pack(self, state: SystemState) -> np.ndarray:
         return np.concatenate((state.S, *(i.values[nodes] for i, nodes in
-                                          zip(state.I, self.host_nodes)), state.A.values))
+                                          zip(state.I, self.host_nodes)),
+                               state.A.values[self.spore_nodes]))
 
-    def unpack(self, y: np.ndarray) -> SystemState:
-        """The full-grid fields of a packed state, or of its derivative."""
+    def unpack(self, y: np.ndarray, t: float) -> SystemState:
+        """The full-grid fields of the packed state y at time t."""
         infected = np.zeros((2, self.n))
         for row, nodes, part in zip(infected, self.host_nodes, self.slices):
             row[nodes] = y[part]
+        a = self.spores(y[self.slices[2]], np.exp(-self.delta * t) * self.z0)
         return SystemState(y[:2].copy(), tuple(Field(self.grid, v) for v in infected),
-                           Field(self.grid, y[self.slices[2]].copy()))
+                           Field(self.grid, a))
 
     def rhs(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # dS_k/dt = xi_k Lambda - theta S_k (1 + theta^-1 int beta_k a),
         # dI_k/dt = beta_k S_k a - (theta + d_k) I_k and
-        # dA/dt = -delta a + m_eps * (sum_k r_k I_k)
+        # dA/dt = -delta a + m_eps * (sum_k r_k I_k), on the spore nodes
         self.evals += 1
         out = np.empty_like(y) if out is None else out
         s, i, a = y[:2], y[self.infected], y[self.slices[2]]
@@ -107,7 +153,7 @@ class _System:
         di = out[self.infected]
         np.multiply(self.beta * s[self.host], a[self.nodes], out=di)
         di -= self.loss * i
-        production = np.bincount(self.nodes, self.r * i, minlength=self.n)
+        production = np.bincount(self.nodes, self.r * i, minlength=a.size)
         da = out[self.slices[2]]
         np.multiply(a, -self.delta, out=da)
         da += self.tmap.engine.convolve_values(production)
@@ -178,6 +224,9 @@ _E5 = np.array([
     -0.022355307863886294, 0.0,
 ])
 _E = np.array([_E3, _E5])
+# a step's rows (1, h a_i) and (1, h b) are this table with h _AB in columns 1 to 12
+_AB = np.vstack((_A, _B))
+_COEF = np.hstack((np.ones((13, 1)), _AB))
 
 
 def _dop853(system, y, f, h):
@@ -187,16 +236,20 @@ def _dop853(system, y, f, h):
     the rows above it, and so is y_new with (1, h b). Row 13 is the derivative
     at the new state, the next step's k_1 (FSAL), and the error estimates are
     one product of (e3, e5) with rows 1 to 13. The norm's N is the full-grid
-    state's length, not the packed one's: the entries left out hold zeros,
-    whose error is exactly zero."""
-    coef = np.hstack((np.ones((12, 1)), h * _A))
+    state's length, 3n + 2, not the packed one's. The entries left out are I_k
+    off its nodes, exactly zero with zero error, and A off the spore nodes,
+    E A_P + exp(-delta t) z(0): its error is E times the error on the spore
+    nodes, and E's rows are nonnegative and sum to at most 1, so it is bounded
+    by the error there."""
+    coef = _COEF.copy()
+    np.multiply(h, _AB, out=coef[:, 1:])
     k = np.empty((14, y.size))
     k[0], k[1] = y, f
     stage = np.empty(y.size)
     for i in range(1, 12):
         np.dot(coef[i, : i + 1], k[: i + 1], out=stage)
         system.rhs(stage, out=k[i + 1])
-    y_new = np.append(1.0, h * _B) @ k[:13]
+    y_new = coef[12] @ k[:13]
     system.rhs(y_new, out=k[13])
     e = _E @ k[1:]
     e /= ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
@@ -230,7 +283,8 @@ def integrate(
     sys = _System(problem, init)
     y = sys.pack(init)
     t = 0.0
-    _check_bounded(y, t)
+    # the start off the spore nodes too, which y leaves out
+    _check_bounded(np.append(y, init.A.values[sys.off]), t)
     f = None  # rhs(y) once computed
     n_steps = int(round(t_end / dt))
     budget = max(MAX_RHS_EVALS, 4 * n_steps)
@@ -279,7 +333,7 @@ def integrate(
                 y[negative] = 0.0
                 f = None
             _check_bounded(y, t)
-        end = sys.unpack(y)
+        end = sys.unpack(y, t)
         samples.append((t, summarize(end)))
     return Trajectory(
         samples=samples,

@@ -3,7 +3,8 @@
 The library never forms the kernel's samples or an n x n matrix: a convolution
 is a tridiagonal solve and every spectrum is taken from the tridiagonal
 structure or matrix-free.  The functions here build the same quantities the
-direct way, as dense arrays.  The dynamics' reference is fixed-step rk4.
+direct way, as dense arrays.  The dynamics' reference is fixed-step rk4, on
+the packed state and on the model's equations on the whole grid.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from scipy.linalg import eigh
 
 from mutsel.dynamics import _System
 from mutsel.equilibrium import SystemState, solve_uncoupled
+from mutsel.grid import Field
 from mutsel.model import MIN_NODES_PER_WIDTH, Problem
 from mutsel.operators import ConvolutionEngine, Linearization, host_map, host_operator
 from mutsel.spectral import SpectralError
@@ -172,11 +174,48 @@ def rk4(problem: Problem, init: SystemState, t_end: float, dt: float) -> Rk4Run:
     steps = round(t_end / dt)
     negative = 0
     for _ in range(steps):
-        k1 = system.rhs(y)
-        k2 = system.rhs(y + 0.5 * dt * k1)
-        k3 = system.rhs(y + 0.5 * dt * k2)
-        k4 = system.rhs(y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4_step(system.rhs, y, dt)
         negative += int(np.count_nonzero(y < 0))
-    return Rk4Run(system.unpack(y), steps, system.evals, negative)
+    return Rk4Run(system.unpack(y, steps * dt), steps, system.evals, negative)
 
+
+def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def full_grid_derivative(problem: Problem, state: SystemState) -> tuple:
+    """The model's equations on the whole grid, as ((dS1, dS2), dI1, dI2, dA):
+    dS_k = xi_k Lambda - theta S_k - S_k int beta_k A, dI_k = beta_k S_k A - (theta + d_k) I_k
+    and dA = -delta A + m_eps * (r_1 I_1 + r_2 I_2)."""
+    mp, w, a = problem.mp, problem.grid.quad_weights, state.A.values
+    ds, di = [], []
+    production = np.zeros(problem.grid.n)
+    for host, hd, s, i in zip(mp.hosts, problem.derived, state.S,
+                              (i.values for i in state.I)):
+        ds.append(host.xi * mp.lambda_ - mp.theta * s - s * np.sum(w * hd.beta.values * a))
+        di.append(hd.beta.values * s * a - (mp.theta + hd.d.values) * i)
+        production += hd.r.values * i
+    da = -mp.delta * a + ConvolutionEngine(problem.kernel).convolve_values(production)
+    return np.array(ds), *di, da
+
+
+def full_grid_rk4(problem: Problem, init: SystemState, t_end: float, dt: float) -> SystemState:
+    """Classical Runge-Kutta 4 from ``init`` in round(t_end/dt) steps of dt, on
+    ``full_grid_derivative``: every field on every node, nothing packed."""
+    g, n = problem.grid, problem.grid.n
+
+    def state(y):
+        return SystemState(y[:2], (Field(g, y[2 : 2 + n]), Field(g, y[2 + n : 2 + 2 * n])),
+                           Field(g, y[2 + 2 * n :]))
+
+    def f(y):
+        return np.concatenate(full_grid_derivative(problem, state(y)))
+
+    y = np.concatenate((init.S, *(i.values for i in init.I), init.A.values))
+    for _ in range(round(t_end / dt)):
+        y = _rk4_step(f, y, dt)
+    return state(y)

@@ -975,6 +975,20 @@ def test_one_start_commands_leave_numpy_random_unloaded(tmp_path):
     assert json.loads(_probe(code).splitlines()[-1]) == [False, False, True]
 
 
+def test_dynamics_leaves_numpy_ma_unloaded(tmp_path):
+    # the spore nodes and the nodes off them come from boolean masks:
+    # np.union1d, np.setdiff1d and np.unique import numpy.ma, about 1.2 MB of
+    # a dynamics run's peak RSS
+    argv = ["dynamics", "--preset", "fig1", "--epsilon", "5e-2", "--t-end", "1",
+            "--output-dir", str(tmp_path)]
+    code = "\n".join([
+        "import sys, mutsel.cli",
+        f"assert mutsel.cli.main({argv!r}) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    assert _probe(code).splitlines()[-1] == "False"
+
+
 def _rowwise_csv(path, name, header, rows):
     """The row-by-row writer ``write_csv`` replaced, the reference of its bytes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -7,8 +7,7 @@ import pytest
 
 import mutsel.dynamics as dyn
 from mutsel.grid import Field, UsageError, l1_norm
-from mutsel.model import build_problem, preset
-from mutsel.operators import ConvolutionEngine
+from mutsel.model import build_problem, model_from_dict, preset
 from mutsel.dynamics import (
     DynamicsError,
     SystemState,
@@ -16,7 +15,7 @@ from mutsel.dynamics import (
     integrate,
 )
 from mutsel.equilibrium import reconstruct
-from oracles import rk4
+from oracles import full_grid_derivative, full_grid_rk4, rk4
 
 
 @pytest.fixture(scope="module")
@@ -34,31 +33,20 @@ def state_l1(a: SystemState, b: SystemState) -> float:
 
 
 def derivative(problem, state: SystemState) -> SystemState:
-    """The time derivative of a state, read on the full grid through ``unpack``."""
+    """The time derivative of a state, read on the full grid: off the spore nodes
+    dA/dt is that of the closed form E A_P(t) + exp(-delta t) z(0) at t = 0,
+    E dA_P/dt - delta z(0)."""
     system = dyn._System(problem, state)
-    return system.unpack(system.rhs(system.pack(state)))
+    dy = system.rhs(system.pack(state))
+    d = system.unpack(dy, 0.0)
+    da = system.spores(dy[system.slices[2]], -system.delta * system.z0)
+    return SystemState(d.S, d.I, Field(problem.grid, da))
 
 
 def derivative_l1(problem, state: SystemState) -> float:
     """|dS1/dt| + |dS2/dt| plus the quadrature L1 norms of the density derivatives."""
     d = derivative(problem, state)
     return np.abs(d.S).sum() + sum(l1_norm(f) for f in (*d.I, d.A))
-
-
-def full_grid_derivative(problem, state: SystemState) -> tuple:
-    """The model's equations on the whole grid, as ((dS1, dS2), dI1, dI2, dA):
-    dS_k = xi_k Lambda - theta S_k - S_k int beta_k A, dI_k = beta_k S_k A - (theta + d_k) I_k
-    and dA = -delta A + m_eps * (r_1 I_1 + r_2 I_2)."""
-    mp, w, a = problem.mp, problem.grid.quad_weights, state.A.values
-    ds, di = [], []
-    production = np.zeros(problem.grid.n)
-    for host, hd, s, i in zip(mp.hosts, problem.derived, state.S,
-                              (i.values for i in state.I)):
-        ds.append(host.xi * mp.lambda_ - mp.theta * s - s * np.sum(w * hd.beta.values * a))
-        di.append(hd.beta.values * s * a - (mp.theta + hd.d.values) * i)
-        production += hd.r.values * i
-    da = -mp.delta * a + ConvolutionEngine(problem.kernel).convolve_values(production)
-    return np.array(ds), *di, da
 
 
 def random_state(problem, seed: int) -> SystemState:
@@ -97,10 +85,54 @@ class TestRhs:
             state = random_state(problem, seed)
             host_nodes = dyn._System(problem, state).host_nodes
             assert (host_nodes[0][-1] >= host_nodes[1][0]) == overlap
-            d = derivative(problem, state)
-            packed = (d.S, d.I[0].values, d.I[1].values, d.A.values)
-            for got, want in zip(packed, full_grid_derivative(problem, state)):
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert_matches_full_grid(problem, state)
+
+
+def assert_matches_full_grid(problem, state: SystemState) -> None:
+    """``derivative`` agrees with the model's equations on the whole grid to 1e-13."""
+    d = derivative(problem, state)
+    packed = (d.S, d.I[0].values, d.I[1].values, d.A.values)
+    for got, want in zip(packed, full_grid_derivative(problem, state)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# supports 0.6 apart: at eps = 5e-4 the gap between the spore nodes is 1,200
+# widths, past the 710 where sinh overflows
+WIDE_GAP = {"lambda": 1.0, "theta": 1.0, "delta": 1.0, "hosts": [
+    {"xi": 0.5, "beta": f"1600.0*pos((x-{lo})*({hi}-x))", "beta_support": [lo, hi]}
+    for lo, hi in ((0.1, 0.2), (0.8, 0.9))]}
+
+
+class TestSporeNodes:
+    @pytest.mark.parametrize("name", ["fig1", "fig3"])
+    def test_unpacked_matches_full_grid_rk4(self, name):
+        # A off the spore nodes in closed form, against every field integrated
+        # on every node (fig3's supports overlap)
+        problem = build_problem(preset(name), 0.01)
+        init = disease_free_state(problem, bump=1e-3)
+        end = integrate(problem, init, 5.0, 0.01).terminal
+        assert state_l1(end, full_grid_rk4(problem, init, 5.0, 0.01)) < 1e-10
+
+    @pytest.mark.parametrize("value", [np.inf, 1e13])
+    def test_start_checked_off_spore_nodes(self, fig1_problem, value):
+        init = disease_free_state(fig1_problem, bump=1e-3)
+        off = dyn._System(fig1_problem, init).off
+        init.A.values[off[off.size // 2]] = value
+        with pytest.raises(DynamicsError, match="blew up at t=0"):
+            integrate(fig1_problem, init, 1.0, 0.01)
+
+    def test_wide_gap(self):
+        problem = build_problem(model_from_dict(WIDE_GAP), 5e-4)
+        assert problem.grid.n == 8193
+        init = disease_free_state(problem, bump=1e-3)
+        system = dyn._System(problem, init)
+        widest = np.diff(system.spore_nodes).max() * problem.grid.h / problem.eps
+        assert widest == pytest.approx(1200.0, rel=1e-3)
+        assert all(np.all(np.isfinite(c)) for c in system.coefficients)
+        a = integrate(problem, init, 1.0, 0.01).terminal.A.values
+        assert np.all(np.isfinite(a)) and np.all(a >= 0.0)
+        for seed in range(2):
+            assert_matches_full_grid(problem, random_state(problem, seed))
 
 
 class TestHulls:
@@ -212,7 +244,7 @@ class TestIntegrate:
     @staticmethod
     def undershoot(monkeypatch, depth):
         """dop853 replaced by an Euler step with zero error that leaves the last
-        two spore nodes at -depth * NEGATIVE_SLACK."""
+        two packed spore nodes at -depth * NEGATIVE_SLACK."""
         def step(system, y, f, h):
             y_new = y + h * f
             y_new[-2:] = -depth * dyn.NEGATIVE_SLACK
@@ -224,10 +256,11 @@ class TestIntegrate:
         # counted and set to zero after every step
         self.undershoot(monkeypatch, 0.5)
         init = disease_free_state(fig1_problem, bump=1e-3)
+        a_nodes = dyn._System(fig1_problem, init).spore_nodes
         traj = integrate(fig1_problem, init, 0.03, 0.01, sample_every=1)
         assert traj.steps == 3 and traj.clip_events == 6
-        assert np.all(traj.terminal.A.values[-2:] == 0.0)
-        assert np.all(traj.terminal.A.values[:-2] >= 0.0)
+        assert np.all(traj.terminal.A.values[a_nodes[-2:]] == 0.0)
+        assert np.all(traj.terminal.A.values[a_nodes[:-2]] >= 0.0)
 
     def test_undershoot_past_slack_raises(self, fig1_problem, monkeypatch):
         self.undershoot(monkeypatch, 2.0)
